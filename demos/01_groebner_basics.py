@@ -3,7 +3,7 @@
 Run with: python3 demos/01_groebner_basics.py
 """
 
-from liaison import Ideal, buchberger, make_ring, normal_form, syzygies
+from liaison import Ideal, buchberger, make_ring, normal_form
 
 # A polynomial ring is a context: variables, an exact coefficient field,
 # and a monomial order.  Everything downstream is deterministic.
@@ -33,10 +33,3 @@ I = Ideal(R, [x**2 - y, y**2 - z])
 member = x**4 - z
 print("\nmembership by normal form:")
 print(f"    NF({member}) =", normal_form(member, I.groebner()))
-
-# Syzygies are the relations among generators; every output relation is
-# verified exactly.
-print("\nsyzygies of (x, y):", syzygies([x, y]))
-print("syzygies of (x, y, x+y):")
-for v in syzygies([x, y, x + y]):
-    print("   ", v)

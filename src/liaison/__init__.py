@@ -21,12 +21,8 @@ from .rings import (
 from .polynomials import Polynomial, substitute
 from .groebner import (
     GroebnerBasis,
-    ModuleOrder,
-    VectorElement,
     buchberger,
-    module_groebner,
     normal_form,
-    syzygies,
 )
 from .ideals import (
     HilbertData,
@@ -44,10 +40,8 @@ from .ideals import (
 from .localrings import (
     LocalPointReport,
     RationalPoint,
-    ZerodivisorError,
     artinian_invariants,
     artinian_reduce,
-    artinian_reduction,
     local_ci_test,
     local_component,
     local_mu,
@@ -86,12 +80,8 @@ __all__ = [
     "Polynomial",
     "substitute",
     "GroebnerBasis",
-    "ModuleOrder",
-    "VectorElement",
     "buchberger",
-    "module_groebner",
     "normal_form",
-    "syzygies",
     "HilbertData",
     "Ideal",
     "eliminate",
@@ -105,10 +95,8 @@ __all__ = [
     "standard_monomials",
     "LocalPointReport",
     "RationalPoint",
-    "ZerodivisorError",
     "artinian_invariants",
     "artinian_reduce",
-    "artinian_reduction",
     "local_ci_test",
     "local_component",
     "local_mu",

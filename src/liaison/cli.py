@@ -248,6 +248,12 @@ def main(argv=None):
         message = exc.args[0] if exc.args else str(exc)
         print(f"error: {message}", file=sys.stderr)
         return EXIT_ERROR
+    except Exception as exc:
+        # an internal failure must not exit 1, which reads as a false verdict
+        detail = " ".join(str(exc).split())
+        print(f"error: internal failure in {opts.command}: {type(exc).__name__}: {detail}",
+              file=sys.stderr)
+        return EXIT_ERROR
     elapsed = time.perf_counter() - started
     if opts.json:
         document = {

@@ -30,7 +30,7 @@ class ClassificationDiscrepancy(RuntimeError):
     """Condition-based verdict and geometric oracle disagree (build-failing)."""
 
 
-def _univariate_coeffs(form, var_index, other_index, degree):
+def _univariate_coeffs(form, var_index, degree):
     """Coefficient list c_k of form = sum c_k * v^k * w^(degree-k)."""
     coeffs = [form.ring.field.zero] * (degree + 1)
     for e, c in form.terms.items():
@@ -62,7 +62,7 @@ def _univariate_gcd_degree(a, b, field):
 def binary_forms_have_common_zero(f, g, var_pair):
     """Common zero on P^1 of two binary forms in the variables var_pair."""
     field = f.ring.field
-    i, j = var_pair
+    i = var_pair[0]
     if f.is_zero() and g.is_zero():
         return True
     if f.is_zero():
@@ -75,8 +75,8 @@ def binary_forms_have_common_zero(f, g, var_pair):
         _pure(g.ring, i, rg)
     ) == field.zero:
         return True
-    ca = _univariate_coeffs(f, i, j, rf)
-    cb = _univariate_coeffs(g, i, j, rg)
+    ca = _univariate_coeffs(f, i, rf)
+    cb = _univariate_coeffs(g, i, rg)
     return _univariate_gcd_degree(ca, cb, field) >= 1
 
 

@@ -1,15 +1,11 @@
-"""Buchberger's algorithm for ideals and for submodules of free modules.
+"""Buchberger's algorithm for polynomial ideals.
 
-The ring case implements normal-strategy pair selection with Gebauer-Moeller
-pruning (the systematic form of Buchberger's product and chain criteria) and
-returns the reduced Groebner basis, which is the unique canonical
-representative of the ideal for the given order.  The module case keeps the
-engine deliberately plain (no pruning criteria; S-vectors only for pairs
-whose leading terms sit in the same position) and powers the syzygy
-computation used by the local-invariant code.
+Normal-strategy pair selection with Gebauer-Moeller pruning (the systematic
+form of Buchberger's product and chain criteria); the result is the reduced
+Groebner basis, the unique canonical representative of the ideal for the
+given order.  Normal forms modulo such a basis decide ideal membership and
+give the local minimal generator count (see localrings.local_mu).
 """
-
-from dataclasses import dataclass
 
 from .polynomials import Polynomial, mono_div, mono_divides, mono_lcm, mono_mul
 from .rings import MonomialOrder
@@ -18,13 +14,12 @@ from .rings import MonomialOrder
 class GroebnerBasis:
     """A reduced Groebner basis: monic, auto-reduced, sorted by leading term."""
 
-    __slots__ = ("ring", "order", "elements", "reduced")
+    __slots__ = ("ring", "order", "elements")
 
-    def __init__(self, ring, order, elements, reduced=True):
+    def __init__(self, ring, order, elements):
         self.ring = ring
         self.order = order
         self.elements = tuple(elements)
-        self.reduced = reduced
 
     def leading_monomials(self):
         return [g.leading_monomial(self.order) for g in self.elements]
@@ -214,242 +209,3 @@ def buchberger(gens, order=None, use_criteria=True):
     reduced = _interreduce(_minimalize(G, order), order)
     reduced.sort(key=lambda g: order.key(g.leading_monomial(order)))
     return GroebnerBasis(ring, order, reduced)
-
-
-# -- free modules ------------------------------------------------------------
-
-
-class VectorElement:
-    """Element of a free module R^s, stored as a tuple of polynomials."""
-
-    __slots__ = ("ring", "components")
-
-    def __init__(self, components):
-        components = tuple(components)
-        if not components:
-            raise ValueError("vector needs at least one component")
-        rings = {c.ring for c in components}
-        if len(rings) > 1:
-            raise ValueError("mixed ring contexts")
-        self.ring = components[0].ring
-        self.components = components
-
-    @property
-    def arity(self):
-        return len(self.components)
-
-    def is_zero(self):
-        return all(c.is_zero() for c in self.components)
-
-    def __sub__(self, other):
-        return VectorElement([a - b for a, b in zip(self.components, other.components)])
-
-    def mul_term(self, coeff, expo):
-        return VectorElement([c.mul_term(coeff, expo) for c in self.components])
-
-    def __eq__(self, other):
-        return isinstance(other, VectorElement) and self.components == other.components
-
-    def __hash__(self):
-        return hash(self.components)
-
-    def __repr__(self):
-        return "(" + ", ".join(str(c) for c in self.components) + ")"
-
-
-@dataclass(frozen=True)
-class ModuleOrder:
-    """Order on module terms (position, monomial).
-
-    position_first=False is term-over-position: compare the ring order
-    first, ties broken by the lower position winning.  position_first=True
-    makes every term in an earlier position greater, which eliminates
-    leading components (used for syzygies).
-    """
-
-    ring_order: MonomialOrder
-    position_first: bool = False
-
-    def key(self, term):
-        pos, expo = term
-        if self.position_first:
-            return (-pos, self.ring_order.key(expo))
-        return (self.ring_order.key(expo), -pos)
-
-
-def _vector_terms(v):
-    for pos, comp in enumerate(v.components):
-        for e, c in comp.terms.items():
-            yield (pos, e), c
-
-
-def _vector_lead(v, morder):
-    best = None
-    best_key = None
-    for term, c in _vector_terms(v):
-        k = morder.key(term)
-        if best_key is None or k > best_key:
-            best, best_key = (term, c), k
-    if best is None:
-        raise ValueError("zero vector has no leading term")
-    return best
-
-
-def _vector_reduce(v, reducers, morder):
-    """Full normal form of a vector against reducers [((pos, lm), lc, vector)]."""
-    ring = v.ring
-    field = ring.field
-    zero = field.zero
-    work = {}
-    for term, c in _vector_terms(v):
-        work[term] = c
-    result = {}
-    while work:
-        term = max(work, key=morder.key)
-        c = work[term]
-        pos, e = term
-        for (rpos, rlm), rlc, rvec in reducers:
-            if rpos == pos and mono_divides(rlm, e):
-                factor = field.div(c, rlc)
-                q = mono_div(e, rlm)
-                for (gpos, ge), gc in _vector_terms(rvec):
-                    target = (gpos, mono_mul(ge, q))
-                    acc = work.get(target, zero)
-                    acc = field.sub(acc, field.mul(gc, factor))
-                    if acc == zero:
-                        work.pop(target, None)
-                    else:
-                        work[target] = acc
-                break
-        else:
-            result[term] = c
-            del work[term]
-    comps = [dict() for _ in range(v.arity)]
-    for (pos, e), c in result.items():
-        comps[pos][e] = c
-    return VectorElement([Polynomial(ring, comp) for comp in comps])
-
-
-def _vector_monic(v, morder):
-    _, lc = _vector_lead(v, morder)
-    field = v.ring.field
-    inv = field.inv(lc)
-    return VectorElement([c.scale(inv) for c in v.components])
-
-
-def module_groebner(gens, morder=None):
-    """Groebner basis of the submodule of R^s generated by gens.
-
-    S-vectors are formed only for pairs whose leading terms lie in the same
-    position.  The result is minimal, auto-reduced, monic, and sorted, so it
-    is canonical for the order.
-    """
-    gens = [g for g in gens if not g.is_zero()]
-    if not gens:
-        return []
-    arities = {g.arity for g in gens}
-    if len(arities) > 1:
-        raise ValueError("inconsistent numbers of components")
-    ring = gens[0].ring
-    if morder is None:
-        morder = ModuleOrder(ring.order)
-    field = ring.field
-
-    G = [_vector_monic(g, morder) for g in gens]
-    leads = [_vector_lead(g, morder) for g in G]
-    pairs = {(i, j) for i in range(len(G)) for j in range(i + 1, len(G))
-             if leads[i][0][0] == leads[j][0][0]}
-
-    def reducers():
-        return [(leads[k][0], leads[k][1], G[k]) for k in range(len(G))]
-
-    def pair_rank(pair):
-        i, j = pair
-        (pos, ei), _ = leads[i]
-        (_, ej), _ = leads[j]
-        l = mono_lcm(ei, ej)
-        return (sum(l), morder.key((pos, l)), i, j)
-
-    while pairs:
-        i, j = min(pairs, key=pair_rank)
-        pairs.remove((i, j))
-        (pos, ei), ci = leads[i]
-        (_, ej), cj = leads[j]
-        l = mono_lcm(ei, ej)
-        a = G[i].mul_term(field.inv(ci), mono_div(l, ei))
-        b = G[j].mul_term(field.inv(cj), mono_div(l, ej))
-        s = a - b
-        if s.is_zero():
-            continue
-        r = _vector_reduce(s, reducers(), morder)
-        if not r.is_zero():
-            r = _vector_monic(r, morder)
-            G.append(r)
-            leads.append(_vector_lead(r, morder))
-            new = len(G) - 1
-            pairs |= {(k, new) for k in range(new) if leads[k][0][0] == leads[new][0][0]}
-
-    # minimalize by leading-term divisibility within each position
-    order_idx = sorted(range(len(G)), key=lambda k: morder.key(leads[k][0]))
-    minimal = []
-    for k in order_idx:
-        (pos, e), _ = leads[k]
-        dominated = any(
-            leads[m][0][0] == pos and mono_divides(leads[m][0][1], e) for m in minimal
-        )
-        if not dominated:
-            minimal.append(k)
-    basis = [G[k] for k in minimal]
-    basis_leads = [leads[k] for k in minimal]
-    # full auto-reduction
-    reduced = []
-    for idx, g in enumerate(basis):
-        red = [
-            (lead[0], lead[1], h)
-            for k, (h, lead) in enumerate(zip(basis, basis_leads))
-            if k != idx
-        ]
-        r = _vector_reduce(g, red, morder)
-        reduced.append(_vector_monic(r, morder))
-    reduced.sort(key=lambda g: morder.key(_vector_lead(g, morder)[0]))
-    return reduced
-
-
-def syzygies(gens):
-    """Generators of the syzygy module of (g_1, ..., g_s).
-
-    Embeds (g_i, e_i) in R^(1+s), computes a module Groebner basis under an
-    order that eliminates the first component, and keeps the elements whose
-    first component vanishes.  Every returned vector is verified to satisfy
-    sum a_i g_i = 0 exactly.
-    """
-    gens = list(gens)
-    if not gens:
-        raise ValueError("syzygies of an empty generator list")
-    if any(g.is_zero() for g in gens):
-        raise ValueError("syzygies expects nonzero generators")
-    rings = {g.ring for g in gens}
-    if len(rings) > 1:
-        raise ValueError("mixed ring contexts")
-    ring = gens[0].ring
-    s = len(gens)
-    zero = Polynomial.zero(ring)
-    one = Polynomial.constant(ring, 1)
-    embedded = []
-    for i, g in enumerate(gens):
-        comps = [g] + [zero] * s
-        comps[1 + i] = one
-        embedded.append(VectorElement(comps))
-    morder = ModuleOrder(ring.order, position_first=True)
-    basis = module_groebner(embedded, morder)
-    out = []
-    for v in basis:
-        if v.components[0].is_zero():
-            tail = VectorElement(v.components[1:])
-            acc = Polynomial.zero(ring)
-            for a, g in zip(tail.components, gens):
-                acc = acc + a * g
-            if not acc.is_zero():
-                raise AssertionError("syzygy verification failed")
-            out.append(tail)
-    return out

@@ -318,7 +318,8 @@ def _divide_by_one_minus_t(coeffs):
     for c in coeffs:
         acc += c
         out.append(acc)
-    assert out and out[-1] == 0
+    if not out or out[-1] != 0:
+        raise ArithmeticError("Hilbert numerator does not vanish at t=1; (1-t) does not divide it")
     return _trim(out[:-1]) or [0]
 
 

@@ -65,10 +65,3 @@ def solve(rows, rhs, field):
     for r, p in enumerate(pivots):
         x[p] = reduced[r][ncols]
     return x
-
-
-def same_row_space(rows_a, rows_b, field):
-    """Whether two row sets span the same subspace."""
-    ra, _ = rref(rows_a, field)
-    rb, _ = rref(rows_b, field)
-    return ra == rb

@@ -3,16 +3,17 @@ socle dimension, Gorenstein verdicts, local minimal generator counts, and
 local complete-intersection tests.
 
 All localization is made computable by translating the point to the origin
-of an affine chart.  The local minimal generator count comes from evaluating
-syzygies at the origin (Nakayama); Artinian invariants come from standard
-monomial counts; Gorenstein-ness of a positive-dimensional local ring is
-decided after cutting by certified-regular linear forms.
+of an affine chart.  The local minimal generator count is dim_k(I/mI), m the
+ideal of the origin (Nakayama), read off from normal forms modulo a Groebner
+basis of mI; Artinian invariants come from standard monomial counts;
+Gorenstein-ness of a positive-dimensional local ring is decided after
+cutting by certified-regular linear forms.
 """
 
 import random
 from dataclasses import dataclass
 
-from .groebner import syzygies
+from .groebner import buchberger, normal_form
 from .ideals import (
     Ideal,
     ideal_colon,
@@ -138,18 +139,21 @@ def translate_to_origin(I, point):
 def local_mu(I):
     """Minimal number of generators of I localized at the origin.
 
-    mu = s - dim_k(evaluation at the origin of the syzygy module of the s
-    given generators); by Nakayama this is the local minimal generator count.
+    mu = dim_k(I/mI), m the ideal of the origin (Nakayama).  I/mI is killed
+    by m, so it is already local: it is spanned by the generators' normal
+    forms modulo a Groebner basis of mI, and mu is their rank over k.
     """
+    ring = I.ring
+    field = ring.field
     gens = [g for g in I.gens if not g.is_zero()]
-    field = I.ring.field
     if any(g.constant_term() != field.zero for g in gens):
         raise ValueError("origin is not on the zero set of the ideal")
     if not gens:
         return 0
-    relations = syzygies(gens)
-    rows = [[comp.constant_term() for comp in v.components] for v in relations]
-    return len(gens) - rank(rows, field)
+    mI = buchberger([v * g for v in ring.gens() for g in gens])
+    forms = [normal_form(g, mI).terms for g in gens]
+    monomials = sorted({e for f in forms for e in f})
+    return rank([[f.get(e, field.zero) for e in monomials] for f in forms], field)
 
 
 def local_component(I):
@@ -179,29 +183,6 @@ def artinian_invariants(Q):
     socle_preimage = ideal_colon(Q, origin_ideal(Q.ring))
     socle_dim = length - len(standard_monomials(socle_preimage.groebner()))
     return length, socle_dim, socle_dim == 1
-
-
-class ZerodivisorError(ValueError):
-    """A slice element failed its regularity certificate (I : h) = I."""
-
-
-def artinian_reduction(I, h):
-    """Cut I by a certified-regular linear form h through the origin.
-
-    Returns the origin-primary component when the cut is zero-dimensional,
-    and the plain cut ideal otherwise (for iterated cutting).  The local
-    Gorenstein verdict is preserved either way.
-    """
-    ring = I.ring
-    field = ring.field
-    if h.is_zero() or h.total_degree() != 1 or h.constant_term() != field.zero:
-        raise ValueError("slice element must be a linear form vanishing at the origin")
-    if not ideal_equal(ideal_colon(I, Ideal(ring, [h])), I):
-        raise ZerodivisorError(f"{h} is a zerodivisor: (I : h) != I")
-    J = ideal_sum(I, Ideal(ring, [h]))
-    if is_zero_dimensional(J.groebner()):
-        return local_component(J)
-    return J
 
 
 def find_regular_linear_form(I, rng, budget=8):
@@ -242,8 +223,8 @@ def artinian_reduce(I, seed=0, budget=8):
 def local_ci_test(I, point, seed=0, codim=None, compute_gorenstein=True):
     """Local complete-intersection test at a rational point.
 
-    mu comes from syzygy evaluation after translating the point to the
-    origin; lci means mu equals the local codimension (for this library's
+    mu = dim_k(I/mI) after translating the point to the origin (see
+    local_mu); lci means mu equals the local codimension (for this library's
     scoped inputs, curves of pure dimension one, the default codimension is
     ambient minus one).  The Gorenstein verdict is filled via Artinian
     reduction by certified-regular slices; when no certified slice is found

@@ -102,8 +102,8 @@ def _parse_number(cur, field):
         cur.next()
         den_tok = cur.expect("int", "a denominator")
         den = int(den_tok.text)
-        if den == 0:
-            raise ParseError("zero denominator", den_tok.line, den_tok.col)
+        if field.normalize(den) == field.zero:
+            raise ParseError(f"denominator {den} is zero in {field}", den_tok.line, den_tok.col)
         return field.normalize(Fraction(sign * value, den))
     return field.normalize(sign * value)
 

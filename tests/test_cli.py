@@ -67,6 +67,28 @@ def test_parse_error_exits_two(tmp_path):
     assert "line 2" in proc.stderr
 
 
+
+def test_zero_denominator_mod_p_exits_two(tmp_path):
+    bad = tmp_path / "bad.session"
+    bad.write_text("ring F3[x,y] order grevlex\nideal I = 1/3*x, y\n")
+    proc = run_cli(str(bad), "gb", "I")
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: line 2 col 13")
+    assert len(proc.stderr.strip().splitlines()) == 1
+
+
+def test_internal_failure_exits_two_not_false(monkeypatch, capsys):
+    from liaison import cli
+
+    def broken(session, args, opts):
+        raise ZeroDivisionError("inverse of zero\nsecond line")
+
+    monkeypatch.setitem(cli._COMMANDS, "gb", (broken, 1, "IDEAL"))
+    code = cli.main([str(FIXTURES / "fossum.session"), "gb", "B"])
+    assert code == cli.EXIT_ERROR
+    err = capsys.readouterr().err
+    assert err == "error: internal failure in gb: ZeroDivisionError: inverse of zero second line\n"
+
 def test_missing_file_exits_two(tmp_path):
     proc = run_cli(str(tmp_path / "absent.session"), "gb", "I")
     assert proc.returncode == 2

@@ -37,6 +37,20 @@ def test_double_line_ideal_degree(P3):
     assert data.degree == 2 and data.projective_dimension == 1
 
 
+
+def test_binary_forms_common_zero(P3):
+    from liaison.doublelines import binary_forms_have_common_zero
+
+    x, y, z, u = P3.gens()
+    pencil = (2, 3)
+    assert not binary_forms_have_common_zero(z, u, pencil)
+    assert not binary_forms_have_common_zero(z**2 + u**2, z * u, pencil)
+    assert binary_forms_have_common_zero(z * (z + u), (z + u) * u, pencil)  # at (1:-1)
+    assert binary_forms_have_common_zero(u, u * z, pencil)  # at (1:0)
+    assert binary_forms_have_common_zero(z**2, z * u, pencil)  # at (0:1)
+    assert binary_forms_have_common_zero(z, P3.zero(), pencil)
+    assert not binary_forms_have_common_zero(P3.one(), P3.zero(), pencil)
+
 def test_double_line_degenerate_forms(P3):
     x, y, z, u = P3.gens()
     L = _line(P3, (0, 1), P3.one(), P3.one())

@@ -4,14 +4,10 @@ import pytest
 
 from liaison import (
     Ideal,
-    ModuleOrder,
     Polynomial,
-    VectorElement,
     buchberger,
     make_ring,
-    module_groebner,
     normal_form,
-    syzygies,
 )
 from liaison.groebner import s_polynomial
 
@@ -158,87 +154,3 @@ def test_mixed_rings_rejected():
     R2 = make_ring(["y"], "Q")
     with pytest.raises(ValueError):
         buchberger([R1.variable("x"), R2.variable("y")])
-
-
-def test_module_groebner_disjoint_positions():
-    R = make_ring(["x", "y"], "Q", "grevlex")
-    x, y = R.gens()
-    zero = Polynomial.zero(R)
-    gens = [VectorElement([x, zero]), VectorElement([zero, y])]
-    basis = module_groebner(gens)
-    assert sorted(map(repr, basis)) == sorted(map(repr, gens))
-
-
-def test_module_groebner_single_element():
-    R = make_ring(["x", "y"], "Q", "grevlex")
-    x, y = R.gens()
-    gens = [VectorElement([x, y])]
-    assert module_groebner(gens) == gens
-
-
-def test_module_groebner_inconsistent_arity():
-    R = make_ring(["x", "y"], "Q", "grevlex")
-    x, y = R.gens()
-    zero = Polynomial.zero(R)
-    with pytest.raises(ValueError):
-        module_groebner([VectorElement([x]), VectorElement([x, zero])])
-
-
-def test_syzygies_koszul():
-    R = make_ring(["x", "y"], "Q", "grevlex")
-    x, y = R.gens()
-    syz = syzygies([x, y])
-    assert len(syz) == 1
-    assert set(syz[0].components) == {y, -x}
-
-
-def test_syzygies_duplicate_generator():
-    R = make_ring(["x", "y"], "Q", "grevlex")
-    x, _ = R.gens()
-    syz = syzygies([x, x])
-    one = R.one()
-    assert any(set(v.components) == {one, -one} for v in syz)
-
-
-def test_syzygies_evaluation_line():
-    R = make_ring(["x", "y"], "Q", "grevlex")
-    x, y = R.gens()
-    syz = syzygies([x, y, x + y])
-    rows = [[c.constant_term() for c in v.components] for v in syz]
-    nonzero = [r for r in rows if any(r)]
-    assert nonzero
-    for r in nonzero:
-        # every constant part lies on the line through (1, 1, -1)
-        assert r[0] == r[1] == -r[2]
-
-
-def test_syzygies_all_relations_vanish():
-    rng = random.Random(43)
-    R = make_ring(["x", "y", "z"], "F31", "grevlex")
-    for _ in range(15):
-        gens = [p for p in (_random_poly(R, rng) for _ in range(rng.randint(1, 4))) if not p.is_zero()]
-        if not gens:
-            continue
-        for v in syzygies(gens):
-            acc = Polynomial.zero(R)
-            for a, g in zip(v.components, gens):
-                acc = acc + a * g
-            assert acc.is_zero()
-
-
-def test_syzygies_empty_rejected():
-    with pytest.raises(ValueError):
-        syzygies([])
-
-
-def test_module_order_top_vs_pot():
-    R = make_ring(["x", "y"], "Q", "grevlex")
-    top = ModuleOrder(R.order, position_first=False)
-    pot = ModuleOrder(R.order, position_first=True)
-    # same monomial, different positions: lower position wins in both
-    assert top.key((0, (1, 0))) > top.key((1, (1, 0)))
-    assert pot.key((0, (1, 0))) > pot.key((1, (1, 0)))
-    # term-over-position: the bigger monomial wins regardless of position
-    assert top.key((1, (2, 0))) > top.key((0, (1, 0)))
-    # position-over-term: position 0 always wins
-    assert pot.key((0, (1, 0))) > pot.key((1, (2, 0)))

@@ -206,6 +206,14 @@ def test_hilbert_edge_cases(P3):
     assert hilbert_data(Ideal(P3, [P3.one()])).degree == 0
 
 
+
+def test_divide_by_one_minus_t_checks_its_precondition():
+    from liaison.ideals import _divide_by_one_minus_t
+
+    assert _divide_by_one_minus_t([1, -1]) == [1]
+    with pytest.raises(ArithmeticError, match="does not vanish at t=1"):
+        _divide_by_one_minus_t([1, 1])
+
 def test_standard_monomials_fossum():
     R = make_ring(["x1", "x2"], "Q", "lex")
     x1, x2 = R.gens()

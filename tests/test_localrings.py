@@ -6,10 +6,8 @@ from liaison import (
     Ideal,
     Polynomial,
     RationalPoint,
-    ZerodivisorError,
     artinian_invariants,
     artinian_reduce,
-    artinian_reduction,
     ideal_equal,
     local_ci_test,
     local_component,
@@ -67,6 +65,8 @@ def test_local_mu_examples(A3):
     x, y, z = A3.gens()
     assert local_mu(Ideal(A3, [x, y])) == 2
     assert local_mu(Ideal(A3, [x, y, x + y])) == 2
+    # (x) meet (x - 1, y): two generators globally, one at the origin
+    assert local_mu(Ideal(A3, [x**2 - x, x * y])) == 1
 
 
 def test_local_mu_monomial_oracle():
@@ -104,6 +104,21 @@ def test_local_mu_coordinate_change_invariant(A3):
         J = Ideal(A3, [substitute(g, change) for g in gens])
         assert local_mu(I) == local_mu(J)
 
+
+
+def test_local_mu_ignores_units_and_distant_components():
+    # mu is a local count: multiplying a generator by a unit at the origin,
+    # or intersecting with a component that misses the origin, keeps it
+    rng = random.Random(57)
+    R = make_ring(["x", "y", "z"], "F31", "grevlex")
+    x, y, z = R.gens()
+    unit = R.one() + x - 2 * y * z
+    away = Ideal(R, [x - 1, y - 2, z + 3])
+    for _ in range(8):
+        I = random_monomial_ideal(R, rng, max_gens=4, max_exp=2)
+        mu = local_mu(I)
+        assert local_mu(Ideal(R, [g * unit for g in I.gens])) == mu
+        assert local_mu(ideal_intersect(I, away)) == mu
 
 def test_local_mu_complete_intersection(A3):
     x, y, z = A3.gens()
@@ -153,20 +168,6 @@ def test_artinian_length_order_independent():
             gens = [Polynomial.monomial(R, e) for e in exps if sum(e) > 0]
             lengths.append(artinian_invariants(Ideal(R, gens))[0])
         assert lengths[0] == lengths[1]
-
-
-def test_artinian_reduction_curve(A3):
-    x, y, z = A3.gens()
-    Q = artinian_reduction(Ideal(A3, [x**2, y**2]), z)
-    assert artinian_invariants(Q) == (4, 1, True)
-    Qn = artinian_reduction(Ideal(A3, [x**2, x * y, y**2]), z)
-    assert artinian_invariants(Qn) == (3, 2, False)
-
-
-def test_artinian_reduction_zerodivisor_reported(A3):
-    x, y, z = A3.gens()
-    with pytest.raises(ZerodivisorError, match="zerodivisor"):
-        artinian_reduction(Ideal(A3, [x**2, y**2]), x)
 
 
 def test_artinian_reduce_two_cuts():

@@ -52,6 +52,18 @@ def test_parse_rational_coefficients():
     assert g.coefficient((1,)) == Fraction(1, 2)
 
 
+
+def test_denominator_zero_modulo_p_rejected_at_its_token():
+    with pytest.raises(ParseError, match="denominator 3 is zero in F3") as info:
+        parse_session("ring F3[x,y] order grevlex\nideal I = 1/3*x, y\n")
+    assert (info.value.line, info.value.col) == (2, 13)
+    with pytest.raises(ParseError, match="denominator 6 is zero in F3"):
+        parse_session("ring F3[x,y] order grevlex\npoint P = (1/6:1)\n")
+    with pytest.raises(ParseError, match="denominator 0 is zero in Q"):
+        parse_session("ring Q[x] order lex\nideal I = 1/0*x\n")
+    s = parse_session("ring F3[x,y] order grevlex\nideal I = 1/2*x\n")
+    assert s.ideals["I"].gens[0].coefficient((1, 0)) == 2
+
 def test_syntax_error_position():
     with pytest.raises(ParseError) as info:
         parse_session("ring Q[x] order lex\nideal I = x +\n")
