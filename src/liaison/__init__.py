@@ -44,6 +44,7 @@ from .localrings import (
     artinian_reduce,
     local_ci_test,
     local_component,
+    local_gorenstein,
     local_mu,
     translate_to_origin,
 )
@@ -99,6 +100,7 @@ __all__ = [
     "artinian_reduce",
     "local_ci_test",
     "local_component",
+    "local_gorenstein",
     "local_mu",
     "translate_to_origin",
     "LinkedTriple",

@@ -21,7 +21,7 @@ from .ideals import (
     saturate,
 )
 from .linkage import LinkedTriple, doubling_check, link, verify_linked_triple
-from .localrings import local_ci_test, local_mu, translate_to_origin, artinian_reduce, artinian_invariants
+from .localrings import local_ci_test, local_gorenstein, local_mu, translate_to_origin
 from .sessions import ParseError, parse_session
 
 EXIT_OK = 0
@@ -106,16 +106,15 @@ def _cmd_lci(session, args, opts):
 def _cmd_gorenstein(session, args, opts):
     I = session.lookup_ideal(args[0])
     p = session.lookup_point(args[1])
-    local = translate_to_origin(I, p)
-    Q, _forms = artinian_reduce(local, seed=opts.seed)
-    if Q is None:
+    invariants = local_gorenstein(translate_to_origin(I, p), seed=opts.seed)
+    if invariants is None:
         return CommandResult(
             {"gorenstein": None, "note": "no certified-regular slice found"},
             [f"point {p}: inconclusive (no certified-regular slice found)"],
             exit_code=EXIT_INCONCLUSIVE,
             points_tested=[p],
         )
-    length, socle_dim, gor = artinian_invariants(Q)
+    length, socle_dim, gor = invariants
     code = EXIT_OK if gor else EXIT_FALSE
     text = [f"point {p}: length = {length}, socle_dim = {socle_dim}, gorenstein = {gor}"]
     return CommandResult(

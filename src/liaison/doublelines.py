@@ -26,6 +26,10 @@ from .localrings import RationalPoint, local_ci_test
 from .polynomials import Polynomial, substitute
 
 
+# smooth points the oracle samples on each support line
+SAMPLES_PER_LINE = 2
+
+
 class ClassificationDiscrepancy(RuntimeError):
     """Condition-based verdict and geometric oracle disagree (build-failing)."""
 
@@ -125,10 +129,6 @@ class DoubleLine:
     @property
     def pencil(self):
         return tuple(k for k in range(4) if k not in self.support)
-
-    @property
-    def degree_of_forms(self):
-        return max(self.forms[0].total_degree(), self.forms[1].total_degree(), 0)
 
     def scaled(self, c):
         return DoubleLine(self.ring, self.support, (self.forms[0].scale(c), self.forms[1].scale(c)))
@@ -440,9 +440,10 @@ def _support_points(line, rng, count, exclude_pencil_origin):
     return points
 
 
-def oracle_lal(L1, L2, seed=0, samples_per_line=2, compute_gorenstein=False):
+def oracle_lal(L1, L2, seed=0):
     """Geometric oracle: intersect the ideals and test local complete
-    intersections at the meeting point plus sampled smooth points.
+    intersections at the meeting point plus SAMPLES_PER_LINE sampled points
+    on each line.  Only mu is needed, so no Gorenstein verdict is computed.
 
     Returns (verdict, reports) with verdict one of 'lal', 'not_lal',
     'inconclusive'.  Same-support pairs are decided by the witness-based
@@ -456,9 +457,9 @@ def oracle_lal(L1, L2, seed=0, samples_per_line=2, compute_gorenstein=False):
     if relation == "disjoint":
         for line in (L1, L2):
             I = double_line_ideal(line)
-            for p in _support_points(line, rng, samples_per_line, exclude_pencil_origin=False):
+            for p in _support_points(line, rng, SAMPLES_PER_LINE, exclude_pencil_origin=False):
                 reports.append(
-                    local_ci_test(I, p, seed=rng.randrange(10**6), compute_gorenstein=compute_gorenstein)
+                    local_ci_test(I, p, seed=rng.randrange(10**6), compute_gorenstein=False)
                 )
         verdict = "lal" if all(r.lci for r in reports) else "not_lal"
         return verdict, reports
@@ -478,10 +479,10 @@ def oracle_lal(L1, L2, seed=0, samples_per_line=2, compute_gorenstein=False):
         exclude = w1 == partner_var
         # meeting point sits at (t=0 : 1) in pencil coordinates iff the
         # partner variable is the scaled-by-t one
-        points.extend(_support_points(line, rng, samples_per_line, exclude_pencil_origin=exclude))
+        points.extend(_support_points(line, rng, SAMPLES_PER_LINE, exclude_pencil_origin=exclude))
     for p in points:
         reports.append(
-            local_ci_test(U, p, seed=rng.randrange(10**6), compute_gorenstein=compute_gorenstein)
+            local_ci_test(U, p, seed=rng.randrange(10**6), compute_gorenstein=False)
         )
     verdict = "lal" if all(r.lci for r in reports) else "not_lal"
     return verdict, reports

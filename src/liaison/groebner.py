@@ -3,29 +3,24 @@
 Normal-strategy pair selection with Gebauer-Moeller pruning (the systematic
 form of Buchberger's product and chain criteria); the result is the reduced
 Groebner basis, the unique canonical representative of the ideal for the
-given order.  Normal forms modulo such a basis decide ideal membership and
+ring's order.  Normal forms modulo such a basis decide ideal membership and
 give the local minimal generator count (see localrings.local_mu).
 """
 
 from .polynomials import Polynomial, mono_div, mono_divides, mono_lcm, mono_mul
-from .rings import MonomialOrder
 
 
 class GroebnerBasis:
     """A reduced Groebner basis: monic, auto-reduced, sorted by leading term."""
 
-    __slots__ = ("ring", "order", "elements")
+    __slots__ = ("ring", "elements")
 
-    def __init__(self, ring, order, elements):
+    def __init__(self, ring, elements):
         self.ring = ring
-        self.order = order
         self.elements = tuple(elements)
 
     def leading_monomials(self):
-        return [g.leading_monomial(self.order) for g in self.elements]
-
-    def contains(self, f):
-        return normal_form(f, self).is_zero()
+        return [g.leading_monomial() for g in self.elements]
 
     def is_unit_ideal(self):
         return len(self.elements) == 1 and self.elements[0].total_degree() == 0
@@ -40,22 +35,21 @@ class GroebnerBasis:
         return (
             isinstance(other, GroebnerBasis)
             and self.ring == other.ring
-            and self.order == other.order
             and self.elements == other.elements
         )
 
     def __hash__(self):
-        return hash((self.ring, self.order, self.elements))
+        return hash((self.ring, self.elements))
 
     def __repr__(self):
         return "GroebnerBasis[" + ", ".join(str(g) for g in self.elements) + "]"
 
 
-def _reduce(f, reducers, order):
+def _reduce(f, reducers):
     """Full normal form of f against a list of (lm, lc, poly) reducers."""
     field = f.ring.field
     zero = field.zero
-    key = order.key
+    key = f.ring.order.key
     work = dict(f.terms)
     result = {}
     while work:
@@ -80,8 +74,8 @@ def _reduce(f, reducers, order):
     return Polynomial(f.ring, result)
 
 
-def _reducer_list(polys, order):
-    return [(g.leading_monomial(order), g.leading_coefficient(order), g) for g in polys]
+def _reducer_list(polys):
+    return [(*g.leading_term(), g) for g in polys]
 
 
 def normal_form(f, basis):
@@ -94,13 +88,13 @@ def normal_form(f, basis):
     if isinstance(basis, GroebnerBasis):
         if f.ring != basis.ring:
             raise ValueError("polynomial and basis live in different rings")
-        return _reduce(f, _reducer_list(basis.elements, basis.order), basis.order)
+        return _reduce(f, _reducer_list(basis.elements))
     raise TypeError("normal_form expects a GroebnerBasis")
 
 
-def s_polynomial(f, g, order):
-    lmf, lcf = f.leading_term(order)
-    lmg, lcg = g.leading_term(order)
+def s_polynomial(f, g):
+    lmf, lcf = f.leading_term()
+    lmg, lcg = g.leading_term()
     lcm = mono_lcm(lmf, lmg)
     field = f.ring.field
     a = f.mul_term(field.inv(lcf), mono_div(lcm, lmf))
@@ -108,7 +102,7 @@ def s_polynomial(f, g, order):
     return a - b
 
 
-def _update_pairs(G, lms, P, new_index, order, use_criteria):
+def _update_pairs(lms, P, new_index, key, use_criteria):
     """Gebauer-Moeller update of the pair set after appending generator new_index."""
     lcm = mono_lcm
     lmf = lms[new_index]
@@ -129,7 +123,7 @@ def _update_pairs(G, lms, P, new_index, order, use_criteria):
     for i in range(new_index):
         by_lcm.setdefault(lcm(lms[i], lmf), []).append(i)
     minimal = []
-    for l in sorted(by_lcm, key=order.key):
+    for l in sorted(by_lcm, key=key):
         if all(not mono_divides(m, l) for m in minimal):
             minimal.append(l)
     for l in minimal:
@@ -139,26 +133,26 @@ def _update_pairs(G, lms, P, new_index, order, use_criteria):
     return kept
 
 
-def _minimalize(polys, order):
+def _minimalize(polys, key):
     out = []
-    for g in sorted(polys, key=lambda h: order.key(h.leading_monomial(order))):
-        lm = g.leading_monomial(order)
-        if all(not mono_divides(h.leading_monomial(order), lm) for h in out):
+    for g in sorted(polys, key=lambda h: key(h.leading_monomial())):
+        lm = g.leading_monomial()
+        if all(not mono_divides(h.leading_monomial(), lm) for h in out):
             out.append(g)
     return out
 
 
-def _interreduce(polys, order):
+def _interreduce(polys):
     out = []
     for i, g in enumerate(polys):
         others = polys[:i] + polys[i + 1 :]
-        r = _reduce(g, _reducer_list(others, order), order)
-        out.append(r.monic(order))
+        out.append(_reduce(g, _reducer_list(others)).monic())
     return out
 
 
-def buchberger(gens, order=None, use_criteria=True):
-    """Reduced Groebner basis of the ideal generated by gens.
+def buchberger(gens, *, use_criteria=True):
+    """Reduced Groebner basis of the ideal generated by gens, for the
+    monomial order of their ring.
 
     Deterministic: the reduced basis is unique for the order, so the output
     does not depend on the input ordering.  Zero generators are discarded.
@@ -172,40 +166,36 @@ def buchberger(gens, order=None, use_criteria=True):
     if len(rings) > 1:
         raise ValueError("mixed ring contexts")
     ring = gens[0].ring
-    order = ring.order if order is None else order
-    if not isinstance(order, MonomialOrder):
-        from .rings import order_from_spec
-
-        order = order_from_spec(order)
+    key = ring.order.key
     gens = [g for g in gens if not g.is_zero()]
     if not gens:
-        return GroebnerBasis(ring, order, [])
+        return GroebnerBasis(ring, [])
 
     G = []
     lms = []
     P = set()
     for f in gens:
-        f = f.monic(order)
+        f = f.monic()
         G.append(f)
-        lms.append(f.leading_monomial(order))
-        P = _update_pairs(G, lms, P, len(G) - 1, order, use_criteria)
+        lms.append(f.leading_monomial())
+        P = _update_pairs(lms, P, len(G) - 1, key, use_criteria)
 
     def pair_rank(pair):
         i, j = pair
         l = mono_lcm(lms[i], lms[j])
-        return (sum(l), order.key(l), i, j)
+        return (sum(l), key(l), i, j)
 
     while P:
         i, j = min(P, key=pair_rank)
         P.remove((i, j))
-        s = s_polynomial(G[i], G[j], order)
-        r = _reduce(s, _reducer_list(G, order), order)
+        s = s_polynomial(G[i], G[j])
+        r = _reduce(s, _reducer_list(G))
         if not r.is_zero():
-            r = r.monic(order)
+            r = r.monic()
             G.append(r)
-            lms.append(r.leading_monomial(order))
-            P = _update_pairs(G, lms, P, len(G) - 1, order, use_criteria)
+            lms.append(r.leading_monomial())
+            P = _update_pairs(lms, P, len(G) - 1, key, use_criteria)
 
-    reduced = _interreduce(_minimalize(G, order), order)
-    reduced.sort(key=lambda g: order.key(g.leading_monomial(order)))
-    return GroebnerBasis(ring, order, reduced)
+    reduced = _interreduce(_minimalize(G, key))
+    reduced.sort(key=lambda g: key(g.leading_monomial()))
+    return GroebnerBasis(ring, reduced)

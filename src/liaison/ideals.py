@@ -21,13 +21,14 @@ from .rings import MonomialOrder, make_ring
 
 
 class Ideal:
-    """An ideal given by generators, with a per-order Groebner basis cache.
+    """An ideal given by generators, caching one Groebner basis: the
+    reduced basis for its ring's order.
 
-    The cache is write-once per key: concurrent readers may duplicate the
+    The cache is write-once: concurrent readers may duplicate the
     computation but always observe the same canonical reduced basis.
     """
 
-    __slots__ = ("ring", "gens", "_gb_cache")
+    __slots__ = ("ring", "gens", "_gb")
 
     def __init__(self, ring, gens):
         gens = tuple(g for g in gens if not g.is_zero())
@@ -36,26 +37,19 @@ class Ideal:
                 raise ValueError("generator from a different ring context")
         self.ring = ring
         self.gens = gens
-        self._gb_cache = {}
+        self._gb = None
 
     @classmethod
     def zero(cls, ring):
         return cls(ring, [])
 
-    def groebner(self, order=None):
-        order = self.ring.order if order is None else order
-        if not isinstance(order, MonomialOrder):
-            from .rings import order_from_spec
-
-            order = order_from_spec(order)
-        cached = self._gb_cache.get(order)
-        if cached is None:
+    def groebner(self):
+        if self._gb is None:
             if not self.gens:
-                cached = GroebnerBasis(self.ring, order, [])
+                self._gb = GroebnerBasis(self.ring, [])
             else:
-                cached = buchberger(list(self.gens), order)
-            self._gb_cache[order] = cached
-        return cached
+                self._gb = buchberger(list(self.gens))
+        return self._gb
 
     def contains(self, f):
         if f.is_zero():
@@ -89,7 +83,7 @@ def ideal_product(I, J):
 
 
 def ideal_equal(I, J):
-    """Equality of ideals: identical reduced Groebner bases for one order."""
+    """Equality of ideals: identical reduced Groebner bases for the ring's order."""
     _check_same_ring(I, J)
     return I.groebner().elements == J.groebner().elements
 
@@ -108,12 +102,9 @@ def _fresh_name(taken, stem):
     return f"{stem}{k}"
 
 
-def map_to_ring(f, target, name_map=None):
-    """Move f along a variable renaming into another ring (same field)."""
-    assignment = {}
-    for name in f.ring.variables:
-        image = name if name_map is None else name_map.get(name, name)
-        assignment[name] = Polynomial.variable(target, image)
+def map_to_ring(f, target):
+    """Move f into another ring (same field) holding its variables by name."""
+    assignment = {name: Polynomial.variable(target, name) for name in f.ring.variables}
     return substitute(f, assignment, ring=target)
 
 
@@ -144,13 +135,12 @@ def exact_divide(g, f):
     if f.is_zero():
         raise ZeroDivisionError("division by the zero polynomial")
     ring = g.ring
-    order = ring.order
     field = ring.field
-    lm, lc = f.leading_term(order)
+    lm, lc = f.leading_term()
     quotient = Polynomial.zero(ring)
     rem = g
     while not rem.is_zero():
-        e, c = rem.leading_term(order)
+        e, c = rem.leading_term()
         if not mono_divides(lm, e):
             raise ValueError("exact division has a nonzero remainder")
         q = Polynomial.monomial(ring, mono_div(e, lm), field.div(c, lc))
@@ -232,7 +222,7 @@ def minimal_monomial_generators(monomials):
 
 
 def leading_term_ideal(gb):
-    return minimal_monomial_generators([g.leading_monomial(gb.order) for g in gb.elements])
+    return minimal_monomial_generators(gb.leading_monomials())
 
 
 def is_zero_dimensional(gb):

@@ -22,13 +22,7 @@ from .ideals import (
     standard_monomials,
 )
 from .linalg import rref
-from .localrings import (
-    RationalPoint,
-    artinian_invariants,
-    artinian_reduce,
-    origin_ideal,
-    translate_to_origin,
-)
+from .localrings import RationalPoint, local_gorenstein, origin_ideal
 from .groebner import normal_form
 
 NECESSARY_CONDITION_NOTE = (
@@ -81,10 +75,13 @@ class TripleReport:
     degrees: tuple = ()
     degree_additive: bool = False
     point_reports: list = dc_field(default_factory=list)
-    points_tested: list = dc_field(default_factory=list)
     gorenstein_ok: bool | None = None
     passed: bool = False
     note: str = NECESSARY_CONDITION_NOTE
+
+    @property
+    def points_tested(self):
+        return [report[0] for report in self.point_reports]
 
     def as_dict(self):
         return {
@@ -106,22 +103,14 @@ class TripleReport:
         }
 
 
-def _gorenstein_at_point(base, point, seed):
-    """(length, socle_dim, gorenstein|None) of R/base localized at a point."""
-    local = base if point is None else translate_to_origin(base, point)
-    Q, _forms = artinian_reduce(local, seed=seed)
-    if Q is None:
-        return None, None, None
-    return artinian_invariants(Q)
-
-
-def verify_linked_triple(triple, seed=0, witness_points=None):
+def verify_linked_triple(triple, seed=0):
     """Full verification report for a linked triple.
 
     Checks containments, colon symmetry, equal dimensions, degree additivity
     (the length shadow of the two exact sequences), and the Gorenstein
-    verdict of the extension at every witness point (default: the origin of
-    the affine cone).  The report lists the points actually tested.
+    verdict of the extension at the origin of the affine cone: the ideals
+    are homogeneous, so that local ring decides it for the graded ring.
+    The report lists the point tested.
     """
     base, first, second = triple.ideals()
     if not (base.ring == first.ring == second.ring):
@@ -141,21 +130,10 @@ def verify_linked_triple(triple, seed=0, witness_points=None):
     report.degrees = degs
     report.degree_additive = degs[0] == degs[1] + degs[2]
 
-    if witness_points is None:
-        witness_points = [None]  # origin of the affine cone
-    gorenstein_flags = []
-    for i, point in enumerate(witness_points):
-        length, socle_dim, gor = _gorenstein_at_point(base, point, seed + i)
-        shown = point if point is not None else RationalPoint.affine(
-            base.ring, [0] * base.ring.nvars
-        )
-        report.points_tested.append(shown)
-        report.point_reports.append((shown, length, socle_dim, gor))
-        gorenstein_flags.append(gor)
-    if any(g is None for g in gorenstein_flags):
-        report.gorenstein_ok = None
-    else:
-        report.gorenstein_ok = all(gorenstein_flags)
+    origin = RationalPoint.affine(base.ring, [0] * base.ring.nvars)
+    length, socle_dim, gor = local_gorenstein(base, seed=seed) or (None, None, None)
+    report.point_reports.append((origin, length, socle_dim, gor))
+    report.gorenstein_ok = gor
 
     report.passed = bool(
         all(report.containments)

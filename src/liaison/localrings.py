@@ -27,13 +27,17 @@ from .linalg import rank
 from .polynomials import Polynomial, substitute
 from .rings import make_ring
 
+# linear forms sampled per slice before a Gorenstein verdict is given up as
+# inconclusive
+SLICE_BUDGET = 8
+
 
 @dataclass(frozen=True)
 class RationalPoint:
     """A rational point, either affine or in a projective chart.
 
-    For a projective point, `chart` is the index of the coordinate scaled
-    to 1; `coordinates` always holds the full coordinate tuple.
+    For a projective point, `chart` is the index of the last nonzero
+    coordinate, scaled to 1; `coordinates` always holds the full tuple.
     """
 
     chart: object  # int chart index, or the string "affine"
@@ -47,17 +51,14 @@ class RationalPoint:
         return cls("affine", coords)
 
     @classmethod
-    def projective(cls, ring, coords, chart=None):
+    def projective(cls, ring, coords):
         field = ring.field
         coords = tuple(field.normalize(c) for c in coords)
         if len(coords) != ring.nvars:
             raise ValueError("wrong number of coordinates")
         if all(c == field.zero for c in coords):
             raise ValueError("projective point needs a nonzero coordinate")
-        if chart is None:
-            chart = max(i for i, c in enumerate(coords) if c != field.zero)
-        if coords[chart] == field.zero:
-            raise ValueError("chart coordinate vanishes at the point")
+        chart = max(i for i, c in enumerate(coords) if c != field.zero)
         inv = field.inv(coords[chart])
         coords = tuple(field.mul(c, inv) for c in coords)
         return cls(chart, coords)
@@ -150,7 +151,7 @@ def local_mu(I):
         raise ValueError("origin is not on the zero set of the ideal")
     if not gens:
         return 0
-    mI = buchberger([v * g for v in ring.gens() for g in gens])
+    mI = buchberger(list(dict.fromkeys(v * g for v in ring.gens() for g in gens)))
     forms = [normal_form(g, mI).terms for g in gens]
     monomials = sorted({e for f in forms for e in f})
     return rank([[f.get(e, field.zero) for e in monomials] for f in forms], field)
@@ -185,14 +186,14 @@ def artinian_invariants(Q):
     return length, socle_dim, socle_dim == 1
 
 
-def find_regular_linear_form(I, rng, budget=8):
+def find_regular_linear_form(I, rng):
     """Rejection-sample a linear form vanishing at the origin with the
-    certificate (I : h) = I; None when the budget runs out."""
+    certificate (I : h) = I; None after SLICE_BUDGET samples."""
     ring = I.ring
     field = ring.field
     sample = field.random_sample()
     variables = ring.gens()
-    for _ in range(budget):
+    for _ in range(SLICE_BUDGET):
         coeffs = [rng.choice(sample) for _ in variables]
         h = Polynomial.zero(ring)
         for c, v in zip(coeffs, variables):
@@ -204,20 +205,28 @@ def find_regular_linear_form(I, rng, budget=8):
     return None
 
 
-def artinian_reduce(I, seed=0, budget=8):
+def artinian_reduce(I, seed=0):
     """Cut by certified-regular linear forms until dimension zero, then take
     the origin component.  Returns (Q, forms) or (None, forms) when no
-    certified form is found within the budget."""
+    certified form is found within SLICE_BUDGET samples."""
     rng = random.Random(seed)
     forms = []
     current = I
     while not is_zero_dimensional(current.groebner()):
-        h = find_regular_linear_form(current, rng, budget)
+        h = find_regular_linear_form(current, rng)
         if h is None:
             return None, forms
         forms.append(h)
         current = ideal_sum(current, Ideal(current.ring, [h]))
     return local_component(current), forms
+
+
+def local_gorenstein(I, seed=0):
+    """(length, socle_dim, gorenstein) of the local ring of I at the origin,
+    read off the Artinian reduction; None when no certified-regular slice is
+    found within the budget (inconclusive, never guessed)."""
+    Q, _forms = artinian_reduce(I, seed=seed)
+    return None if Q is None else artinian_invariants(Q)
 
 
 def local_ci_test(I, point, seed=0, codim=None, compute_gorenstein=True):
@@ -238,12 +247,9 @@ def local_ci_test(I, point, seed=0, codim=None, compute_gorenstein=True):
     if not compute_gorenstein:
         report.note = "gorenstein not requested"
         return report
-    Q, _forms = artinian_reduce(J, seed=seed)
-    if Q is None:
+    invariants = local_gorenstein(J, seed=seed)
+    if invariants is None:
         report.note = "inconclusive: no certified-regular slice found within budget"
         return report
-    length, socle_dim, gor = artinian_invariants(Q)
-    report.length = length
-    report.socle_dim = socle_dim
-    report.gorenstein = gor
+    report.length, report.socle_dim, report.gorenstein = invariants
     return report

@@ -29,10 +29,6 @@ def mono_gcd(e1, e2):
     return tuple(min(a, b) for a, b in zip(e1, e2))
 
 
-def mono_degree(e):
-    return sum(e)
-
-
 class Polynomial:
     __slots__ = ("ring", "terms")
 
@@ -101,22 +97,22 @@ class Polynomial:
     def coefficient(self, expo):
         return self.terms.get(tuple(expo), self.ring.field.zero)
 
-    def sorted_terms(self, order=None):
-        """Terms as (exponent, coefficient), descending under the order."""
-        key = (order or self.ring.order).key
+    def sorted_terms(self):
+        """Terms as (exponent, coefficient), descending under the ring's order."""
+        key = self.ring.order.key
         return sorted(self.terms.items(), key=lambda t: key(t[0]), reverse=True)
 
-    def leading_monomial(self, order=None):
+    def leading_monomial(self):
+        """Greatest exponent under the ring's order."""
         if not self.terms:
             raise ValueError("zero polynomial has no leading term")
-        key = (order or self.ring.order).key
-        return max(self.terms, key=key)
+        return max(self.terms, key=self.ring.order.key)
 
-    def leading_coefficient(self, order=None):
-        return self.terms[self.leading_monomial(order)]
+    def leading_coefficient(self):
+        return self.terms[self.leading_monomial()]
 
-    def leading_term(self, order=None):
-        m = self.leading_monomial(order)
+    def leading_term(self):
+        m = self.leading_monomial()
         return m, self.terms[m]
 
     # -- arithmetic --
@@ -212,10 +208,10 @@ class Polynomial:
             n >>= 1
         return result
 
-    def monic(self, order=None):
+    def monic(self):
         if not self.terms:
             return self
-        lc = self.leading_coefficient(order)
+        lc = self.leading_coefficient()
         field = self.ring.field
         if lc == field.one:
             return self

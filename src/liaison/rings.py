@@ -2,10 +2,10 @@
 
 Every polynomial, ideal, and Groebner basis in this library carries a
 reference to a RingContext, which fixes the variable names, the exact
-coefficient field (rationals or GF(p) for an odd prime p), and the default
-monomial order used for leading terms.  Contexts are immutable and
-hashable; two contexts compare equal iff they have the same variables,
-field, and order.
+coefficient field (rationals or GF(p) for an odd prime p), and the one
+monomial order used for leading terms and Groebner bases.  Contexts are
+immutable and hashable; two contexts compare equal iff they have the same
+variables, field, and order.
 """
 
 import re
@@ -262,9 +262,6 @@ class RingContext:
             return self._index[name]
         except KeyError:
             raise ValueError(f"unknown variable {name!r}") from None
-
-    def key(self, exponents):
-        return self.order.key(exponents)
 
     # -- convenience constructors (local import avoids a module cycle) --
 

@@ -274,6 +274,7 @@ def _run_cli_json(fixture, args):
          "--seed", "0", "--json"],
         capture_output=True,
         text=True,
+        env=dict(os.environ, PYTHONPATH=str(FIXTURES.parent / "src")),
     )
     assert proc.returncode in (0, 1), proc.stderr
     return proc.stdout

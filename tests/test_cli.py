@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -6,6 +7,8 @@ from pathlib import Path
 import pytest
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+# the CLI child imports the library from this checkout, as pytest does
+CHILD_ENV = dict(os.environ, PYTHONPATH=str(FIXTURES.parent / "src"))
 
 
 def run_cli(*argv):
@@ -13,6 +16,7 @@ def run_cli(*argv):
         [sys.executable, "-m", "liaison.cli", *argv],
         capture_output=True,
         text=True,
+        env=CHILD_ENV,
     )
     return proc
 

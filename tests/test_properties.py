@@ -1,0 +1,65 @@
+"""Property tests of the ideal identities the linkage computations rely on,
+on small ideals over F31 in two or three variables.
+
+Examples are derandomized, so the suite stays deterministic.
+"""
+
+import itertools
+
+import pytest
+
+from liaison import (
+    Ideal,
+    Polynomial,
+    buchberger,
+    ideal_colon,
+    ideal_intersect,
+    ideal_product,
+    make_ring,
+)
+
+pytest.importorskip("hypothesis")
+from hypothesis import assume, given, settings, strategies as st  # noqa: E402
+
+RINGS = [make_ring(["x", "y"], "F31", "grevlex"), make_ring(["x", "y", "z"], "F31", "grevlex")]
+
+PROPERTY = settings(derandomize=True, deadline=None, max_examples=40)
+
+
+def _polynomial(ring):
+    """Nonzero polynomials without constant term, of degree at most 2, with
+    one to three terms (so no generated ideal is the unit ideal)."""
+    monomials = [e for e in itertools.product(range(3), repeat=ring.nvars) if 1 <= sum(e) <= 2]
+    terms = st.dictionaries(st.sampled_from(monomials), st.integers(1, 30), min_size=1, max_size=3)
+    return terms.map(lambda t: Polynomial.from_dict(ring, t))
+
+
+@st.composite
+def ideal_pair(draw):
+    ring = draw(st.sampled_from(RINGS))
+    gens = st.lists(_polynomial(ring), min_size=1, max_size=3)
+    return Ideal(ring, draw(gens)), Ideal(ring, draw(gens))
+
+
+@PROPERTY
+@given(ideal_pair())
+def test_colon_times_divisor_lies_in_ideal(pair):
+    I, J = pair
+    assume(not I.contains_ideal(J))  # otherwise (I : J) is the unit ideal
+    assert I.contains_ideal(ideal_product(ideal_colon(I, J), J))
+
+
+@PROPERTY
+@given(ideal_pair())
+def test_intersection_lies_in_both(pair):
+    I, J = pair
+    meet = ideal_intersect(I, J)
+    assert I.contains_ideal(meet) and J.contains_ideal(meet)
+
+
+@PROPERTY
+@given(st.data())
+def test_reduced_basis_ignores_generator_order(data):
+    I, _ = data.draw(ideal_pair())
+    shuffled = data.draw(st.permutations(I.gens))
+    assert buchberger(shuffled).elements == buchberger(I.gens).elements
