@@ -151,7 +151,7 @@ def _cmd_verify_triple(session, args, opts):
         f"colon symmetry: {report.colon_first and report.colon_second}",
         f"dimensions: {report.dimensions} equal={report.dimensions_equal}",
         f"degrees: {report.degrees} additive={report.degree_additive}",
-        f"gorenstein at witness points: {report.gorenstein_ok}",
+        f"gorenstein at the cone origin: {report.gorenstein_ok}",
         f"passed: {report.passed}",
     ]
     return CommandResult(

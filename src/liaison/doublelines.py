@@ -29,17 +29,36 @@ from .polynomials import Polynomial, substitute
 # smooth points the oracle samples on each support line
 SAMPLES_PER_LINE = 2
 
+# random coordinate-square complete intersections tried against a negative
+# same-support verdict
+NO_EXTENSION_SAMPLES = 6
+
 
 class ClassificationDiscrepancy(RuntimeError):
     """Condition-based verdict and geometric oracle disagree (build-failing)."""
 
 
-def _univariate_coeffs(form, var_index, degree):
-    """Coefficient list c_k of form = sum c_k * v^k * w^(degree-k)."""
+def binary_coefficients(form, pencil, degree):
+    """[c_0, ..., c_degree] with form = sum c_k * v^k * w^(degree-k), where
+    (v, w) = pencil are variable indices; the zero form gives zeros."""
     coeffs = [form.ring.field.zero] * (degree + 1)
     for e, c in form.terms.items():
-        coeffs[e[var_index]] = c
+        coeffs[e[pencil[0]]] = c
     return coeffs
+
+
+def binary_form(ring, pencil, coeffs):
+    """The form sum c_k * v^k * w^(d-k), d = len(coeffs) - 1; the inverse of
+    binary_coefficients."""
+    v, w = pencil
+    d = len(coeffs) - 1
+    terms = {}
+    for k, c in enumerate(coeffs):
+        if c != ring.field.zero:
+            e = [0] * ring.nvars
+            e[v], e[w] = k, d - k
+            terms[tuple(e)] = c
+    return Polynomial(ring, terms)
 
 
 def _univariate_gcd_degree(a, b, field):
@@ -63,31 +82,15 @@ def _univariate_gcd_degree(a, b, field):
     return len(a) - 1
 
 
-def binary_forms_have_common_zero(f, g, var_pair):
-    """Common zero on P^1 of two binary forms in the variables var_pair."""
+def binary_forms_have_common_zero(f, g, pencil):
+    """Common zero on P^1 of two binary forms in the pencil variables."""
     field = f.ring.field
-    i = var_pair[0]
-    if f.is_zero() and g.is_zero():
+    cf = binary_coefficients(f, pencil, f.total_degree())
+    cg = binary_coefficients(g, pencil, g.total_degree())
+    # the value at (1:0) is the top coefficient; the zero form has none
+    if all(not c or c[-1] == field.zero for c in (cf, cg)):
         return True
-    if f.is_zero():
-        return g.total_degree() >= 1
-    if g.is_zero():
-        return f.total_degree() >= 1
-    rf, rg = f.total_degree(), g.total_degree()
-    # zero at (1:0): the pure v^r coefficient vanishes in both
-    if f.coefficient(_pure(f.ring, i, rf)) == field.zero and g.coefficient(
-        _pure(g.ring, i, rg)
-    ) == field.zero:
-        return True
-    ca = _univariate_coeffs(f, i, rf)
-    cb = _univariate_coeffs(g, i, rg)
-    return _univariate_gcd_degree(ca, cb, field) >= 1
-
-
-def _pure(ring, index, degree):
-    e = [0] * ring.nvars
-    e[index] = degree
-    return tuple(e)
+    return _univariate_gcd_degree(cf, cg, field) >= 1
 
 
 @dataclass(frozen=True)
@@ -125,6 +128,11 @@ class DoubleLine:
             raise ValueError("forms must have equal degree")
         if binary_forms_have_common_zero(f, g, pencil):
             raise ValueError("forms share a zero on the support line (resultant 0)")
+
+    @property
+    def degree(self):
+        """Degree of the forms (the larger one, since one form may be zero)."""
+        return max(form.total_degree() for form in self.forms)
 
     @property
     def pencil(self):
@@ -188,14 +196,6 @@ def _meeting_geometry(L1, L2):
     return shared, other1, other2, free
 
 
-def _eval_at(form, zero_var, one_var):
-    ring = form.ring
-    coords = [ring.field.zero] * 4
-    coords[one_var] = ring.field.one
-    coords[zero_var] = ring.field.zero
-    return form.evaluate(coords)
-
-
 def classify_meeting_pair(L1, L2):
     """Conditions-based classification when the supports meet in a point.
 
@@ -211,16 +211,20 @@ def classify_meeting_pair(L1, L2):
     shared, other1, other2, free = _meeting_geometry(L1, L2)
     a1, b1 = _oriented_forms(L1, shared)
     a2, b2 = _oriented_forms(L2, shared)
-    # L1's pencil variables are {other2, free}; L2's are {other1, free}
-    b1_at = _eval_at(b1, other2, free)
-    b2_at = _eval_at(b2, other1, free)
+
+    def value_and_tangent(form, line, partner):
+        # in the pencil (partner's support variable, free variable) the
+        # meeting point is (0:1): the value is c_0, the tangent coefficient c_1
+        coeffs = binary_coefficients(form, (partner, free), line.degree) + [field.zero]
+        return coeffs[0], coeffs[1]
+
+    b1_at, db1 = value_and_tangent(b1, L1, other2)
+    b2_at, db2 = value_and_tangent(b2, L2, other1)
     if b1_at != field.zero and b2_at != field.zero:
         return ClassificationVerdict(True, "meeting_a", witness={"b1": str(b1_at), "b2": str(b2_at)})
     if b1_at == field.zero and b2_at == field.zero:
-        a1_at = _eval_at(a1, other2, free)
-        a2_at = _eval_at(a2, other1, free)
-        db1 = _eval_at(b1.derivative(other2), other2, free)
-        db2 = _eval_at(b2.derivative(other1), other1, free)
+        a1_at, _ = value_and_tangent(a1, L1, other2)
+        a2_at, _ = value_and_tangent(a2, L2, other1)
         lhs = field.mul(a2_at, db1)
         rhs = field.mul(a1_at, db2)
         if lhs == rhs:
@@ -241,21 +245,6 @@ def classify_meeting_pair(L1, L2):
     )
 
 
-def _form_coeff_rows(a, b, pencil, degree):
-    """Rows [coeff(a, m), coeff(b, m)] over the degree-d pencil monomials."""
-    i, j = pencil
-    ring = a.ring
-    rows = []
-    mons = []
-    for k in range(degree + 1):
-        e = [0] * 4
-        e[i] = k
-        e[j] = degree - k
-        mons.append(tuple(e))
-        rows.append([a.coefficient(tuple(e)), b.coefficient(tuple(e))])
-    return rows, mons
-
-
 def _pm_extension_ideal(ring, support, N):
     """The rational span of the squared eigenforms of a traceless N, as an
     ideal: the D-eigenspace (D = -det N) of q -> q(s_N) on quadrics in the
@@ -269,28 +258,18 @@ def _pm_extension_ideal(ring, support, N):
     assignment = {name: Polynomial.variable(ring, name) for name in ring.variables}
     assignment[v1n] = image1
     assignment[v2n] = image2
-    basis = [v1 * v1, v1 * v2, v2 * v2]
-    exps = [q.leading_monomial() for q in basis]
-    index = {e: k for k, e in enumerate(exps)}
-    rows = []
-    for q in basis:
-        image = substitute(q, assignment, ring=ring)
-        row = [field.zero] * 3
-        for e, c in image.terms.items():
-            row[index[e]] = c
-        rows.append(row)
+    # quadrics as binary forms in the pencil (v2, v1): v1^2, v1*v2, v2^2
+    pencil = (support[1], support[0])
+    rows = [
+        binary_coefficients(substitute(q, assignment, ring=ring), pencil, 2)
+        for q in (v1 * v1, v1 * v2, v2 * v2)
+    ]
     det = field.sub(field.mul(N[0][0], N[1][1]), field.mul(N[0][1], N[1][0]))
     D = field.neg(det)
     # matrix of the action on coordinate vectors is rows^T; eigenvectors for D
     mat = [[field.sub(rows[l][k], D if k == l else field.zero) for l in range(3)] for k in range(3)]
     kernel = kernel_basis(mat, 3, field)
-    quadrics = []
-    for vec in kernel:
-        q = Polynomial.zero(ring)
-        for c, b in zip(vec, basis):
-            q = q + b.scale(c)
-        quadrics.append(q)
-    return Ideal(ring, quadrics)
+    return Ideal(ring, [binary_form(ring, pencil, vec) for vec in kernel])
 
 
 def classify_same_support_pair(L1, L2, seed=0, oracle=False):
@@ -312,8 +291,7 @@ def classify_same_support_pair(L1, L2, seed=0, oracle=False):
     a2, b2 = _oriented_forms(L2, shared)
     if (a1 * b2 - a2 * b1).is_zero():
         return ClassificationVerdict(True, "same_support_equal")
-    r1 = max(a1.total_degree(), b1.total_degree())
-    r2 = max(a2.total_degree(), b2.total_degree())
+    r1, r2 = L1.degree, L2.degree
     if r1 != r2:
         verdict = ClassificationVerdict(
             False, "not_linked", witness={"failed": "form degrees differ", "r1": r1, "r2": r2}
@@ -321,16 +299,15 @@ def classify_same_support_pair(L1, L2, seed=0, oracle=False):
         if oracle:
             _confirm_no_extension(L1, L2, seed)
         return verdict
-    pencil = L1.pencil
-    rows_ab, _ = _form_coeff_rows(a1, b1, pencil, r1)
+    coeffs = [binary_coefficients(form, L1.pencil, r1) for form in (a1, b1, a2, b2)]
     # unknowns (n11, n21, n12, n22); (a2, b2) = (a1, b1) * N columnwise
     rows = []
     rhs = []
-    for row, target in zip(rows_ab, _form_coeff_rows(a2, b2, pencil, r1)[0]):
-        rows.append([row[0], row[1], field.zero, field.zero])
-        rhs.append(target[0])
-        rows.append([field.zero, field.zero, row[0], row[1]])
-        rhs.append(target[1])
+    for ca1, cb1, ca2, cb2 in zip(*coeffs):
+        rows.append([ca1, cb1, field.zero, field.zero])
+        rhs.append(ca2)
+        rows.append([field.zero, field.zero, ca1, cb1])
+        rhs.append(cb2)
     rows.append([field.one, field.zero, field.zero, field.one])  # trace = 0
     rhs.append(field.zero)
     particular = solve(rows, rhs, field)
@@ -393,7 +370,7 @@ def classify_same_support_pair(L1, L2, seed=0, oracle=False):
     )
 
 
-def _confirm_no_extension(L1, L2, seed, attempts=6):
+def _confirm_no_extension(L1, L2, seed):
     """Sampled confirmation of a negative same-support verdict: random
     coordinate squares must not produce a linking complete intersection."""
     ring = L1.ring
@@ -403,7 +380,7 @@ def _confirm_no_extension(L1, L2, seed, attempts=6):
     v1 = Polynomial.variable(ring, ring.variables[L1.support[0]])
     v2 = Polynomial.variable(ring, ring.variables[L1.support[1]])
     sample = field.random_sample() + [field.zero]
-    for _ in range(attempts):
+    for _ in range(NO_EXTENSION_SAMPLES):
         m = [rng.choice(sample) for _ in range(4)]
         det = field.sub(field.mul(m[0], m[3]), field.mul(m[1], m[2]))
         if det == field.zero:
@@ -417,13 +394,15 @@ def _confirm_no_extension(L1, L2, seed, attempts=6):
             )
 
 
-def _support_points(line, rng, count, exclude_pencil_origin):
+def _support_points(line, rng, count):
     """Random rational points on the support line, in pencil coordinates
-    (t : 1); excludes t = 0 when the meeting point must be avoided."""
+    (t : 1).  t is a nonzero field sample, so neither pencil coordinate
+    vanishes and no point is the meeting point with a partner line, where
+    the partner's support variable is zero."""
     ring = line.ring
     field = ring.field
     w1, w2 = line.pencil
-    values = [v for v in field.random_sample() if not (exclude_pencil_origin and v == field.zero)]
+    values = field.random_sample()
     points = []
     used = set()
     for _ in range(count):
@@ -457,13 +436,13 @@ def oracle_lal(L1, L2, seed=0):
     if relation == "disjoint":
         for line in (L1, L2):
             I = double_line_ideal(line)
-            for p in _support_points(line, rng, SAMPLES_PER_LINE, exclude_pencil_origin=False):
+            for p in _support_points(line, rng, SAMPLES_PER_LINE):
                 reports.append(
                     local_ci_test(I, p, seed=rng.randrange(10**6), compute_gorenstein=False)
                 )
         verdict = "lal" if all(r.lci for r in reports) else "not_lal"
         return verdict, reports
-    shared, other1, other2, free = _meeting_geometry(L1, L2)
+    free = _meeting_geometry(L1, L2)[3]
     I1, I2 = double_line_ideal(L1), double_line_ideal(L2)
     U = ideal_intersect(I1, I2)
     field = L1.ring.field
@@ -471,15 +450,8 @@ def oracle_lal(L1, L2, seed=0):
     meet_coords[free] = field.one
     meeting = RationalPoint.projective(L1.ring, meet_coords)
     points = [meeting]
-    # on each line the pencil coordinate of the meeting point is the
-    # partner's support variable, which is the first pencil variable of the
-    # line exactly when its index is smaller than the free variable's
-    for line, partner_var in ((L1, other2), (L2, other1)):
-        w1, w2 = line.pencil
-        exclude = w1 == partner_var
-        # meeting point sits at (t=0 : 1) in pencil coordinates iff the
-        # partner variable is the scaled-by-t one
-        points.extend(_support_points(line, rng, SAMPLES_PER_LINE, exclude_pencil_origin=exclude))
+    for line in (L1, L2):
+        points.extend(_support_points(line, rng, SAMPLES_PER_LINE))
     for p in points:
         reports.append(
             local_ci_test(U, p, seed=rng.randrange(10**6), compute_gorenstein=False)

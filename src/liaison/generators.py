@@ -5,48 +5,37 @@ and shardable; finite fields (p around 31) keep Groebner bases small, the
 rationals are reserved for the exact fixtures.
 """
 
-from .doublelines import DoubleLine, binary_forms_have_common_zero
+from .doublelines import (
+    DoubleLine,
+    binary_coefficients,
+    binary_form,
+    binary_forms_have_common_zero,
+)
 from .ideals import Ideal, hilbert_data, ideal_colon, ideal_equal
 from .linkage import LinkedTriple
 from .polynomials import Polynomial
 
 
-def _coefficient_pool(field, rng):
+def _coefficient_pool(field):
     if field.characteristic == 0:
         return [field.normalize(k) for k in range(-3, 4)]
     return [field.normalize(k) for k in range(field.characteristic)]
 
 
-def random_form(ring, var_indices, degree, rng, allow_zero=False):
-    """Random homogeneous form of the given degree in the given variables."""
-    field = ring.field
-    pool = _coefficient_pool(field, rng)
+def random_form(ring, pencil, degree, rng, allow_zero=False):
+    """Random binary form of the given degree in the pencil variables."""
+    pool = _coefficient_pool(ring.field)
     while True:
-        terms = {}
-        for k in range(degree + 1):
-            c = rng.choice(pool)
-            if c == field.zero:
-                continue
-            e = [0] * ring.nvars
-            e[var_indices[0]] = k
-            e[var_indices[1]] = degree - k
-            terms[tuple(e)] = c
-        f = Polynomial(ring, terms)
+        f = binary_form(ring, pencil, [rng.choice(pool) for _ in range(degree + 1)])
         if allow_zero or not f.is_zero():
             return f
 
 
-def _set_coefficient(form, ring, var_indices, k, degree, value):
-    """Return form with the v^k w^(degree-k) coefficient replaced."""
-    e = [0] * ring.nvars
-    e[var_indices[0]] = k
-    e[var_indices[1]] = degree - k
-    e = tuple(e)
-    terms = dict(form.terms)
-    terms.pop(e, None)
-    if value != ring.field.zero:
-        terms[e] = value
-    return Polynomial(ring, terms)
+def _set_coefficient(form, pencil, degree, k, value):
+    """Return form with its coefficient c_k (see binary_coefficients) replaced."""
+    coeffs = binary_coefficients(form, pencil, degree)
+    coeffs[k] = value
+    return binary_form(form.ring, pencil, coeffs)
 
 
 def random_coprime_pair(ring, pencil, degree, rng):
@@ -69,9 +58,9 @@ def random_meeting_instance(ring, case, rng):
             r2 = rng.choice([0, 1, 2])
             a1, b1 = random_coprime_pair(ring, pencil1, r1, rng)
             a2, b2 = random_coprime_pair(ring, pencil2, r2, rng)
-            if _pure_coeff(b1, pencil1, r1) == field.zero:
+            if binary_coefficients(b1, pencil1, r1)[0] == field.zero:
                 continue
-            if _pure_coeff(b2, pencil2, r2) == field.zero:
+            if binary_coefficients(b2, pencil2, r2)[0] == field.zero:
                 continue
         elif case == "one_sided":
             zero_on_first = rng.random() < 0.5
@@ -80,16 +69,16 @@ def random_meeting_instance(ring, case, rng):
             a1, b1 = random_coprime_pair(ring, pencil1, r1, rng)
             a2, b2 = random_coprime_pair(ring, pencil2, r2, rng)
             if zero_on_first:
-                b1 = _set_coefficient(b1, ring, pencil1, 0, r1, field.zero)
+                b1 = _set_coefficient(b1, pencil1, r1, 0, field.zero)
                 if b1.is_zero() or binary_forms_have_common_zero(a1, b1, pencil1):
                     continue
-                if _pure_coeff(b2, pencil2, r2) == field.zero:
+                if binary_coefficients(b2, pencil2, r2)[0] == field.zero:
                     continue
             else:
-                b2 = _set_coefficient(b2, ring, pencil2, 0, r2, field.zero)
+                b2 = _set_coefficient(b2, pencil2, r2, 0, field.zero)
                 if b2.is_zero() or binary_forms_have_common_zero(a2, b2, pencil2):
                     continue
-                if _pure_coeff(b1, pencil1, r1) == field.zero:
+                if binary_coefficients(b1, pencil1, r1)[0] == field.zero:
                     continue
         else:
             # tangency cases: both b's vanish at the meeting point
@@ -98,24 +87,24 @@ def random_meeting_instance(ring, case, rng):
             while True:
                 a1 = random_form(ring, pencil1, r1, rng)
                 b1 = _set_coefficient(
-                    random_form(ring, pencil1, r1, rng, allow_zero=True), ring, pencil1, 0, r1, field.zero
+                    random_form(ring, pencil1, r1, rng, allow_zero=True), pencil1, r1, 0, field.zero
                 )
                 if not binary_forms_have_common_zero(a1, b1, pencil1):
                     break
             a2 = random_form(ring, pencil2, r2, rng)
             # tangent identity: a2(0:1) * db1(0:1) = a1(0:1) * db2(0:1)
-            a1_at = _pure_coeff(a1, pencil1, r1)
-            a2_at = _pure_coeff(a2, pencil2, r2)
+            a1_at = binary_coefficients(a1, pencil1, r1)[0]
+            a2_at = binary_coefficients(a2, pencil2, r2)[0]
             if a1_at == field.zero or a2_at == field.zero:
                 continue
-            db1 = _tangent_coeff(b1, pencil1, r1)
+            db1 = binary_coefficients(b1, pencil1, r1)[1]
             target = field.div(field.mul(a2_at, db1), a1_at)
             if case == "b_violate":
-                delta = rng.choice([c for c in _coefficient_pool(field, rng) if c != field.zero])
+                delta = rng.choice([c for c in _coefficient_pool(field) if c != field.zero])
                 target = field.add(target, delta)
             b2 = random_form(ring, pencil2, r2, rng, allow_zero=True)
-            b2 = _set_coefficient(b2, ring, pencil2, 0, r2, field.zero)
-            b2 = _set_coefficient(b2, ring, pencil2, 1, r2, target)
+            b2 = _set_coefficient(b2, pencil2, r2, 0, field.zero)
+            b2 = _set_coefficient(b2, pencil2, r2, 1, target)
             if binary_forms_have_common_zero(a2, b2, pencil2):
                 continue
         try:
@@ -126,25 +115,10 @@ def random_meeting_instance(ring, case, rng):
         return L1, L2
 
 
-def _pure_coeff(form, pencil, degree):
-    """Coefficient of w2^degree, the value at the pencil point (0:1)."""
-    e = [0] * form.ring.nvars
-    e[pencil[1]] = degree
-    return form.coefficient(tuple(e))
-
-
-def _tangent_coeff(form, pencil, degree):
-    """Coefficient of w1 * w2^(degree-1): the first pencil derivative at (0:1)."""
-    e = [0] * form.ring.nvars
-    e[pencil[0]] = 1
-    e[pencil[1]] = degree - 1
-    return form.coefficient(tuple(e))
-
-
 def random_same_support_instance(ring, rng, traceless):
     """(L1, L2, N) with L2's forms equal to L1's times N; N traceless or not."""
     field = ring.field
-    pool = _coefficient_pool(field, rng)
+    pool = _coefficient_pool(field)
     support = (0, 1)
     pencil = (2, 3)
     while True:
@@ -231,7 +205,7 @@ def random_ci_linked_triple(ring, rng, max_degree=3):
 def random_form_dense(ring, degree, rng, allow_zero=False):
     """Random homogeneous form of a degree in all ring variables."""
     field = ring.field
-    pool = _coefficient_pool(field, rng)
+    pool = _coefficient_pool(field)
     if degree < 0:
         return Polynomial.zero(ring)
     monomials = _monomials_of_degree(ring.nvars, degree)

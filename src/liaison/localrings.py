@@ -229,20 +229,19 @@ def local_gorenstein(I, seed=0):
     return None if Q is None else artinian_invariants(Q)
 
 
-def local_ci_test(I, point, seed=0, codim=None, compute_gorenstein=True):
+def local_ci_test(I, point, seed=0, compute_gorenstein=True):
     """Local complete-intersection test at a rational point.
 
     mu = dim_k(I/mI) after translating the point to the origin (see
-    local_mu); lci means mu equals the local codimension (for this library's
-    scoped inputs, curves of pure dimension one, the default codimension is
-    ambient minus one).  The Gorenstein verdict is filled via Artinian
-    reduction by certified-regular slices; when no certified slice is found
-    the verdict is None with an explanatory note (never guessed).
+    local_mu); lci means mu equals the local codimension, which for this
+    library's scoped inputs, curves of pure dimension one, is ambient minus
+    one.  The Gorenstein verdict is filled via Artinian reduction by
+    certified-regular slices; when no certified slice is found the verdict
+    is None with an explanatory note (never guessed).
     """
     J = translate_to_origin(I, point)
     mu = local_mu(J)
-    if codim is None:
-        codim = J.ring.nvars - 1
+    codim = J.ring.nvars - 1
     report = LocalPointReport(mu=mu, codim=codim, lci=(mu == codim), point=point)
     if not compute_gorenstein:
         report.note = "gorenstein not requested"

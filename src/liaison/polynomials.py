@@ -218,23 +218,7 @@ class Polynomial:
         inv = field.inv(lc)
         return Polynomial(self.ring, {e: field.mul(c, inv) for e, c in self.terms.items()})
 
-    # -- calculus and evaluation --
-
-    def derivative(self, var):
-        """Formal partial derivative with respect to a variable (name or index)."""
-        i = self.ring.index(var) if isinstance(var, str) else var
-        field = self.ring.field
-        out = {}
-        for e, c in self.terms.items():
-            if e[i] == 0:
-                continue
-            coeff = field.mul(c, field.normalize(e[i]))
-            if coeff == field.zero:
-                continue
-            new = list(e)
-            new[i] -= 1
-            out[tuple(new)] = coeff
-        return Polynomial(self.ring, out)
+    # -- evaluation --
 
     def evaluate(self, values):
         """Evaluate at a point; values is a sequence of field elements."""
@@ -278,13 +262,13 @@ class Polynomial:
                     factors.append(f"{name}^{exp}")
             mono = "*".join(factors)
             if not mono:
-                pieces.append(field.format(c))
+                pieces.append(str(c))
             elif c == field.one:
                 pieces.append(mono)
             elif field.characteristic == 0 and c == -field.one:
                 pieces.append(f"-{mono}")
             else:
-                pieces.append(f"{field.format(c)}*{mono}")
+                pieces.append(f"{c}*{mono}")
         text = pieces[0]
         for piece in pieces[1:]:
             if piece.startswith("-"):

@@ -62,11 +62,8 @@ class RationalField:
         return Fraction(a) ** n
 
     def random_sample(self):
-        # small integers used when sampling random coefficients
+        # small nonzero integers used when sampling random values
         return [Fraction(k) for k in (-3, -2, -1, 1, 2, 3)]
-
-    def format(self, a):
-        return str(a)
 
     def __eq__(self, other):
         return isinstance(other, RationalField)
@@ -143,9 +140,6 @@ class PrimeField:
 
     def random_sample(self):
         return list(range(1, self.p))
-
-    def format(self, a):
-        return str(a)
 
     def __eq__(self, other):
         return isinstance(other, PrimeField) and other.p == self.p
@@ -269,11 +263,6 @@ class RingContext:
         from .polynomials import Polynomial
 
         return Polynomial.variable(self, name)
-
-    def constant(self, value):
-        from .polynomials import Polynomial
-
-        return Polynomial.constant(self, value)
 
     def zero(self):
         from .polynomials import Polynomial

@@ -176,7 +176,7 @@ def test_criterion_05_theorem_gor_property_suite(generated_triples):
     _report(
         5,
         f"{count} triples: colon symmetry, degree additivity, socle_dim 1 at "
-        f"witness points, {elapsed:.1f}s",
+        f"the cone origin, {elapsed:.1f}s",
     )
 
 

@@ -18,6 +18,7 @@ from liaison import (
     oracle_lal,
     parse_polynomial,
 )
+from liaison.doublelines import binary_coefficients, binary_form, binary_forms_have_common_zero
 from liaison.generators import random_meeting_instance, random_same_support_instance
 
 
@@ -37,10 +38,7 @@ def test_double_line_ideal_degree(P3):
     assert data.degree == 2 and data.projective_dimension == 1
 
 
-
 def test_binary_forms_common_zero(P3):
-    from liaison.doublelines import binary_forms_have_common_zero
-
     x, y, z, u = P3.gens()
     pencil = (2, 3)
     assert not binary_forms_have_common_zero(z, u, pencil)
@@ -50,6 +48,49 @@ def test_binary_forms_common_zero(P3):
     assert binary_forms_have_common_zero(z**2, z * u, pencil)  # at (0:1)
     assert binary_forms_have_common_zero(z, P3.zero(), pencil)
     assert not binary_forms_have_common_zero(P3.one(), P3.zero(), pencil)
+
+
+def test_binary_coefficients_layout_and_round_trip(P3):
+    x, y, z, u = P3.gens()
+    # c_k is the coefficient of v^k * w^(d-k) for the pencil (v, w)
+    f = 5 * u**3 - 2 * z**2 * u + 7 * z**3
+    assert binary_coefficients(f, (2, 3), 3) == [5, 0, -2, 7]
+    assert binary_coefficients(f, (3, 2), 3) == [7, -2, 0, 5]
+    assert binary_coefficients(P3.zero(), (2, 3), 2) == [0, 0, 0]
+    assert binary_form(P3, (2, 3), [P3.field.normalize(c) for c in (5, 0, -2, 7)]) == f
+    rng = random.Random(11)
+    for field in ("F3", "F31", "Q"):
+        R = make_ring(["x", "y", "z", "u"], field, "grevlex")
+        pool = R.field.random_sample() + [R.field.zero]
+        for pencil in ((2, 3), (3, 2), (1, 3), (0, 2)):
+            for d in range(4):
+                coeffs = [rng.choice(pool) for _ in range(d + 1)]
+                form = binary_form(R, pencil, coeffs)
+                assert binary_coefficients(form, pencil, d) == coeffs
+                assert binary_form(R, pencil, binary_coefficients(form, pencil, d)) == form
+
+
+@pytest.mark.parametrize("field", ["F3", "F5", "F31", "Q"])
+def test_common_zero_agrees_with_hilbert_dimension(field):
+    # independent oracle: f, g share a zero on the support line iff the cone
+    # of (f, g, v1, v2) has Krull dimension at least 1
+    R = make_ring(["x", "y", "z", "u"], field, "grevlex")
+    x, y, z, u = R.gens()
+    zero = R.field.zero
+    pool = R.field.random_sample() + [zero]
+    pencil = (2, 3)
+    rng = random.Random(23)
+    for case in range(60):
+        cf = [rng.choice(pool) for _ in range(rng.randint(0, 3) + 1)]
+        cg = [rng.choice(pool) for _ in range(rng.randint(0, 3) + 1)]
+        if case % 3 == 1:  # forced shared zero at (0:1)
+            cf[0] = cg[0] = zero
+        elif case % 3 == 2:  # forced shared zero at (1:0)
+            cf[-1] = cg[-1] = zero
+        f, g = binary_form(R, pencil, cf), binary_form(R, pencil, cg)
+        expected = hilbert_data(Ideal(R, [f, g, x, y])).krull_dimension >= 1
+        assert binary_forms_have_common_zero(f, g, pencil) == expected, (f, g)
+
 
 def test_double_line_degenerate_forms(P3):
     x, y, z, u = P3.gens()

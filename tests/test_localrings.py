@@ -218,7 +218,7 @@ def test_inconclusive_is_reported_not_guessed():
     x, y, z = R.gens()
     I = Ideal(R, [x**3 * y - x * y**3])
     p = RationalPoint.projective(R, [0, 0, 1])
-    report = local_ci_test(I, p, seed=0, codim=1)
+    report = local_ci_test(I, p, seed=0)
     assert report.gorenstein is None
     assert "inconclusive" in report.note
 

@@ -128,13 +128,6 @@ def test_substitute_missing_variable_rejected():
         substitute(R.variable("x"), {"x": R.variable("x")})
 
 
-def test_derivative():
-    R = make_ring(["z", "u"], "Q", "grevlex")
-    z, u = R.gens()
-    b = z**2 * u + 3 * z * u**2
-    assert b.derivative("z") == 2 * z * u + 3 * u**2
-
-
 def test_evaluate():
     R = make_ring(["x", "y"], "F31", "grevlex")
     x, y = R.gens()

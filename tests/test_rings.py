@@ -45,6 +45,12 @@ def test_prime_field_arithmetic():
     assert F.normalize(-1) == 30
 
 
+def test_random_sample_never_contains_zero():
+    # the oracle's support points (t : 1) rely on t != 0 to avoid the meeting point
+    for field in (QQ, PrimeField(3), PrimeField(31)):
+        assert field.zero not in field.random_sample()
+
+
 def test_grevlex_degree_two_textbook_order():
     # x^2 > xy > y^2 > xz > yz > z^2 on (x, y, z)
     deg2 = [e for e in itertools.product(range(3), repeat=3) if sum(e) == 2]
