@@ -7,6 +7,8 @@ ring's order.  Normal forms modulo such a basis decide ideal membership and
 give the local minimal generator count (see localrings.local_mu).
 """
 
+from heapq import heapify, heappop, heappush
+
 from .polynomials import Polynomial, mono_div, mono_divides, mono_lcm, mono_mul
 
 
@@ -46,36 +48,49 @@ class GroebnerBasis:
 
 
 def _reduce(f, reducers):
-    """Full normal form of f against a list of (lm, lc, poly) reducers."""
-    field = f.ring.field
-    zero = field.zero
-    key = f.ring.order.key
+    """Full normal form of f against a list of (lm, lc, poly) reducers.
+
+    The terms still to be reduced live in `work`; a heap of
+    (heap_key, exponent) pops them greatest first.  An exponent whose
+    coefficient cancelled, or that was pushed twice, is no longer in `work`
+    when popped and is skipped (lazy deletion).
+    """
+    ring = f.ring
+    field = ring.field
+    zero, mul, sub = field.zero, field.mul, field.sub
+    heap_key = ring.heap_key
     work = dict(f.terms)
+    heap = [(heap_key(e), e) for e in work]
+    heapify(heap)
     result = {}
-    while work:
-        e = max(work, key=key)
-        c = work[e]
+    while heap:
+        e = heappop(heap)[1]
+        c = work.pop(e, None)
+        if c is None:
+            continue
         for lm, lc, g in reducers:
             if mono_divides(lm, e):
                 factor = field.div(c, lc)
                 q = mono_div(e, lm)
                 for eg, cg in g.terms.items():
+                    if eg == lm:
+                        # lm * q = e cancels exactly, and e has left work
+                        continue
                     target = mono_mul(eg, q)
-                    acc = work.get(target, zero)
-                    acc = field.sub(acc, field.mul(cg, factor))
-                    if acc == zero:
-                        work.pop(target, None)
+                    acc = work.get(target)
+                    if acc is None:
+                        work[target] = sub(zero, mul(cg, factor))
+                        heappush(heap, (heap_key(target), target))
                     else:
-                        work[target] = acc
+                        acc = sub(acc, mul(cg, factor))
+                        if acc == zero:
+                            del work[target]
+                        else:
+                            work[target] = acc
                 break
         else:
             result[e] = c
-            del work[e]
-    return Polynomial(f.ring, result)
-
-
-def _reducer_list(polys):
-    return [(*g.leading_term(), g) for g in polys]
+    return Polynomial(ring, result)
 
 
 def normal_form(f, basis):
@@ -88,7 +103,7 @@ def normal_form(f, basis):
     if isinstance(basis, GroebnerBasis):
         if f.ring != basis.ring:
             raise ValueError("polynomial and basis live in different rings")
-        return _reduce(f, _reducer_list(basis.elements))
+        return _reduce(f, [(*g.leading_term(), g) for g in basis.elements])
     raise TypeError("normal_form expects a GroebnerBasis")
 
 
@@ -133,21 +148,24 @@ def _update_pairs(lms, P, new_index, key, use_criteria):
     return kept
 
 
-def _minimalize(polys, key):
+def _minimalize(entries, key):
+    """The entries whose leading monomial no other one divides (one per
+    leading monomial), ascending by the order's key."""
     out = []
-    for g in sorted(polys, key=lambda h: key(h.leading_monomial())):
-        lm = g.leading_monomial()
-        if all(not mono_divides(h.leading_monomial(), lm) for h in out):
-            out.append(g)
+    for entry in sorted(entries, key=lambda en: key(en[0])):
+        lm = entry[0]
+        if all(not mono_divides(kept[0], lm) for kept in out):
+            out.append(entry)
     return out
 
 
-def _interreduce(polys):
-    out = []
-    for i, g in enumerate(polys):
-        others = polys[:i] + polys[i + 1 :]
-        out.append(_reduce(g, _reducer_list(others)).monic())
-    return out
+def _interreduce(entries):
+    """Reduce each element of a minimal monic basis by the others.
+
+    No other leading monomial divides an element's leading term, so it
+    survives with coefficient one: the results are monic, in the same order.
+    """
+    return [_reduce(g, entries[:i] + entries[i + 1 :]) for i, (_, _, g) in enumerate(entries)]
 
 
 def buchberger(gens, *, use_criteria=True):
@@ -166,18 +184,18 @@ def buchberger(gens, *, use_criteria=True):
     if len(rings) > 1:
         raise ValueError("mixed ring contexts")
     ring = gens[0].ring
-    key = ring.order.key
+    key = ring.key
     gens = [g for g in gens if not g.is_zero()]
     if not gens:
         return GroebnerBasis(ring, [])
 
-    G = []
+    G = []  # (lm, lc, poly) of each monic element, kept from when it is appended
     lms = []
     P = set()
     for f in gens:
         f = f.monic()
-        G.append(f)
-        lms.append(f.leading_monomial())
+        G.append((*f.leading_term(), f))
+        lms.append(G[-1][0])
         P = _update_pairs(lms, P, len(G) - 1, key, use_criteria)
 
     def pair_rank(pair):
@@ -188,14 +206,11 @@ def buchberger(gens, *, use_criteria=True):
     while P:
         i, j = min(P, key=pair_rank)
         P.remove((i, j))
-        s = s_polynomial(G[i], G[j])
-        r = _reduce(s, _reducer_list(G))
+        r = _reduce(s_polynomial(G[i][2], G[j][2]), G)
         if not r.is_zero():
             r = r.monic()
-            G.append(r)
-            lms.append(r.leading_monomial())
+            G.append((*r.leading_term(), r))
+            lms.append(G[-1][0])
             P = _update_pairs(lms, P, len(G) - 1, key, use_criteria)
 
-    reduced = _interreduce(_minimalize(G, key))
-    reduced.sort(key=lambda g: key(g.leading_monomial()))
-    return GroebnerBasis(ring, reduced)
+    return GroebnerBasis(ring, _interreduce(_minimalize(G, key)))

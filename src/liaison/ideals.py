@@ -10,14 +10,8 @@ series of the leading-term ideal.
 from dataclasses import dataclass
 
 from .groebner import GroebnerBasis, buchberger, normal_form
-from .polynomials import (
-    Polynomial,
-    mono_div,
-    mono_divides,
-    mono_gcd,
-    substitute,
-)
-from .rings import MonomialOrder, make_ring
+from .polynomials import Polynomial, mono_div, mono_divides, mono_gcd
+from .rings import GREVLEX, MonomialOrder, make_ring
 
 
 class Ideal:
@@ -42,6 +36,14 @@ class Ideal:
     @classmethod
     def zero(cls, ring):
         return cls(ring, [])
+
+    @classmethod
+    def from_groebner(cls, gb):
+        """The ideal generated by a reduced Groebner basis, holding it as its
+        cached basis."""
+        ideal = cls(gb.ring, gb.elements)
+        ideal._gb = gb
+        return ideal
 
     def groebner(self):
         if self._gb is None:
@@ -104,30 +106,47 @@ def _fresh_name(taken, stem):
 
 def map_to_ring(f, target):
     """Move f into another ring (same field) holding its variables by name."""
-    assignment = {name: Polynomial.variable(target, name) for name in f.ring.variables}
-    return substitute(f, assignment, ring=target)
+    if target.field != f.ring.field:
+        raise ValueError("cannot move a polynomial to another coefficient field")
+    slots = [target.index(name) for name in f.ring.variables]
+    n = target.nvars
+    terms = {}
+    for e, c in f.terms.items():
+        moved = [0] * n
+        for i, a in zip(slots, e):
+            moved[i] = a
+        terms[tuple(moved)] = c
+    return Polynomial(target, terms)
 
 
 def ideal_intersect(I, J):
-    """I cap J via elimination: eliminate t from t*I + (1-t)*J."""
+    """I cap J via elimination: eliminate t from t*I + (1-t)*J.
+
+    t is a new first variable under block(1), so t*f has exponents (1,)+e
+    and (1-t)*g has (0,)+e and (1,)+e.  Under grevlex the t-free part of the
+    reduced block(1) basis is the reduced grevlex basis of I cap J
+    (elimination theorem), and the result holds it.
+    """
     _check_same_ring(I, J)
     ring = I.ring
-    if not I.gens:
-        return Ideal(ring, [])
-    if not J.gens:
+    if not I.gens or not J.gens:
         return Ideal(ring, [])
     tname = _fresh_name(set(ring.variables), "t")
-    ext = make_ring([tname] + list(ring.variables), ring.field, MonomialOrder("block", 1))
-    t = Polynomial.variable(ext, tname)
-    one = Polynomial.constant(ext, 1)
-    gens = [t * map_to_ring(f, ext) for f in I.gens]
-    gens += [(one - t) * map_to_ring(g, ext) for g in J.gens]
-    gb = buchberger(gens)
-    kept = [g for g in gb.elements if all(e[0] == 0 for e in g.terms)]
-    back = {tname: Polynomial.zero(ring)}
-    for name in ring.variables:
-        back[name] = Polynomial.variable(ring, name)
-    return Ideal(ring, [substitute(g, back, ring=ring) for g in kept])
+    ext = make_ring([tname, *ring.variables], ring.field, MonomialOrder("block", 1))
+    neg = ring.field.neg
+    gens = [Polynomial(ext, {(1, *e): c for e, c in f.terms.items()}) for f in I.gens]
+    for g in J.gens:
+        terms = {(0, *e): c for e, c in g.terms.items()}
+        terms.update({(1, *e): neg(c) for e, c in g.terms.items()})
+        gens.append(Polynomial(ext, terms))
+    kept = [
+        Polynomial(ring, {e[1:]: c for e, c in g.terms.items()})
+        for g in buchberger(gens).elements
+        if all(e[0] == 0 for e in g.terms)
+    ]
+    if ring.order == GREVLEX:
+        return Ideal.from_groebner(GroebnerBasis(ring, kept))
+    return Ideal(ring, kept)
 
 
 def exact_divide(g, f):
@@ -167,7 +186,7 @@ def ideal_colon(I, J):
     for g in gens:
         piece = colon_by_poly(I, g)
         result = piece if result is None else ideal_intersect(result, piece)
-    return Ideal(I.ring, result.groebner().elements)
+    return Ideal.from_groebner(result.groebner())
 
 
 def saturate(I, J):

@@ -6,27 +6,29 @@ coefficients, coefficients normalized by the field), so equality of
 values is equality of polynomials.
 """
 
+from operator import add, le, sub
+
 
 def mono_mul(e1, e2):
-    return tuple(a + b for a, b in zip(e1, e2))
+    return tuple(map(add, e1, e2))
 
 
 def mono_divides(e1, e2):
     """Whether x^e1 divides x^e2."""
-    return all(a <= b for a, b in zip(e1, e2))
+    return all(map(le, e1, e2))
 
 
 def mono_div(e1, e2):
     """Exponent of x^e1 / x^e2; requires divisibility."""
-    return tuple(a - b for a, b in zip(e1, e2))
+    return tuple(map(sub, e1, e2))
 
 
 def mono_lcm(e1, e2):
-    return tuple(max(a, b) for a, b in zip(e1, e2))
+    return tuple(map(max, e1, e2))
 
 
 def mono_gcd(e1, e2):
-    return tuple(min(a, b) for a, b in zip(e1, e2))
+    return tuple(map(min, e1, e2))
 
 
 class Polynomial:
@@ -99,14 +101,14 @@ class Polynomial:
 
     def sorted_terms(self):
         """Terms as (exponent, coefficient), descending under the ring's order."""
-        key = self.ring.order.key
+        key = self.ring.key
         return sorted(self.terms.items(), key=lambda t: key(t[0]), reverse=True)
 
     def leading_monomial(self):
         """Greatest exponent under the ring's order."""
         if not self.terms:
             raise ValueError("zero polynomial has no leading term")
-        return max(self.terms, key=self.ring.order.key)
+        return max(self.terms, key=self.ring.key)
 
     def leading_coefficient(self):
         return self.terms[self.leading_monomial()]

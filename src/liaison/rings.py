@@ -166,10 +166,44 @@ def field_from_spec(spec):
     raise ValueError(f"unknown field spec {spec!r}")
 
 
+# Each order has a sort key (the greater key is the greater monomial) and a
+# heap key (a flat int tuple, the smaller key is the greater monomial, so a
+# min-heap pops the leader).  The grevlex and block keys are memoized: they
+# sit on the hot path and are called once per distinct monomial.
+
+
+def _lex_key(exponents):
+    return tuple(exponents)
+
+
+def _lex_heap_key(exponents):
+    return tuple(-e for e in exponents)
+
+
 @lru_cache(maxsize=None)
 def _grevlex_key(exponents):
-    # hot path: called once per distinct monomial thanks to the memo
     return (sum(exponents), tuple(-e for e in reversed(exponents)))
+
+
+@lru_cache(maxsize=None)
+def _grevlex_heap_key(exponents):
+    return (-sum(exponents), *reversed(exponents))
+
+
+@lru_cache(maxsize=None)
+def _block_keys(b):
+    """Sort key and heap key of the block order whose leading block is the
+    first b variables."""
+
+    @lru_cache(maxsize=None)
+    def key(exponents):
+        return (_grevlex_key(exponents[:b]), _grevlex_key(exponents[b:]))
+
+    @lru_cache(maxsize=None)
+    def heap_key(exponents):
+        return _grevlex_heap_key(exponents[:b]) + _grevlex_heap_key(exponents[b:])
+
+    return key, heap_key
 
 
 @dataclass(frozen=True)
@@ -187,14 +221,18 @@ class MonomialOrder:
         if self.kind == "block" and self.block < 1:
             raise ValueError("block order needs a positive block size")
 
+    def keys(self):
+        """The pair (key, heap_key) of functions of an exponent tuple, the
+        same function objects for equal orders."""
+        if self.kind == "grevlex":
+            return _grevlex_key, _grevlex_heap_key
+        if self.kind == "lex":
+            return _lex_key, _lex_heap_key
+        return _block_keys(self.block)
+
     def key(self, exponents):
         """Sort key; the greater key is the greater monomial."""
-        if self.kind == "grevlex":
-            return _grevlex_key(exponents)
-        if self.kind == "lex":
-            return tuple(exponents)
-        b = self.block
-        return (_grevlex_key(exponents[:b]), _grevlex_key(exponents[b:]))
+        return self.keys()[0](exponents)
 
     def __str__(self):
         if self.kind == "block":
@@ -237,15 +275,21 @@ def monomial_compare(m1, m2, order):
 
 
 class RingContext:
-    """Immutable context: variable names, coefficient field, monomial order."""
+    """Immutable context: variable names, coefficient field, monomial order.
 
-    __slots__ = ("variables", "field", "order", "_index")
+    `key` and `heap_key` are the order's sort key and heap key (see
+    MonomialOrder.keys), bound once so the hot paths skip the dispatch.
+    """
+
+    __slots__ = ("variables", "field", "order", "key", "heap_key", "_index", "_hash")
 
     def __init__(self, variables, field, order):
         self.variables = tuple(variables)
         self.field = field
         self.order = order
+        self.key, self.heap_key = order.keys()
         self._index = {name: i for i, name in enumerate(self.variables)}
+        self._hash = hash((self.variables, self.field, self.order))
 
     @property
     def nvars(self):
@@ -278,7 +322,7 @@ class RingContext:
         return [self.variable(v) for v in self.variables]
 
     def __eq__(self, other):
-        return (
+        return self is other or (
             isinstance(other, RingContext)
             and self.variables == other.variables
             and self.field == other.field
@@ -286,7 +330,7 @@ class RingContext:
         )
 
     def __hash__(self):
-        return hash((self.variables, self.field, self.order))
+        return self._hash
 
     def __repr__(self):
         return f"{self.field!r}[{','.join(self.variables)}] {self.order}"

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -5,6 +6,7 @@ import pytest
 from liaison import (
     Ideal,
     Polynomial,
+    buchberger,
     eliminate,
     hilbert_data,
     ideal_colon,
@@ -232,3 +234,30 @@ def test_gb_cache_reused(P3):
     x, y, *_ = P3.gens()
     I = Ideal(P3, [x**2, y])
     assert I.groebner() is I.groebner()
+
+
+def _random_ideal(ring, rng):
+    monomials = [e for e in itertools.product(range(3), repeat=ring.nvars) if 1 <= sum(e) <= 2]
+    gens = []
+    for _ in range(rng.randint(1, 3)):
+        terms = {rng.choice(monomials): rng.choice([-3, -2, -1, 1, 2, 3]) for _ in range(rng.randint(1, 2))}
+        gens.append(Polynomial.from_dict(ring, terms))
+    return Ideal(ring, gens)
+
+
+@pytest.mark.parametrize("order", ["grevlex", "lex"])
+@pytest.mark.parametrize("field", ["Q", "F5", "F31"])
+def test_intersect_and_colon_hold_their_reduced_basis(field, order):
+    # a colon holds the basis it computed last, and under grevlex an
+    # intersection holds the t-free part of its block basis; either must be
+    # the reduced basis of the result's generators
+    rng = random.Random(31)
+    for nvars in (2, 3, 4):
+        ring = make_ring(["x", "y", "z", "u"][:nvars], field, order)
+        for _ in range(25):
+            I, J = _random_ideal(ring, rng), _random_ideal(ring, rng)
+            meet, colon = ideal_intersect(I, J), ideal_colon(I, J)
+            assert (meet._gb is not None) == (order == "grevlex")
+            assert colon._gb is not None
+            for K in (meet, colon):
+                assert K.groebner().elements == buchberger(list(K.gens)).elements

@@ -1,10 +1,12 @@
 """Property tests of the ideal identities the linkage computations rely on,
-on small ideals over F31 in two or three variables.
+on small ideals over F31 in two or three variables, and on generated
+linked triples over F31 in two to four variables.
 
 Examples are derandomized, so the suite stays deterministic.
 """
 
 import itertools
+import random
 
 import pytest
 
@@ -12,16 +14,20 @@ from liaison import (
     Ideal,
     Polynomial,
     buchberger,
+    hilbert_data,
     ideal_colon,
+    ideal_equal,
     ideal_intersect,
     ideal_product,
     make_ring,
 )
+from liaison.generators import random_ci_linked_triple
 
 pytest.importorskip("hypothesis")
 from hypothesis import assume, given, settings, strategies as st  # noqa: E402
 
 RINGS = [make_ring(["x", "y"], "F31", "grevlex"), make_ring(["x", "y", "z"], "F31", "grevlex")]
+TRIPLE_RINGS = [make_ring(["x", "y", "z", "u"][:n], "F31", "grevlex") for n in (2, 3, 4)]
 
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=40)
 
@@ -63,3 +69,35 @@ def test_reduced_basis_ignores_generator_order(data):
     I, _ = data.draw(ideal_pair())
     shuffled = data.draw(st.permutations(I.gens))
     assert buchberger(shuffled).elements == buchberger(I.gens).elements
+
+
+@st.composite
+def linked_triple(draw):
+    """A CI-linked triple (base, first, second) with base generators of degree
+    at most 2, from a drawn ring and seed; degenerate draws are rejected."""
+    ring = draw(st.sampled_from(TRIPLE_RINGS))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    triple = random_ci_linked_triple(ring, rng, max_degree=2)
+    assume(triple is not None)
+    return triple
+
+
+def _fresh(I):
+    # a new Ideal without the cached basis, so each colon is computed anew
+    return Ideal(I.ring, I.gens)
+
+
+@PROPERTY
+@given(linked_triple())
+def test_linked_triple_colon_symmetry(triple):
+    B, A1, A2 = (_fresh(I) for I in triple.ideals())
+    assert ideal_equal(ideal_colon(B, A1), A2)
+    assert ideal_equal(ideal_colon(B, A2), A1)
+
+
+@PROPERTY
+@given(linked_triple())
+def test_linked_triple_degree_additivity(triple):
+    hB, h1, h2 = (hilbert_data(_fresh(I)) for I in triple.ideals())
+    assert hB.krull_dimension == h1.krull_dimension == h2.krull_dimension
+    assert hB.degree == h1.degree + h2.degree

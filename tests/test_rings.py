@@ -1,3 +1,4 @@
+import functools
 import itertools
 
 import pytest
@@ -103,3 +104,17 @@ def test_order_from_spec():
 def test_block_size_validated():
     with pytest.raises(ValueError):
         make_ring(["x", "y"], "Q", "block(2)")
+
+
+ORDERS_4 = ["lex", "grevlex", "block(1)", "block(2)"]
+
+
+@pytest.mark.parametrize("order", ORDERS_4)
+def test_heap_key_sorts_descending(order):
+    # a min-heap on heap_key must pop monomials greatest first
+    ring = make_ring(["a", "b", "c", "d"], "F31", order)
+    mons = [e for e in itertools.product(range(4), repeat=4) if sum(e) <= 3]
+    by_heap = sorted(mons, key=ring.heap_key)
+    by_compare = sorted(mons, key=functools.cmp_to_key(lambda a, b: monomial_compare(b, a, order)))
+    assert by_heap == by_compare
+    assert sorted(mons, key=ring.key) == sorted(mons, key=ring.order.key)
