@@ -5,8 +5,9 @@ A double line is a multiplicity-2 structure on a line, cut out by
 them are locally algebraically linked (l.a.l.) when a locally complete
 intersection multiplicity-4 curve links the pair.  The classifier decides
 this from the form data alone; the geometric oracle re-decides it by
-intersecting the ideals and measuring local invariants, and `classify`
-in mode "both" insists the two answers agree.
+intersecting the ideals and measuring local invariants (on a shared
+support, by an exact linear search over complete intersections of two
+quadrics), and `classify` in mode "both" insists the two answers agree.
 
 Run with: python3 demos/04_double_lines.py
 """

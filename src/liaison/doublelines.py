@@ -6,8 +6,10 @@ ideal (f*v1 + g*v2, v1^2, v1*v2, v2^2) for a pair of coprime binary forms
 (f, g) in the two complementary variables.  Two double lines are locally
 algebraically linked (l.a.l.) when some locally complete intersection
 multiplicity-4 curve links them; the classifier decides this from the form
-data, and the oracle re-decides it from scratch by intersecting the ideals
-and running local complete-intersection tests.
+data.  The oracle re-decides it without the classifier's conditions: for
+meeting or disjoint supports by intersecting the ideals and running local
+complete-intersection tests, for equal supports by an exact linear search
+over the complete intersections of two quadrics in the support variables.
 
 Condition used in the meeting case with both tangency values zero: the
 union is locally a complete intersection at the meeting point iff
@@ -28,10 +30,6 @@ from .polynomials import Polynomial, substitute
 
 # smooth points the oracle samples on each support line
 SAMPLES_PER_LINE = 2
-
-# random coordinate-square complete intersections tried against a negative
-# same-support verdict
-NO_EXTENSION_SAMPLES = 6
 
 
 class ClassificationDiscrepancy(RuntimeError):
@@ -272,7 +270,7 @@ def _pm_extension_ideal(ring, support, N):
     return Ideal(ring, [binary_form(ring, pencil, vec) for vec in kernel])
 
 
-def classify_same_support_pair(L1, L2, seed=0, oracle=False):
+def classify_same_support_pair(L1, L2):
     """Classification for two double structures on the same line.
 
     Proportional form pairs define the same double line: linked.  Otherwise
@@ -293,12 +291,9 @@ def classify_same_support_pair(L1, L2, seed=0, oracle=False):
         return ClassificationVerdict(True, "same_support_equal")
     r1, r2 = L1.degree, L2.degree
     if r1 != r2:
-        verdict = ClassificationVerdict(
+        return ClassificationVerdict(
             False, "not_linked", witness={"failed": "form degrees differ", "r1": r1, "r2": r2}
         )
-        if oracle:
-            _confirm_no_extension(L1, L2, seed)
-        return verdict
     coeffs = [binary_coefficients(form, L1.pencil, r1) for form in (a1, b1, a2, b2)]
     # unknowns (n11, n21, n12, n22); (a2, b2) = (a1, b1) * N columnwise
     rows = []
@@ -312,12 +307,9 @@ def classify_same_support_pair(L1, L2, seed=0, oracle=False):
     rhs.append(field.zero)
     particular = solve(rows, rhs, field)
     if particular is None:
-        verdict = ClassificationVerdict(
+        return ClassificationVerdict(
             False, "not_linked", witness={"failed": "no traceless matrix relates the pairs"}
         )
-        if oracle:
-            _confirm_no_extension(L1, L2, seed)
-        return verdict
     kernel = kernel_basis(rows, 4, field)
 
     def determinant(vec):
@@ -339,12 +331,9 @@ def classify_same_support_pair(L1, L2, seed=0, oracle=False):
                 witness_vec = vec
                 break
     if witness_vec is None:
-        verdict = ClassificationVerdict(
+        return ClassificationVerdict(
             False, "not_linked", witness={"failed": "every traceless solution is singular"}
         )
-        if oracle:
-            _confirm_no_extension(L1, L2, seed)
-        return verdict
 
     N = [[witness_vec[0], witness_vec[2]], [witness_vec[1], witness_vec[3]]]
     Y = _pm_extension_ideal(ring, (shared, next(k for k in L1.support if k != shared)), N)
@@ -368,30 +357,6 @@ def classify_same_support_pair(L1, L2, seed=0, oracle=False):
             "extension": [str(g) for g in Y.groebner().elements],
         },
     )
-
-
-def _confirm_no_extension(L1, L2, seed):
-    """Sampled confirmation of a negative same-support verdict: random
-    coordinate squares must not produce a linking complete intersection."""
-    ring = L1.ring
-    field = ring.field
-    rng = random.Random(seed)
-    I1, I2 = double_line_ideal(L1), double_line_ideal(L2)
-    v1 = Polynomial.variable(ring, ring.variables[L1.support[0]])
-    v2 = Polynomial.variable(ring, ring.variables[L1.support[1]])
-    sample = field.random_sample() + [field.zero]
-    for _ in range(NO_EXTENSION_SAMPLES):
-        m = [rng.choice(sample) for _ in range(4)]
-        det = field.sub(field.mul(m[0], m[3]), field.mul(m[1], m[2]))
-        if det == field.zero:
-            continue
-        l1 = v1.scale(m[0]) + v2.scale(m[1])
-        l2 = v1.scale(m[2]) + v2.scale(m[3])
-        Y = Ideal(ring, [l1 * l1, l2 * l2])
-        if ideal_equal(ideal_colon(Y, I1), I2) and ideal_equal(ideal_colon(Y, I2), I1):
-            raise ClassificationDiscrepancy(
-                "conditions said not linked, but a sampled complete intersection links the pair"
-            )
 
 
 def _support_points(line, rng, count):
@@ -420,17 +385,48 @@ def _support_points(line, rng, count):
 
 
 def oracle_lal(L1, L2, seed=0):
-    """Geometric oracle: intersect the ideals and test local complete
-    intersections at the meeting point plus SAMPLES_PER_LINE sampled points
-    on each line.  Only mu is needed, so no Gorenstein verdict is computed.
+    """Geometric oracle, decided without the classifier's conditions.
 
-    Returns (verdict, reports) with verdict one of 'lal', 'not_lal',
-    'inconclusive'.  Same-support pairs are decided by the witness-based
-    oracle inside classify_same_support_pair instead.
+    Meeting or disjoint supports: intersect the ideals and test local
+    complete intersections at the meeting point plus SAMPLES_PER_LINE
+    sampled points on each line (mu only, no Gorenstein verdict).
+
+    Equal supports: exact, over the complete intersections Y of two
+    quadrics in the support variables (v1, v2), the classifier's witness
+    family.  Equal ideals are linked, as a double line is a local complete
+    intersection and so locally self-linked; no such Y links a line of
+    positive degree to itself.  Otherwise Y = ker(phi) on
+    <v1^2, v1*v2, v2^2> with p1^2 != p0*p2, and Y contains (v1, v2)^3, so
+    Y links the pair iff phi(a1*a2, a1*b2 + b1*a2, b1*b2) = 0 as a binary
+    form: then (Y : I1) = I2, both being unmixed of degree 2.
+
+    Returns (verdict, reports): 'lal' or 'not_lal', and the local tests
+    (none for equal supports).
     """
     relation = support_relation(L1, L2)
     if relation == "equal":
-        raise ValueError("same-support pairs use the witness-based oracle")
+        if ideal_equal(double_line_ideal(L1), double_line_ideal(L2)):
+            return "lal", []
+        field = L1.ring.field
+        shared = min(L1.support)
+        a1, b1 = _oriented_forms(L1, shared)
+        a2, b2 = _oriented_forms(L2, shared)
+        degree = L1.degree + L2.degree
+        products = (a1 * a2, a1 * b2 + b1 * a2, b1 * b2)
+        columns = [binary_coefficients(q, L1.pencil, degree) for q in products]
+        kernel = kernel_basis(list(zip(*columns)), 3, field)
+        # p1^2 - p0*p2 (the dual quadric's discriminant, not the quadric's
+        # p1^2 - 4*p0*p2) has degree <= 2 per kernel coordinate, so a
+        # 3-value grid finds a nonzero value iff one exists
+        samples = [field.normalize(v) for v in (0, 1, 2)]
+        for values in itertools.product(samples, repeat=len(kernel)):
+            phi = [field.zero] * 3
+            for t, kv in zip(values, kernel):
+                phi = [field.add(p, field.mul(t, k)) for p, k in zip(phi, kv)]
+            p0, p1, p2 = phi
+            if field.mul(p1, p1) != field.mul(p0, p2):
+                return "lal", []
+        return "not_lal", []
     rng = random.Random(seed)
     reports = []
     if relation == "disjoint":
@@ -473,12 +469,8 @@ def classify(L1, L2, mode="both", seed=0):
         raise ValueError("double lines live in different ring contexts")
     relation = support_relation(L1, L2)
     if relation == "equal":
-        verdict = classify_same_support_pair(L1, L2, seed=seed, oracle=(mode != "conditions"))
-        verdict.mode = mode
-        if mode != "conditions":
-            verdict.oracle_verdict = "lal" if verdict.lal else "not_lal"
-        return verdict
-    if relation == "meeting":
+        verdict = classify_same_support_pair(L1, L2)
+    elif relation == "meeting":
         verdict = classify_meeting_pair(L1, L2)
     else:
         verdict = ClassificationVerdict(True, "disjoint")

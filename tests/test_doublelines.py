@@ -18,8 +18,13 @@ from liaison import (
     oracle_lal,
     parse_polynomial,
 )
+from liaison import doublelines
 from liaison.doublelines import binary_coefficients, binary_form, binary_forms_have_common_zero
-from liaison.generators import random_meeting_instance, random_same_support_instance
+from liaison.generators import (
+    random_coprime_pair,
+    random_meeting_instance,
+    random_same_support_instance,
+)
 
 
 @pytest.fixture
@@ -260,10 +265,75 @@ def test_oracle_mode_standalone(P3):
     assert not bad.lal and bad.oracle_verdict == "not_lal"
 
 
-def test_oracle_rejects_same_support(P3):
+def test_oracle_decides_same_support(P3):
     x, y, z, u = P3.gens()
-    with pytest.raises(ValueError):
-        oracle_lal(_line(P3, (0, 1), z, u), _line(P3, (0, 1), z, -u))
+    L1 = _line(P3, (0, 1), z, u)
+    assert oracle_lal(L1, _line(P3, (0, 1), z, -u)) == ("lal", [])
+    assert oracle_lal(L1, _line(P3, (0, 1), z, z + u)) == ("not_lal", [])
+    # equal ideals: locally self-linked, though no quadric CI links them
+    assert oracle_lal(L1, _line(P3, (1, 0), 3 * u, 3 * z)) == ("lal", [])
+
+
+def _same_support_campaign(field, rng):
+    """(L1, L2, linked) on the line x = y = 0: pairs related by a traceless
+    or a non-traceless N (linked iff traceless), pairs of degree-0 forms
+    (any two distinct planar double lines are linked) and pairs of unequal
+    degree (never linked)."""
+    R = make_ring(["x", "y", "z", "u"], field, "grevlex")
+    pencil = (2, 3)
+    cases = []
+    for i in range(40):
+        L1, L2, _N = random_same_support_instance(R, rng, traceless=i % 2 == 0)
+        cases.append((L1, L2, i % 2 == 0))
+    while len(cases) < 46:
+        a1, b1 = random_coprime_pair(R, pencil, 0, rng)
+        a2, b2 = random_coprime_pair(R, pencil, 0, rng)
+        if not (a1 * b2 - a2 * b1).is_zero():
+            cases.append((_line(R, (0, 1), a1, b1), _line(R, (0, 1), a2, b2), True))
+    while len(cases) < 52:
+        r1, r2 = rng.sample(range(4), 2)
+        cases.append((
+            _line(R, (0, 1), *random_coprime_pair(R, pencil, r1, rng)),
+            _line(R, (0, 1), *random_coprime_pair(R, pencil, r2, rng)),
+            False,
+        ))
+    return cases
+
+
+@pytest.mark.parametrize("field", ["F3", "F5", "F31", "Q"])
+def test_same_support_oracle_matches_construction(field):
+    # pins the dual discriminant p1^2 - p0*p2: the quadric's p1^2 - 4*p0*p2
+    # gives wrong verdicts here outside characteristic 3
+    rng = random.Random(61)
+    for L1, L2, linked in _same_support_campaign(field, rng):
+        expected = ("lal" if linked else "not_lal", [])
+        assert oracle_lal(L1, L2) == expected, (L1, L2)
+        assert oracle_lal(L2, L1) == expected, (L2, L1)
+        assert classify_same_support_pair(L1, L2).lal == linked, (L1, L2)
+
+
+@pytest.mark.parametrize("field", ["F31", "Q"])
+def test_same_support_modes_use_the_oracle(field, monkeypatch):
+    # a classifier that answers wrongly on equal supports: 'oracle' must
+    # still give the right verdict and 'both' must refuse to answer
+    real = classify_same_support_pair
+
+    def flipped(*args, **kwargs):
+        verdict = real(*args, **kwargs)
+        verdict.lal = not verdict.lal
+        return verdict
+
+    monkeypatch.setattr(doublelines, "classify_same_support_pair", flipped)
+    R = make_ring(["x", "y", "z", "u"], field, "grevlex")
+    rng = random.Random(67)
+    for i in range(10):
+        traceless = i % 2 == 0
+        L1, L2, _N = random_same_support_instance(R, rng, traceless)
+        seed = rng.randrange(10**6)
+        v = classify(L1, L2, mode="oracle", seed=seed)
+        assert v.lal == traceless and v.oracle_verdict == ("lal" if traceless else "not_lal")
+        with pytest.raises(ClassificationDiscrepancy):
+            classify(L1, L2, mode="both", seed=seed)
 
 
 def test_small_randomized_agreement_campaign():

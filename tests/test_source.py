@@ -1,0 +1,20 @@
+"""Rules on the library's source text."""
+
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "liaison"
+
+
+def test_library_has_no_assert_statements():
+    # python -O strips assert statements, so an invariant written as one
+    # would silently vanish; the library raises real exceptions instead
+    paths = sorted(SRC.glob("*.py"))
+    assert paths, SRC
+    offenders = [
+        f"{path.name}:{node.lineno}"
+        for path in paths
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Assert)
+    ]
+    assert offenders == []
