@@ -43,7 +43,6 @@ from .localrings import (
     artinian_invariants,
     artinian_reduce,
     local_ci_test,
-    local_component,
     local_gorenstein,
     local_mu,
     translate_to_origin,
@@ -99,7 +98,6 @@ __all__ = [
     "artinian_invariants",
     "artinian_reduce",
     "local_ci_test",
-    "local_component",
     "local_gorenstein",
     "local_mu",
     "translate_to_origin",

@@ -179,11 +179,10 @@ def colon_by_poly(I, f):
 def ideal_colon(I, J):
     """(I : J) = {f : f*J inside I}, the intersection of (I : g) over gens of J."""
     _check_same_ring(I, J)
-    gens = [g for g in J.gens if not g.is_zero()]
-    if not gens:
+    if not J.gens:
         raise ValueError("colon by the zero ideal")
     result = None
-    for g in gens:
+    for g in J.gens:
         piece = colon_by_poly(I, g)
         result = piece if result is None else ideal_intersect(result, piece)
     return Ideal.from_groebner(result.groebner())

@@ -22,7 +22,7 @@ from .ideals import (
     standard_monomials,
 )
 from .linalg import rref
-from .localrings import RationalPoint, local_gorenstein, origin_ideal
+from .localrings import RationalPoint, is_regular, local_gorenstein, origin_ideal
 from .groebner import normal_form
 
 NECESSARY_CONDITION_NOTE = (
@@ -121,8 +121,9 @@ def verify_linked_triple(triple, seed=0):
     report.colon_second = ideal_equal(ideal_colon(base, second), first)
     if not (base.is_homogeneous() and first.is_homogeneous() and second.is_homogeneous()):
         raise ValueError("verification needs homogeneous ideals (dimension bookkeeping)")
-    dims = tuple(hilbert_data(I).krull_dimension for I in triple.ideals())
-    degs = tuple(hilbert_data(I).degree for I in triple.ideals())
+    data = [hilbert_data(I) for I in triple.ideals()]
+    dims = tuple(d.krull_dimension for d in data)
+    degs = tuple(d.degree for d in data)
     report.dimensions = dims
     report.dimensions_equal = dims[0] == dims[1] == dims[2]
     if not report.dimensions_equal:
@@ -167,13 +168,7 @@ def regular_element_transfer_test(triple, h):
     linked quotients; certified through the colon identity (I : h) = I."""
     if h.is_zero() or h.constant_term() != triple.base.ring.field.zero:
         raise ValueError("test element must be a nonzero non-unit through the origin")
-
-    def regular(I):
-        return ideal_equal(ideal_colon(I, Ideal(I.ring, [h])), I)
-
-    r_base = regular(triple.base)
-    r_first = regular(triple.first)
-    r_second = regular(triple.second)
+    r_base, r_first, r_second = (is_regular(h, I) for I in triple.ideals())
     return RegularTransferReport(
         regular_base=r_base,
         regular_first=r_first,

@@ -1,13 +1,15 @@
-"""Local analysis at a rational point: point-supported components, length,
-socle dimension, Gorenstein verdicts, local minimal generator counts, and
-local complete-intersection tests.
+"""Local analysis at a rational point: length, socle dimension, Gorenstein
+verdicts, local minimal generator counts, and local complete-intersection
+tests.
 
 All localization is made computable by translating the point to the origin
 of an affine chart.  The local minimal generator count is dim_k(I/mI), m the
 ideal of the origin (Nakayama), read off from normal forms modulo a Groebner
-basis of mI; Artinian invariants come from standard monomial counts;
-Gorenstein-ness of a positive-dimensional local ring is decided after
-cutting by certified-regular linear forms.
+basis of mI.  The Artinian invariants of a zero-dimensional Q come from
+standard monomial counts of Q, (Q : m) and (Q : m^inf), with no primary
+decomposition: the components of Q away from the origin drop out of both
+differences.  Gorenstein-ness of a positive-dimensional local ring is decided
+after cutting by certified-regular linear forms.
 """
 
 import random
@@ -146,44 +148,43 @@ def local_mu(I):
     """
     ring = I.ring
     field = ring.field
-    gens = [g for g in I.gens if not g.is_zero()]
-    if any(g.constant_term() != field.zero for g in gens):
+    if any(g.constant_term() != field.zero for g in I.gens):
         raise ValueError("origin is not on the zero set of the ideal")
-    if not gens:
+    if not I.gens:
         return 0
-    mI = buchberger(list(dict.fromkeys(v * g for v in ring.gens() for g in gens)))
-    forms = [normal_form(g, mI).terms for g in gens]
+    mI = buchberger(list(dict.fromkeys(v * g for v in ring.gens() for g in I.gens)))
+    forms = [normal_form(g, mI).terms for g in I.gens]
     monomials = sorted({e for f in forms for e in f})
     return rank([[f.get(e, field.zero) for e in monomials] for f in forms], field)
 
 
-def local_component(I):
-    """Origin-primary component of a zero-dimensional ideal: I : (I : m^inf)."""
-    ring = I.ring
-    field = ring.field
-    if any(g.constant_term() != field.zero for g in I.gens):
-        raise ValueError("origin is not on the zero set of the ideal")
-    if not is_zero_dimensional(I.groebner()):
-        raise ValueError("local_component needs a zero-dimensional ideal")
-    rest = saturate(I, origin_ideal(ring))
-    return ideal_colon(I, rest)
-
-
 def artinian_invariants(Q):
-    """(length, socle_dim, gorenstein) of the Artinian quotient by Q.
+    """(length, socle_dim, gorenstein) of the local ring of a zero-dimensional
+    Q at the origin.
 
-    length counts standard monomials; the socle dimension is the drop in
-    standard monomial count from Q to (Q : m); gorenstein means socle_dim 1.
+    Both are differences of standard monomial counts, so Q may have other
+    components away from the origin.  (Q : m)/Q is killed by m, hence is the
+    socle: socle_dim = #std(Q) - #std(Q : m).  (Q : m^inf) is the
+    intersection of the other components, so by the Chinese remainder
+    theorem length = #std(Q) - #std(Q : m^inf).  gorenstein means socle_dim 1.
     """
+    ring = Q.ring
+    if any(g.constant_term() != ring.field.zero for g in Q.gens):
+        raise ValueError("origin is not on the zero set of the ideal")
     gb = Q.groebner()
-    if gb.is_unit_ideal():
-        raise ValueError("the zero ring has no Artinian invariants")
     if not is_zero_dimensional(gb):
         raise ValueError("artinian_invariants needs a zero-dimensional ideal")
-    length = len(standard_monomials(gb))
-    socle_preimage = ideal_colon(Q, origin_ideal(Q.ring))
-    socle_dim = length - len(standard_monomials(socle_preimage.groebner()))
+    count = len(standard_monomials(gb))
+    m = origin_ideal(ring)
+    socle_preimage = ideal_colon(Q, m)
+    socle_dim = count - len(standard_monomials(socle_preimage.groebner()))
+    length = count - len(standard_monomials(saturate(socle_preimage, m).groebner()))
     return length, socle_dim, socle_dim == 1
+
+
+def is_regular(h, I):
+    """Whether h is a nonzerodivisor on R/I, certified by (I : h) = I."""
+    return ideal_equal(ideal_colon(I, Ideal(I.ring, [h])), I)
 
 
 def find_regular_linear_form(I, rng):
@@ -200,14 +201,15 @@ def find_regular_linear_form(I, rng):
             h = h + v.scale(c)
         if h.is_zero():
             continue
-        if ideal_equal(ideal_colon(I, Ideal(ring, [h])), I):
+        if is_regular(h, I):
             return h
     return None
 
 
 def artinian_reduce(I, seed=0):
-    """Cut by certified-regular linear forms until dimension zero, then take
-    the origin component.  Returns (Q, forms) or (None, forms) when no
+    """Cut by certified-regular linear forms until dimension zero.  Returns
+    (Q, forms), Q the sliced ideal as it is (components away from the origin
+    included; artinian_invariants reads past them), or (None, forms) when no
     certified form is found within SLICE_BUDGET samples."""
     rng = random.Random(seed)
     forms = []
@@ -218,7 +220,7 @@ def artinian_reduce(I, seed=0):
             return None, forms
         forms.append(h)
         current = ideal_sum(current, Ideal(current.ring, [h]))
-    return local_component(current), forms
+    return current, forms
 
 
 def local_gorenstein(I, seed=0):

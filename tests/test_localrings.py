@@ -10,7 +10,6 @@ from liaison import (
     artinian_reduce,
     ideal_equal,
     local_ci_test,
-    local_component,
     local_mu,
     make_ring,
     substitute,
@@ -132,19 +131,21 @@ def test_local_mu_needs_origin(A3):
         local_mu(Ideal(A3, [x - 1]))
 
 
-def test_local_component_examples():
+def test_artinian_invariants_skip_components_away_from_origin():
+    # x(x-1) and x^2(x-1): only the origin component (x), resp. (x^2), counts
     R = make_ring(["x"], "Q", "lex")
     x = R.variable("x")
-    assert ideal_equal(local_component(Ideal(R, [x * (x - 1)])), Ideal(R, [x]))
-    assert ideal_equal(local_component(Ideal(R, [x**2 * (x - 1)])), Ideal(R, [x**2]))
-    primary = Ideal(R, [x**3])
-    assert ideal_equal(local_component(primary), primary)
+    assert artinian_invariants(Ideal(R, [x * (x - 1)])) == (1, 1, True)
+    assert artinian_invariants(Ideal(R, [x**2 * (x - 1)])) == (2, 1, True)
+    assert artinian_invariants(Ideal(R, [x**3])) == (3, 1, True)
 
 
-def test_local_component_requires_zero_dimensional(A3):
+def test_artinian_invariants_reject_bad_input(A3):
     x, y, z = A3.gens()
-    with pytest.raises(ValueError):
-        local_component(Ideal(A3, [x]))
+    with pytest.raises(ValueError, match="origin"):
+        artinian_invariants(Ideal(A3, [x - 1, y, z]))
+    with pytest.raises(ValueError, match="zero-dimensional"):
+        artinian_invariants(Ideal(A3, [x]))
 
 
 def test_artinian_invariants_examples():

@@ -1,6 +1,7 @@
 """Property tests of the ideal identities the linkage computations rely on,
-on small ideals over F31 in two or three variables, and on generated
-linked triples over F31 in two to four variables.
+on small ideals over F31 in two or three variables, on generated linked
+triples over F31 in two to four variables, and of the local Artinian
+invariants against the origin component computed as a colon.
 
 Examples are derandomized, so the suite stays deterministic.
 """
@@ -13,6 +14,7 @@ import pytest
 from liaison import (
     Ideal,
     Polynomial,
+    artinian_invariants,
     buchberger,
     hilbert_data,
     ideal_colon,
@@ -20,6 +22,9 @@ from liaison import (
     ideal_intersect,
     ideal_product,
     make_ring,
+    saturate,
+    standard_monomials,
+    substitute,
 )
 from liaison.generators import random_ci_linked_triple
 
@@ -101,3 +106,42 @@ def test_linked_triple_degree_additivity(triple):
     hB, h1, h2 = (hilbert_data(_fresh(I)) for I in triple.ideals())
     assert hB.krull_dimension == h1.krull_dimension == h2.krull_dimension
     assert hB.degree == h1.degree + h2.degree
+
+
+@st.composite
+def origin_and_distant_component(draw):
+    """A zero-dimensional monomial ideal Q0 and a primary ideal P at a
+    rational point other than the origin (a shifted monomial ideal)."""
+    ring = draw(st.sampled_from(RINGS))
+    n = ring.nvars
+
+    def artinian_monomials(max_exp):
+        pure = [tuple(draw(st.integers(1, max_exp)) if j == i else 0 for j in range(n)) for i in range(n)]
+        mixed = draw(st.lists(st.tuples(*[st.integers(0, max_exp - 1)] * n), max_size=2))
+        return [Polynomial.monomial(ring, e) for e in pure + mixed if sum(e) > 0]
+
+    point = draw(st.tuples(*[st.integers(0, 30)] * n).filter(any))
+    shift = {v: x + c for v, x, c in zip(ring.variables, ring.gens(), point)}
+    Q0 = Ideal(ring, artinian_monomials(3))
+    P = Ideal(ring, [substitute(g, shift) for g in artinian_monomials(2)])
+    return Q0, P
+
+
+def _origin_component_invariants(I):
+    """(length, socle_dim, gorenstein) from the origin component
+    I : (I : m^inf), the primary decomposition step the library skips."""
+    m = Ideal(I.ring, I.ring.gens())
+    Q = ideal_colon(I, saturate(I, m))
+    length = len(standard_monomials(Q.groebner()))
+    socle_dim = length - len(standard_monomials(ideal_colon(Q, m).groebner()))
+    return length, socle_dim, socle_dim == 1
+
+
+@PROPERTY
+@given(origin_and_distant_component())
+def test_artinian_invariants_ignore_distant_components(pair):
+    Q0, P = pair
+    I = ideal_intersect(Q0, P)
+    invariants = artinian_invariants(I)
+    assert invariants == artinian_invariants(Q0)
+    assert invariants == _origin_component_invariants(I)
