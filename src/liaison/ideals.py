@@ -15,14 +15,15 @@ from .rings import GREVLEX, MonomialOrder, make_ring
 
 
 class Ideal:
-    """An ideal given by generators, caching one Groebner basis: the
-    reduced basis for its ring's order.
+    """An ideal given by generators, caching one Groebner basis (the
+    reduced basis for its ring's order) and, once asked for, its Hilbert
+    data (see hilbert_data).
 
-    The cache is write-once: concurrent readers may duplicate the
-    computation but always observe the same canonical reduced basis.
+    Both caches are write-once: concurrent readers may duplicate the
+    computation but always observe the same canonical value.
     """
 
-    __slots__ = ("ring", "gens", "_gb")
+    __slots__ = ("ring", "gens", "_gb", "_hilbert")
 
     def __init__(self, ring, gens):
         gens = tuple(g for g in gens if not g.is_zero())
@@ -32,6 +33,7 @@ class Ideal:
         self.ring = ring
         self.gens = gens
         self._gb = None
+        self._hilbert = None
 
     @classmethod
     def zero(cls, ring):
@@ -352,10 +354,17 @@ def hilbert_data(I):
 
     The Hilbert series of R/I is N(t)/(1-t)^n; writing N = (1-t)^c Q with
     Q(1) != 0 gives codimension c, affine (cone) dimension n - c, projective
-    dimension n - c - 1, and degree Q(1).
+    dimension n - c - 1, and degree Q(1).  Computed once per Ideal and held
+    by it, like its Groebner basis.
     """
-    if not I.is_homogeneous():
-        raise ValueError("hilbert_data needs a homogeneous ideal")
+    if I._hilbert is None:
+        if not I.is_homogeneous():
+            raise ValueError("hilbert_data needs a homogeneous ideal")
+        I._hilbert = _hilbert_data(I)
+    return I._hilbert
+
+
+def _hilbert_data(I):
     gb = I.groebner()
     n = I.ring.nvars
     mingens = leading_term_ideal(gb)

@@ -165,7 +165,7 @@ class RegularTransferReport:
 
 def regular_element_transfer_test(triple, h):
     """An element is regular on the extension iff it is regular on both
-    linked quotients; certified through the colon identity (I : h) = I."""
+    linked quotients; each is certified by localrings.is_regular."""
     if h.is_zero() or h.constant_term() != triple.base.ring.field.zero:
         raise ValueError("test element must be a nonzero non-unit through the origin")
     r_base, r_first, r_second = (is_regular(h, I) for I in triple.ideals())

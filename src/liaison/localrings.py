@@ -5,27 +5,33 @@ tests.
 All localization is made computable by translating the point to the origin
 of an affine chart.  The local minimal generator count is dim_k(I/mI), m the
 ideal of the origin (Nakayama), read off from normal forms modulo a Groebner
-basis of mI.  The Artinian invariants of a zero-dimensional Q come from
-standard monomial counts of Q, (Q : m) and (Q : m^inf), with no primary
-decomposition: the components of Q away from the origin drop out of both
-differences.  Gorenstein-ness of a positive-dimensional local ring is decided
-after cutting by certified-regular linear forms.
+basis of mI.  The Artinian invariants of a zero-dimensional Q are linear
+algebra on R/Q in its basis of standard monomials, with no primary
+decomposition: the socle is the common kernel of the matrices of
+multiplication by the variables, and the origin's component is the common
+kernel of their d-th powers (d = dim_k R/Q), since each variable is nilpotent
+there and some variable is invertible on every other component.
+Gorenstein-ness of a positive-dimensional local ring is decided after
+cutting by certified-regular linear forms: for homogeneous input the
+certificate compares Hilbert series, otherwise it is the colon (I : h) = I.
 """
 
 import random
 from dataclasses import dataclass
+from itertools import zip_longest
 
 from .groebner import buchberger, normal_form
 from .ideals import (
     Ideal,
+    _trim,
+    hilbert_data,
     ideal_colon,
     ideal_equal,
     ideal_sum,
     is_zero_dimensional,
-    saturate,
     standard_monomials,
 )
-from .linalg import rank
+from .linalg import mat_pow, rank
 from .polynomials import Polynomial, substitute
 from .rings import make_ring
 
@@ -158,38 +164,107 @@ def local_mu(I):
     return rank([[f.get(e, field.zero) for e in monomials] for f in forms], field)
 
 
+def _multiplication_matrices(gb, std):
+    """The matrix of multiplication by each variable on R/(gb), in the basis
+    std of standard monomials: column j of the i-th matrix is the normal
+    form of x_i * std[j]."""
+    ring = gb.ring
+    field = ring.field
+    index = {e: j for j, e in enumerate(std)}
+    matrices = []
+    for i in range(ring.nvars):
+        columns = []
+        for b in std:
+            e = b[:i] + (b[i] + 1,) + b[i + 1 :]
+            column = [field.zero] * len(std)
+            if e in index:
+                column[index[e]] = field.one
+            else:
+                for f, c in normal_form(Polynomial.monomial(ring, e), gb).terms.items():
+                    column[index[f]] = c
+            columns.append(column)
+        matrices.append([list(row) for row in zip(*columns)])
+    return matrices
+
+
 def artinian_invariants(Q):
     """(length, socle_dim, gorenstein) of the local ring of a zero-dimensional
     Q at the origin.
 
-    Both are differences of standard monomial counts, so Q may have other
-    components away from the origin.  (Q : m)/Q is killed by m, hence is the
-    socle: socle_dim = #std(Q) - #std(Q : m).  (Q : m^inf) is the
-    intersection of the other components, so by the Chinese remainder
-    theorem length = #std(Q) - #std(Q : m^inf).  gorenstein means socle_dim 1.
+    Linear algebra on R/Q, of dimension d with the standard monomials as
+    basis, where M_i is the matrix of multiplication by x_i.  By the Chinese
+    remainder theorem R/Q is the product of its localizations at the
+    maximal ideals containing Q.  On the origin's factor each x_i is
+    nilpotent, of index at most d; every other maximal ideal misses some
+    x_i, which is then invertible on that factor.  So the socle of the
+    origin's factor is the common kernel of the M_i, socle_dim = d -
+    rank(M_1; ...; M_n), and the origin's factor itself is the common
+    kernel of the M_i^d, length = d - rank(M_1^d; ...; M_n^d): components of
+    Q away from the origin drop out.  gorenstein means socle_dim 1.
     """
     ring = Q.ring
-    if any(g.constant_term() != ring.field.zero for g in Q.gens):
+    field = ring.field
+    if any(g.constant_term() != field.zero for g in Q.gens):
         raise ValueError("origin is not on the zero set of the ideal")
     gb = Q.groebner()
     if not is_zero_dimensional(gb):
         raise ValueError("artinian_invariants needs a zero-dimensional ideal")
-    count = len(standard_monomials(gb))
-    m = origin_ideal(ring)
-    socle_preimage = ideal_colon(Q, m)
-    socle_dim = count - len(standard_monomials(socle_preimage.groebner()))
-    length = count - len(standard_monomials(saturate(socle_preimage, m).groebner()))
+    std = standard_monomials(gb)
+    d = len(std)
+    matrices = _multiplication_matrices(gb, std)
+    socle_dim = d - rank([row for M in matrices for row in M], field)
+    length = d - rank([row for M in matrices for row in mat_pow(M, d, field)], field)
     return length, socle_dim, socle_dim == 1
 
 
-def is_regular(h, I):
-    """Whether h is a nonzerodivisor on R/I, certified by (I : h) = I."""
+def _colon_certifies(h, I):
+    """h is regular on R/I iff (I : h) = I."""
     return ideal_equal(ideal_colon(I, Ideal(I.ring, [h])), I)
 
 
+def _hilbert_certifies(h, I, cut):
+    """For homogeneous I and h of degree e, with cut = I + (h): h is regular
+    on R/I iff N(R/cut) = (1 - t^e) * N(R/I), N the Hilbert numerator.
+
+    From 0 -> ((I : h)/I)(-e) -> (R/I)(-e) -> R/I -> R/cut -> 0 (the middle
+    map is multiplication by h), the two sides differ by
+    t^e * HS((I : h)/I), which is zero iff (I : h) = I.  Numerators are
+    compared without trailing zeros (hilbert_data stores (0,) for the unit
+    ideal).
+    """
+    numerator = hilbert_data(I).numerator
+    shifted = (0,) * h.total_degree() + numerator
+    expected = tuple(a - b for a, b in zip_longest(numerator, shifted, fillvalue=0))
+    return _trim(expected) == _trim(hilbert_data(cut).numerator)
+
+
+def regular_cut(h, I):
+    """I + (h) when h is a nonzerodivisor on R/I, else None.
+
+    For homogeneous I and h the certificate is the Hilbert series of the
+    returned ideal (see _hilbert_certifies), whose Groebner basis it holds;
+    otherwise it is the colon (I : h) = I.
+    """
+    if h.is_zero():
+        raise ValueError("the zero polynomial is never certified regular")
+    cut = ideal_sum(I, Ideal(I.ring, [h]))
+    if I.is_homogeneous() and h.is_homogeneous():
+        regular = _hilbert_certifies(h, I, cut)
+    else:
+        regular = _colon_certifies(h, I)
+    return cut if regular else None
+
+
+def is_regular(h, I):
+    """Whether h is a nonzerodivisor on R/I: by Hilbert series for
+    homogeneous I and h, by (I : h) = I otherwise (see regular_cut)."""
+    return regular_cut(h, I) is not None
+
+
 def find_regular_linear_form(I, rng):
-    """Rejection-sample a linear form vanishing at the origin with the
-    certificate (I : h) = I; None after SLICE_BUDGET samples."""
+    """Rejection-sample a linear form h vanishing at the origin that is
+    certified regular on R/I; returns (h, I + (h)), or None after
+    SLICE_BUDGET samples."""
     ring = I.ring
     field = ring.field
     sample = field.random_sample()
@@ -201,25 +276,35 @@ def find_regular_linear_form(I, rng):
             h = h + v.scale(c)
         if h.is_zero():
             continue
-        if is_regular(h, I):
-            return h
+        cut = regular_cut(h, I)
+        if cut is not None:
+            return h, cut
     return None
 
 
 def artinian_reduce(I, seed=0):
-    """Cut by certified-regular linear forms until dimension zero.  Returns
-    (Q, forms), Q the sliced ideal as it is (components away from the origin
-    included; artinian_invariants reads past them), or (None, forms) when no
-    certified form is found within SLICE_BUDGET samples."""
+    """Cut by certified-regular linear forms until dimension zero.
+
+    Returns (Q, forms), Q the sliced ideal as it is (components away from
+    the origin included; artinian_invariants reads past them), or
+    (None, forms) when no certified form is found within SLICE_BUDGET
+    samples.  Each cut continues from the ideal its certificate built, so
+    on homogeneous input every accepted form costs one Groebner basis.
+
+    A non-None Q certifies R/I Cohen-Macaulay at the origin (when the
+    origin lies on its zero set): the forms are a regular sequence in the
+    maximal ideal whose quotient has dimension zero, so they number exactly
+    the local dimension, and depth equals dimension.
+    """
     rng = random.Random(seed)
     forms = []
     current = I
     while not is_zero_dimensional(current.groebner()):
-        h = find_regular_linear_form(current, rng)
-        if h is None:
+        found = find_regular_linear_form(current, rng)
+        if found is None:
             return None, forms
+        h, current = found
         forms.append(h)
-        current = ideal_sum(current, Ideal(current.ring, [h]))
     return current, forms
 
 

@@ -106,6 +106,31 @@ def test_doubling_examples():
     assert doubling_check(Ideal(R, [x**2, y**2]), Ideal(R, [x, y**2]))
 
 
+def test_doubling_computes_each_hilbert_series_once(monkeypatch):
+    # link() needs both Hilbert series for its dimension check and the
+    # degree comparison reads them again: each ideal holds its own
+    from liaison import ideals
+
+    top_level = []
+    depth = [0]
+    numerator = ideals._numerator
+
+    def counting(mingens):
+        if depth[0] == 0:
+            top_level.append(mingens)
+        depth[0] += 1
+        try:
+            return numerator(mingens)
+        finally:
+            depth[0] -= 1
+
+    monkeypatch.setattr(ideals, "_numerator", counting)
+    R = make_ring(["x", "y", "z", "u"], "Q", "grevlex")
+    x, y, z, u = R.gens()
+    assert doubling_check(Ideal(R, [x**2, y]), Ideal(R, [x, y]))
+    assert len(top_level) == 2
+
+
 def test_fossum_is_not_a_doubling(fossum):
     assert not doubling_check(fossum.base, fossum.first)
     assert not doubling_check(fossum.base, fossum.second)

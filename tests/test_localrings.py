@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -15,8 +16,9 @@ from liaison import (
     substitute,
     translate_to_origin,
 )
-from liaison.generators import random_monomial_ideal
-from liaison.ideals import ideal_intersect, minimal_monomial_generators
+from liaison.generators import random_form_dense, random_monomial_ideal
+from liaison.ideals import ideal_intersect, ideal_sum, minimal_monomial_generators
+from liaison.localrings import _colon_certifies, _hilbert_certifies, is_regular, regular_cut
 
 
 @pytest.fixture
@@ -138,6 +140,8 @@ def test_artinian_invariants_skip_components_away_from_origin():
     assert artinian_invariants(Ideal(R, [x * (x - 1)])) == (1, 1, True)
     assert artinian_invariants(Ideal(R, [x**2 * (x - 1)])) == (2, 1, True)
     assert artinian_invariants(Ideal(R, [x**3])) == (3, 1, True)
+    # x^4 (x - 1)^2: the origin's factor k[x]/(x^4) is 4 of the 6 dimensions
+    assert artinian_invariants(Ideal(R, [x**4 * (x - 1) ** 2])) == (4, 1, True)
 
 
 def test_artinian_invariants_reject_bad_input(A3):
@@ -232,3 +236,97 @@ def test_lci_implies_gorenstein_on_tested_instances():
         report = local_ci_test(Ideal(R, gens), p, seed=2)
         if report.lci:
             assert report.gorenstein is True
+
+
+def _sparse_form(ring, degree, rng):
+    """A form on a random nonempty set of the monomials of a degree, so that
+    zero divisors of monomial ideals come up often."""
+    monomials = sorted(
+        {e for e in itertools.product(range(degree + 1), repeat=ring.nvars) if sum(e) == degree}
+    )
+    chosen = rng.sample(monomials, rng.randint(1, min(3, len(monomials))))
+    return Polynomial.from_dict(ring, {e: rng.randint(1, 30) for e in chosen})
+
+
+def test_regularity_certificates_agree_on_homogeneous_input():
+    # the Hilbert-series certificate and the colon (I : h) = I decide the
+    # same property, for linear and quadratic h, both ways round
+    rng = random.Random(61)
+    R = make_ring(["x", "y", "z"], "F31", "grevlex")
+    verdicts = {1: set(), 2: set()}
+    for _ in range(24):
+        if rng.random() < 0.5:
+            I = random_monomial_ideal(R, rng, max_gens=3, max_exp=2)
+        else:
+            I = Ideal(R, [random_form_dense(R, rng.randint(1, 2), rng) for _ in range(rng.randint(1, 2))])
+        for degree in (1, 2):
+            h = _sparse_form(R, degree, rng)
+            by_colon = _colon_certifies(h, I)
+            assert _hilbert_certifies(h, I, ideal_sum(I, Ideal(R, [h]))) == by_colon
+            verdicts[degree].add(by_colon)
+    assert verdicts == {1: {True, False}, 2: {True, False}}
+
+
+def test_regularity_certificate_edges():
+    R = make_ring(["x", "y", "z"], "F31", "grevlex")
+    x, y, z = R.gens()
+    cases = [
+        (x, Ideal(R, [x * y]), False),
+        # (x*y, x*z) = (x) meet (y, z), and y^2 + y*z lies in (y, z)
+        (y**2 + y * z, Ideal(R, [x * y, x * z]), False),
+        (x**2 + y * z, Ideal(R, [x * y, x * z]), True),
+        (x, Ideal.zero(R), True),
+        (x * y, Ideal.zero(R), True),
+        # hilbert_data stores the unit ideal's numerator as (0,)
+        (x, Ideal(R, [R.one()]), True),
+        (z**2, Ideal(R, [x**2, y**2]), True),
+    ]
+    for h, I, regular in cases:
+        assert _colon_certifies(h, I) is regular
+        assert _hilbert_certifies(h, I, ideal_sum(I, Ideal(R, [h]))) is regular
+        assert is_regular(h, I) is regular
+    with pytest.raises(ValueError):
+        is_regular(Polynomial.zero(R), Ideal(R, [x]))
+
+
+def test_regular_cut_holds_its_basis():
+    R = make_ring(["x", "y", "z"], "F31", "grevlex")
+    x, y, z = R.gens()
+    I = Ideal(R, [x**2, y**2])
+    cut = regular_cut(z, I)
+    assert cut is not None and cut._gb is not None and cut._hilbert is not None
+    assert ideal_equal(cut, Ideal(R, [x**2, y**2, z]))
+    assert regular_cut(x, I) is None
+
+
+def _count_colons(monkeypatch):
+    from liaison import ideals, localrings
+
+    calls = []
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls.append(name)
+            return fn(*args)
+
+        return wrapper
+
+    for module in (ideals, localrings):
+        monkeypatch.setattr(module, "ideal_colon", counted("ideal_colon", module.ideal_colon))
+    monkeypatch.setattr(ideals, "saturate", counted("saturate", ideals.saturate))
+    return calls
+
+
+def test_invariants_and_graded_slices_take_no_colon(monkeypatch):
+    R = make_ring(["x", "y", "z", "u"], "F31", "grevlex")
+    x, y, z, u = R.gens()
+    graded = Ideal(R, [x**2, y**2])
+    distant = ideal_intersect(Ideal(R, [x**2, y, z**2, u]), Ideal(R, [x - 1, y, z, u - 2]))
+    calls = _count_colons(monkeypatch)
+    assert artinian_invariants(distant) == (4, 1, True)
+    Q, forms = artinian_reduce(graded, seed=5)
+    assert Q is not None and len(forms) == 2
+    assert calls == []
+    # a chart ideal keeps the colon certificate
+    artinian_reduce(Ideal(R, [x**2 + u * z, y**2 - z]), seed=5)
+    assert "ideal_colon" in calls

@@ -145,3 +145,54 @@ def test_artinian_invariants_ignore_distant_components(pair):
     invariants = artinian_invariants(I)
     assert invariants == artinian_invariants(Q0)
     assert invariants == _origin_component_invariants(I)
+
+
+def _non_homogeneous_origin_component(ring, rng):
+    """A zero-dimensional ideal at the origin in curved coordinates: an
+    Artinian monomial ideal moved by the automorphism x_i -> x_i + a*x_(i+1)
+    + b*x_(i+1)^2, which fixes the origin."""
+    n = ring.nvars
+    X = ring.gens()
+    pure = [tuple(rng.randint(1, 3) if j == i else 0 for j in range(n)) for i in range(n)]
+    mixed = [tuple(rng.randint(0, 2) for _ in range(n)) for _ in range(rng.randint(0, 2))]
+    move = {
+        v: X[i] + X[i + 1].scale(rng.randint(0, 30)) + (X[i + 1] ** 2).scale(rng.randint(1, 30))
+        if i + 1 < n
+        else X[i]
+        for i, v in enumerate(ring.variables)
+    }
+    return Ideal(ring, [substitute(Polynomial.monomial(ring, e), move) for e in pure + mixed if sum(e) > 0])
+
+
+def _curved_ideals_with_distant_components(count, rng):
+    """Seeded non-homogeneous ideals: a curved origin component met with one
+    or two primary components away from the origin."""
+    for k in range(count):
+        ring = RINGS[k % 2]
+        n = ring.nvars
+        I = _non_homogeneous_origin_component(ring, rng)
+        for _ in range(2 if k % 3 == 2 else 1):
+            point = [rng.randint(0, 30) for _ in range(n)]
+            point[rng.randrange(n)] = rng.randint(1, 30)
+            shift = {v: x - c for v, x, c in zip(ring.variables, ring.gens(), point)}
+            far = [tuple(rng.randint(1, 2) if j == i else 0 for j in range(n)) for i in range(n)]
+            I = ideal_intersect(I, Ideal(ring, [substitute(Polynomial.monomial(ring, e), shift) for e in far]))
+        yield I
+
+
+def test_artinian_invariants_match_origin_component_on_curved_ideals():
+    # multiplication-matrix invariants against the colon formula; (x^4, y)
+    # has x nilpotent of index d = 4, so the d-th matrix powers are needed
+    ring = RINGS[0]
+    x, y = ring.gens()
+    full_index = Ideal(ring, [x**4, y])
+    cases = [full_index, ideal_intersect(full_index, Ideal(ring, [x - 3, y - 5]))]
+    cases += _curved_ideals_with_distant_components(30, random.Random(67))
+    socles = set()
+    for I in cases:
+        invariants = artinian_invariants(I)
+        assert invariants == _origin_component_invariants(I)
+        socles.add(invariants[1])
+    assert artinian_invariants(full_index) == (4, 1, True)
+    assert all(not I.is_homogeneous() for I in cases[1:])
+    assert len(socles) > 1
