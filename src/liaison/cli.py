@@ -143,7 +143,7 @@ def _cmd_verify_triple(session, args, opts):
     report = verify_linked_triple(triple, seed=opts.seed)
     if report.passed:
         code = EXIT_OK
-    elif report.gorenstein_ok is None:
+    elif report.exact_checks_passed and report.gorenstein_ok is None:
         code = EXIT_INCONCLUSIVE
     else:
         code = EXIT_FALSE

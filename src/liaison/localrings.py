@@ -31,7 +31,7 @@ from .ideals import (
     is_zero_dimensional,
     standard_monomials,
 )
-from .linalg import mat_pow, rank
+from .linalg import mat_pow, rank, rref
 from .polynomials import Polynomial, substitute
 from .rings import make_ring
 
@@ -106,10 +106,6 @@ class LocalPointReport:
         }
 
 
-def origin_ideal(ring):
-    return Ideal(ring, ring.gens())
-
-
 def vanishes_at(I, point):
     return all(g.evaluate(point.coordinates) == I.ring.field.zero for g in I.gens)
 
@@ -164,6 +160,15 @@ def local_mu(I):
     return rank([[f.get(e, field.zero) for e in monomials] for f in forms], field)
 
 
+def _coordinates(f, gb, index):
+    """The normal form of f modulo gb as a column over the standard
+    monomials, index numbering them."""
+    column = [gb.ring.field.zero] * len(index)
+    for e, c in normal_form(f, gb).terms.items():
+        column[index[e]] = c
+    return column
+
+
 def _multiplication_matrices(gb, std):
     """The matrix of multiplication by each variable on R/(gb), in the basis
     std of standard monomials: column j of the i-th matrix is the normal
@@ -176,12 +181,11 @@ def _multiplication_matrices(gb, std):
         columns = []
         for b in std:
             e = b[:i] + (b[i] + 1,) + b[i + 1 :]
-            column = [field.zero] * len(std)
-            if e in index:
+            if e in index:  # a standard monomial is its own column
+                column = [field.zero] * len(std)
                 column[index[e]] = field.one
             else:
-                for f, c in normal_form(Polynomial.monomial(ring, e), gb).terms.items():
-                    column[index[f]] = c
+                column = _coordinates(Polynomial.monomial(ring, e), gb, index)
             columns.append(column)
         matrices.append([list(row) for row in zip(*columns)])
     return matrices
@@ -215,6 +219,30 @@ def artinian_invariants(Q):
     socle_dim = d - rank([row for M in matrices for row in M], field)
     length = d - rank([row for M in matrices for row in mat_pow(M, d, field)], field)
     return length, socle_dim, socle_dim == 1
+
+
+def socle_dimensions(Q, carriers):
+    """dim_k of the socle of R/Q at the origin, then of its meet with the
+    image of each ideal in carriers; Q zero-dimensional.
+
+    With d = dim_k R/Q and M = (M_1; ...; M_n) the stacked multiplication
+    matrices, the socle (Q : m)/Q is ker M, of dimension d - rank(M).  The
+    image of (Q : m) cap J in R/Q is ((Q : m) cap (Q + J))/Q by the modular
+    law, as Q lies in (Q : m), whether or not Q lies in J.  That is ker M cap
+    ker P, P the projection R/Q -> R/(Q + J), of dimension d - rank(M; P).
+    """
+    ring = Q.ring
+    gb = Q.groebner()
+    std = standard_monomials(gb)
+    d = len(std)
+    socle_rows, _ = rref([row for M in _multiplication_matrices(gb, std) for row in M], ring.field)
+    dims = [d - len(socle_rows)]
+    for J in carriers:
+        target = ideal_sum(Q, J).groebner()
+        index = {e: i for i, e in enumerate(standard_monomials(target))}
+        columns = [_coordinates(Polynomial.monomial(ring, b), target, index) for b in std]
+        dims.append(d - rank(socle_rows + list(zip(*columns)), ring.field))
+    return tuple(dims)
 
 
 def _colon_certifies(h, I):

@@ -173,6 +173,32 @@ def test_gorenstein_inconclusive_exits_three(tmp_path):
     assert "inconclusive" in proc.stdout
 
 
+def test_verify_triple_failed_exact_check_exits_one(tmp_path):
+    # the slice budget runs out on B, but colon symmetry and degree
+    # additivity have already failed: a false verdict, not an inconclusive one
+    session = tmp_path / "allateral.session"
+    session.write_text(
+        "ring F3[x,y,z] order grevlex\n"
+        "ideal B = x^3*y - x*y^3\n"
+        "ideal A = x\n"
+    )
+    proc = run_cli(str(session), "verify-triple", "B", "A", "A")
+    assert "colon symmetry: False" in proc.stdout
+    assert "gorenstein at the cone origin: None" in proc.stdout
+    assert proc.returncode == 1
+
+
+def test_verify_triple_exhausted_budget_exits_three(monkeypatch, capsys):
+    from liaison import cli, localrings
+
+    monkeypatch.setattr(localrings, "SLICE_BUDGET", 0)
+    code = cli.main([str(FIXTURES / "double_lines.session"), "verify-triple", "Y", "I1", "I2"])
+    out = capsys.readouterr().out
+    assert "colon symmetry: True" in out and "additive=True" in out
+    assert "gorenstein at the cone origin: None" in out
+    assert code == cli.EXIT_INCONCLUSIVE
+
+
 def test_timings_flag_included_only_on_request():
     proc = run_cli(str(FIXTURES / "fossum.session"), "gb", "B", "--json", "--timings")
     doc = json.loads(proc.stdout)

@@ -14,7 +14,9 @@ from liaison import (
     socle_lemma_test,
     verify_linked_triple,
 )
+from liaison import ideals, linkage, localrings
 from liaison.generators import random_ci_linked_triple
+from liaison.sessions import parse_session
 
 
 @pytest.fixture
@@ -185,6 +187,64 @@ def test_socle_lemma_self_linked():
     triple = LinkedTriple(B, A, ideal_colon(B, A))
     report = socle_lemma_test(triple)
     assert report.all_equal and report.socle_dim == 1
+
+
+@pytest.mark.parametrize(
+    "base, first, second, expected",
+    [
+        # second = base: its carrier (base : m) cap base is base, zero in R/base
+        ("x^2, y^2", "x, y^2", "x^2, y^2", {"socle_dim": 1, "dims": [1, 0, 1], "all_equal": False}),
+        # not Gorenstein: the socle x, y of R/(x, y)^2 splits between the carriers
+        ("x^2, x*y, y^2", "x, y^2", "y, x^2", {"socle_dim": 2, "dims": [2, 1, 1], "all_equal": False}),
+        # base with a component at (1, 0): only the origin's socle counts
+        ("x^2*(x - 1), y^2", "x, y^2", "x^2, y", {"socle_dim": 1, "dims": [1, 1, 1], "all_equal": True}),
+        ("x^2*(x - 1), y^2", "x - 1, y", "x^2, y^2", {"socle_dim": 1, "dims": [1, 0, 1], "all_equal": False}),
+        ("1", "x, y", "x^2, y", {"socle_dim": 0, "dims": [0, 0, 0], "all_equal": True}),
+        # base + carrier is the unit ideal: the carrier's image is all of R/base
+        ("x^2, y^2", "x - 1, y", "x, y - 2", {"socle_dim": 1, "dims": [1, 1, 1], "all_equal": True}),
+    ],
+)
+def test_socle_lemma_dims(base, first, second, expected):
+    session = parse_session(
+        f"ring Q[x,y] order grevlex\nideal B = {base}\nideal F = {first}\nideal S = {second}\n"
+    )
+    triple = LinkedTriple(*(session.lookup_ideal(name) for name in ("B", "F", "S")))
+    assert socle_lemma_test(triple).as_dict() == expected
+
+
+def test_socle_lemma_makes_no_colon_or_intersection(fossum, monkeypatch):
+    calls = []
+    for name in ("ideal_colon", "ideal_intersect"):
+        for module in (ideals, linkage, localrings):
+            if hasattr(module, name):
+                original = getattr(module, name)
+
+                def counting(*args, _name=name, _original=original):
+                    calls.append(_name)
+                    return _original(*args)
+
+                monkeypatch.setattr(module, name, counting)
+    triple = LinkedTriple(*(Ideal(I.ring, I.gens) for I in fossum.ideals()))
+    assert socle_lemma_test(triple).dims == (1, 1, 1)
+    assert calls == []
+
+
+def test_verify_rejects_non_homogeneous_before_any_colon(monkeypatch):
+    calls = []
+
+    def counting(I, J):
+        calls.append((I, J))
+        return ideal_colon(I, J)
+
+    monkeypatch.setattr(linkage, "ideal_colon", counting)
+    R = make_ring(["x", "y", "z"], "Q", "grevlex")
+    x, y, z = R.gens()
+    triple = LinkedTriple(
+        Ideal(R, [x**2 - y * z + x, y**2]), Ideal(R, [x, y**2]), Ideal(R, [x + 1, y**2])
+    )
+    with pytest.raises(ValueError, match="homogeneous"):
+        verify_linked_triple(triple)
+    assert calls == []
 
 
 def test_socle_lemma_rejects_positive_dimension(P3):

@@ -1,7 +1,8 @@
 """Property tests of the ideal identities the linkage computations rely on,
 on small ideals over F31 in two or three variables, on generated linked
-triples over F31 in two to four variables, and of the local Artinian
-invariants against the origin component computed as a colon.
+triples over F31 in two to four variables, of the local Artinian
+invariants against the origin component computed as a colon, and of the
+socle lemma's dimensions against the colon-and-intersection formula.
 
 Examples are derandomized, so the suite stays deterministic.
 """
@@ -13,6 +14,7 @@ import pytest
 
 from liaison import (
     Ideal,
+    LinkedTriple,
     Polynomial,
     artinian_invariants,
     buchberger,
@@ -21,8 +23,10 @@ from liaison import (
     ideal_equal,
     ideal_intersect,
     ideal_product,
+    ideal_sum,
     make_ring,
     saturate,
+    socle_lemma_test,
     standard_monomials,
     substitute,
 )
@@ -196,3 +200,49 @@ def test_artinian_invariants_match_origin_component_on_curved_ideals():
     assert artinian_invariants(full_index) == (4, 1, True)
     assert all(not I.is_homogeneous() for I in cases[1:])
     assert len(socles) > 1
+
+
+@st.composite
+def socle_triple(draw):
+    """An Artinian base in x, y (a CI-linked triple's base, or a random
+    (g, x^a, y^b)) with two carriers, each the triple's link or a random
+    (g, x^a, y^b); random carriers need not contain the base."""
+    ring = RINGS[0]
+    x, y = ring.gens()
+    linked = random_ci_linked_triple(ring, random.Random(draw(st.integers(0, 2**32))))
+    assume(linked is not None)
+
+    def random_artinian():
+        a, b = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+        return Ideal(ring, [draw(_polynomial(ring)), x**a, y**b])
+
+    base = linked.base if draw(st.booleans()) else random_artinian()
+    first = linked.first if draw(st.booleans()) else random_artinian()
+    second = linked.second if draw(st.booleans()) else random_artinian()
+    return LinkedTriple(base, first, second)
+
+
+def _socle_dims_by_colon(triple):
+    """(socle(B), image of (base : m) cap second, image of (base : m) cap
+    first) as dimensions of (I + base)/base, from colon and intersections."""
+    base, first, second = (_fresh(I) for I in triple.ideals())
+    preimage = ideal_colon(base, Ideal(base.ring, base.ring.gens()))
+    d = len(standard_monomials(base.groebner()))
+
+    def image_dim(I):
+        return d - len(standard_monomials(ideal_sum(I, base).groebner()))
+
+    return (
+        image_dim(preimage),
+        image_dim(ideal_intersect(preimage, second)),
+        image_dim(ideal_intersect(preimage, first)),
+    )
+
+
+@PROPERTY
+@given(socle_triple())
+def test_socle_lemma_dims_match_colon_formula(triple):
+    report = socle_lemma_test(triple)
+    expected = _socle_dims_by_colon(triple)
+    assert report.dims == expected
+    assert report.all_equal == (len(set(expected)) == 1)
