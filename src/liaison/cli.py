@@ -22,7 +22,7 @@ from .ideals import (
 )
 from .linkage import LinkedTriple, doubling_check, link, verify_linked_triple
 from .localrings import local_ci_test, local_gorenstein, local_mu, translate_to_origin
-from .sessions import ParseError, parse_session
+from .sessions import parse_session
 
 EXIT_OK = 0
 EXIT_FALSE = 1
@@ -233,24 +233,25 @@ def main(argv=None):
         return EXIT_ERROR
     try:
         with open(opts.session, encoding="utf-8") as handle:
-            session = parse_session(handle.read())
+            text = handle.read()
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
-    started = time.perf_counter()
+    phase = "session parse"
     try:
+        session = parse_session(text)
+        phase = opts.command
+        started = time.perf_counter()
         outcome = handler(session, opts.args, opts)
     except (KeyError, ValueError, ClassificationDiscrepancy) as exc:
+        # ParseError is a ValueError whose first argument carries line and col
         message = exc.args[0] if exc.args else str(exc)
         print(f"error: {message}", file=sys.stderr)
         return EXIT_ERROR
     except Exception as exc:
         # an internal failure must not exit 1, which reads as a false verdict
         detail = " ".join(str(exc).split())
-        print(f"error: internal failure in {opts.command}: {type(exc).__name__}: {detail}",
+        print(f"error: internal failure in {phase}: {type(exc).__name__}: {detail}",
               file=sys.stderr)
         return EXIT_ERROR
     elapsed = time.perf_counter() - started

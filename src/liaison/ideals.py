@@ -1,10 +1,10 @@
 """Ideal-level algebra: sum, product, intersection, colon, saturation,
 elimination, equality, and Hilbert data (dimension and degree).
 
-Intersections use the t-trick (eliminate t from t*I + (1-t)*J); colon ideals
-reduce to intersections via (I : f) = (1/f)*(I cap (f)); saturation is the
-stabilized iterated colon.  Dimension and degree come from the Hilbert
-series of the leading-term ideal.
+Intersections use the t-trick (eliminate t from t*I + (1-t)*J); a colon by
+(g_1..g_s) is one chain of s intersections, K_i = (I cap g_i*K_(i-1)) / g_i;
+saturation is the stabilized iterated colon.  Dimension and degree come from
+the Hilbert series of the leading-term ideal.
 """
 
 from dataclasses import dataclass
@@ -170,24 +170,18 @@ def exact_divide(g, f):
     return quotient
 
 
-def colon_by_poly(I, f):
-    """(I : f) = (1/f) * (I cap (f)) for a single nonzero polynomial f."""
-    if f.is_zero():
-        raise ValueError("colon by the zero polynomial")
-    W = ideal_intersect(I, Ideal(I.ring, [f]))
-    return Ideal(I.ring, [exact_divide(g, f) for g in W.gens])
-
-
 def ideal_colon(I, J):
-    """(I : J) = {f : f*J inside I}, the intersection of (I : g) over gens of J."""
+    """(I : J) = {f : f*J inside I}, by one chain over the generators g_i of J:
+    K_0 = R and K_i = (I cap g_i*K_(i-1)) / g_i = {f in K_(i-1) : f*g_i in I},
+    so K_s = (I : J) after s intersections."""
     _check_same_ring(I, J)
     if not J.gens:
         raise ValueError("colon by the zero ideal")
-    result = None
+    K = Ideal(I.ring, [Polynomial.constant(I.ring, 1)])
     for g in J.gens:
-        piece = colon_by_poly(I, g)
-        result = piece if result is None else ideal_intersect(result, piece)
-    return Ideal.from_groebner(result.groebner())
+        W = ideal_intersect(I, Ideal(I.ring, [g * k for k in K.gens]))
+        K = Ideal(I.ring, [exact_divide(w, g) for w in W.gens])
+    return Ideal.from_groebner(K.groebner())
 
 
 def saturate(I, J):

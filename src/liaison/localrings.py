@@ -348,15 +348,20 @@ def local_ci_test(I, point, seed=0, compute_gorenstein=True):
     """Local complete-intersection test at a rational point.
 
     mu = dim_k(I/mI) after translating the point to the origin (see
-    local_mu); lci means mu equals the local codimension, which for this
-    library's scoped inputs, curves of pure dimension one, is ambient minus
+    local_mu); lci means mu equals the local codimension.  For homogeneous I
+    that is the number of variables minus the Krull dimension of R/I (read
+    off its held Hilbert data), which assumes I is pure-dimensional.
+    Non-homogeneous I is taken to be a curve: the chart's variables minus
     one.  The Gorenstein verdict is filled via Artinian reduction by
     certified-regular slices; when no certified slice is found the verdict
     is None with an explanatory note (never guessed).
     """
     J = translate_to_origin(I, point)
     mu = local_mu(J)
-    codim = J.ring.nvars - 1
+    if I.is_homogeneous():
+        codim = I.ring.nvars - hilbert_data(I).krull_dimension
+    else:
+        codim = J.ring.nvars - 1
     report = LocalPointReport(mu=mu, codim=codim, lci=(mu == codim), point=point)
     if not compute_gorenstein:
         report.note = "gorenstein not requested"

@@ -81,6 +81,24 @@ def test_zero_denominator_mod_p_exits_two(tmp_path):
     assert len(proc.stderr.strip().splitlines()) == 1
 
 
+def test_deeply_nested_session_exits_two(tmp_path):
+    bad = tmp_path / "bad.session"
+    bad.write_text("ring Q[x] order lex\nideal I = " + "(" * 3000 + "x" + ")" * 3000 + "\n")
+    proc = run_cli(str(bad), "gb", "I")
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: internal failure in session parse: RecursionError")
+    assert len(proc.stderr.strip().splitlines()) == 1
+
+
+def test_oversized_exponent_exits_two(tmp_path):
+    bad = tmp_path / "bad.session"
+    bad.write_text("ring Q[x] order lex\nideal I = x^" + "9" * 5000 + "\n")
+    proc = run_cli(str(bad), "gb", "I")
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: ")
+    assert len(proc.stderr.strip().splitlines()) == 1
+
+
 def test_internal_failure_exits_two_not_false(monkeypatch, capsys):
     from liaison import cli
 
@@ -149,6 +167,21 @@ def test_lci_and_mu_commands():
     assert json.loads(proc.stdout)["result"]["mu"] == 2
     proc = run_cli(str(FIXTURES / "double_lines.session"), "lci", "I1", "S")
     assert proc.returncode == 0
+
+
+def test_lci_codim_follows_dimension_beyond_curves(tmp_path):
+    session = tmp_path / "lci.session"
+    session.write_text(
+        "ring Q[x,y,z,u] order grevlex\n"
+        "ideal POINT = x, y, z\n"
+        "ideal SURFACE = x\n"
+        "point P = (0:0:0:1)\n"
+    )
+    for name, codim in (("POINT", 3), ("SURFACE", 1)):
+        proc = run_cli(str(session), "lci", name, "P", "--json")
+        assert proc.returncode == 0, proc.stderr
+        report = json.loads(proc.stdout)["result"]
+        assert (report["mu"], report["codim"], report["lci"]) == (codim, codim, True)
 
 
 def test_intersect_saturate_link_hilbert_localize():

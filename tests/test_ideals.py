@@ -80,6 +80,23 @@ def test_colon_fossum_example():
     assert ideal_equal(ideal_colon(B, A2), A1)
 
 
+def test_colon_makes_one_intersection_per_divisor_generator(P3, monkeypatch):
+    from liaison import ideals
+
+    calls = []
+
+    def counting(I, J):
+        calls.append((I, J))
+        return ideal_intersect(I, J)
+
+    monkeypatch.setattr(ideals, "ideal_intersect", counting)
+    x, y, z, u = P3.gens()
+    Y = Ideal(P3, [x**2, y**2])
+    colon = ideal_colon(Y, Ideal(P3, [z * x + u * y, x * y, y**2]))
+    assert ideal_equal(colon, Ideal(P3, [z * x - u * y, x**2, x * y, y**2]))
+    assert len(calls) == 3
+
+
 def test_colon_by_zero_rejected(P3):
     x, *_ = P3.gens()
     with pytest.raises(ValueError):

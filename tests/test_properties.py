@@ -31,6 +31,7 @@ from liaison import (
     substitute,
 )
 from liaison.generators import random_ci_linked_triple
+from liaison.ideals import exact_divide
 
 pytest.importorskip("hypothesis")
 from hypothesis import assume, given, settings, strategies as st  # noqa: E402
@@ -62,6 +63,26 @@ def test_colon_times_divisor_lies_in_ideal(pair):
     I, J = pair
     assume(not I.contains_ideal(J))  # otherwise (I : J) is the unit ideal
     assert I.contains_ideal(ideal_product(ideal_colon(I, J), J))
+
+
+@PROPERTY
+@given(ideal_pair())
+def test_colon_is_the_intersection_of_colons_by_generators(pair):
+    I, J = pair
+    reference = None
+    for g in J.gens:
+        meet = ideal_intersect(I, Ideal(I.ring, [g]))
+        piece = Ideal(I.ring, [exact_divide(w, g) for w in meet.gens])
+        reference = piece if reference is None else ideal_intersect(reference, piece)
+    assert ideal_equal(ideal_colon(I, J), reference)
+
+
+@PROPERTY
+@given(st.data())
+def test_colon_ignores_divisor_generator_order(data):
+    I, J = data.draw(ideal_pair())
+    shuffled = Ideal(J.ring, data.draw(st.permutations(J.gens)))
+    assert ideal_colon(I, shuffled).gens == ideal_colon(I, J).gens
 
 
 @PROPERTY

@@ -1,9 +1,12 @@
-"""Reduced Groebner bases checked against an independent engine, sympy.
+"""Reduced Groebner bases and colon ideals checked against an independent
+engine, sympy.
 
-Both sides are made monic and compared as sets, so the check pins the
-basis itself, including the monomial order, which comes from the ring
-alone.  sympy prints residues mod p symmetrically; they are reduced to
-least non-negative residues before the comparison.
+Both sides' bases are made monic and compared as sets, so the check pins
+the basis itself, including the monomial order, which comes from the ring
+alone.  sympy's colon generators are compared as an ideal, through the
+reduced basis they generate here.  sympy prints residues mod p
+symmetrically; they are reduced to least non-negative residues before the
+comparison.
 """
 
 import random
@@ -11,7 +14,17 @@ from fractions import Fraction
 
 import pytest
 
-from liaison import Polynomial, buchberger, make_ring
+from liaison import (
+    Ideal,
+    Polynomial,
+    buchberger,
+    ideal_colon,
+    ideal_equal,
+    ideal_intersect,
+    ideal_product,
+    ideal_sum,
+    make_ring,
+)
 from liaison.generators import random_form_dense
 
 sympy = pytest.importorskip("sympy")
@@ -65,3 +78,33 @@ def test_reduced_basis_matches_sympy(field, order):
             theirs = [_from_sympy(g, ring) for g in theirs.polys]
             assert len(ours) == len(theirs), (field, order, seed, homogeneous)
             assert set(ours) == set(theirs), (field, order, seed, homogeneous)
+
+
+def _colon_case(ring, seed):
+    """I = A cap B or A*B for two ideals A, B of two forms each, and J = A,
+    every other time after a linear form, so that most colons are neither I
+    nor the unit ideal and some differ from the colon by J's last generator."""
+    rng = random.Random(seed)
+    A, B = (Ideal(ring, [random_form_dense(ring, rng.choice([1, 2]), rng) for _ in range(2)])
+            for _ in range(2))
+    I = ideal_intersect(A, B) if seed % 2 else ideal_product(A, B)
+    J = ideal_sum(Ideal(ring, [random_form_dense(ring, 1, rng)]), A) if seed % 4 >= 2 else A
+    return I, J
+
+
+@pytest.mark.parametrize("field", ["Q", f"F{P}"])
+def test_colon_matches_sympy(field):
+    ring = make_ring(["x", "y", "z"], field, "grevlex")
+    symbols = sympy.symbols("x y z")
+    domain = sympy.GF(P) if ring.field.characteristic else sympy.QQ
+    theirs_ring = domain.old_poly_ring(*symbols)
+    for seed in range(8):
+        I, J = _colon_case(ring, seed)
+        theirs = theirs_ring.ideal(*[_to_sympy(g, symbols) for g in I.gens]).quotient(
+            theirs_ring.ideal(*[_to_sympy(g, symbols) for g in J.gens])
+        )
+        gens = [
+            _from_sympy(sympy.Poly(theirs_ring.to_sympy(g), *symbols, domain=domain), ring)
+            for g in theirs.gens
+        ]
+        assert ideal_equal(ideal_colon(I, J), Ideal(ring, gens)), (field, seed)
