@@ -5,9 +5,10 @@ A double line is a multiplicity-2 structure on a line, cut out by
 them are locally algebraically linked (l.a.l.) when a locally complete
 intersection multiplicity-4 curve links the pair.  The classifier decides
 this from the form data alone; the geometric oracle re-decides it by
-intersecting the ideals and measuring local invariants (on a shared
-support, by an exact linear search over complete intersections of two
-quadrics), and `classify` in mode "both" insists the two answers agree.
+certifying each line lci along its support and measuring the union's
+local invariants at the meeting point (on a shared support, by an exact
+linear search over complete intersections of two quadrics), and
+`classify` in mode "both" insists the two answers agree.
 
 Run with: python3 demos/04_double_lines.py
 """
@@ -19,14 +20,14 @@ x, y, z, u = R.gens()
 X, Y, Z, U = range(4)
 
 
-def show(label, L1, L2, seed=0):
-    v = classify(L1, L2, mode="both", seed=seed)
+def show(label, L1, L2):
+    v = classify(L1, L2, mode="both")
     lines = [f"{label}:"]
     lines.append(f"  lal = {v.lal}   case = {v.case_tag}")
     if v.witness:
         lines.append(f"  witness: {v.witness}")
     if v.point_reports:
-        mus = ", ".join(f"mu={r.mu}@{r.point}" for r in v.point_reports[:3])
+        mus = ", ".join(f"mu={r.mu}@{r.point}" for r in v.point_reports)
         lines.append(f"  oracle local data: {mus}")
     print("\n".join(lines) + "\n")
 

@@ -170,7 +170,7 @@ def _cmd_doubling(session, args, opts):
 def _cmd_classify(session, args, opts):
     L1 = session.lookup_dline(args[0])
     L2 = session.lookup_dline(args[1])
-    verdict = classify(L1, L2, mode=opts.mode, seed=opts.seed)
+    verdict = classify(L1, L2, mode=opts.mode)
     code = EXIT_OK if verdict.lal else EXIT_FALSE
     text = [
         f"lal: {verdict.lal}",
@@ -217,7 +217,8 @@ def build_parser():
     parser.add_argument("args", nargs="*", help="names declared in the session")
     parser.add_argument("--mode", default="both", choices=["conditions", "oracle", "both"],
                         help="classification mode (classify only)")
-    parser.add_argument("--seed", type=int, default=0, help="seed for randomized verdicts")
+    parser.add_argument("--seed", type=int, default=0,
+                        help="seed of the Artinian slices (lci, gorenstein, verify-triple only)")
     parser.add_argument("--json", action="store_true", help="emit the stable JSON document")
     parser.add_argument("--timings", action="store_true",
                         help="include wall-clock timings in the JSON output")

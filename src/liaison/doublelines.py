@@ -6,30 +6,27 @@ ideal (f*v1 + g*v2, v1^2, v1*v2, v2^2) for a pair of coprime binary forms
 (f, g) in the two complementary variables.  Two double lines are locally
 algebraically linked (l.a.l.) when some locally complete intersection
 multiplicity-4 curve links them; the classifier decides this from the form
-data.  The oracle re-decides it without the classifier's conditions: for
-meeting or disjoint supports by intersecting the ideals and running local
-complete-intersection tests, for equal supports by an exact linear search
-over the complete intersections of two quadrics in the support variables.
+data.  The oracle re-decides it without the classifier's conditions and
+without sampling: for meeting or disjoint supports by an exact certificate
+that each line is a local complete intersection along its support, plus
+one local complete-intersection test of the union at the meeting point;
+for equal supports by an exact linear search over the complete
+intersections of two quadrics in the support variables.
 
 Condition used in the meeting case with both tangency values zero: the
 union is locally a complete intersection at the meeting point iff
 c(0:1) * db/dz(0:1) = a(0:1) * dd/dy(0:1) (the proportionality of the two
-initial generators; cross form).  This is pinned by the oracle on
-randomized instances.
+initial generators; cross form).  This is pinned by the oracle on the
+generated meeting campaigns.
 """
 
 import itertools
-import random
 from dataclasses import dataclass, field as dc_field
 
 from .ideals import Ideal, hilbert_data, ideal_colon, ideal_equal, ideal_intersect
 from .linalg import kernel_basis, solve
 from .localrings import RationalPoint, local_ci_test
 from .polynomials import Polynomial, substitute
-
-
-# smooth points the oracle samples on each support line
-SAMPLES_PER_LINE = 2
 
 
 class ClassificationDiscrepancy(RuntimeError):
@@ -359,37 +356,32 @@ def classify_same_support_pair(L1, L2):
     )
 
 
-def _support_points(line, rng, count):
-    """Random rational points on the support line, in pencil coordinates
-    (t : 1).  t is a nonzero field sample, so neither pencil coordinate
-    vanishes and no point is the meeting point with a partner line, where
-    the partner's support variable is zero."""
+def lci_along_support(line):
+    """Whether a double line is a local complete intersection at every point
+    of its support line.
+
+    At a point where f or g does not vanish, f*v1 + g*v2 is v1 or v2 up to
+    a unit and a change of coordinates, so the ideal is locally (v1', v2^2);
+    where both vanish every generator lies in m*(v1, v2) + (v1, v2)^2 and
+    the ideal needs four.
+    So the certificate is that the scheme (f, g, v1, v2) is empty, read off
+    its Groebner basis rather than the constructor's Euclid gcd.  Degree-0
+    forms give the unit ideal, whose Krull dimension is -1, not 0.
+    """
     ring = line.ring
-    field = ring.field
-    w1, w2 = line.pencil
-    values = field.random_sample()
-    points = []
-    used = set()
-    for _ in range(count):
-        t = rng.choice(values)
-        for _retry in range(4):
-            if t not in used:
-                break
-            t = rng.choice(values)
-        used.add(t)
-        coords = [field.zero] * 4
-        coords[w1] = t
-        coords[w2] = field.one
-        points.append(RationalPoint.projective(ring, coords))
-    return points
+    v1, v2 = (Polynomial.variable(ring, ring.variables[k]) for k in line.support)
+    f, g = line.forms
+    return hilbert_data(Ideal(ring, [f, g, v1, v2])).projective_dimension < 0
 
 
-def oracle_lal(L1, L2, seed=0):
+def oracle_lal(L1, L2):
     """Geometric oracle, decided without the classifier's conditions.
 
-    Meeting or disjoint supports: intersect the ideals and test local
-    complete intersections at the meeting point plus SAMPLES_PER_LINE
-    sampled points on each line (mu only, no Gorenstein verdict).
+    Meeting or disjoint supports: both lines must be lci along their
+    supports (lci_along_support, exact).  Away from the meeting point the
+    union U = I1 cap I2 is locally a single double line, so that decides
+    every point but the meeting point, which gets one local test of U (mu
+    only, no Gorenstein verdict).  Disjoint supports need no local test.
 
     Equal supports: exact, over the complete intersections Y of two
     quadrics in the support variables (v1, v2), the classifier's witness
@@ -401,7 +393,7 @@ def oracle_lal(L1, L2, seed=0):
     form: then (Y : I1) = I2, both being unmixed of degree 2.
 
     Returns (verdict, reports): 'lal' or 'not_lal', and the local tests
-    (none for equal supports).
+    (the meeting point's only; none for other relations).  Deterministic.
     """
     relation = support_relation(L1, L2)
     if relation == "equal":
@@ -427,17 +419,10 @@ def oracle_lal(L1, L2, seed=0):
             if field.mul(p1, p1) != field.mul(p0, p2):
                 return "lal", []
         return "not_lal", []
-    rng = random.Random(seed)
-    reports = []
+    if not (lci_along_support(L1) and lci_along_support(L2)):
+        return "not_lal", []
     if relation == "disjoint":
-        for line in (L1, L2):
-            I = double_line_ideal(line)
-            for p in _support_points(line, rng, SAMPLES_PER_LINE):
-                reports.append(
-                    local_ci_test(I, p, seed=rng.randrange(10**6), compute_gorenstein=False)
-                )
-        verdict = "lal" if all(r.lci for r in reports) else "not_lal"
-        return verdict, reports
+        return "lal", []
     free = _meeting_geometry(L1, L2)[3]
     I1, I2 = double_line_ideal(L1), double_line_ideal(L2)
     U = ideal_intersect(I1, I2)
@@ -445,15 +430,8 @@ def oracle_lal(L1, L2, seed=0):
     meet_coords = [field.zero] * 4
     meet_coords[free] = field.one
     meeting = RationalPoint.projective(L1.ring, meet_coords)
-    points = [meeting]
-    for line in (L1, L2):
-        points.extend(_support_points(line, rng, SAMPLES_PER_LINE))
-    for p in points:
-        reports.append(
-            local_ci_test(U, p, seed=rng.randrange(10**6), compute_gorenstein=False)
-        )
-    verdict = "lal" if all(r.lci for r in reports) else "not_lal"
-    return verdict, reports
+    report = local_ci_test(U, meeting, compute_gorenstein=False)
+    return ("lal" if report.lci else "not_lal"), [report]
 
 
 def classify(L1, L2, mode="both", seed=0):
@@ -461,7 +439,8 @@ def classify(L1, L2, mode="both", seed=0):
 
     mode 'conditions' runs the explicit classification, 'oracle' the
     geometric one, and 'both' runs both and raises
-    ClassificationDiscrepancy on any disagreement.
+    ClassificationDiscrepancy on any disagreement.  Both are deterministic:
+    seed is accepted for existing callers and has no effect.
     """
     if mode not in ("conditions", "oracle", "both"):
         raise ValueError(f"unknown classification mode {mode!r}")
@@ -477,7 +456,7 @@ def classify(L1, L2, mode="both", seed=0):
     verdict.mode = mode
     if mode == "conditions":
         return verdict
-    oracle_verdict, reports = oracle_lal(L1, L2, seed=seed)
+    oracle_verdict, reports = oracle_lal(L1, L2)
     verdict.oracle_verdict = oracle_verdict
     verdict.point_reports = reports
     if mode == "oracle":

@@ -333,6 +333,8 @@ class HilbertData:
     projective_dimension: int
     degree: int
     numerator: tuple
+    # the numerator over (1-t)^codim, whose coefficients sum to the degree
+    h_vector: tuple = ()
 
     def as_dict(self):
         return {
@@ -348,8 +350,8 @@ def hilbert_data(I):
 
     The Hilbert series of R/I is N(t)/(1-t)^n; writing N = (1-t)^c Q with
     Q(1) != 0 gives codimension c, affine (cone) dimension n - c, projective
-    dimension n - c - 1, and degree Q(1).  Computed once per Ideal and held
-    by it, like its Groebner basis.
+    dimension n - c - 1, degree Q(1), and the h-vector Q.  Computed once per
+    Ideal and held by it, like its Groebner basis.
     """
     if I._hilbert is None:
         if not I.is_homogeneous():
@@ -374,4 +376,4 @@ def _hilbert_data(I):
         codim += 1
     degree = sum(q)
     dim = n - codim
-    return HilbertData(dim, dim - 1, degree, tuple(numer))
+    return HilbertData(dim, dim - 1, degree, tuple(numer), tuple(q))

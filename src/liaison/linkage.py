@@ -108,7 +108,9 @@ def verify_linked_triple(triple, seed=0):
     (the length shadow of the two exact sequences), and the Gorenstein
     verdict of the extension at the origin of the affine cone: the ideals
     are homogeneous, so that local ring decides it for the graded ring.
-    The report lists the point tested.
+    The report lists the point tested.  A Gorenstein verdict on a base
+    whose h-vector is not symmetric is an internal contradiction: it
+    raises RuntimeError and is never reported.
     """
     base, first, second = triple.ideals()
     if not (base.ring == first.ring == second.ring):
@@ -131,6 +133,10 @@ def verify_linked_triple(triple, seed=0):
 
     origin = RationalPoint.affine(base.ring, [0] * base.ring.nvars)
     length, socle_dim, gor = local_gorenstein(base, seed=seed) or (None, None, None)
+    h = data[0].h_vector
+    if gor is True and h != h[::-1]:
+        # a graded Gorenstein quotient has a symmetric h-vector (Stanley)
+        raise RuntimeError(f"Gorenstein verdict contradicts the h-vector {list(h)} of the base")
     report.point_reports.append((origin, length, socle_dim, gor))
     report.gorenstein_ok = gor
 

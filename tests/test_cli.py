@@ -232,6 +232,19 @@ def test_verify_triple_exhausted_budget_exits_three(monkeypatch, capsys):
     assert code == cli.EXIT_INCONCLUSIVE
 
 
+def test_gorenstein_contradiction_exits_two_not_a_verdict(monkeypatch, capsys, tmp_path):
+    from liaison import cli, linkage
+
+    session = tmp_path / "fat_point.session"
+    session.write_text("ring Q[x,y] order grevlex\nideal B = x^2, x*y, y^2\nideal A = x, y\n")
+    monkeypatch.setattr(linkage, "local_gorenstein", lambda I, seed=0: (3, 1, True))
+    code = cli.main([str(session), "verify-triple", "B", "A", "A", "--json"])
+    captured = capsys.readouterr()
+    assert code == cli.EXIT_ERROR
+    assert captured.out == ""
+    assert "internal failure in verify-triple" in captured.err and "h-vector" in captured.err
+
+
 def test_timings_flag_included_only_on_request():
     proc = run_cli(str(FIXTURES / "fossum.session"), "gb", "B", "--json", "--timings")
     doc = json.loads(proc.stdout)

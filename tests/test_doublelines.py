@@ -19,7 +19,12 @@ from liaison import (
     parse_polynomial,
 )
 from liaison import doublelines
-from liaison.doublelines import binary_coefficients, binary_form, binary_forms_have_common_zero
+from liaison.doublelines import (
+    binary_coefficients,
+    binary_form,
+    binary_forms_have_common_zero,
+    lci_along_support,
+)
 from liaison.generators import (
     random_coprime_pair,
     random_meeting_instance,
@@ -75,10 +80,19 @@ def test_binary_coefficients_layout_and_round_trip(P3):
                 assert binary_form(R, pencil, binary_coefficients(form, pencil, d)) == form
 
 
+def _unchecked_line(ring, support, f, g):
+    """A DoubleLine built without its constructor's checks."""
+    line = object.__new__(DoubleLine)
+    for name, value in (("ring", ring), ("support", support), ("forms", (f, g))):
+        object.__setattr__(line, name, value)
+    return line
+
+
 @pytest.mark.parametrize("field", ["F3", "F5", "F31", "Q"])
 def test_common_zero_agrees_with_hilbert_dimension(field):
     # independent oracle: f, g share a zero on the support line iff the cone
-    # of (f, g, v1, v2) has Krull dimension at least 1
+    # of (f, g, v1, v2) has Krull dimension at least 1; the oracle's
+    # lci_along_support must say the opposite, degree-0 forms included
     R = make_ring(["x", "y", "z", "u"], field, "grevlex")
     x, y, z, u = R.gens()
     zero = R.field.zero
@@ -95,6 +109,7 @@ def test_common_zero_agrees_with_hilbert_dimension(field):
         f, g = binary_form(R, pencil, cf), binary_form(R, pencil, cg)
         expected = hilbert_data(Ideal(R, [f, g, x, y])).krull_dimension >= 1
         assert binary_forms_have_common_zero(f, g, pencil) == expected, (f, g)
+        assert lci_along_support(_unchecked_line(R, (0, 1), f, g)) != expected, (f, g)
 
 
 def test_double_line_degenerate_forms(P3):
@@ -210,9 +225,29 @@ def test_same_support_swap_matrix(P3):
 
 def test_disjoint_supports(P3):
     x, y, z, u = P3.gens()
-    v = classify(_line(P3, (0, 1), z, u), _line(P3, (2, 3), x, y), mode="both", seed=1)
+    L1, L2 = _line(P3, (0, 1), z, u), _line(P3, (2, 3), x, y)
+    v = classify(L1, L2, mode="both")
     assert v.lal and v.case_tag == "disjoint"
-    assert all(r.lci for r in v.point_reports)
+    assert v.oracle_verdict == "lal"
+    assert lci_along_support(L1) and lci_along_support(L2)
+    assert v.point_reports == []
+
+
+def test_oracle_rejects_common_zero_where_a_pencil_coordinate_vanishes(P3):
+    # z*u and z*(z+u) share the zero (0:0:0:1) on x = y = 0, where the
+    # pencil coordinate z vanishes; the meeting partners meet the line at
+    # (0:0:1:0) and (0:0:0:1)
+    x, y, z, u = P3.gens()
+    bad = _unchecked_line(P3, (0, 1), z * u, z * (z + u))
+    assert not lci_along_support(bad)
+    partners = (
+        _line(P3, (2, 3), x, y),
+        _line(P3, (0, 3), y, z),
+        _line(P3, (0, 2), y, u),
+    )
+    for partner in partners:
+        assert oracle_lal(bad, partner)[0] == "not_lal", partner
+        assert oracle_lal(partner, bad)[0] == "not_lal", partner
 
 
 def test_classify_symmetric_under_swap(P3):

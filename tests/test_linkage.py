@@ -6,6 +6,7 @@ from liaison import (
     Ideal,
     LinkedTriple,
     doubling_check,
+    hilbert_data,
     ideal_colon,
     ideal_equal,
     link,
@@ -92,6 +93,18 @@ def test_verify_broken_triple_fails():
     report = verify_linked_triple(triple, seed=1)
     assert not report.colon_first  # (x^2, y^2) : (x, y) = (x^2, xy, y^2) != (x, y)
     assert not report.passed
+
+
+def test_gorenstein_verdict_with_asymmetric_h_vector_raises(monkeypatch):
+    # R/(x^2, xy, y^2) has h-vector 1 + 2t, so it cannot be Gorenstein
+    R = make_ring(["x", "y"], "Q", "grevlex")
+    x, y = R.gens()
+    B = Ideal(R, [x**2, x * y, y**2])
+    assert hilbert_data(B).h_vector == (1, 2)
+    monkeypatch.setattr(linkage, "local_gorenstein", lambda I, seed=0: (3, 1, True))
+    triple = LinkedTriple(B, Ideal(R, [x, y]), Ideal(R, [x, y]))
+    with pytest.raises(RuntimeError, match="h-vector"):
+        verify_linked_triple(triple)
 
 
 def test_verify_dimension_mismatch_raises(P3):
