@@ -15,12 +15,17 @@ Parse errors carry the line and column and an expected-token message.
 import re
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
+from math import comb
 
 from .doublelines import DoubleLine
 from .ideals import Ideal
 from .localrings import RationalPoint
 from .polynomials import Polynomial
 from .rings import make_ring
+
+# the most terms a power written in a session may expand to; larger powers
+# are refused before expansion, which would otherwise run for minutes
+MAX_POWER_TERMS = 1000
 
 
 class ParseError(ValueError):
@@ -137,8 +142,30 @@ def _parse_factor(cur, ring):
     if cur.peek().kind == "^":
         cur.next()
         exp_tok = cur.expect("int", "an integer exponent")
-        return base ** int(exp_tok.text)
+        k = int(exp_tok.text)
+        bound = _power_terms_bound(base, k)
+        if bound > MAX_POWER_TERMS:
+            raise ParseError(
+                f"power may expand to {bound} terms, more than {MAX_POWER_TERMS}",
+                exp_tok.line,
+                exp_tok.col,
+            )
+        return base ** k
     return base
+
+
+def _power_terms_bound(base, k):
+    """An upper bound on the number of terms of base**k, found without
+    expanding.  A term of the power is a product of k of base's t terms (a
+    multiset), and a monomial of degree at most D = k*deg(base) in the
+    ring's variables, of degree exactly D when base is homogeneous: there
+    are comb(D + m, m) of those, m the number of variables, one fewer for
+    the homogeneous count."""
+    t = len(base.terms)
+    if t <= 1:
+        return t
+    m = base.ring.nvars - (1 if base.is_homogeneous() else 0)
+    return min(comb(k + t - 1, t - 1), comb(k * base.total_degree() + m, m))
 
 
 def _parse_atom(cur, ring):

@@ -99,6 +99,14 @@ def test_oversized_exponent_exits_two(tmp_path):
     assert len(proc.stderr.strip().splitlines()) == 1
 
 
+def test_power_too_large_to_expand_exits_two(tmp_path):
+    bad = tmp_path / "bad.session"
+    bad.write_text("ring Q[x,y,z] order grevlex\nideal I = (x+y+z)^200\n")
+    proc = run_cli(str(bad), "gb", "I")
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: line 2 col 19: power may expand to 20301 terms")
+
+
 def test_internal_failure_exits_two_not_false(monkeypatch, capsys):
     from liaison import cli
 

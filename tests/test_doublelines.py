@@ -384,3 +384,81 @@ def test_small_randomized_agreement_campaign():
             L1, L2 = random_meeting_instance(R, case, rng)
             v = classify(L1, L2, mode="both", seed=rng.randrange(10**6))
             assert v.lal == expected
+
+
+def _count_colons(monkeypatch):
+    calls = []
+
+    def counting(I, J):
+        calls.append((I, J))
+        return ideal_colon(I, J)
+
+    monkeypatch.setattr(doublelines, "ideal_colon", counting)
+    return calls
+
+
+def _recording_witnesses(monkeypatch):
+    """The extensions Y the classifier builds, in order."""
+    built = []
+    real = doublelines._pm_extension_ideal
+
+    def recording(*args):
+        built.append(real(*args))
+        return built[-1]
+
+    monkeypatch.setattr(doublelines, "_pm_extension_ideal", recording)
+    return built
+
+
+def test_certified_witness_makes_no_colon(P3, monkeypatch):
+    x, y, z, u = P3.gens()
+    calls = _count_colons(monkeypatch)
+    v = classify_same_support_pair(_line(P3, (0, 1), z, u), _line(P3, (0, 1), z, -u))
+    assert v.lal and v.case_tag == "same_support_pm"
+    assert calls == []
+
+
+def test_witness_certificate_agrees_with_colons(monkeypatch):
+    # held-out seed: 40 traceless same-support pairs, then each witness Y
+    # perturbed by a quadric in the support variables, twice
+    F = make_ring(["x", "y", "z", "u"], "F31", "grevlex")
+    rng = random.Random(1001)
+    built = _recording_witnesses(monkeypatch)
+    cases = []
+    for _ in range(40):
+        L1, L2, _N = random_same_support_instance(F, rng, traceless=True)
+        assert classify_same_support_pair(L1, L2).lal
+        cases.append((L1, L2, built[-1]))
+    for L1, L2, Y in cases:
+        assert doublelines._witness_links_by_certificate(Y, L1, L2)
+        assert doublelines._witness_links_by_colons(Y, L1, L2)
+    x, y = F.gens()[:2]
+    rejected = 0
+    for k, (L1, L2, Y) in enumerate(cases * 2):
+        q = x * x * rng.randrange(31) + x * y * rng.randrange(31) + y * y * rng.randrange(31)
+        gens = list(Y.gens)
+        gens[k % 2] = gens[k % 2] + q
+        perturbed = Ideal(F, gens)
+        linked = doublelines._witness_links_by_colons(perturbed, L1, L2)
+        assert doublelines._witness_links_by_certificate(perturbed, L1, L2) == linked
+        monkeypatch.setattr(doublelines, "_pm_extension_ideal", lambda *args: perturbed)
+        if linked:
+            assert classify_same_support_pair(L1, L2).lal
+        else:
+            rejected += 1
+            with pytest.raises(ClassificationDiscrepancy):
+                classify_same_support_pair(L1, L2)
+    assert rejected >= 60
+
+
+def test_witness_for_lines_with_a_common_zero_takes_the_colons(P3, monkeypatch):
+    # forms sharing the factor z: each ideal has an embedded point at
+    # (0:0:0:1), so Y = (x^2, y^2) holds I1*I2 yet links neither way.  Only
+    # the lci certificate tells this apart; the colons refuse the witness.
+    x, y, z, u = P3.gens()
+    L1 = _unchecked_line(P3, (0, 1), z * u, z * (z + u))
+    L2 = _unchecked_line(P3, (0, 1), z * u, -z * (z + u))
+    calls = _count_colons(monkeypatch)
+    with pytest.raises(ClassificationDiscrepancy):
+        classify_same_support_pair(L1, L2)
+    assert len(calls) == 1  # (Y : I1) != I2 already

@@ -283,3 +283,123 @@ def test_link_involution_randomized():
             assert ideal_equal(link(triple.base, triple.first), triple.second)
             assert ideal_equal(link(triple.base, triple.second), triple.first)
             count += 1
+
+
+def _count_colons(monkeypatch):
+    calls = []
+
+    def counting(I, J):
+        calls.append((I, J))
+        return ideal_colon(I, J)
+
+    monkeypatch.setattr(linkage, "ideal_colon", counting)
+    return calls
+
+
+def _fresh(triple):
+    """The same triple with no cached Groebner basis or Hilbert data."""
+    return LinkedTriple(*(Ideal(I.ring, I.gens) for I in triple.ideals()))
+
+
+def test_certified_fossum_triple_makes_no_colon(fossum, monkeypatch):
+    calls = _count_colons(monkeypatch)
+    report = verify_linked_triple(_fresh(fossum), seed=0)
+    assert report.colon_first and report.colon_second and report.passed
+    assert calls == []
+
+
+def test_skew_lines_take_the_colon_fallback(P3, monkeypatch):
+    # two skew lines are not arithmetically Cohen-Macaulay, so the
+    # certificate does not apply; the colons decide, as before
+    x, y, z, u = P3.gens()
+    triple = LinkedTriple(
+        Ideal(P3, [x * z, y * u]),
+        Ideal(P3, [x * z, x * u, y * z, y * u]),  # (x, y) cap (z, u)
+        Ideal(P3, [x * y, x * z, u * y, u * z]),  # (x, u) cap (y, z)
+    )
+    calls = _count_colons(monkeypatch)
+    report = verify_linked_triple(triple, seed=0).as_dict()
+    assert len(calls) == 2
+    assert report == {
+        "containments": [True, True],
+        "colon_first": True,
+        "colon_second": True,
+        "dimensions": [2, 2, 2],
+        "dimensions_equal": True,
+        "degrees": [4, 2, 2],
+        "degree_additive": True,
+        "points_tested": ["(0,0,0,0)"],
+        "point_invariants": [{"point": "(0,0,0,0)", "length": 4, "socle_dim": 1, "gorenstein": True}],
+        "gorenstein_ok": True,
+        "passed": True,
+        "note": linkage.NECESSARY_CONDITION_NOTE,
+    }
+
+
+def test_certificate_needs_first_cohen_macaulay(monkeypatch):
+    # first = (x, y^3) with x cut down to x*m: not saturated, so R/first has
+    # depth 0 and is not Cohen-Macaulay.  Every other fact of the
+    # certificate holds: base Gorenstein, both containments, first*second
+    # inside base, and h_second = h_base - t^4 * h_first(1/t) = 1 + 2t + 3t^2.
+    # Yet (base : first) = (x^2, y^3) and (base : second) = (x, y^3).
+    R = make_ring(["x", "y", "z"], "Q", "grevlex")
+    x, y, z = R.gens()
+    triple = LinkedTriple(
+        Ideal(R, [x**3, y**3]),
+        Ideal(R, [x**2, x * y, x * z, y**3]),
+        Ideal(R, [y**3, x**3, x**2 * y, x**2 * z]),
+    )
+    assert [hilbert_data(I).h_vector for I in triple.ideals()] == [(1, 2, 3, 2, 1), (1, 2), (1, 2, 3)]
+    calls = _count_colons(monkeypatch)
+    report = verify_linked_triple(triple, seed=0)
+    assert len(calls) == 2
+    assert report.gorenstein_ok and all(report.containments) and report.degree_additive
+    assert not report.colon_first and not report.colon_second and not report.passed
+
+
+def _held_out_triples(count):
+    """count CI-linked F31 triples from the held-out seed 1001, cycling
+    through 2, 3 and 4 variables."""
+    names = (["x1", "x2"], ["x", "y", "z"], ["x", "y", "z", "u"])
+    rings = [make_ring(n, "F31", "grevlex") for n in names]
+    rng = random.Random(1001)
+    triples = []
+    while len(triples) < count:
+        triple = random_ci_linked_triple(rings[len(triples) % 3], rng, max_degree=2)
+        if triple is not None:
+            triples.append(triple)
+    return triples
+
+
+def _reports_both_ways(triple, seed, monkeypatch):
+    """verify_linked_triple's report with the certificate, then with the
+    colons alone."""
+    outcomes = []
+    for certificate in (linkage._linked_by_certificate, lambda *args: False):
+        with monkeypatch.context() as patch:
+            patch.setattr(linkage, "_linked_by_certificate", certificate)
+            outcomes.append(verify_linked_triple(_fresh(triple), seed=seed).as_dict())
+    return outcomes
+
+
+def test_triple_certificate_agrees_with_colons_on_held_out_triples(monkeypatch):
+    rejected = 0
+    for k, triple in enumerate(_held_out_triples(40)):
+        fresh = _fresh(triple)
+        base, first, second = fresh.ideals()
+        colons = (
+            ideal_equal(ideal_colon(base, first), second),
+            ideal_equal(ideal_colon(base, second), first),
+        )
+        assert colons == (True, True)
+        assert linkage._linked_by_certificate(fresh, k)
+        with_certificate, with_colons = _reports_both_ways(triple, k, monkeypatch)
+        assert with_certificate == with_colons and with_colons["passed"]
+        # mutants: drop one generator of second, keeping base inside it
+        for j in range(len(second.gens)):
+            kept = second.gens[:j] + second.gens[j + 1 :]
+            mutant = LinkedTriple(base, first, Ideal(base.ring, base.gens + kept))
+            with_certificate, with_colons = _reports_both_ways(mutant, k, monkeypatch)
+            assert with_certificate == with_colons, (k, j)
+            rejected += not with_colons["passed"]
+    assert rejected >= 20

@@ -1,6 +1,9 @@
+import time
+
 import pytest
 
 from liaison import Ideal, ParseError, ideal_equal, make_ring, parse_polynomial, parse_session
+from liaison.sessions import MAX_POWER_TERMS
 
 FOSSUM = """\
 # comment line
@@ -117,3 +120,23 @@ def test_parse_polynomial_rejects_trailing():
     R = make_ring(["x"], "Q")
     with pytest.raises(ParseError, match="trailing"):
         parse_polynomial("x x", R)
+
+
+def test_power_too_large_to_expand_is_refused_at_the_exponent():
+    text = "ring Q[x,y,z] order grevlex\nideal I = (x+y+z)^200\n"
+    start = time.perf_counter()
+    with pytest.raises(ParseError, match="power may expand to 20301 terms") as info:
+        parse_session(text)
+    assert time.perf_counter() - start < 1.0
+    assert (info.value.line, info.value.col) == (2, 19)
+
+
+def test_powers_within_the_term_bound_expand():
+    R = make_ring(["x", "y", "z"], "Q", "grevlex")
+    assert parse_polynomial("x^100", R) == R.variable("x") ** 100
+    # C(45, 2) = 990 terms, just under the bound; one more factor is over it
+    assert len(parse_polynomial("(x+y+z)^43", R).terms) == 990 <= MAX_POWER_TERMS
+    with pytest.raises(ParseError, match="1035 terms"):
+        parse_polynomial("(x+y+z)^44", R)
+    assert len(parse_polynomial("(x+1)^100", R).terms) == 101
+    assert parse_polynomial("0^5", R).is_zero()
