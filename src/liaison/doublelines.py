@@ -23,7 +23,7 @@ generated meeting campaigns.
 import itertools
 from dataclasses import dataclass, field as dc_field
 
-from .ideals import Ideal, hilbert_data, ideal_colon, ideal_equal, ideal_intersect
+from .ideals import Ideal, hilbert_data, ideal_equal, ideal_intersect
 from .linalg import kernel_basis, solve
 from .localrings import RationalPoint, local_ci_test
 from .polynomials import Polynomial, substitute
@@ -268,8 +268,8 @@ def _pm_extension_ideal(ring, support, N):
 
 
 def _witness_links_by_certificate(Y, L1, L2):
-    """Whether Y links the double lines L1 and L2, proved without a colon.
-    False means only "not certified".
+    """Whether Y links the double lines L1 and L2: (Y : I1) = I2 and
+    (Y : I2) = I1, proved without a colon.
 
     Y with two generators and Krull dimension 2 is a complete intersection,
     so every colon into it is unmixed.  lci_along_support certifies that the
@@ -279,6 +279,13 @@ def _witness_links_by_certificate(Y, L1, L2):
     With Y of degree 4 inside I1 and I2, and I1*I2 inside Y, (Y : I1) is
     unmixed of degree 4 - 2 and contains I2, unmixed of the same degree, so
     the two are equal; likewise (Y : I2) = I1.
+
+    For lines the DoubleLine constructor accepts, False also disproves the
+    colons.  The constructor rejects forms with a common zero, so the lci
+    checks hold.  If both colons hold, Y lies in (Y : I1) = I2 and in I1,
+    and I1*I2 = I1*(Y : I1) lies in Y.  Y also has Krull dimension 2: at
+    least that of I1, which contains it, and two quadrics with a common
+    factor h have (Y : I1) inside (h), which cannot contain I2.
     """
     data = hilbert_data(Y)
     if not (len(Y.gens) == 2 and data.krull_dimension == 2 and data.degree == 4):
@@ -293,18 +300,6 @@ def _witness_links_by_certificate(Y, L1, L2):
     )
 
 
-def _witness_links_by_colons(Y, L1, L2):
-    """Whether Y is a quadric complete intersection of degree 4 with
-    (Y : I1) = I2 and (Y : I2) = I1, computed by colons."""
-    I1, I2 = double_line_ideal(L1), double_line_ideal(L2)
-    return (
-        len(Y.gens) == 2
-        and hilbert_data(Y).degree == 4
-        and ideal_equal(ideal_colon(Y, I1), I2)
-        and ideal_equal(ideal_colon(Y, I2), I1)
-    )
-
-
 def classify_same_support_pair(L1, L2):
     """Classification for two double structures on the same line.
 
@@ -312,10 +307,11 @@ def classify_same_support_pair(L1, L2):
     the pair is linked iff the degrees agree and (a2, b2) = (a1, b1) * N for
     a constant traceless matrix N with nonzero determinant; the witness
     extension Y is the span of the squared eigenforms of N, built
-    rationally.  Y is verified on the spot: by certificate
-    (_witness_links_by_certificate), and where that does not confirm it by
-    the two colon identities (Y : I1) = I2 and (Y : I2) = I1.  A failed
-    verification is a hard error, never a silent answer.
+    rationally.  Y is verified on the spot by a certificate for the colon
+    identities (Y : I1) = I2 and (Y : I2) = I1, computing no colon (see
+    _witness_links_by_certificate; for constructor-made lines it holds
+    exactly when the identities do).  A failed verification is a hard
+    error, never a silent answer.
     """
     if support_relation(L1, L2) != "equal":
         raise ValueError("classify_same_support_pair needs equal supports")
@@ -374,10 +370,9 @@ def classify_same_support_pair(L1, L2):
 
     N = [[witness_vec[0], witness_vec[2]], [witness_vec[1], witness_vec[3]]]
     Y = _pm_extension_ideal(ring, (shared, next(k for k in L1.support if k != shared)), N)
-    linked = _witness_links_by_certificate(Y, L1, L2) or _witness_links_by_colons(Y, L1, L2)
-    if not linked:
+    if not _witness_links_by_certificate(Y, L1, L2):
         raise ClassificationDiscrepancy(
-            "traceless witness found but the colon verification failed: "
+            "traceless witness found but its linkage certificate failed: "
             f"N = {N}, pair1 = ({a1}, {b1}), pair2 = ({a2}, {b2})"
         )
     return ClassificationVerdict(

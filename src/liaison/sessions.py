@@ -15,7 +15,7 @@ Parse errors carry the line and column and an expected-token message.
 import re
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
-from math import comb
+from math import comb, lcm
 
 from .doublelines import DoubleLine
 from .ideals import Ideal
@@ -23,9 +23,11 @@ from .localrings import RationalPoint
 from .polynomials import Polynomial
 from .rings import make_ring
 
-# the most terms a power written in a session may expand to; larger powers
-# are refused before expansion, which would otherwise run for minutes
+# the most terms, and the most coefficient bits in all terms together, a
+# power written in a session may expand to; larger powers are refused before
+# expansion, which would otherwise run for minutes or exhaust memory
 MAX_POWER_TERMS = 1000
+MAX_POWER_BITS = 2**18
 
 
 class ParseError(ValueError):
@@ -143,10 +145,17 @@ def _parse_factor(cur, ring):
         cur.next()
         exp_tok = cur.expect("int", "an integer exponent")
         k = int(exp_tok.text)
-        bound = _power_terms_bound(base, k)
-        if bound > MAX_POWER_TERMS:
+        terms = _power_terms_bound(base, k)
+        if terms > MAX_POWER_TERMS:
             raise ParseError(
-                f"power may expand to {bound} terms, more than {MAX_POWER_TERMS}",
+                f"power may expand to {terms} terms, more than {MAX_POWER_TERMS}",
+                exp_tok.line,
+                exp_tok.col,
+            )
+        bits = terms * _power_coefficient_bits(base, k)
+        if bits > MAX_POWER_BITS:
+            raise ParseError(
+                f"power may expand to {bits} coefficient bits, more than {MAX_POWER_BITS}",
                 exp_tok.line,
                 exp_tok.col,
             )
@@ -166,6 +175,21 @@ def _power_terms_bound(base, k):
         return t
     m = base.ring.nvars - (1 if base.is_homogeneous() else 0)
     return min(comb(k + t - 1, t - 1), comb(k * base.total_degree() + m, m))
+
+
+def _power_coefficient_bits(base, k):
+    """An upper bound on the bit length of each coefficient of base**k
+    (numerator plus denominator), found without expanding; 0 over a prime
+    field, whose coefficients do not grow.  Over Q write base = P/D with D
+    the least common denominator and P integral with t terms and largest
+    coefficient M: each coefficient of P**k is at most (t*M)**k, and the
+    denominator divides D**k."""
+    if base.ring.field.characteristic or not base.terms:
+        return 0
+    coeffs = base.terms.values()
+    D = lcm(*(c.denominator for c in coeffs))
+    M = max(abs(c.numerator) * (D // c.denominator) for c in coeffs)
+    return k * ((len(base.terms) * M - 1).bit_length() + (D - 1).bit_length()) + 2
 
 
 def _parse_atom(cur, ring):

@@ -3,7 +3,7 @@ import time
 import pytest
 
 from liaison import Ideal, ParseError, ideal_equal, make_ring, parse_polynomial, parse_session
-from liaison.sessions import MAX_POWER_TERMS
+from liaison.sessions import MAX_POWER_BITS, MAX_POWER_TERMS
 
 FOSSUM = """\
 # comment line
@@ -140,3 +140,24 @@ def test_powers_within_the_term_bound_expand():
         parse_polynomial("(x+y+z)^44", R)
     assert len(parse_polynomial("(x+1)^100", R).terms) == 101
     assert parse_polynomial("0^5", R).is_zero()
+
+
+def test_power_with_too_many_coefficient_bits_is_refused_at_the_exponent():
+    # single-term bases pass the term bound at once; over Q their
+    # coefficients still grow with the exponent
+    R = make_ring(["x", "y", "z"], "Q", "grevlex")
+    start = time.perf_counter()
+    for text, col in (("2^1000000000", 3), ("(3*x)^99999999999", 7), ("(x^2+y*z)^999", 11)):
+        with pytest.raises(ParseError, match="coefficient bits, more than") as info:
+            parse_polynomial(text, R)
+        assert info.value.col == col
+    assert time.perf_counter() - start < 1.0
+    assert parse_polynomial("x^1000000", R) == R.variable("x") ** 1000000
+    assert parse_polynomial("2^200000", R).leading_coefficient() == 2**200000 <= 2**MAX_POWER_BITS
+    assert len(parse_polynomial("(x+2*y+3*z)^43", R).terms) == 990
+
+
+def test_prime_field_powers_have_no_coefficient_bound():
+    F = make_ring(["x"], "F31", "grevlex")
+    p = parse_polynomial("(3*x)^99999999999", F)
+    assert p.leading_coefficient() == pow(3, 99999999999, 31)
