@@ -125,15 +125,6 @@ def _cmd_gorenstein(session, args, opts):
     )
 
 
-def _cmd_link(session, args, opts):
-    base = session.lookup_ideal(args[0])
-    first = session.lookup_ideal(args[1])
-    linked = link(base, first)
-    gens = _ideal_strings(linked)
-    text = [f"link({args[0]}, {args[1]}):"] + ["  " + g for g in gens]
-    return CommandResult({"generators": gens}, text)
-
-
 def _cmd_verify_triple(session, args, opts):
     triple = LinkedTriple(
         session.lookup_ideal(args[0]),
@@ -200,7 +191,7 @@ _COMMANDS = {
     "gorenstein": (_cmd_gorenstein, 2, "IDEAL POINT"),
     "mu": (_cmd_mu, 2, "IDEAL POINT"),
     "lci": (_cmd_lci, 2, "IDEAL POINT"),
-    "link": (_cmd_link, 2, "IDEAL IDEAL"),
+    "link": (_binary_ideal_command(link, "link"), 2, "IDEAL IDEAL"),
     "verify-triple": (_cmd_verify_triple, 3, "IDEAL IDEAL IDEAL"),
     "doubling": (_cmd_doubling, 2, "IDEAL IDEAL"),
     "classify": (_cmd_classify, 2, "DLINE DLINE"),

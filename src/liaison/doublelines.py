@@ -26,7 +26,7 @@ from dataclasses import dataclass, field as dc_field
 from .ideals import Ideal, hilbert_data, ideal_equal, ideal_intersect
 from .linalg import kernel_basis, solve
 from .localrings import RationalPoint, local_ci_test
-from .polynomials import Polynomial, substitute
+from .polynomials import Polynomial
 
 
 class ClassificationDiscrepancy(RuntimeError):
@@ -240,30 +240,38 @@ def classify_meeting_pair(L1, L2):
     )
 
 
+def _nonvanishing_member(base, kernel, quadratic, field):
+    """A point of base + span(kernel) where quadratic is nonzero, or None.
+
+    quadratic has degree <= 2 in each kernel coordinate, so a nonzero value
+    exists iff one exists on the {0, 1, 2}-grid of coordinates.
+    """
+    samples = [field.normalize(v) for v in (0, 1, 2)]
+    for values in itertools.product(samples, repeat=len(kernel)):
+        vec = list(base)
+        for t, kv in zip(values, kernel):
+            vec = [field.add(x, field.mul(t, k)) for x, k in zip(vec, kv)]
+        if quadratic(vec) != field.zero:
+            return vec
+    return None
+
+
 def _pm_extension_ideal(ring, support, N):
-    """The rational span of the squared eigenforms of a traceless N, as an
-    ideal: the D-eigenspace (D = -det N) of q -> q(s_N) on quadrics in the
-    support variables."""
+    """The span of the squared eigenforms l+^2, l-^2 of a traceless N with
+    nonzero determinant, as an ideal, built without the eigenforms (which
+    need not be rational; the span is).
+
+    On quadrics c0*v1^2 + c1*v1*v2 + c2*v2^2 (coordinates in the pencil
+    (v2, v1)) it is the kernel of the row phi = (-n12, n11, n21).  The
+    product l+*l- = n21*v1^2 - 2*n11*v1*v2 - n12*v2^2 vanishes exactly where
+    N*v is parallel to v, and phi is the SL2-invariant pairing with it.
+    Pairing with l^2 evaluates at the zero of l, so phi kills l+^2 and l-^2.
+    phi is also the oracle's phi for this Y, with p1^2 - p0*p2 = -det N.
+    """
     field = ring.field
-    v1n, v2n = (ring.variables[k] for k in support)
-    v1, v2 = Polynomial.variable(ring, v1n), Polynomial.variable(ring, v2n)
-    (n11, n21), (n12, n22) = (N[0][0], N[1][0]), (N[0][1], N[1][1])
-    image1 = v1.scale(n11) + v2.scale(n12)
-    image2 = v1.scale(n21) + v2.scale(n22)
-    assignment = {name: Polynomial.variable(ring, name) for name in ring.variables}
-    assignment[v1n] = image1
-    assignment[v2n] = image2
-    # quadrics as binary forms in the pencil (v2, v1): v1^2, v1*v2, v2^2
+    (n11, n12), (n21, _n22) = N
     pencil = (support[1], support[0])
-    rows = [
-        binary_coefficients(substitute(q, assignment, ring=ring), pencil, 2)
-        for q in (v1 * v1, v1 * v2, v2 * v2)
-    ]
-    det = field.sub(field.mul(N[0][0], N[1][1]), field.mul(N[0][1], N[1][0]))
-    D = field.neg(det)
-    # matrix of the action on coordinate vectors is rows^T; eigenvectors for D
-    mat = [[field.sub(rows[l][k], D if k == l else field.zero) for l in range(3)] for k in range(3)]
-    kernel = kernel_basis(mat, 3, field)
+    kernel = kernel_basis([[field.neg(n12), n11, n21]], 3, field)
     return Ideal(ring, [binary_form(ring, pencil, vec) for vec in kernel])
 
 
@@ -306,11 +314,11 @@ def classify_same_support_pair(L1, L2):
     Proportional form pairs define the same double line: linked.  Otherwise
     the pair is linked iff the degrees agree and (a2, b2) = (a1, b1) * N for
     a constant traceless matrix N with nonzero determinant; the witness
-    extension Y is the span of the squared eigenforms of N, built
-    rationally.  Y is verified on the spot by a certificate for the colon
-    identities (Y : I1) = I2 and (Y : I2) = I1, computing no colon (see
-    _witness_links_by_certificate; for constructor-made lines it holds
-    exactly when the identities do).  A failed verification is a hard
+    extension Y is the span of the squared eigenforms of N, in closed form
+    (see _pm_extension_ideal).  Y is verified on the spot by a certificate
+    for the colon identities (Y : I1) = I2 and (Y : I2) = I1, computing no
+    colon (see _witness_links_by_certificate; for constructor-made lines it
+    holds exactly when the identities do).  A failed verification is a hard
     error, never a silent answer.
     """
     if support_relation(L1, L2) != "equal":
@@ -348,21 +356,7 @@ def classify_same_support_pair(L1, L2):
     def determinant(vec):
         return field.sub(field.mul(vec[0], vec[3]), field.mul(vec[1], vec[2]))
 
-    witness_vec = None
-    if not kernel:
-        if determinant(particular) != field.zero:
-            witness_vec = particular
-    else:
-        # det restricted to the solution family has degree <= 2 per
-        # parameter, so a 3-value grid finds a nonzero value iff one exists
-        samples = [field.normalize(v) for v in (0, 1, 2)]
-        for values in itertools.product(samples, repeat=len(kernel)):
-            vec = list(particular)
-            for t, kv in zip(values, kernel):
-                vec = [field.add(x, field.mul(t, k)) for x, k in zip(vec, kv)]
-            if determinant(vec) != field.zero:
-                witness_vec = vec
-                break
+    witness_vec = _nonvanishing_member(particular, kernel, determinant, field)
     if witness_vec is None:
         return ClassificationVerdict(
             False, "not_linked", witness={"failed": "every traceless solution is singular"}
@@ -436,17 +430,14 @@ def oracle_lal(L1, L2):
         products = (a1 * a2, a1 * b2 + b1 * a2, b1 * b2)
         columns = [binary_coefficients(q, L1.pencil, degree) for q in products]
         kernel = kernel_basis(list(zip(*columns)), 3, field)
-        # p1^2 - p0*p2 (the dual quadric's discriminant, not the quadric's
-        # p1^2 - 4*p0*p2) has degree <= 2 per kernel coordinate, so a
-        # 3-value grid finds a nonzero value iff one exists
-        samples = [field.normalize(v) for v in (0, 1, 2)]
-        for values in itertools.product(samples, repeat=len(kernel)):
-            phi = [field.zero] * 3
-            for t, kv in zip(values, kernel):
-                phi = [field.add(p, field.mul(t, k)) for p, k in zip(phi, kv)]
+
+        def discriminant(phi):
+            # the dual quadric's p1^2 - p0*p2, not the quadric's p1^2 - 4*p0*p2
             p0, p1, p2 = phi
-            if field.mul(p1, p1) != field.mul(p0, p2):
-                return "lal", []
+            return field.sub(field.mul(p1, p1), field.mul(p0, p2))
+
+        if _nonvanishing_member([field.zero] * 3, kernel, discriminant, field) is not None:
+            return "lal", []
         return "not_lal", []
     if not (lci_along_support(L1) and lci_along_support(L2)):
         return "not_lal", []

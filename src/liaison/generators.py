@@ -11,7 +11,7 @@ from .doublelines import (
     binary_form,
     binary_forms_have_common_zero,
 )
-from .ideals import Ideal, hilbert_data, ideal_colon, ideal_equal
+from .ideals import Ideal, hilbert_data
 from .linkage import LinkedTriple
 from .polynomials import Polynomial
 
@@ -164,10 +164,12 @@ def random_ci_linked_triple(ring, rng, max_degree=3):
     """A random linked triple: a complete intersection base inside a random
     complete intersection, linked both ways.  None when the draw degenerates.
 
-    The base is (u1, u2) with u_i random form combinations of the outer
-    generators (f1, f2), so containment is automatic; the links are
-    base : outer and base : (base : outer), which always satisfy the colon
-    symmetry when proper.
+    The outer ideal A = (f1, f2) and the base B = (u1, u2), u = C*f with
+    C = (c_ij) a matrix of forms, so B lies in A.  When both are complete
+    intersections of codimension 2 the links are closed-form:
+    B : A = B + (det C) and B : (B : A) = A (Peskine-Szpiro 1974; Migliore
+    1998, ch. 5).  So the triple is (B, A, B + (det C)), computed with no
+    colon; it is None when det C is a unit, i.e. B = A.
     """
     n = ring.nvars
     e1 = rng.randint(1, 2)
@@ -178,6 +180,7 @@ def random_ci_linked_triple(ring, rng, max_degree=3):
     if hilbert_data(outer).krull_dimension != n - 2:
         return None
     base_gens = []
+    rows = []
     for _ in range(2):
         d = rng.randint(max(e1, e2), max_degree)
         c1 = random_form_dense(ring, d - e1, rng, allow_zero=True)
@@ -186,20 +189,15 @@ def random_ci_linked_triple(ring, rng, max_degree=3):
         if u.is_zero():
             return None
         base_gens.append(u)
+        rows.append((c1, c2))
     base = Ideal(ring, base_gens)
-    hb = hilbert_data(base)
-    if hb.krull_dimension != n - 2:
+    if hilbert_data(base).krull_dimension != n - 2:
         return None
-    second = ideal_colon(base, outer)
+    (c11, c12), (c21, c22) = rows
+    second = Ideal.from_groebner(Ideal(ring, [*base_gens, c11 * c22 - c12 * c21]).groebner())
     if second.is_unit():
         return None
-    first = ideal_colon(base, second)
-    if first.is_unit():
-        return None
-    triple = LinkedTriple(base, first, second)
-    if not ideal_equal(ideal_colon(base, first), second):
-        return None
-    return triple
+    return LinkedTriple(base, Ideal.from_groebner(outer.groebner()), second)
 
 
 def random_form_dense(ring, degree, rng, allow_zero=False):

@@ -18,7 +18,16 @@ multiplication matrices of R/base (see localrings).
 
 from dataclasses import dataclass, field as dc_field
 
-from .ideals import Ideal, _trim, hilbert_data, ideal_colon, ideal_equal, is_zero_dimensional
+from .ideals import (
+    Ideal,
+    _poly1_shift,
+    _poly1_sub,
+    _trim,
+    hilbert_data,
+    ideal_colon,
+    ideal_equal,
+    is_zero_dimensional,
+)
 from .localrings import (
     RationalPoint,
     artinian_reduce,
@@ -130,9 +139,7 @@ def _linked_by_certificate(triple, seed):
     s = len(h_base) - 1
     if len(h_first) - 1 > s:
         return False
-    predicted = list(h_base)
-    for k, c in enumerate(h_first):
-        predicted[s - k] -= c
+    predicted = _poly1_sub(h_base, _poly1_shift(h_first[::-1], s - (len(h_first) - 1)))
     return (
         tuple(_trim(predicted)) == h_second
         and all(base.contains(p * q) for p in first.gens for q in second.gens)

@@ -18,11 +18,12 @@ certificate compares Hilbert series, otherwise it is the colon (I : h) = I.
 
 import random
 from dataclasses import dataclass
-from itertools import zip_longest
 
 from .groebner import buchberger, normal_form
 from .ideals import (
     Ideal,
+    _poly1_shift,
+    _poly1_sub,
     _trim,
     hilbert_data,
     ideal_colon,
@@ -261,9 +262,8 @@ def _hilbert_certifies(h, I, cut):
     ideal).
     """
     numerator = hilbert_data(I).numerator
-    shifted = (0,) * h.total_degree() + numerator
-    expected = tuple(a - b for a, b in zip_longest(numerator, shifted, fillvalue=0))
-    return _trim(expected) == _trim(hilbert_data(cut).numerator)
+    expected = _poly1_sub(numerator, _poly1_shift(numerator, h.total_degree()))
+    return _trim(expected) == _trim(list(hilbert_data(cut).numerator))
 
 
 def regular_cut(h, I):

@@ -1,3 +1,4 @@
+import itertools
 import random
 import sys
 
@@ -31,6 +32,8 @@ from liaison.generators import (
     random_meeting_instance,
     random_same_support_instance,
 )
+from liaison.linalg import kernel_basis
+from liaison.polynomials import Polynomial, substitute
 
 
 @pytest.fixture
@@ -299,6 +302,49 @@ def test_oracle_mode_standalone(P3):
     assert v.lal and v.oracle_verdict == "lal"
     bad = classify(_line(P3, (0, 1), 2 * u, z), _line(P3, (0, 2), u, y), mode="oracle", seed=9)
     assert not bad.lal and bad.oracle_verdict == "not_lal"
+
+
+def _eigenspace_pencil(ring, support, N):
+    """The reference construction of the same-support witness: the
+    D-eigenspace (D = -det N) of q -> q(N*v) on quadrics in the support
+    variables, spanned by the squared eigenforms of a traceless N."""
+    field = ring.field
+    v1n, v2n = (ring.variables[k] for k in support)
+    v1, v2 = Polynomial.variable(ring, v1n), Polynomial.variable(ring, v2n)
+    (n11, n12), (n21, n22) = N
+    assignment = {name: Polynomial.variable(ring, name) for name in ring.variables}
+    assignment[v1n] = v1.scale(n11) + v2.scale(n12)
+    assignment[v2n] = v1.scale(n21) + v2.scale(n22)
+    # quadrics as binary forms in the pencil (v2, v1): v1^2, v1*v2, v2^2
+    pencil = (support[1], support[0])
+    rows = [
+        binary_coefficients(substitute(q, assignment, ring=ring), pencil, 2)
+        for q in (v1 * v1, v1 * v2, v2 * v2)
+    ]
+    D = field.sub(field.mul(n12, n21), field.mul(n11, n22))
+    # the action on coordinate vectors is rows^T; its eigenvectors for D
+    mat = [[field.sub(rows[l][k], D if k == l else field.zero) for l in range(3)] for k in range(3)]
+    return Ideal(ring, [binary_form(ring, pencil, vec) for vec in kernel_basis(mat, 3, field)])
+
+
+@pytest.mark.parametrize("field", ["F5", "F31", "Q"])
+def test_closed_form_pencil_matches_the_eigenspace(field):
+    # every nonsingular traceless N with entries from a small pool
+    R = make_ring(["x", "y", "z", "u"], field, "grevlex")
+    F = R.field
+    pool = [F.normalize(k) for k in range(-2, 3)]
+    cases = 0
+    for support in ((0, 1), (1, 0), (0, 2), (2, 3)):
+        for n11, n12, n21 in itertools.product(pool, repeat=3):
+            N = [[n11, n12], [n21, F.neg(n11)]]
+            if F.add(F.mul(n11, n11), F.mul(n12, n21)) == F.zero:
+                continue
+            Y = doublelines._pm_extension_ideal(R, support, N)
+            assert len(Y.gens) == 2
+            reference = _eigenspace_pencil(R, support, N)
+            assert Y.groebner().elements == reference.groebner().elements, (support, N)
+            cases += 1
+    assert cases >= 300
 
 
 def test_oracle_decides_same_support(P3):

@@ -1,4 +1,5 @@
 import random
+import sys
 
 import pytest
 
@@ -283,6 +284,28 @@ def test_link_involution_randomized():
             assert ideal_equal(link(triple.base, triple.first), triple.second)
             assert ideal_equal(link(triple.base, triple.second), triple.first)
             count += 1
+
+
+def test_generated_triples_make_no_colon(monkeypatch):
+    # the links of a CI inside a CI are closed-form (B + (det C) and A);
+    # test_link_involution_randomized checks them against link
+    calls = []
+
+    def counting(I, J):
+        calls.append((I, J))
+        return ideal_colon(I, J)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("liaison") and hasattr(module, "ideal_colon"):
+            monkeypatch.setattr(module, "ideal_colon", counting)
+    rng = random.Random(71)
+    made = 0
+    for names in (["x1", "x2"], ["x", "y", "z"], ["x", "y", "z", "u"]):
+        R = make_ring(names, "F31", "grevlex")
+        for _ in range(10):
+            made += random_ci_linked_triple(R, rng) is not None
+    assert made >= 10
+    assert calls == []
 
 
 def _count_colons(monkeypatch):
