@@ -3,8 +3,11 @@
 Normal-strategy pair selection with Gebauer-Moeller pruning (the systematic
 form of Buchberger's product and chain criteria); the result is the reduced
 Groebner basis, the unique canonical representative of the ideal for the
-ring's order.  Normal forms modulo such a basis decide ideal membership and
-give the local minimal generator count (see localrings.local_mu).
+ring's order.  Pairs wait in a heap under the lcm of their leading
+monomials, computed once; a pair pruned meanwhile is skipped when popped.
+S-polynomials are built from the held monic terms and that lcm.  Normal
+forms modulo such a basis decide ideal membership and give the local
+minimal generator count (see localrings.local_mu).
 """
 
 from heapq import heapify, heappop, heappush
@@ -107,45 +110,67 @@ def normal_form(f, basis):
     raise TypeError("normal_form expects a GroebnerBasis")
 
 
-def s_polynomial(f, g):
-    lmf, lcf = f.leading_term()
-    lmg, lcg = g.leading_term()
-    lcm = mono_lcm(lmf, lmg)
+def _s_poly(a, b, l):
+    """(l/lm_f)*f - (l/lm_g)*g for held monic entries a = (lm_f, 1, f) and
+    b = (lm_g, 1, g), l = lcm(lm_f, lm_g); the leading terms cancel and are skipped."""
+    lmf, _, f = a
+    lmg, _, g = b
     field = f.ring.field
-    a = f.mul_term(field.inv(lcf), mono_div(lcm, lmf))
-    b = g.mul_term(field.inv(lcg), mono_div(lcm, lmg))
-    return a - b
+    zero, neg, sub = field.zero, field.neg, field.sub
+    qf, qg = mono_div(l, lmf), mono_div(l, lmg)
+    out = {mono_mul(e, qf): c for e, c in f.terms.items() if e != lmf}
+    for e, c in g.terms.items():
+        if e == lmg:
+            continue
+        target = mono_mul(e, qg)
+        acc = out.get(target)
+        if acc is None:
+            out[target] = neg(c)
+        else:
+            acc = sub(acc, c)
+            if acc == zero:
+                del out[target]
+            else:
+                out[target] = acc
+    return Polynomial(f.ring, out)
 
 
-def _update_pairs(lms, P, new_index, key, use_criteria):
-    """Gebauer-Moeller update of the pair set after appending generator new_index."""
-    lcm = mono_lcm
+def s_polynomial(f, g):
+    """S-polynomial lcm/lt(f)*f - lcm/lt(g)*g of two nonzero polynomials."""
+    f._check_ring(g)
+    a, b = ((*h.leading_term(), h) for h in (f.monic(), g.monic()))
+    return _s_poly(a, b, mono_lcm(a[0], b[0]))
+
+
+def _update_pairs(lms, P, heap, key, use_criteria):
+    """Gebauer-Moeller update of the pair dict P (pair -> lcm) after appending
+    generator lms[-1]; each new pair is also pushed on the heap by its rank."""
+    new_index = len(lms) - 1
     lmf = lms[new_index]
-    if not use_criteria:
-        return P | {(i, new_index) for i in range(new_index)}
-    # prune old pairs strictly dominated by the new generator
-    kept = set()
-    for i, j in P:
-        l = lcm(lms[i], lms[j])
-        if (
-            not mono_divides(lmf, l)
-            or lcm(lms[i], lmf) == l
-            or lcm(lms[j], lmf) == l
-        ):
-            kept.add((i, j))
-    # group candidate new pairs by lcm, keep a minimal, non-product pair per lcm
-    by_lcm = {}
-    for i in range(new_index):
-        by_lcm.setdefault(lcm(lms[i], lmf), []).append(i)
-    minimal = []
-    for l in sorted(by_lcm, key=key):
-        if all(not mono_divides(m, l) for m in minimal):
-            minimal.append(l)
-    for l in minimal:
-        coprime = any(lcm(lms[i], lmf) == mono_mul(lms[i], lmf) for i in by_lcm[l])
-        if not coprime:
-            kept.add((min(by_lcm[l]), new_index))
-    return kept
+    # lcm(lms[i], lmf), computed once per old generator
+    lcms = [mono_lcm(lm, lmf) for lm in lms[:new_index]]
+    new = enumerate(lcms)
+    if use_criteria:
+        # prune old pairs strictly dominated by the new generator
+        for (i, j), l in list(P.items()):
+            if mono_divides(lmf, l) and lcms[i] != l and lcms[j] != l:
+                del P[i, j]
+        # group candidate new pairs by lcm, keep a minimal, non-product pair per lcm
+        by_lcm = {}
+        for i, l in enumerate(lcms):
+            by_lcm.setdefault(l, []).append(i)
+        minimal = []
+        for l in sorted(by_lcm, key=key):
+            if all(not mono_divides(m, l) for m in minimal):
+                minimal.append(l)
+        new = [
+            (by_lcm[l][0], l)
+            for l in minimal
+            if all(l != mono_mul(lms[i], lmf) for i in by_lcm[l])
+        ]
+    for i, l in new:
+        P[i, new_index] = l
+        heappush(heap, (sum(l), key(l), i, new_index))
 
 
 def _minimalize(entries, key):
@@ -191,26 +216,24 @@ def buchberger(gens, *, use_criteria=True):
 
     G = []  # (lm, lc, poly) of each monic element, kept from when it is appended
     lms = []
-    P = set()
+    P = {}  # live pair (i, j) -> lcm of lms[i] and lms[j]
+    heap = []  # (degree, key of the lcm, i, j) of every pair made; pruned ones are skipped
     for f in gens:
         f = f.monic()
         G.append((*f.leading_term(), f))
         lms.append(G[-1][0])
-        P = _update_pairs(lms, P, len(G) - 1, key, use_criteria)
+        _update_pairs(lms, P, heap, key, use_criteria)
 
-    def pair_rank(pair):
-        i, j = pair
-        l = mono_lcm(lms[i], lms[j])
-        return (sum(l), key(l), i, j)
-
-    while P:
-        i, j = min(P, key=pair_rank)
-        P.remove((i, j))
-        r = _reduce(s_polynomial(G[i][2], G[j][2]), G)
+    while heap:
+        i, j = heappop(heap)[2:]
+        l = P.pop((i, j), None)
+        if l is None:
+            continue
+        r = _reduce(_s_poly(G[i], G[j], l), G)
         if not r.is_zero():
             r = r.monic()
             G.append((*r.leading_term(), r))
             lms.append(G[-1][0])
-            P = _update_pairs(lms, P, len(G) - 1, key, use_criteria)
+            _update_pairs(lms, P, heap, key, use_criteria)
 
     return GroebnerBasis(ring, _interreduce(_minimalize(G, key)))

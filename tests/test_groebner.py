@@ -1,15 +1,25 @@
 import random
+import sys
+from pathlib import Path
 
 import pytest
 
+import liaison.groebner
 from liaison import (
     Ideal,
+    MonomialOrder,
     Polynomial,
     buchberger,
+    double_line_ideal,
+    ideal_colon,
+    ideal_intersect,
     make_ring,
     normal_form,
+    parse_session,
 )
 from liaison.groebner import s_polynomial
+
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 
 def _random_poly(ring, rng, max_terms=3, max_exp=2):
@@ -109,9 +119,8 @@ def test_reduced_basis_canonical_under_permutation():
         assert G1.elements == G2.elements
 
 
-def test_criteria_are_safe_pruning():
-    rng = random.Random(37)
-    R = make_ring(["x", "y", "z"], "F31", "grevlex")
+def _assert_criteria_safe(R, seed):
+    rng = random.Random(seed)
     for _ in range(15):
         gens = [p for p in (_random_poly(R, rng) for _ in range(3)) if not p.is_zero()]
         if not gens:
@@ -119,6 +128,20 @@ def test_criteria_are_safe_pruning():
         with_criteria = buchberger(gens, use_criteria=True)
         without = buchberger(gens, use_criteria=False)
         assert with_criteria.elements == without.elements
+
+
+def test_criteria_are_safe_pruning():
+    _assert_criteria_safe(make_ring(["x", "y", "z"], "F31", "grevlex"), 37)
+
+
+@pytest.mark.parametrize(
+    "field, order",
+    [("Q", "lex"), ("F31", MonomialOrder("block", 1))],
+    ids=["lex-Q", "block1-F31"],
+)
+def test_criteria_are_safe_pruning_in_other_orders(field, order):
+    # block(1) is the order ideal_intersect eliminates in
+    _assert_criteria_safe(make_ring(["x", "y", "z"], field, order), 43)
 
 
 def test_basis_elements_lie_in_ideal():
@@ -147,6 +170,92 @@ def test_spoly_reduces_to_zero_for_basis():
         for j in range(i + 1, len(G.elements)):
             s = s_polynomial(G.elements[i], G.elements[j])
             assert normal_form(s, G).is_zero()
+
+
+def _textbook_s_polynomial(f, g):
+    """lcm/lt(f)*f - lcm/lt(g)*g, from the definition."""
+    ring, field = f.ring, f.ring.field
+    (lmf, lcf), (lmg, lcg) = f.leading_term(), g.leading_term()
+    lcm = tuple(max(a, b) for a, b in zip(lmf, lmg))
+    mf = Polynomial.monomial(ring, [a - b for a, b in zip(lcm, lmf)], field.inv(lcf))
+    mg = Polynomial.monomial(ring, [a - b for a, b in zip(lcm, lmg)], field.inv(lcg))
+    return mf * f - mg * g
+
+
+@pytest.mark.parametrize("field", ["Q", "F31"])
+def test_s_polynomial_matches_the_textbook_formula(field):
+    rng = random.Random(47)
+    R = make_ring(["x", "y", "z"], field, "grevlex")
+    checked = 0
+    for _ in range(60):
+        f, g = _random_poly(R, rng, max_terms=4), _random_poly(R, rng, max_terms=4)
+        if f.is_zero() or g.is_zero():
+            continue
+        # leading coefficients 2, 3, -5 or 7, never one
+        f, g = (h.monic().scale(rng.choice([2, 3, -5, 7])) for h in (f, g))
+        expected = _textbook_s_polynomial(f, g)
+        assert s_polynomial(f, g) == expected
+        assert s_polynomial(f.monic(), g.monic()) == expected
+        lcm = tuple(max(a, b) for a, b in zip(f.leading_monomial(), g.leading_monomial()))
+        assert lcm not in expected.terms
+        checked += 1
+    assert checked > 40
+
+
+def _seeded_gens(R, seed, count):
+    rng = random.Random(seed)
+    return [p for p in (_random_poly(R, rng, max_terms=4) for _ in range(count)) if not p.is_zero()]
+
+
+# S-pairs reduced under normal selection with Gebauer-Moeller pruning, as
+# counted with a plain pair set scanned by min: the pair queue must match it
+PINNED_PAIR_COUNTS = {
+    "Y": 0,  # (x^2, y^2): the product criterion prunes the only pair
+    "meeting I1 cap I2": 26,
+    "Y : I1": 58,
+    "grevlex F31": 18,
+    "block F31": 37,
+    "block F31, no criteria": 253,
+}
+
+
+def test_pair_work_is_pinned(monkeypatch):
+    # Selected and pruned pairs are fixed by normal selection and the
+    # Gebauer-Moeller criteria: a pair queue that reduced a pruned pair or
+    # picked in another order would change these counts.
+    calls = []
+    real = liaison.groebner._reduce
+
+    def counting(f, reducers):
+        # one call per S-pair comes from buchberger's own frame; the final
+        # interreduction and normal_form are not counted
+        if sys._getframe(1).f_code is buchberger.__code__:
+            calls.append(f)
+        return real(f, reducers)
+
+    def pairs_reduced(compute):
+        calls.clear()
+        compute()
+        return len(calls)
+
+    monkeypatch.setattr(liaison.groebner, "_reduce", counting)
+    session = parse_session((FIXTURES / "double_lines.session").read_text())
+    I1 = double_line_ideal(session.dlines["M1"])
+    I2 = double_line_ideal(session.dlines["M2"])
+    Y, J1 = session.ideals["Y"], session.ideals["I1"]
+    grevlex = make_ring(["x", "y", "z", "u"], "F31", "grevlex")
+    block = make_ring(["t", "x", "y", "z"], "F31", MonomialOrder("block", 1))
+    counts = {
+        "Y": pairs_reduced(lambda: buchberger(Y.gens)),
+        "meeting I1 cap I2": pairs_reduced(lambda: ideal_intersect(I1, I2)),
+        "Y : I1": pairs_reduced(lambda: ideal_colon(Y, J1)),
+        "grevlex F31": pairs_reduced(lambda: buchberger(_seeded_gens(grevlex, 53, 4))),
+        "block F31": pairs_reduced(lambda: buchberger(_seeded_gens(block, 61, 4))),
+        "block F31, no criteria": pairs_reduced(
+            lambda: buchberger(_seeded_gens(block, 61, 4), use_criteria=False)
+        ),
+    }
+    assert counts == PINNED_PAIR_COUNTS
 
 
 def test_mixed_rings_rejected():
