@@ -23,7 +23,7 @@ generated meeting campaigns.
 import itertools
 from dataclasses import dataclass, field as dc_field
 
-from .ideals import Ideal, hilbert_data, ideal_equal, ideal_intersect
+from .ideals import Ideal, hilbert_data, ideal_equal, ideal_intersect, is_zero_dimensional
 from .linalg import kernel_basis, solve
 from .localrings import RationalPoint, local_ci_test
 from .polynomials import Polynomial
@@ -388,13 +388,15 @@ def lci_along_support(line):
     where both vanish every generator lies in m*(v1, v2) + (v1, v2)^2 and
     the ideal needs four.
     So the certificate is that the scheme (f, g, v1, v2) is empty, read off
-    its Groebner basis rather than the constructor's Euclid gcd.  Degree-0
-    forms give the unit ideal, whose Krull dimension is -1, not 0.
+    the leading terms of its reduced Groebner basis rather than the
+    constructor's Euclid gcd: a homogeneous ideal has no projective zero iff
+    its quotient is finite-dimensional (is_zero_dimensional, which also
+    accepts the unit ideal that degree-0 forms give).
     """
     ring = line.ring
     v1, v2 = (Polynomial.variable(ring, ring.variables[k]) for k in line.support)
     f, g = line.forms
-    return hilbert_data(Ideal(ring, [f, g, v1, v2])).projective_dimension < 0
+    return is_zero_dimensional(Ideal(ring, [f, g, v1, v2]).groebner())
 
 
 def oracle_lal(L1, L2):

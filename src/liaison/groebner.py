@@ -11,6 +11,7 @@ minimal generator count (see localrings.local_mu).
 """
 
 from heapq import heapify, heappop, heappush
+from operator import le
 
 from .polynomials import Polynomial, mono_div, mono_divides, mono_lcm, mono_mul
 
@@ -144,29 +145,38 @@ def s_polynomial(f, g):
 
 def _update_pairs(lms, P, heap, key, use_criteria):
     """Gebauer-Moeller update of the pair dict P (pair -> lcm) after appending
-    generator lms[-1]; each new pair is also pushed on the heap by its rank."""
+    generator lms[-1]; each new pair is also pushed on the heap by its rank.
+
+    Old pairs whose lcm the new leading monomial strictly divides are found
+    in one pass and deleted after it.  lcm(a, b) = a*b exactly when their
+    degrees add up, so the product criterion compares degrees.
+    """
     new_index = len(lms) - 1
     lmf = lms[new_index]
     # lcm(lms[i], lmf), computed once per old generator
     lcms = [mono_lcm(lm, lmf) for lm in lms[:new_index]]
     new = enumerate(lcms)
     if use_criteria:
-        # prune old pairs strictly dominated by the new generator
-        for (i, j), l in list(P.items()):
-            if mono_divides(lmf, l) and lcms[i] != l and lcms[j] != l:
-                del P[i, j]
+        doomed = [
+            ij
+            for ij, l in P.items()
+            if lcms[ij[0]] != l and lcms[ij[1]] != l and all(map(le, lmf, l))
+        ]
+        for ij in doomed:
+            del P[ij]
         # group candidate new pairs by lcm, keep a minimal, non-product pair per lcm
         by_lcm = {}
         for i, l in enumerate(lcms):
             by_lcm.setdefault(l, []).append(i)
         minimal = []
         for l in sorted(by_lcm, key=key):
-            if all(not mono_divides(m, l) for m in minimal):
+            if not any(all(map(le, m, l)) for m in minimal):
                 minimal.append(l)
+        degree = sum(lmf)
         new = [
             (by_lcm[l][0], l)
             for l in minimal
-            if all(l != mono_mul(lms[i], lmf) for i in by_lcm[l])
+            if all(sum(lms[i]) + degree != sum(l) for i in by_lcm[l])
         ]
     for i, l in new:
         P[i, new_index] = l

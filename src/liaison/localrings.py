@@ -114,32 +114,35 @@ def vanishes_at(I, point):
 def translate_to_origin(I, point):
     """Affine chart ideal of I with the point moved to the origin.
 
-    Projective points: the chart variable is set to 1 and dropped from the
-    ring; the remaining variables are shifted by the point's coordinates.
-    Affine points: a plain shift in the same ring.
+    Projective points need a homogeneous I: each form is dehomogenized by
+    dropping its exponent of the chart variable (set to 1 and removed from
+    the ring), which keeps its terms apart, as a form's degree fixes that
+    exponent.  Affine points keep the ring.  The remaining variables are
+    then shifted by the point's coordinates, unless all of them are zero.
     """
     ring = I.ring
     if not vanishes_at(I, point):
         raise ValueError(f"point {point} is not on the zero set of the ideal")
-    if point.is_affine:
+    target, gens, coords = ring, I.gens, point.coordinates
+    if not point.is_affine:
+        if not I.is_homogeneous():
+            raise ValueError(f"projective point {point} needs a homogeneous ideal")
+        chart = point.chart
+        names = [v for i, v in enumerate(ring.variables) if i != chart]
+        order = ring.order if ring.order.kind in ("lex", "grevlex") else None
+        target = make_ring(names, ring.field, order or "grevlex")
+        gens = [
+            Polynomial(target, {e[:chart] + e[chart + 1 :]: c for e, c in g.terms.items()})
+            for g in gens
+        ]
+        coords = coords[:chart] + coords[chart + 1 :]
+    if any(c != ring.field.zero for c in coords):
         assignment = {
-            name: Polynomial.variable(ring, name) + Polynomial.constant(ring, c)
-            for name, c in zip(ring.variables, point.coordinates)
+            name: Polynomial.variable(target, name) + Polynomial.constant(target, c)
+            for name, c in zip(target.variables, coords)
         }
-        return Ideal(ring, [substitute(g, assignment, ring=ring) for g in I.gens])
-    chart = point.chart
-    names = [v for i, v in enumerate(ring.variables) if i != chart]
-    order = ring.order if ring.order.kind in ("lex", "grevlex") else None
-    target = make_ring(names, ring.field, order or "grevlex")
-    assignment = {}
-    for i, name in enumerate(ring.variables):
-        if i == chart:
-            assignment[name] = Polynomial.constant(target, 1)
-        else:
-            assignment[name] = Polynomial.variable(target, name) + Polynomial.constant(
-                target, point.coordinates[i]
-            )
-    return Ideal(target, [substitute(g, assignment, ring=target) for g in I.gens])
+        gens = [substitute(g, assignment, ring=target) for g in gens]
+    return Ideal(target, gens)
 
 
 def local_mu(I):
@@ -351,10 +354,10 @@ def local_ci_test(I, point, seed=0, compute_gorenstein=True):
     local_mu); lci means mu equals the local codimension.  For homogeneous I
     that is the number of variables minus the Krull dimension of R/I (read
     off its held Hilbert data), which assumes I is pure-dimensional.
-    Non-homogeneous I is taken to be a curve: the chart's variables minus
-    one.  The Gorenstein verdict is filled via Artinian reduction by
-    certified-regular slices; when no certified slice is found the verdict
-    is None with an explanatory note (never guessed).
+    Non-homogeneous I (affine points only) is taken to be a curve: the
+    chart's variables minus one.  The Gorenstein verdict comes from
+    Artinian reduction by certified-regular slices; without a certified
+    slice it is None with an explanatory note (never guessed).
     """
     J = translate_to_origin(I, point)
     mu = local_mu(J)

@@ -202,6 +202,35 @@ def test_intersect_saturate_link_hilbert_localize():
     assert run_cli(base, "localize", "I1", "P").returncode == 0
 
 
+@pytest.mark.parametrize(
+    "point, generators",
+    [
+        ("P", ["x*z + y", "x^2", "x*y", "y^2"]),
+        ("S", ["x*z + x + y", "x^2", "x*y", "y^2"]),
+    ],
+)
+def test_localize_prints_chart_generators(point, generators):
+    # the chart variable u is dropped; at S = (0:0:1:1) z is also shifted
+    proc = run_cli(str(FIXTURES / "double_lines.session"), "localize", "I1", point, "--json")
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout)["result"]
+    assert result == {"chart_ring": "Q[x,y,z] grevlex", "generators": generators}
+
+
+@pytest.mark.parametrize("command", ["lci", "mu", "gorenstein", "localize"])
+def test_inhomogeneous_ideal_at_projective_point_exits_two(tmp_path, command):
+    # x + y^2 is a hypersurface, not a curve: no chart ideal, no verdict
+    session = tmp_path / "inhomogeneous.session"
+    session.write_text(
+        "ring Q[x,y,z,u] order grevlex\n"
+        "ideal I = x + y^2\n"
+        "point P = (0:0:0:1)\n"
+    )
+    proc = run_cli(str(session), command, "I", "P")
+    assert proc.returncode == 2
+    assert "homogeneous" in proc.stderr
+
+
 def test_gorenstein_inconclusive_exits_three(tmp_path):
     session = tmp_path / "allateral.session"
     session.write_text(

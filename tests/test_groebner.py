@@ -16,6 +16,7 @@ from liaison import (
     make_ring,
     normal_form,
     parse_session,
+    translate_to_origin,
 )
 from liaison.groebner import s_polynomial
 
@@ -216,6 +217,9 @@ PINNED_PAIR_COUNTS = {
     "grevlex F31": 18,
     "block F31": 37,
     "block F31, no criteria": 253,
+    # local_mu's basis of m*U, U the union I1 cap I2 moved from P to the origin
+    "local mu M1/M2 at P": 21,
+    "local mu V1/V2 at P": 15,
 }
 
 
@@ -238,8 +242,18 @@ def test_pair_work_is_pinned(monkeypatch):
         compute()
         return len(calls)
 
-    monkeypatch.setattr(liaison.groebner, "_reduce", counting)
     session = parse_session((FIXTURES / "double_lines.session").read_text())
+
+    def local_mu_basis(a, b):
+        # the products v*g whose basis local_mu builds at the meeting point
+        U = ideal_intersect(*(double_line_ideal(session.dlines[name]) for name in (a, b)))
+        J = translate_to_origin(U, session.points["P"])
+        products = list(dict.fromkeys(v * g for v in J.ring.gens() for g in J.gens))
+        return lambda: buchberger(products)
+
+    meeting_products = local_mu_basis("M1", "M2")
+    violating_products = local_mu_basis("V1", "V2")
+    monkeypatch.setattr(liaison.groebner, "_reduce", counting)
     I1 = double_line_ideal(session.dlines["M1"])
     I2 = double_line_ideal(session.dlines["M2"])
     Y, J1 = session.ideals["Y"], session.ideals["I1"]
@@ -254,6 +268,8 @@ def test_pair_work_is_pinned(monkeypatch):
         "block F31, no criteria": pairs_reduced(
             lambda: buchberger(_seeded_gens(block, 61, 4), use_criteria=False)
         ),
+        "local mu M1/M2 at P": pairs_reduced(meeting_products),
+        "local mu V1/V2 at P": pairs_reduced(violating_products),
     }
     assert counts == PINNED_PAIR_COUNTS
 

@@ -12,6 +12,7 @@ from liaison import (
     ideal_equal,
     local_ci_test,
     local_mu,
+    MonomialOrder,
     make_ring,
     substitute,
     translate_to_origin,
@@ -60,6 +61,89 @@ def test_translate_point_off_variety_rejected(A3):
     x, *_ = A3.gens()
     with pytest.raises(ValueError):
         translate_to_origin(Ideal(A3, [x - 1]), RationalPoint.affine(A3, [0, 0, 0]))
+
+
+def test_translate_rejects_inhomogeneous_ideal_at_projective_point(P3):
+    # x + y^2 is a hypersurface; dehomogenizing it as if it were a form
+    # would merge terms, and local_ci_test would take it for a curve
+    x, y, z, u = P3.gens()
+    I = Ideal(P3, [x + y**2])
+    p = RationalPoint.projective(P3, [0, 0, 0, 1])
+    with pytest.raises(ValueError, match="homogeneous"):
+        translate_to_origin(I, p)
+    with pytest.raises(ValueError, match="homogeneous"):
+        local_ci_test(I, p)
+    # an affine point keeps the ring, so the ideal need not be homogeneous
+    J = translate_to_origin(I, RationalPoint.affine(P3, [0, 0, 0, 1]))
+    assert J.gens == (x + y**2,)
+
+
+def _substitution_translate(I, point):
+    """The translation by a full substitution into the chart ring: the
+    reference the exponent-map translation must reproduce."""
+    ring = I.ring
+    if point.is_affine:
+        assignment = {
+            name: Polynomial.variable(ring, name) + Polynomial.constant(ring, c)
+            for name, c in zip(ring.variables, point.coordinates)
+        }
+        return Ideal(ring, [substitute(g, assignment, ring=ring) for g in I.gens])
+    chart = point.chart
+    names = [v for i, v in enumerate(ring.variables) if i != chart]
+    order = ring.order if ring.order.kind in ("lex", "grevlex") else None
+    target = make_ring(names, ring.field, order or "grevlex")
+    assignment = {}
+    for i, name in enumerate(ring.variables):
+        if i == chart:
+            assignment[name] = Polynomial.constant(target, 1)
+        else:
+            assignment[name] = Polynomial.variable(target, name) + Polynomial.constant(
+                target, point.coordinates[i]
+            )
+    return Ideal(target, [substitute(g, assignment, ring=target) for g in I.gens])
+
+
+@pytest.mark.parametrize("field", ["Q", "F31"])
+@pytest.mark.parametrize("order", ["grevlex", "lex", "block1"])
+def test_translate_matches_substitution_reference(field, order):
+    R = make_ring(
+        ["x", "y", "z", "u"], field, MonomialOrder("block", 1) if order == "block1" else order
+    )
+    rng = random.Random(71)
+    points = [
+        RationalPoint.projective(R, [0, 0, 0, 1]),  # vertex: nothing to shift
+        RationalPoint.projective(R, [0, 0, 1, 1]),
+        RationalPoint.projective(R, [1, -2, 0, 3]),
+        RationalPoint.projective(R, [2, 1, 0, 0]),  # chart y, not the last variable
+        RationalPoint.affine(R, [0, 0, 0, 0]),
+        RationalPoint.affine(R, [1, -2, 0, 3]),
+    ]
+    x = R.gens()
+    checked = 0
+    for point in points:
+        p = point.coordinates
+        if point.is_affine:
+            vanishing = [x[i] - Polynomial.constant(R, p[i]) for i in range(4)]
+        else:
+            # the 2x2 minors p_j*x_i - p_i*x_j: forms vanishing at the point
+            vanishing = [
+                x[i].scale(p[j]) - x[j].scale(p[i]) for i, j in itertools.combinations(range(4), 2)
+            ]
+            vanishing = [m for m in vanishing if not m.is_zero()]
+        for _ in range(4):
+            gens = [
+                m * random_form_dense(R, rng.randint(0, 2), rng)
+                for m in rng.sample(vanishing, min(3, len(vanishing)))
+            ]
+            I = Ideal(R, gens)
+            if not I.gens:
+                continue
+            J, expected = translate_to_origin(I, point), _substitution_translate(I, point)
+            assert J.ring == expected.ring
+            assert J.gens == expected.gens
+            assert [str(g) for g in J.gens] == [str(g) for g in expected.gens]
+            checked += 1
+    assert checked == 4 * len(points)
 
 
 def test_local_mu_examples(A3):
