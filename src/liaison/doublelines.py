@@ -25,7 +25,7 @@ from dataclasses import dataclass, field as dc_field
 
 from .ideals import Ideal, hilbert_data, ideal_equal, ideal_intersect, is_zero_dimensional
 from .linalg import kernel_basis, solve
-from .localrings import RationalPoint, local_ci_test
+from .localrings import LocalPointReport, RationalPoint, local_mu, translate_to_origin
 from .polynomials import Polynomial
 
 
@@ -405,8 +405,9 @@ def oracle_lal(L1, L2):
     Meeting or disjoint supports: both lines must be lci along their
     supports (lci_along_support, exact).  Away from the meeting point the
     union U = I1 cap I2 is locally a single double line, so that decides
-    every point but the meeting point, which gets one local test of U (mu
-    only, no Gorenstein verdict).  Disjoint supports need no local test.
+    every point but the meeting point.  There U is lci iff its local
+    minimal generator count mu is 2, its codimension; the report carries mu
+    and no Gorenstein verdict.  Disjoint supports need no local test.
 
     Equal supports: exact, over the complete intersections Y of two
     quadrics in the support variables (v1, v2), the classifier's witness
@@ -452,7 +453,12 @@ def oracle_lal(L1, L2):
     meet_coords = [field.zero] * 4
     meet_coords[free] = field.one
     meeting = RationalPoint.projective(L1.ring, meet_coords)
-    report = local_ci_test(U, meeting, compute_gorenstein=False)
+    mu = local_mu(translate_to_origin(U, meeting))
+    # U has codimension 2: each I_i lies between (v1, v2)^2 and (v1, v2) of
+    # its support line, so both lines, and so their union, have codimension 2
+    report = LocalPointReport(
+        mu=mu, codim=2, lci=(mu == 2), point=meeting, note="gorenstein not requested"
+    )
     return ("lal" if report.lci else "not_lal"), [report]
 
 

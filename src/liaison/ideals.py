@@ -281,19 +281,19 @@ def standard_monomials(gb):
 # -- Hilbert series ----------------------------------------------------------
 
 
-def _poly1_sub(a, b):
-    n = max(len(a), len(b))
-    return [(a[i] if i < len(a) else 0) - (b[i] if i < len(b) else 0) for i in range(n)]
-
-
-def _poly1_shift(a, k):
-    return [0] * k + list(a)
-
-
 def _trim(a):
     while a and a[-1] == 0:
         a = a[:-1]
     return a
+
+
+def sub_shifted(a, b, k):
+    """a(t) - t^k * b(t) without trailing zeros, k >= 0; polynomials in t
+    are coefficient sequences, constant term first."""
+    out = list(a) + [0] * (k + len(b) - len(a))
+    for i, c in enumerate(b, start=k):
+        out[i] -= c
+    return _trim(out)
 
 
 def _numerator(mingens):
@@ -312,7 +312,7 @@ def _numerator(mingens):
     head = _numerator(rest)
     colon = minimal_monomial_generators([mono_div(g, mono_gcd(g, m)) for g in rest])
     tail = _numerator(colon)
-    return _trim(_poly1_sub(head, _poly1_shift(tail, sum(m))))
+    return sub_shifted(head, tail, sum(m))
 
 
 def _divide_by_one_minus_t(coeffs):
@@ -365,7 +365,6 @@ def _hilbert_data(I):
     n = I.ring.nvars
     mingens = leading_term_ideal(gb)
     numer = _numerator(mingens)
-    numer = _trim(numer)
     if not numer:
         # unit ideal: empty scheme
         return HilbertData(-1, -2, 0, (0,))

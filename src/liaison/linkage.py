@@ -20,13 +20,11 @@ from dataclasses import dataclass, field as dc_field
 
 from .ideals import (
     Ideal,
-    _poly1_shift,
-    _poly1_sub,
-    _trim,
     hilbert_data,
     ideal_colon,
     ideal_equal,
     is_zero_dimensional,
+    sub_shifted,
 )
 from .localrings import (
     RationalPoint,
@@ -139,9 +137,9 @@ def _linked_by_certificate(triple, seed):
     s = len(h_base) - 1
     if len(h_first) - 1 > s:
         return False
-    predicted = _poly1_sub(h_base, _poly1_shift(h_first[::-1], s - (len(h_first) - 1)))
+    predicted = sub_shifted(h_base, h_first[::-1], s - (len(h_first) - 1))
     return (
-        tuple(_trim(predicted)) == h_second
+        tuple(predicted) == h_second
         and all(base.contains(p * q) for p in first.gens for q in second.gens)
         and artinian_reduce(first, seed=seed)[0] is not None
     )

@@ -14,6 +14,8 @@ there and some variable is invertible on every other component.
 Gorenstein-ness of a positive-dimensional local ring is decided after
 cutting by certified-regular linear forms: for homogeneous input the
 certificate compares Hilbert series, otherwise it is the colon (I : h) = I.
+The local complete-intersection test reads the codimension off the Hilbert
+data of a homogeneous ideal, its one source; other input is refused.
 """
 
 import random
@@ -22,15 +24,13 @@ from dataclasses import dataclass
 from .groebner import buchberger, normal_form
 from .ideals import (
     Ideal,
-    _poly1_shift,
-    _poly1_sub,
-    _trim,
     hilbert_data,
     ideal_colon,
     ideal_equal,
     ideal_sum,
     is_zero_dimensional,
     standard_monomials,
+    sub_shifted,
 )
 from .linalg import mat_pow, rank, rref
 from .polynomials import Polynomial, substitute
@@ -260,13 +260,13 @@ def _hilbert_certifies(h, I, cut):
 
     From 0 -> ((I : h)/I)(-e) -> (R/I)(-e) -> R/I -> R/cut -> 0 (the middle
     map is multiplication by h), the two sides differ by
-    t^e * HS((I : h)/I), which is zero iff (I : h) = I.  Numerators are
-    compared without trailing zeros (hilbert_data stores (0,) for the unit
-    ideal).
+    t^e * HS((I : h)/I), which is zero iff (I : h) = I.  The sides are
+    compared by their trimmed difference, which also reads the unit ideal's
+    stored numerator (0,) as zero.
     """
     numerator = hilbert_data(I).numerator
-    expected = _poly1_sub(numerator, _poly1_shift(numerator, h.total_degree()))
-    return _trim(expected) == _trim(list(hilbert_data(cut).numerator))
+    expected = sub_shifted(numerator, numerator, h.total_degree())
+    return not sub_shifted(hilbert_data(cut).numerator, expected, 0)
 
 
 def regular_cut(h, I):
@@ -347,28 +347,24 @@ def local_gorenstein(I, seed=0):
     return None if Q is None else artinian_invariants(Q)
 
 
-def local_ci_test(I, point, seed=0, compute_gorenstein=True):
-    """Local complete-intersection test at a rational point.
+def local_ci_test(I, point, seed=0):
+    """Local complete-intersection test at a rational point, with the
+    Gorenstein verdict there.
 
-    mu = dim_k(I/mI) after translating the point to the origin (see
-    local_mu); lci means mu equals the local codimension.  For homogeneous I
-    that is the number of variables minus the Krull dimension of R/I (read
-    off its held Hilbert data), which assumes I is pure-dimensional.
-    Non-homogeneous I (affine points only) is taken to be a curve: the
-    chart's variables minus one.  The Gorenstein verdict comes from
-    Artinian reduction by certified-regular slices; without a certified
-    slice it is None with an explanatory note (never guessed).
+    I must be homogeneous, else ValueError: the local codimension is the
+    number of variables minus the Krull dimension of R/I, read off its held
+    Hilbert data, which assumes I is pure-dimensional.  mu = dim_k(I/mI)
+    after translating the point to the origin (see local_mu); lci means mu
+    equals the codimension.  The Gorenstein verdict comes from Artinian
+    reduction by certified-regular slices; without a certified slice it is
+    None with an explanatory note (never guessed).
     """
+    if not I.is_homogeneous():
+        raise ValueError("local_ci_test needs a homogeneous ideal")
     J = translate_to_origin(I, point)
     mu = local_mu(J)
-    if I.is_homogeneous():
-        codim = I.ring.nvars - hilbert_data(I).krull_dimension
-    else:
-        codim = J.ring.nvars - 1
+    codim = I.ring.nvars - hilbert_data(I).krull_dimension
     report = LocalPointReport(mu=mu, codim=codim, lci=(mu == codim), point=point)
-    if not compute_gorenstein:
-        report.note = "gorenstein not requested"
-        return report
     invariants = local_gorenstein(J, seed=seed)
     if invariants is None:
         report.note = "inconclusive: no certified-regular slice found within budget"

@@ -188,16 +188,6 @@ class Polynomial:
             return Polynomial(self.ring, {})
         return Polynomial(self.ring, {e: field.mul(k, c) for e, k in self.terms.items()})
 
-    def mul_term(self, coeff, expo):
-        """Multiply by coeff * x^expo (coeff a field element, expo a tuple)."""
-        field = self.ring.field
-        if coeff == field.zero:
-            return Polynomial(self.ring, {})
-        out = {}
-        for e, c in self.terms.items():
-            out[tuple(a + b for a, b in zip(e, expo))] = field.mul(c, coeff)
-        return Polynomial(self.ring, out)
-
     def __pow__(self, n):
         if not isinstance(n, int) or n < 0:
             raise ValueError("exponent must be a non-negative integer")

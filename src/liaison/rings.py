@@ -20,14 +20,8 @@ class RationalField:
     """The rationals; elements are Fraction values in lowest terms."""
 
     characteristic = 0
-
-    @property
-    def zero(self):
-        return Fraction(0)
-
-    @property
-    def one(self):
-        return Fraction(1)
+    zero = Fraction(0)
+    one = Fraction(1)
 
     def normalize(self, value):
         if isinstance(value, Fraction):
@@ -89,24 +83,16 @@ def _is_prime(n):
 class PrimeField:
     """GF(p) for an odd prime p; elements are least non-negative residues."""
 
+    zero = 0
+    one = 1
+
     def __init__(self, p):
         if not isinstance(p, int) or not _is_prime(p):
             raise ValueError(f"{p!r} is not prime")
         if p == 2:
             raise ValueError("characteristic 2 is excluded")
         self.p = p
-
-    @property
-    def characteristic(self):
-        return self.p
-
-    @property
-    def zero(self):
-        return 0
-
-    @property
-    def one(self):
-        return 1
+        self.characteristic = p
 
     def normalize(self, value):
         if isinstance(value, int):

@@ -96,6 +96,16 @@ class _Cursor:
     def at_end(self):
         return self.peek().kind == "end"
 
+    def keyword(self, word):
+        tok = self.expect("name", f"'{word}'")
+        if tok.text != word:
+            raise ParseError(f"expected '{word}', found {tok.text!r}", tok.line, tok.col)
+
+    def finish(self):
+        if not self.at_end():
+            tok = self.peek()
+            raise ParseError(f"trailing input {tok.text!r}", tok.line, tok.col)
+
 
 def _parse_number(cur, field):
     sign = 1
@@ -214,13 +224,11 @@ def _parse_atom(cur, ring):
     )
 
 
-def parse_polynomial(text, ring, line_no=1):
+def parse_polynomial(text, ring):
     """Parse one polynomial expression in the ring."""
-    cur = _Cursor(_tokenize_line(text, line_no))
+    cur = _Cursor(_tokenize_line(text, 1))
     poly = _parse_expression(cur, ring)
-    if not cur.at_end():
-        tok = cur.peek()
-        raise ParseError(f"trailing input {tok.text!r}", tok.line, tok.col)
+    cur.finish()
     return poly
 
 
@@ -257,9 +265,7 @@ def _parse_ring_line(cur, line_no):
     cur.expect("]", "']'")
     order = "grevlex"
     if not cur.at_end():
-        kw = cur.expect("name", "'order'")
-        if kw.text != "order":
-            raise ParseError(f"expected 'order', found {kw.text!r}", kw.line, kw.col)
+        cur.keyword("order")
         order_tok = cur.expect("name", "an order name")
         order = order_tok.text
         if order == "block":
@@ -295,9 +301,7 @@ def parse_session(text):
             if session.ring is not None:
                 raise ParseError("a session declares a single ring", head.line, head.col)
             session.ring = _parse_ring_line(cur, line_no)
-            if not cur.at_end():
-                tok = cur.peek()
-                raise ParseError(f"trailing input {tok.text!r}", tok.line, tok.col)
+            cur.finish()
             continue
         if session.ring is None:
             raise ParseError("the ring must be declared first", head.line, head.col)
@@ -308,21 +312,15 @@ def parse_session(text):
             while cur.peek().kind == ",":
                 cur.next()
                 gens.append(_parse_expression(cur, session.ring))
-            if not cur.at_end():
-                tok = cur.peek()
-                raise ParseError(f"trailing input {tok.text!r}", tok.line, tok.col)
+            cur.finish()
             session.ideals[name] = Ideal(session.ring, gens)
         elif head.text == "dline":
             name = _require_unique(session, cur.expect("name", "a double line name"))
-            kw = cur.expect("name", "'support'")
-            if kw.text != "support":
-                raise ParseError(f"expected 'support', found {kw.text!r}", kw.line, kw.col)
+            cur.keyword("support")
             v1 = cur.expect("name", "a support variable")
             cur.expect(",", "','")
             v2 = cur.expect("name", "a support variable")
-            kw = cur.expect("name", "'pair'")
-            if kw.text != "pair":
-                raise ParseError(f"expected 'pair', found {kw.text!r}", kw.line, kw.col)
+            cur.keyword("pair")
             cur.expect("(", "'('")
             f = _parse_expression(cur, session.ring)
             cur.expect(",", "','")

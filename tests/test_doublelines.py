@@ -15,7 +15,9 @@ from liaison import (
     hilbert_data,
     ideal_colon,
     ideal_equal,
+    ideal_intersect,
     link,
+    local_ci_test,
     make_ring,
     oracle_lal,
     parse_polynomial,
@@ -431,6 +433,45 @@ def test_small_randomized_agreement_campaign():
             L1, L2 = random_meeting_instance(R, case, rng)
             v = classify(L1, L2, mode="both", seed=rng.randrange(10**6))
             assert v.lal == expected
+
+
+def test_meeting_report_agrees_with_local_ci_test():
+    # the oracle reads mu at the meeting point and takes codimension 2 from
+    # the supports; local_ci_test reads the codimension off Hilbert data
+    rng = random.Random(1604)
+    R = make_ring(["x", "y", "z", "u"], "F31", "grevlex")
+    verdicts = set()
+    for case in ("a", "b_hold", "b_violate", "one_sided") * 10:
+        L1, L2 = random_meeting_instance(R, case, rng)
+        _, (report,) = oracle_lal(L1, L2)
+        U = ideal_intersect(double_line_ideal(L1), double_line_ideal(L2))
+        full = local_ci_test(U, report.point)
+        assert (report.mu, report.codim, report.lci) == (full.mu, full.codim, full.lci)
+        verdicts.add(report.lci)
+    assert verdicts == {True, False}
+
+
+def test_meeting_classification_computes_no_hilbert_data(P3, monkeypatch):
+    from liaison import ideals
+
+    calls = []
+    original = ideals._hilbert_data
+
+    def counting(I):
+        calls.append(I)
+        return original(I)
+
+    monkeypatch.setattr(ideals, "_hilbert_data", counting)
+    x, y, z, u = P3.gens()
+    pairs = [
+        (_line(P3, (0, 1), z, u), _line(P3, (0, 2), y, u)),  # both values nonzero
+        (_line(P3, (0, 1), u, z), _line(P3, (0, 2), u, y)),  # tangent identity holds
+        (_line(P3, (0, 1), 2 * u, z), _line(P3, (0, 2), u, y)),  # it fails
+    ]
+    for L1, L2 in pairs:
+        v = classify(L1, L2, mode="both")
+        assert v.oracle_verdict is not None and len(v.point_reports) == 1
+    assert calls == []
 
 
 def _count_colons(monkeypatch):

@@ -65,7 +65,7 @@ def test_translate_point_off_variety_rejected(A3):
 
 def test_translate_rejects_inhomogeneous_ideal_at_projective_point(P3):
     # x + y^2 is a hypersurface; dehomogenizing it as if it were a form
-    # would merge terms, and local_ci_test would take it for a curve
+    # would merge terms
     x, y, z, u = P3.gens()
     I = Ideal(P3, [x + y**2])
     p = RationalPoint.projective(P3, [0, 0, 0, 1])
@@ -316,10 +316,23 @@ def test_lci_implies_gorenstein_on_tested_instances():
     R = make_ring(["x", "y", "z"], "Q", "grevlex")
     x, y, z = R.gens()
     p = RationalPoint.affine(R, [0, 0, 0])
-    for gens in ([x, y], [x + y * z, y + x**2], [x * y, x**2, y**2]):
+    verdicts = []
+    for gens in ([x, y], [x * y, x**2, y**2]):
         report = local_ci_test(Ideal(R, gens), p, seed=2)
+        verdicts.append(report.lci)
         if report.lci:
             assert report.gorenstein is True
+    assert verdicts == [True, False]
+
+
+def test_local_ci_test_refuses_non_homogeneous_input(A3):
+    # the codimension is read off Hilbert data, which needs a homogeneous
+    # ideal; x + y^2 is a smooth surface, not a curve, so no guess is made
+    x, y, z = A3.gens()
+    p = RationalPoint.affine(A3, [0, 0, 0])
+    for gens in ([x + y * z, y + x**2], [x + y**2]):
+        with pytest.raises(ValueError, match="homogeneous"):
+            local_ci_test(Ideal(A3, gens), p)
 
 
 def _sparse_form(ring, degree, rng):
