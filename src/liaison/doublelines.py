@@ -23,7 +23,9 @@ generated meeting campaigns.
 import itertools
 from dataclasses import dataclass, field as dc_field
 
-from .ideals import Ideal, hilbert_data, ideal_equal, ideal_intersect, is_zero_dimensional
+from .ideals import (
+    Ideal, hilbert_data, ideal_equal, ideal_intersect, ideal_product, is_zero_dimensional
+)
 from .linalg import kernel_basis, solve
 from .localrings import LocalPointReport, RationalPoint, local_mu, translate_to_origin
 from .polynomials import Polynomial
@@ -304,7 +306,7 @@ def _witness_links_by_certificate(Y, L1, L2):
     return (
         I1.contains_ideal(Y)
         and I2.contains_ideal(Y)
-        and all(Y.contains(p * q) for p in I1.gens for q in I2.gens)
+        and Y.contains_ideal(ideal_product(I1, I2))
     )
 
 

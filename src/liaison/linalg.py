@@ -28,7 +28,7 @@ def rref(rows, field):
         r += 1
         if r == len(rows):
             break
-    return rows[:r] + [row for row in rows[r:] if any(x != field.zero for x in row)], pivots
+    return rows[:r], pivots
 
 
 def rank(rows, field):

@@ -23,6 +23,7 @@ from .ideals import (
     hilbert_data,
     ideal_colon,
     ideal_equal,
+    ideal_product,
     is_zero_dimensional,
     sub_shifted,
 )
@@ -140,7 +141,7 @@ def _linked_by_certificate(triple, seed):
     predicted = sub_shifted(h_base, h_first[::-1], s - (len(h_first) - 1))
     return (
         tuple(predicted) == h_second
-        and all(base.contains(p * q) for p in first.gens for q in second.gens)
+        and base.contains_ideal(ideal_product(first, second))
         and artinian_reduce(first, seed=seed)[0] is not None
     )
 

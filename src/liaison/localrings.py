@@ -12,8 +12,10 @@ multiplication by the variables, and the origin's component is the common
 kernel of their d-th powers (d = dim_k R/Q), since each variable is nilpotent
 there and some variable is invertible on every other component.
 Gorenstein-ness of a positive-dimensional local ring is decided after
-cutting by certified-regular linear forms: for homogeneous input the
-certificate compares Hilbert series, otherwise it is the colon (I : h) = I.
+cutting by linear forms down to dimension zero: homogeneous input is cut
+by a whole system of parameters at once, certified Cohen-Macaulay by one
+length check (dim_k R/Q = degree), other input one form at a time, each
+certified regular by the colon (I : h) = I.
 The local complete-intersection test reads the codimension off the Hilbert
 data of a homogeneous ideal, its one source; other input is refused.
 """
@@ -30,14 +32,13 @@ from .ideals import (
     ideal_sum,
     is_zero_dimensional,
     standard_monomials,
-    sub_shifted,
 )
 from .linalg import mat_pow, rank, rref
 from .polynomials import Polynomial, substitute
 from .rings import make_ring
 
-# linear forms sampled per slice before a Gorenstein verdict is given up as
-# inconclusive
+# draws before a Gorenstein verdict is given up as inconclusive: tuples of
+# linear forms on homogeneous input, single forms per cut otherwise
 SLICE_BUDGET = 8
 
 
@@ -249,100 +250,66 @@ def socle_dimensions(Q, carriers):
     return tuple(dims)
 
 
-def _colon_certifies(h, I):
-    """h is regular on R/I iff (I : h) = I."""
+def is_regular(h, I):
+    """Whether h is a nonzerodivisor on R/I: (I : h) = I."""
     return ideal_equal(ideal_colon(I, Ideal(I.ring, [h])), I)
 
 
-def _hilbert_certifies(h, I, cut):
-    """For homogeneous I and h of degree e, with cut = I + (h): h is regular
-    on R/I iff N(R/cut) = (1 - t^e) * N(R/I), N the Hilbert numerator.
-
-    From 0 -> ((I : h)/I)(-e) -> (R/I)(-e) -> R/I -> R/cut -> 0 (the middle
-    map is multiplication by h), the two sides differ by
-    t^e * HS((I : h)/I), which is zero iff (I : h) = I.  The sides are
-    compared by their trimmed difference, which also reads the unit ideal's
-    stored numerator (0,) as zero.
-    """
-    numerator = hilbert_data(I).numerator
-    expected = sub_shifted(numerator, numerator, h.total_degree())
-    return not sub_shifted(hilbert_data(cut).numerator, expected, 0)
-
-
-def regular_cut(h, I):
-    """I + (h) when h is a nonzerodivisor on R/I, else None.
-
-    For homogeneous I and h the certificate is the Hilbert series of the
-    returned ideal (see _hilbert_certifies), whose Groebner basis it holds;
-    otherwise it is the colon (I : h) = I.
-    """
-    if h.is_zero():
-        raise ValueError("the zero polynomial is never certified regular")
-    cut = ideal_sum(I, Ideal(I.ring, [h]))
-    if I.is_homogeneous() and h.is_homogeneous():
-        regular = _hilbert_certifies(h, I, cut)
-    else:
-        regular = _colon_certifies(h, I)
-    return cut if regular else None
-
-
-def is_regular(h, I):
-    """Whether h is a nonzerodivisor on R/I: by Hilbert series for
-    homogeneous I and h, by (I : h) = I otherwise (see regular_cut)."""
-    return regular_cut(h, I) is not None
-
-
-def find_regular_linear_form(I, rng):
-    """Rejection-sample a linear form h vanishing at the origin that is
-    certified regular on R/I; returns (h, I + (h)), or None after
-    SLICE_BUDGET samples."""
-    ring = I.ring
-    field = ring.field
-    sample = field.random_sample()
-    variables = ring.gens()
-    for _ in range(SLICE_BUDGET):
-        coeffs = [rng.choice(sample) for _ in variables]
-        h = Polynomial.zero(ring)
-        for c, v in zip(coeffs, variables):
-            h = h + v.scale(c)
-        if h.is_zero():
-            continue
-        cut = regular_cut(h, I)
-        if cut is not None:
-            return h, cut
-    return None
-
-
 def artinian_reduce(I, seed=0):
-    """Cut by certified-regular linear forms until dimension zero.
+    """Cut by random linear forms down to dimension zero.
 
     Returns (Q, forms), Q the sliced ideal as it is (components away from
     the origin included; artinian_invariants reads past them), or
-    (None, forms) when no certified form is found within SLICE_BUDGET
-    samples.  Each cut continues from the ideal its certificate built, so
-    on homogeneous input every accepted form costs one Groebner basis.
+    (None, forms) when no certified Q is found.  A non-None Q certifies R/I
+    Cohen-Macaulay at the origin (when the origin lies on its zero set).
 
-    A non-None Q certifies R/I Cohen-Macaulay at the origin (when the
-    origin lies on its zero set): the forms are a regular sequence in the
-    maximal ideal whose quotient has dimension zero, so they number exactly
-    the local dimension, and depth equals dimension.
+    Homogeneous I of Krull dimension d is cut by d forms h at once: Q = I +
+    (h), one Groebner basis.  A zero-dimensional Q makes h a system of
+    parameters, R/I finite over k[h] of rank deg R/I, and graded R/I is
+    Cohen-Macaulay iff free over k[h] (graded Auslander-Buchsbaum), iff
+    dim_k R/Q = deg R/I; a mismatch returns None.  A Q of positive
+    dimension draws a fresh tuple, up to SLICE_BUDGET tuples.  Other input
+    is cut one form at a time, each certified by is_regular within
+    SLICE_BUDGET draws: a regular sequence with zero-dimensional quotient,
+    so depth equals dimension.
     """
     rng = random.Random(seed)
+    ring = I.ring
+    sample = ring.field.random_sample()
+
+    def draw():
+        return sum((v.scale(rng.choice(sample)) for v in ring.gens()), Polynomial.zero(ring))
+
     forms = []
+    if I.is_homogeneous():
+        data = hilbert_data(I)
+        if data.krull_dimension <= 0:
+            return I, forms
+        for _ in range(SLICE_BUDGET):
+            forms = [draw() for _ in range(data.krull_dimension)]
+            Q = ideal_sum(I, Ideal(ring, forms))
+            gb = Q.groebner()
+            if is_zero_dimensional(gb):
+                return (Q if len(standard_monomials(gb)) == data.degree else None), forms
+        return None, forms
     current = I
     while not is_zero_dimensional(current.groebner()):
-        found = find_regular_linear_form(current, rng)
-        if found is None:
+        for _ in range(SLICE_BUDGET):
+            h = draw()
+            if is_regular(h, current):
+                break
+        else:
             return None, forms
-        h, current = found
         forms.append(h)
+        current = ideal_sum(current, Ideal(ring, [h]))
     return current, forms
 
 
 def local_gorenstein(I, seed=0):
     """(length, socle_dim, gorenstein) of the local ring of I at the origin,
-    read off the Artinian reduction; None when no certified-regular slice is
-    found within the budget (inconclusive, never guessed)."""
+    read off the Artinian reduction; None when artinian_reduce returns no Q
+    (reported as inconclusive, never guessed, also when a length check
+    refuted Cohen-Macaulayness)."""
     Q, _forms = artinian_reduce(I, seed=seed)
     return None if Q is None else artinian_invariants(Q)
 
@@ -356,8 +323,8 @@ def local_ci_test(I, point, seed=0):
     Hilbert data, which assumes I is pure-dimensional.  mu = dim_k(I/mI)
     after translating the point to the origin (see local_mu); lci means mu
     equals the codimension.  The Gorenstein verdict comes from Artinian
-    reduction by certified-regular slices; without a certified slice it is
-    None with an explanatory note (never guessed).
+    reduction (see artinian_reduce); when that certifies no Q it is None
+    with an explanatory note (never guessed).
     """
     if not I.is_homogeneous():
         raise ValueError("local_ci_test needs a homogeneous ideal")

@@ -326,6 +326,7 @@ def parse_session(text):
             cur.expect(",", "','")
             g = _parse_expression(cur, session.ring)
             cur.expect(")", "')'")
+            cur.finish()
             try:
                 support = (session.ring.index(v1.text), session.ring.index(v2.text))
             except ValueError as exc:
@@ -343,6 +344,7 @@ def parse_session(text):
                 cur.next()
                 coords.append(_parse_number(cur, session.ring.field))
             cur.expect(")", "')'")
+            cur.finish()
             if len(coords) != session.ring.nvars:
                 raise ParseError(
                     f"point needs {session.ring.nvars} coordinates, got {len(coords)}",

@@ -72,6 +72,14 @@ def test_parse_error_exits_two(tmp_path):
 
 
 
+def test_trailing_input_after_point_exits_two(tmp_path):
+    bad = tmp_path / "bad.session"
+    bad.write_text("ring Q[x,y,z,u] order grevlex\nideal Y = x^2, y^2\npoint P = (0:0:0:1) junk\n")
+    proc = run_cli(str(bad), "gorenstein", "Y", "P")
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: line 3 col 21: trailing input 'junk'")
+
+
 def test_zero_denominator_mod_p_exits_two(tmp_path):
     bad = tmp_path / "bad.session"
     bad.write_text("ring F3[x,y] order grevlex\nideal I = 1/3*x, y\n")

@@ -18,8 +18,14 @@ from liaison import (
     translate_to_origin,
 )
 from liaison.generators import random_form_dense, random_monomial_ideal
-from liaison.ideals import ideal_intersect, ideal_sum, minimal_monomial_generators
-from liaison.localrings import _colon_certifies, _hilbert_certifies, is_regular, regular_cut
+from liaison.groebner import buchberger
+from liaison.ideals import (
+    ideal_intersect,
+    ideal_sum,
+    is_zero_dimensional,
+    minimal_monomial_generators,
+)
+from liaison.localrings import is_regular
 
 
 @pytest.fixture
@@ -335,35 +341,6 @@ def test_local_ci_test_refuses_non_homogeneous_input(A3):
             local_ci_test(Ideal(A3, gens), p)
 
 
-def _sparse_form(ring, degree, rng):
-    """A form on a random nonempty set of the monomials of a degree, so that
-    zero divisors of monomial ideals come up often."""
-    monomials = sorted(
-        {e for e in itertools.product(range(degree + 1), repeat=ring.nvars) if sum(e) == degree}
-    )
-    chosen = rng.sample(monomials, rng.randint(1, min(3, len(monomials))))
-    return Polynomial.from_dict(ring, {e: rng.randint(1, 30) for e in chosen})
-
-
-def test_regularity_certificates_agree_on_homogeneous_input():
-    # the Hilbert-series certificate and the colon (I : h) = I decide the
-    # same property, for linear and quadratic h, both ways round
-    rng = random.Random(61)
-    R = make_ring(["x", "y", "z"], "F31", "grevlex")
-    verdicts = {1: set(), 2: set()}
-    for _ in range(24):
-        if rng.random() < 0.5:
-            I = random_monomial_ideal(R, rng, max_gens=3, max_exp=2)
-        else:
-            I = Ideal(R, [random_form_dense(R, rng.randint(1, 2), rng) for _ in range(rng.randint(1, 2))])
-        for degree in (1, 2):
-            h = _sparse_form(R, degree, rng)
-            by_colon = _colon_certifies(h, I)
-            assert _hilbert_certifies(h, I, ideal_sum(I, Ideal(R, [h]))) == by_colon
-            verdicts[degree].add(by_colon)
-    assert verdicts == {1: {True, False}, 2: {True, False}}
-
-
 def test_regularity_certificate_edges():
     R = make_ring(["x", "y", "z"], "F31", "grevlex")
     x, y, z = R.gens()
@@ -374,26 +351,83 @@ def test_regularity_certificate_edges():
         (x**2 + y * z, Ideal(R, [x * y, x * z]), True),
         (x, Ideal.zero(R), True),
         (x * y, Ideal.zero(R), True),
-        # hilbert_data stores the unit ideal's numerator as (0,)
         (x, Ideal(R, [R.one()]), True),
         (z**2, Ideal(R, [x**2, y**2]), True),
     ]
     for h, I, regular in cases:
-        assert _colon_certifies(h, I) is regular
-        assert _hilbert_certifies(h, I, ideal_sum(I, Ideal(R, [h]))) is regular
         assert is_regular(h, I) is regular
     with pytest.raises(ValueError):
         is_regular(Polynomial.zero(R), Ideal(R, [x]))
 
 
-def test_regular_cut_holds_its_basis():
-    R = make_ring(["x", "y", "z"], "F31", "grevlex")
-    x, y, z = R.gens()
-    I = Ideal(R, [x**2, y**2])
-    cut = regular_cut(z, I)
-    assert cut is not None and cut._gb is not None and cut._hilbert is not None
-    assert ideal_equal(cut, Ideal(R, [x**2, y**2, z]))
-    assert regular_cut(x, I) is None
+def _reduce_one_cut_at_a_time(I, seed):
+    """Reference for artinian_reduce: the invariants after cutting by linear
+    forms certified regular one at a time by the colon, or None when 8 draws
+    give no regular form."""
+    rng = random.Random(seed)
+    R = I.ring
+    sample = R.field.random_sample()
+    current = I
+    while not is_zero_dimensional(current.groebner()):
+        for _ in range(8):
+            h = sum((v.scale(rng.choice(sample)) for v in R.gens()), Polynomial.zero(R))
+            if is_regular(h, current):
+                break
+        else:
+            return None
+        current = ideal_sum(current, Ideal(R, [h]))
+    return artinian_invariants(current)
+
+
+def _random_homogeneous_ideal(R, rng):
+    kind = rng.randrange(3)
+    if kind == 0:
+        return random_monomial_ideal(R, rng, max_gens=3, max_exp=2)
+    if kind == 1:
+        return Ideal(R, [random_form_dense(R, rng.randint(1, 2), rng) for _ in range(rng.randint(1, 2))])
+    # two random linear spaces, or a linear space and a hypersurface section
+    A = Ideal(R, [random_form_dense(R, 1, rng) for _ in range(rng.randint(1, R.nvars - 2))])
+    B = Ideal(R, [random_form_dense(R, rng.randint(1, 2), rng) for _ in range(2)])
+    return ideal_intersect(A, B)
+
+
+def test_graded_length_certificate_agrees_with_regular_cuts():
+    # the one length check on a whole system of parameters gives the same
+    # verdict and invariants as cutting by certified-regular forms one at a
+    # time, on Cohen-Macaulay and non-Cohen-Macaulay ideals over F31 and Q
+    rng = random.Random(71)
+    for R, count in (
+        (make_ring(["x", "y", "z"], "F31", "grevlex"), 14),
+        (make_ring(["x", "y", "z", "u"], "F31", "grevlex"), 14),
+        (make_ring(["x", "y", "z", "u"], "Q", "grevlex"), 10),
+    ):
+        cohen_macaulay = set()
+        for seed in range(count):
+            I = _random_homogeneous_ideal(R, rng)
+            expected = _reduce_one_cut_at_a_time(I, seed)
+            Q, forms = artinian_reduce(I, seed=seed)
+            assert (None if Q is None else artinian_invariants(Q)) == expected, (R, I)
+            cohen_macaulay.add(expected is not None)
+        assert cohen_macaulay == {True, False}, R
+
+
+def test_graded_reduction_takes_one_basis_beyond_its_input(monkeypatch):
+    from liaison import ideals
+
+    R = make_ring(["x", "y", "z", "u"], "F31", "grevlex")
+    x, y, z, u = R.gens()
+    I = Ideal(R, [x**2, y * z - x * u])
+    I.groebner()
+    calls = []
+
+    def counted(gens, *args, **kwargs):
+        calls.append(gens)
+        return buchberger(gens, *args, **kwargs)
+
+    monkeypatch.setattr(ideals, "buchberger", counted)
+    Q, forms = artinian_reduce(I, seed=5)
+    assert Q is not None and len(forms) == 2
+    assert len(calls) == 1
 
 
 def _count_colons(monkeypatch):

@@ -47,6 +47,16 @@ def test_parse_dline_and_point():
     assert s.points["P"].chart == 3
 
 
+def test_dline_and_point_reject_trailing_input():
+    for line, junk, col in (
+        ("dline L support x,y pair (z, u) extra", "extra", 33),
+        ("point P = (0:0:0:1) junk", "junk", 21),
+    ):
+        with pytest.raises(ParseError, match=f"trailing input '{junk}'") as info:
+            parse_session("ring Q[x,y,z,u] order grevlex\n" + line + "\n")
+        assert (info.value.line, info.value.col) == (2, col)
+
+
 def test_parse_rational_coefficients():
     s = parse_session("ring Q[x] order lex\nideal I = 1/2*x + 3\n")
     from fractions import Fraction
