@@ -95,7 +95,7 @@ def _cmd_lci(session, args, opts):
     I = session.lookup_ideal(args[0])
     p = session.lookup_point(args[1])
     report = local_ci_test(I, p, seed=opts.seed)
-    code = EXIT_OK if report.lci else EXIT_FALSE
+    code = {True: EXIT_OK, False: EXIT_FALSE, None: EXIT_INCONCLUSIVE}[report.lci]
     text = [
         f"point {p}: mu = {report.mu}, codim = {report.codim}, "
         f"lci = {report.lci}, gorenstein = {report.gorenstein}"
@@ -109,8 +109,9 @@ def _cmd_gorenstein(session, args, opts):
     invariants = local_gorenstein(translate_to_origin(I, p), seed=opts.seed)
     if invariants is None:
         return CommandResult(
-            {"gorenstein": None, "note": "no certified-regular slice found"},
-            [f"point {p}: inconclusive (no certified-regular slice found)"],
+            {"gorenstein": None, "note": "no certified Artinian reduction"},
+            [f"point {p}: inconclusive (no certified Artinian reduction: "
+             "slice budget spent or length check failed)"],
             exit_code=EXIT_INCONCLUSIVE,
             points_tested=[p],
         )

@@ -36,25 +36,6 @@ def rank(rows, field):
     return len(pivots)
 
 
-def mat_mul(a, b, field):
-    """Product of two matrices given as lists of rows."""
-    columns = list(zip(*b))
-    normalize = field.normalize
-    return [[normalize(sum(x * y for x, y in zip(row, col))) for col in columns] for row in a]
-
-
-def mat_pow(m, k, field):
-    """m**k for a square matrix m and k >= 1, by repeated squaring."""
-    result = None
-    while True:
-        if k & 1:
-            result = m if result is None else mat_mul(result, m, field)
-        k >>= 1
-        if not k:
-            return result
-        m = mat_mul(m, m, field)
-
-
 def kernel_basis(rows, ncols, field):
     """Basis of the right kernel of the matrix (rows of length ncols)."""
     reduced, pivots = rref(rows, field)

@@ -6,18 +6,18 @@ All localization is made computable by translating the point to the origin
 of an affine chart.  The local minimal generator count is dim_k(I/mI), m the
 ideal of the origin (Nakayama), read off from normal forms modulo a Groebner
 basis of mI.  The Artinian invariants of a zero-dimensional Q are linear
-algebra on R/Q in its basis of standard monomials, with no primary
-decomposition: the socle is the common kernel of the matrices of
-multiplication by the variables, and the origin's component is the common
-kernel of their d-th powers (d = dim_k R/Q), since each variable is nilpotent
-there and some variable is invertible on every other component.
+algebra on the origin's primary component Q + (x_1^d, ..., x_n^d), d =
+dim_k R/Q, in its basis of standard monomials, with no primary
+decomposition: the length is the count of standard monomials, and the socle
+is the common kernel of the matrices of multiplication by the variables.
+A homogeneous Q is its own origin component.
 Gorenstein-ness of a positive-dimensional local ring is decided after
 cutting by linear forms down to dimension zero: homogeneous input is cut
 by a whole system of parameters at once, certified Cohen-Macaulay by one
 length check (dim_k R/Q = degree), other input one form at a time, each
 certified regular by the colon (I : h) = I.
-The local complete-intersection test reads the codimension off the Hilbert
-data of a homogeneous ideal, its one source; other input is refused.
+The local complete-intersection test reads the local codimension off the
+same reduction: the variables of the chart minus the number of cuts.
 """
 
 import random
@@ -33,7 +33,7 @@ from .ideals import (
     is_zero_dimensional,
     standard_monomials,
 )
-from .linalg import mat_pow, rank, rref
+from .linalg import rank, rref
 from .polynomials import Polynomial, substitute
 from .rings import make_ring
 
@@ -88,7 +88,7 @@ class LocalPointReport:
 
     mu: int
     codim: int
-    lci: bool
+    lci: bool | None
     length: int | None = None
     socle_dim: int | None = None
     gorenstein: bool | None = None
@@ -200,16 +200,15 @@ def artinian_invariants(Q):
     """(length, socle_dim, gorenstein) of the local ring of a zero-dimensional
     Q at the origin.
 
-    Linear algebra on R/Q, of dimension d with the standard monomials as
-    basis, where M_i is the matrix of multiplication by x_i.  By the Chinese
-    remainder theorem R/Q is the product of its localizations at the
-    maximal ideals containing Q.  On the origin's factor each x_i is
-    nilpotent, of index at most d; every other maximal ideal misses some
-    x_i, which is then invertible on that factor.  So the socle of the
-    origin's factor is the common kernel of the M_i, socle_dim = d -
-    rank(M_1; ...; M_n), and the origin's factor itself is the common
-    kernel of the M_i^d, length = d - rank(M_1^d; ...; M_n^d): components of
-    Q away from the origin drop out.  gorenstein means socle_dim 1.
+    The local ring is R/Q_0, Q_0 the origin's primary component of Q = Q_0
+    cap Q'.  With d = dim_k R/Q and J = (x_1^d, ..., x_n^d), J lies in Q_0,
+    as each x_i is nilpotent of index at most d on R/Q_0, and J + Q' = R, as
+    V(J) is the origin alone; so Q_0 = Q_0(J + Q') lies in J + Q, which lies
+    in Q_0.  A homogeneous Q has no other component and is Q_0 itself;
+    other Q take one Groebner basis of Q + J.  The length is the number of
+    standard monomials of Q_0, and with M_i the matrix of multiplication by
+    x_i on them, the socle is the common kernel of the M_i: socle_dim =
+    length - rank(M_1; ...; M_n).  gorenstein means socle_dim 1.
     """
     ring = Q.ring
     field = ring.field
@@ -218,11 +217,12 @@ def artinian_invariants(Q):
     gb = Q.groebner()
     if not is_zero_dimensional(gb):
         raise ValueError("artinian_invariants needs a zero-dimensional ideal")
+    if not Q.is_homogeneous():
+        d = len(standard_monomials(gb))
+        gb = Ideal(ring, [*gb.elements, *(v**d for v in ring.gens())]).groebner()
     std = standard_monomials(gb)
-    d = len(std)
-    matrices = _multiplication_matrices(gb, std)
-    socle_dim = d - rank([row for M in matrices for row in M], field)
-    length = d - rank([row for M in matrices for row in mat_pow(M, d, field)], field)
+    length = len(std)
+    socle_dim = length - rank([row for M in _multiplication_matrices(gb, std) for row in M], field)
     return length, socle_dim, socle_dim == 1
 
 
@@ -318,23 +318,30 @@ def local_ci_test(I, point, seed=0):
     """Local complete-intersection test at a rational point, with the
     Gorenstein verdict there.
 
-    I must be homogeneous, else ValueError: the local codimension is the
-    number of variables minus the Krull dimension of R/I, read off its held
-    Hilbert data, which assumes I is pure-dimensional.  mu = dim_k(I/mI)
-    after translating the point to the origin (see local_mu); lci means mu
-    equals the codimension.  The Gorenstein verdict comes from Artinian
-    reduction (see artinian_reduce); when that certifies no Q it is None
-    with an explanatory note (never guessed).
+    I must be homogeneous, else ValueError.  mu = dim_k(I/mI) after
+    translating the point to the origin (see local_mu); lci means mu equals
+    the local codimension.  That codimension, and the Gorenstein verdict,
+    come from Artinian reduction of the chart ideal (see artinian_reduce).
+    A certified Q cuts the chart by a regular sequence down to dimension
+    zero, so every component through the point has dimension len(forms).
+    Without one, the global codimension c (Hilbert data) only bounds the
+    local one from below and mu bounds it from above: lci is True when mu
+    equals c and None otherwise, and the Gorenstein verdict is None, with
+    an explanatory note (never guessed).
     """
     if not I.is_homogeneous():
         raise ValueError("local_ci_test needs a homogeneous ideal")
     J = translate_to_origin(I, point)
     mu = local_mu(J)
-    codim = I.ring.nvars - hilbert_data(I).krull_dimension
+    Q, forms = artinian_reduce(J, seed=seed)
+    if Q is None:
+        codim = I.ring.nvars - hilbert_data(I).krull_dimension
+        return LocalPointReport(
+            mu=mu, codim=codim, lci=(mu == codim) or None, point=point,
+            note="inconclusive: no certified Artinian reduction "
+            "(slice budget spent or length check failed)",
+        )
+    codim = J.ring.nvars - len(forms)
     report = LocalPointReport(mu=mu, codim=codim, lci=(mu == codim), point=point)
-    invariants = local_gorenstein(J, seed=seed)
-    if invariants is None:
-        report.note = "inconclusive: no certified-regular slice found within budget"
-        return report
-    report.length, report.socle_dim, report.gorenstein = invariants
+    report.length, report.socle_dim, report.gorenstein = artinian_invariants(Q)
     return report

@@ -239,6 +239,21 @@ def test_inhomogeneous_ideal_at_projective_point_exits_two(tmp_path, command):
     assert "homogeneous" in proc.stderr
 
 
+def test_lci_without_certified_reduction_exits_three(tmp_path):
+    # a plane and a line; at a point of the line only, mu = 2 exceeds the
+    # global codimension 1, a lower bound, so no verdict is given
+    session = tmp_path / "mixed.session"
+    session.write_text(
+        "ring Q[x,y,z,u] order grevlex\n"
+        "ideal I = x*y, x*z\n"
+        "point P = (1:0:0:1)\n"
+    )
+    proc = run_cli(str(session), "lci", "I", "P", "--json")
+    assert proc.returncode == 3, proc.stderr
+    report = json.loads(proc.stdout)["result"]
+    assert (report["mu"], report["codim"], report["lci"]) == (2, 1, None)
+
+
 def test_gorenstein_inconclusive_exits_three(tmp_path):
     session = tmp_path / "allateral.session"
     session.write_text(

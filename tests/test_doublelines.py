@@ -437,7 +437,7 @@ def test_small_randomized_agreement_campaign():
 
 def test_meeting_report_agrees_with_local_ci_test():
     # the oracle reads mu at the meeting point and takes codimension 2 from
-    # the supports; local_ci_test reads the codimension off Hilbert data
+    # the supports; local_ci_test reads it off the Artinian reduction
     rng = random.Random(1604)
     R = make_ring(["x", "y", "z", "u"], "F31", "grevlex")
     verdicts = set()

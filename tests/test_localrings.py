@@ -332,13 +332,62 @@ def test_lci_implies_gorenstein_on_tested_instances():
 
 
 def test_local_ci_test_refuses_non_homogeneous_input(A3):
-    # the codimension is read off Hilbert data, which needs a homogeneous
-    # ideal; x + y^2 is a smooth surface, not a curve, so no guess is made
+    # without a certified reduction the codimension bound is read off
+    # Hilbert data, which needs a homogeneous ideal; x + y^2 is a smooth
+    # surface, not a curve, so no guess is made
     x, y, z = A3.gens()
     p = RationalPoint.affine(A3, [0, 0, 0])
     for gens in ([x + y * z, y + x**2], [x + y**2]):
         with pytest.raises(ValueError, match="homogeneous"):
             local_ci_test(Ideal(A3, gens), p)
+
+
+def test_lci_codim_is_local_on_mixed_dimensions():
+    # a line and a disjoint plane in P^4: at a point of the line the local
+    # codimension is 3, not the global 2 of the plane
+    R = make_ring(["a", "b", "c", "d", "e"], "F31", "grevlex")
+    a, b, c, d, e = R.gens()
+    I = ideal_intersect(Ideal(R, [a, b, c]), Ideal(R, [d, e]))
+    report = local_ci_test(I, RationalPoint.projective(R, [0, 0, 0, 0, 1]))
+    assert (report.mu, report.codim, report.lci, report.gorenstein) == (3, 3, True, True)
+
+
+def test_lci_without_certified_reduction_is_not_refuted(P3):
+    # the plane x = 0 and the line y = z = 0: at (1:0:0:1), on the line only,
+    # the chart keeps the plane, so no reduction is certified; mu = 2 exceeds
+    # the global codimension 1, which only bounds the local one from below
+    x, y, z, u = P3.gens()
+    report = local_ci_test(Ideal(P3, [x * y, x * z]), RationalPoint.projective(P3, [1, 0, 0, 1]))
+    assert (report.mu, report.codim, report.lci, report.gorenstein) == (2, 1, None, None)
+    assert "inconclusive" in report.note
+
+
+def _count_bases(monkeypatch):
+    from liaison import ideals, localrings
+
+    calls = []
+
+    def counted(gens, *args, **kwargs):
+        calls.append(gens)
+        return buchberger(gens, *args, **kwargs)
+
+    for module in (ideals, localrings):
+        monkeypatch.setattr(module, "buchberger", counted)
+    return calls
+
+
+def test_artinian_invariants_take_at_most_one_basis(monkeypatch):
+    R = make_ring(["x", "y", "z"], "F31", "grevlex")
+    x, y, z = R.gens()
+    graded = Ideal(R, [x**2, y**2, z**2 - x * y])
+    chart = ideal_intersect(Ideal(R, [x**2, y, z**3]), Ideal(R, [x - 1, y - 2, z]))
+    for Q in (graded, chart):
+        Q.groebner()
+    calls = _count_bases(monkeypatch)
+    assert artinian_invariants(graded) == (8, 1, True)
+    assert calls == []
+    assert artinian_invariants(chart) == (6, 1, True)
+    assert len(calls) == 1
 
 
 def test_regularity_certificate_edges():
@@ -412,19 +461,11 @@ def test_graded_length_certificate_agrees_with_regular_cuts():
 
 
 def test_graded_reduction_takes_one_basis_beyond_its_input(monkeypatch):
-    from liaison import ideals
-
     R = make_ring(["x", "y", "z", "u"], "F31", "grevlex")
     x, y, z, u = R.gens()
     I = Ideal(R, [x**2, y * z - x * u])
     I.groebner()
-    calls = []
-
-    def counted(gens, *args, **kwargs):
-        calls.append(gens)
-        return buchberger(gens, *args, **kwargs)
-
-    monkeypatch.setattr(ideals, "buchberger", counted)
+    calls = _count_bases(monkeypatch)
     Q, forms = artinian_reduce(I, seed=5)
     assert Q is not None and len(forms) == 2
     assert len(calls) == 1
