@@ -6,12 +6,13 @@ A triple (base, first, second) is linked when base is contained in both
 links and the colon relations (base : first) = second and (base : second) =
 first hold with all three quotients of equal dimension.  verify_linked_triple
 proves both colon relations by a certificate when the theory allows it:
-R/base Gorenstein and R/first Cohen-Macaulay (both certified by Artinian
-reduction), first*second inside base, and the h-vector of second equal to
-the one linkage predicts (Peskine-Szpiro).  Otherwise it computes the two
-colons.  The dualizing modules of the theory are never materialized; every
-check is phrased in the colon, length, Hilbert-series and socle arithmetic
-the proofs themselves reduce to, so the reports flag themselves as
+R/base Gorenstein and R/first Cohen-Macaulay (both read off the generator
+count of a complete intersection, else certified by Artinian reduction),
+first*second inside base, and the h-vector of second equal to the one
+linkage predicts (Peskine-Szpiro).  Otherwise it computes the two colons.
+The dualizing modules of the theory are never materialized; every check is
+phrased in the colon, length, Hilbert-series and socle arithmetic the
+proofs themselves reduce to, so the reports flag themselves as
 necessary-condition verification.  All socles are read off the
 multiplication matrices of R/base (see localrings).
 """
@@ -30,6 +31,7 @@ from .ideals import (
 from .localrings import (
     RationalPoint,
     artinian_reduce,
+    is_graded_complete_intersection,
     is_regular,
     local_gorenstein,
     socle_dimensions,
@@ -125,13 +127,15 @@ def _linked_by_certificate(triple, seed):
     given R/base Gorenstein and three quotients of equal dimension.  False
     means only "not certified".
 
-    With R/base Gorenstein and R/first Cohen-Macaulay (a completed
-    artinian_reduce) of the same dimension, L = (base : first) is
-    Cohen-Macaulay with h-vector h_base(t) - t^s * h_first(1/t), s = deg
-    h_base, and (base : L) = first (Peskine-Szpiro 1974; Migliore 1998,
-    ch. 5).  base inside second and first*second inside base give second
-    inside L; equal h-vectors in equal dimension give equal Hilbert series,
-    so second = L and both relations hold.
+    With R/base Gorenstein and R/first Cohen-Macaulay of the same
+    dimension, L = (base : first) is Cohen-Macaulay with h-vector
+    h_base(t) - t^s * h_first(1/t), s = deg h_base, and (base : L) = first
+    (Peskine-Szpiro 1974; Migliore 1998, ch. 5).  base inside second and
+    first*second inside base give second inside L; equal h-vectors in equal
+    dimension give equal Hilbert series, so second = L and both relations
+    hold.  R/first is certified Cohen-Macaulay when first is a graded
+    complete intersection (localrings.is_graded_complete_intersection;
+    Bruns-Herzog, Thm 2.1.2), else by a completed artinian_reduce(first).
     """
     base, first, second = triple.ideals()
     h_base, h_first, h_second = (hilbert_data(I).h_vector for I in triple.ideals())
@@ -142,7 +146,10 @@ def _linked_by_certificate(triple, seed):
     return (
         tuple(predicted) == h_second
         and base.contains_ideal(ideal_product(first, second))
-        and artinian_reduce(first, seed=seed)[0] is not None
+        and (
+            is_graded_complete_intersection(first)
+            or artinian_reduce(first, seed=seed)[0] is not None
+        )
     )
 
 

@@ -11,6 +11,8 @@ dim_k R/Q, in its basis of standard monomials, with no primary
 decomposition: the length is the count of standard monomials, and the socle
 is the common kernel of the matrices of multiplication by the variables.
 A homogeneous Q is its own origin component.
+A graded complete intersection is Gorenstein of type 1 with length its
+degree, with no computation beyond its Hilbert data.  Otherwise
 Gorenstein-ness of a positive-dimensional local ring is decided after
 cutting by linear forms down to dimension zero: homogeneous input is cut
 by a whole system of parameters at once, certified Cohen-Macaulay by one
@@ -305,11 +307,30 @@ def artinian_reduce(I, seed=0):
     return current, forms
 
 
+def is_graded_complete_intersection(I):
+    """Whether homogeneous I is generated by codim(I) forms: a graded
+    complete intersection, as c forms generating an ideal of codimension c
+    are a regular sequence (R is Cohen-Macaulay; Bruns-Herzog, Thm 2.1.2).
+    False for other input, the unit ideal, and a complete intersection
+    given with redundant generators."""
+    if not I.is_homogeneous():
+        return False
+    dim = hilbert_data(I).krull_dimension
+    return dim >= 0 and len(I.gens) == I.ring.nvars - dim
+
+
 def local_gorenstein(I, seed=0):
-    """(length, socle_dim, gorenstein) of the local ring of I at the origin,
-    read off the Artinian reduction; None when artinian_reduce returns no Q
-    (reported as inconclusive, never guessed, also when a length check
-    refuted Cohen-Macaulayness)."""
+    """(length, socle_dim, gorenstein) of the local ring of I at the origin.
+
+    A graded complete intersection (is_graded_complete_intersection) is
+    Gorenstein of type 1, Cohen-Macaulay, with length deg R/I after
+    cutting by a system of parameters (Bruns-Herzog, Prop. 3.1.20): that
+    is returned with no reduction.  Other I are read off the Artinian
+    reduction; None when artinian_reduce returns no Q (reported as
+    inconclusive, never guessed, also when a length check refuted
+    Cohen-Macaulayness)."""
+    if is_graded_complete_intersection(I):
+        return hilbert_data(I).degree, 1, True
     Q, _forms = artinian_reduce(I, seed=seed)
     return None if Q is None else artinian_invariants(Q)
 

@@ -254,38 +254,62 @@ def test_lci_without_certified_reduction_exits_three(tmp_path):
     assert (report["mu"], report["codim"], report["lci"]) == (2, 1, None)
 
 
+# I = x*y*(x^2 - y^2) * (x, y) over F3: not a complete intersection, and
+# every F3-linear form is a zero divisor on it, so no slice is certified
+NON_CI_SESSION = (
+    "ring F3[x,y,z] order grevlex\n"
+    "ideal I = x^4*y - x^2*y^3, x^3*y^2 - x*y^4\n"
+)
+
+
 def test_gorenstein_inconclusive_exits_three(tmp_path):
     session = tmp_path / "allateral.session"
-    session.write_text(
-        "ring F3[x,y,z] order grevlex\n"
-        "ideal I = x^3*y - x*y^3\n"
-        "point P = (0:0:1)\n"
-    )
+    session.write_text(NON_CI_SESSION + "point P = (0:0:1)\n")
     proc = run_cli(str(session), "gorenstein", "I", "P")
     assert proc.returncode == 3
     assert "inconclusive" in proc.stdout
+
+
+def test_gorenstein_of_complete_intersection_is_definite(tmp_path):
+    # the hypersurface x*y*(x + y)*(x + 2y) over F3 admits no certified
+    # slice, but a complete intersection needs none: type 1, length deg 4
+    session = tmp_path / "hypersurface.session"
+    session.write_text(
+        "ring F3[x,y,z] order grevlex\n"
+        "ideal H = x^3*y - x*y^3\n"
+        "point P = (0:0:1)\n"
+    )
+    proc = run_cli(str(session), "gorenstein", "H", "P", "--json")
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout)["result"]
+    assert (result["length"], result["socle_dim"], result["gorenstein"]) == (4, 1, True)
 
 
 def test_verify_triple_failed_exact_check_exits_one(tmp_path):
     # the slice budget runs out on B, but colon symmetry and degree
     # additivity have already failed: a false verdict, not an inconclusive one
     session = tmp_path / "allateral.session"
-    session.write_text(
-        "ring F3[x,y,z] order grevlex\n"
-        "ideal B = x^3*y - x*y^3\n"
-        "ideal A = x\n"
-    )
+    session.write_text(NON_CI_SESSION.replace("ideal I", "ideal B") + "ideal A = x\n")
     proc = run_cli(str(session), "verify-triple", "B", "A", "A")
     assert "colon symmetry: False" in proc.stdout
     assert "gorenstein at the cone origin: None" in proc.stdout
     assert proc.returncode == 1
 
 
-def test_verify_triple_exhausted_budget_exits_three(monkeypatch, capsys):
+def test_verify_triple_exhausted_budget_exits_three(monkeypatch, capsys, tmp_path):
     from liaison import cli, localrings
 
+    # a Gorenstein base that is not a complete intersection, so its verdict
+    # needs a slice; with no draws allowed it is inconclusive
+    session = tmp_path / "gorenstein_points.session"
+    session.write_text(
+        "ring Q[x,y,z,u] order grevlex\n"
+        "ideal B = x*y, x*z, y*z, x^2 - y^2, x^2 - z^2\n"
+        "ideal A1 = x, y, z^2\n"
+        "ideal A2 = z, y^2, x*y, x^2\n"
+    )
     monkeypatch.setattr(localrings, "SLICE_BUDGET", 0)
-    code = cli.main([str(FIXTURES / "double_lines.session"), "verify-triple", "Y", "I1", "I2"])
+    code = cli.main([str(session), "verify-triple", "B", "A1", "A2"])
     out = capsys.readouterr().out
     assert "colon symmetry: True" in out and "additive=True" in out
     assert "gorenstein at the cone origin: None" in out

@@ -359,7 +359,7 @@ def test_skew_lines_take_the_colon_fallback(P3, monkeypatch):
     }
 
 
-def test_certificate_needs_first_cohen_macaulay(monkeypatch):
+def _non_cohen_macaulay_first_triple():
     # first = (x, y^3) with x cut down to x*m: not saturated, so R/first has
     # depth 0 and is not Cohen-Macaulay.  Every other fact of the
     # certificate holds: base Gorenstein, both containments, first*second
@@ -367,17 +367,46 @@ def test_certificate_needs_first_cohen_macaulay(monkeypatch):
     # Yet (base : first) = (x^2, y^3) and (base : second) = (x, y^3).
     R = make_ring(["x", "y", "z"], "Q", "grevlex")
     x, y, z = R.gens()
-    triple = LinkedTriple(
+    return LinkedTriple(
         Ideal(R, [x**3, y**3]),
         Ideal(R, [x**2, x * y, x * z, y**3]),
         Ideal(R, [y**3, x**3, x**2 * y, x**2 * z]),
     )
+
+
+def test_certificate_needs_first_cohen_macaulay(monkeypatch):
+    triple = _non_cohen_macaulay_first_triple()
     assert [hilbert_data(I).h_vector for I in triple.ideals()] == [(1, 2, 3, 2, 1), (1, 2), (1, 2, 3)]
     calls = _count_colons(monkeypatch)
     report = verify_linked_triple(triple, seed=0)
     assert len(calls) == 2
     assert report.gorenstein_ok and all(report.containments) and report.degree_additive
     assert not report.colon_first and not report.colon_second and not report.passed
+
+
+def _count_artinian_reductions(monkeypatch):
+    calls = []
+    artinian_reduce = localrings.artinian_reduce
+
+    def counting(I, seed=0):
+        calls.append(I)
+        return artinian_reduce(I, seed=seed)
+
+    for module in (linkage, localrings):
+        monkeypatch.setattr(module, "artinian_reduce", counting)
+    return calls
+
+
+def test_complete_intersections_take_no_artinian_reduction(fossum, monkeypatch):
+    # base and first of a CI triple are graded complete intersections, so
+    # neither the Gorenstein verdict nor the certificate slices; a first
+    # that is not one still takes its Cohen-Macaulay check from a reduction
+    calls = _count_artinian_reductions(monkeypatch)
+    assert verify_linked_triple(_fresh(fossum), seed=0).passed
+    assert calls == []
+    triple = _non_cohen_macaulay_first_triple()
+    assert verify_linked_triple(triple, seed=0).gorenstein_ok
+    assert calls == [triple.first]
 
 
 def _held_out_triples(count):

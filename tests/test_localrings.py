@@ -17,7 +17,7 @@ from liaison import (
     substitute,
     translate_to_origin,
 )
-from liaison.generators import random_form_dense, random_monomial_ideal
+from liaison.generators import random_ci_linked_triple, random_form_dense, random_monomial_ideal
 from liaison.groebner import buchberger
 from liaison.ideals import (
     ideal_intersect,
@@ -25,7 +25,7 @@ from liaison.ideals import (
     is_zero_dimensional,
     minimal_monomial_generators,
 )
-from liaison.localrings import is_regular
+from liaison.localrings import is_graded_complete_intersection, is_regular, local_gorenstein
 
 
 @pytest.fixture
@@ -286,6 +286,47 @@ def test_gorenstein_verdict_independent_of_slice():
             assert Q is not None
             verdicts.append(artinian_invariants(Q)[2])
         assert all(v == expected for v in verdicts)
+
+
+def test_complete_intersection_verdict_agrees_with_artinian_reduction():
+    # on every ideal of seeded CI-linked triples that the generator count
+    # calls a complete intersection, the closed-form verdict equals the one
+    # read off a certified Artinian reduction; the zero ideal included
+    rng = random.Random(83)
+    fired = 0
+    for field in ("F31", "F5", "Q"):
+        for names in (["x", "y"], ["x", "y", "z"], ["x", "y", "z", "u"]):
+            R = make_ring(names, field, "grevlex")
+            ideals = [Ideal.zero(R)]
+            while len(ideals) < 30:
+                triple = random_ci_linked_triple(R, rng, max_degree=2)
+                if triple is not None:
+                    ideals += triple.ideals()
+            for seed, I in enumerate(ideals):
+                if not is_graded_complete_intersection(I):
+                    continue
+                fired += 1
+                Q, _forms = artinian_reduce(I, seed=seed)
+                assert Q is not None, (field, I)
+                assert local_gorenstein(I, seed=seed) == artinian_invariants(Q), (field, I)
+    assert fired >= 200, fired
+
+
+def test_complete_intersection_predicate_needs_an_exact_generator_count():
+    R = make_ring(["x", "y", "z", "u"], "Q", "grevlex")
+    x, y, z, u = R.gens()
+    A = make_ring(["x", "y"], "Q", "grevlex")
+    a, b = A.gens()
+    for I in (
+        Ideal(R, [x**2, x * y, y**2]),
+        Ideal(R, [x * z, x * u, y * z, y * u]),  # skew lines
+        Ideal(R, [x**2, y**2, x**2 + y**2]),  # a CI with a redundant generator
+        Ideal(R, [R.one()]),
+        Ideal(A, [a - b**2]),  # a CI, but a chart ideal
+    ):
+        assert not is_graded_complete_intersection(I), I
+    assert is_graded_complete_intersection(Ideal.zero(R))
+    assert is_graded_complete_intersection(Ideal(R, [x**2, y**2]))
 
 
 def test_local_ci_union_fixture():

@@ -207,7 +207,8 @@ def _curved_ideals_with_distant_components(count, rng):
 
 def test_artinian_invariants_match_origin_component_on_curved_ideals():
     # multiplication-matrix invariants against the colon formula; (x^4, y)
-    # has x nilpotent of index d = 4, so the d-th matrix powers are needed
+    # has x nilpotent of index d = 4, so the exponent bound d of
+    # Q + (x_i^d) is reached
     ring = RINGS[0]
     x, y = ring.gens()
     full_index = Ideal(ring, [x**4, y])
