@@ -6,8 +6,9 @@ Groebner basis, the unique canonical representative of the ideal for the
 ring's order.  Pairs wait in a heap under the lcm of their leading
 monomials, computed once; a pair pruned meanwhile is skipped when popped.
 S-polynomials are built from the held monic terms and that lcm.  Normal
-forms modulo such a basis decide ideal membership and give the local
-minimal generator count (see localrings.local_mu).
+forms modulo such a basis decide ideal membership; reducing its own
+S-pairs, as pruned, to zero gives the constant parts of its syzygies, hence
+the local minimal generator count (see localrings.local_mu).
 """
 
 from heapq import heapify, heappop, heappush
@@ -51,13 +52,15 @@ class GroebnerBasis:
         return "GroebnerBasis[" + ", ".join(str(g) for g in self.elements) + "]"
 
 
-def _reduce(f, reducers):
+def _reduce(f, reducers, exact=None):
     """Full normal form of f against a list of (lm, lc, poly) reducers.
 
     The terms still to be reduced live in `work`; a heap of
     (heap_key, exponent) pops them greatest first.  An exponent whose
     coefficient cancelled, or that was pushed twice, is no longer in `work`
-    when popped and is skipped (lazy deletion).
+    when popped and is skipped (lazy deletion).  When a list `exact` is
+    given, each step that removes a reducer's leading monomial itself
+    appends (lm, factor): those are the constant terms of the quotients.
     """
     ring = f.ring
     field = ring.field
@@ -75,6 +78,8 @@ def _reduce(f, reducers):
         for lm, lc, g in reducers:
             if mono_divides(lm, e):
                 factor = field.div(c, lc)
+                if exact is not None and e == lm:
+                    exact.append((lm, factor))
                 q = mono_div(e, lm)
                 for eg, cg in g.terms.items():
                     if eg == lm:
@@ -247,3 +252,44 @@ def buchberger(gens, *, use_criteria=True):
             _update_pairs(lms, P, heap, key, use_criteria)
 
     return GroebnerBasis(ring, _interreduce(_minimalize(G, key)))
+
+
+def schreyer_constants(basis):
+    """Constant parts of a generating set of the syzygies of a reduced
+    Groebner basis (g_1..g_s) of an ideal vanishing at the origin: a list
+    of rows of length s.
+
+    Reducing S(g_i, g_j) to zero by the basis gives a standard
+    representation sum a_k g_k, hence the syzygy m_i e_i - m_j e_j - sum
+    a_k e_k, m_i = lcm/lm_i, which lifts the syzygy m_i e_i - m_j e_j of
+    the leading monomials.  Lifts of a generating set of the syzygies of
+    the leading monomials generate the syzygies of the basis (Schreyer;
+    Eisenbud, Lemma 15.1 and Thm 15.10).  The pairs that Gebauer-Moeller
+    pruning keeps (_update_pairs, the basis taken in order) give such a set
+    together with the pairs whose leading monomials are coprime, as the
+    chain criterion is an identity among those syzygies; a coprime pair
+    lifts to the Koszul syzygy g_j e_i - g_i e_j, with no constant part,
+    and is not reduced.  No leading monomial of a reduced basis divides
+    another, so m_i and m_j are never constant, and the constant term of
+    a_k sums the factors of the steps that remove lm_k itself: entry k of
+    the row, up to sign.
+    """
+    G = [(*g.leading_term(), g) for g in basis.elements]
+    ring = basis.ring
+    zero, add = ring.field.zero, ring.field.add
+    lms, pairs = [], {}
+    for entry in G:
+        lms.append(entry[0])
+        # every kept pair is reduced, so the heap's order is not needed
+        _update_pairs(lms, pairs, [], ring.key, True)
+    index = {lm: k for k, lm in enumerate(lms)}
+    rows = []
+    for (i, j), l in pairs.items():
+        exact = []
+        if not _reduce(_s_poly(G[i], G[j], l), G, exact).is_zero():
+            raise ValueError("schreyer_constants needs a Groebner basis")
+        row = [zero] * len(G)
+        for lm, factor in exact:
+            row[index[lm]] = add(row[index[lm]], factor)
+        rows.append(row)
+    return rows

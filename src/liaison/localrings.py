@@ -4,18 +4,19 @@ tests.
 
 All localization is made computable by translating the point to the origin
 of an affine chart.  The local minimal generator count is dim_k(I/mI), m the
-ideal of the origin (Nakayama), read off from normal forms modulo a Groebner
-basis of mI.  The Artinian invariants of a zero-dimensional Q are linear
-algebra on the origin's primary component Q + (x_1^d, ..., x_n^d), d =
-dim_k R/Q, in its basis of standard monomials, with no primary
-decomposition: the length is the count of standard monomials, and the socle
-is the common kernel of the matrices of multiplication by the variables.
-A homogeneous Q is its own origin component.
-A graded complete intersection is Gorenstein of type 1 with length its
-degree, with no computation beyond its Hilbert data.  Otherwise
-Gorenstein-ness of a positive-dimensional local ring is decided after
-cutting by linear forms down to dimension zero: homogeneous input is cut
-by a whole system of parameters at once, certified Cohen-Macaulay by one
+ideal of the origin (Nakayama), read off the constant parts of the Schreyer
+syzygies of I's own reduced basis.  The Artinian invariants of a
+zero-dimensional Q are linear algebra on the origin's primary component
+Q + (x_1^d, ..., x_n^d), d = dim_k R/Q, in its basis of standard monomials,
+with no primary decomposition: the length is the count of standard
+monomials, and the socle is the common kernel of the matrices of
+multiplication by the variables.  A homogeneous Q is its own origin
+component.
+A graded complete intersection, chart ideals included, is Gorenstein of
+type 1 with length its degree, with no computation beyond its Hilbert data.
+Otherwise Gorenstein-ness of a positive-dimensional local ring is decided
+after cutting by linear forms down to dimension zero: homogeneous input is
+cut by a whole system of parameters at once, certified Cohen-Macaulay by one
 length check (dim_k R/Q = degree), other input one form at a time, each
 certified regular by the colon (I : h) = I.
 The local complete-intersection test reads the local codimension off the
@@ -25,7 +26,7 @@ same reduction: the variables of the chart minus the number of cuts.
 import random
 from dataclasses import dataclass
 
-from .groebner import buchberger, normal_form
+from .groebner import normal_form, schreyer_constants
 from .ideals import (
     Ideal,
     hilbert_data,
@@ -152,19 +153,18 @@ def local_mu(I):
     """Minimal number of generators of I localized at the origin.
 
     mu = dim_k(I/mI), m the ideal of the origin (Nakayama).  I/mI is killed
-    by m, so it is already local: it is spanned by the generators' normal
-    forms modulo a Groebner basis of mI, and mu is their rank over k.
+    by m, so it is already local.  With G = (g_1..g_s) the reduced basis of
+    I, R^s -> I has the syzygies of G as kernel, so k^s -> I/mI has as
+    kernel their values at the origin, spanned by the constant parts of the
+    Schreyer syzygies (see groebner.schreyer_constants): mu = s - rank C.
     """
     ring = I.ring
-    field = ring.field
-    if any(g.constant_term() != field.zero for g in I.gens):
+    if any(g.constant_term() != ring.field.zero for g in I.gens):
         raise ValueError("origin is not on the zero set of the ideal")
     if not I.gens:
         return 0
-    mI = buchberger(list(dict.fromkeys(v * g for v in ring.gens() for g in I.gens)))
-    forms = [normal_form(g, mI).terms for g in I.gens]
-    monomials = sorted({e for f in forms for e in f})
-    return rank([[f.get(e, field.zero) for e in monomials] for f in forms], field)
+    gb = I.groebner()
+    return len(gb) - rank(schreyer_constants(gb), ring.field)
 
 
 def _coordinates(f, gb, index):
@@ -342,9 +342,12 @@ def local_ci_test(I, point, seed=0):
     I must be homogeneous, else ValueError.  mu = dim_k(I/mI) after
     translating the point to the origin (see local_mu); lci means mu equals
     the local codimension.  That codimension, and the Gorenstein verdict,
-    come from Artinian reduction of the chart ideal (see artinian_reduce).
-    A certified Q cuts the chart by a regular sequence down to dimension
-    zero, so every component through the point has dimension len(forms).
+    come from Artinian reduction of the chart ideal (see artinian_reduce),
+    except on a chart ideal that is a graded complete intersection, whose
+    codimension and invariants are read off its Hilbert data (see
+    local_gorenstein).  A certified Q cuts the chart by a regular sequence
+    down to dimension zero, so every component through the point has
+    dimension len(forms).
     Without one, the global codimension c (Hilbert data) only bounds the
     local one from below and mu bounds it from above: lci is True when mu
     equals c and None otherwise, and the Gorenstein verdict is None, with
@@ -354,6 +357,11 @@ def local_ci_test(I, point, seed=0):
         raise ValueError("local_ci_test needs a homogeneous ideal")
     J = translate_to_origin(I, point)
     mu = local_mu(J)
+    if is_graded_complete_intersection(J):
+        codim = J.ring.nvars - hilbert_data(J).krull_dimension
+        report = LocalPointReport(mu=mu, codim=codim, lci=(mu == codim), point=point)
+        report.length, report.socle_dim, report.gorenstein = local_gorenstein(J)
+        return report
     Q, forms = artinian_reduce(J, seed=seed)
     if Q is None:
         codim = I.ring.nvars - hilbert_data(I).krull_dimension

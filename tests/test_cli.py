@@ -285,6 +285,22 @@ def test_gorenstein_of_complete_intersection_is_definite(tmp_path):
     assert (result["length"], result["socle_dim"], result["gorenstein"]) == (4, 1, True)
 
 
+def test_lci_of_complete_intersection_agrees_with_gorenstein(tmp_path):
+    # the same hypersurface: lci reads its chart ideal as a complete
+    # intersection too, so both commands give Gorenstein True
+    session = tmp_path / "hypersurface.session"
+    session.write_text(
+        "ring F3[x,y,z] order grevlex\n"
+        "ideal H = x^3*y - x*y^3\n"
+        "point P = (0:0:1)\n"
+    )
+    proc = run_cli(str(session), "lci", "H", "P", "--json")
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout)["result"]
+    assert (result["mu"], result["codim"], result["lci"]) == (1, 1, True)
+    assert (result["length"], result["socle_dim"], result["gorenstein"]) == (4, 1, True)
+
+
 def test_verify_triple_failed_exact_check_exits_one(tmp_path):
     # the slice budget runs out on B, but colon symmetry and degree
     # additivity have already failed: a false verdict, not an inconclusive one

@@ -13,12 +13,13 @@ from liaison import (
     double_line_ideal,
     ideal_colon,
     ideal_intersect,
+    local_mu,
     make_ring,
     normal_form,
     parse_session,
     translate_to_origin,
 )
-from liaison.groebner import s_polynomial
+from liaison.groebner import s_polynomial, schreyer_constants
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -217,9 +218,10 @@ PINNED_PAIR_COUNTS = {
     "grevlex F31": 18,
     "block F31": 37,
     "block F31, no criteria": 253,
-    # local_mu's basis of m*U, U the union I1 cap I2 moved from P to the origin
-    "local mu M1/M2 at P": 21,
-    "local mu V1/V2 at P": 15,
+    # S-pairs of the basis of U that local_mu reduces for its syzygies, U the
+    # union I1 cap I2 moved from P to the origin
+    "local mu M1/M2 at P": 6,
+    "local mu V1/V2 at P": 4,
 }
 
 
@@ -230,12 +232,12 @@ def test_pair_work_is_pinned(monkeypatch):
     calls = []
     real = liaison.groebner._reduce
 
-    def counting(f, reducers):
-        # one call per S-pair comes from buchberger's own frame; the final
-        # interreduction and normal_form are not counted
-        if sys._getframe(1).f_code is buchberger.__code__:
+    def counting(f, reducers, exact=None):
+        # one call per S-pair comes from buchberger's or schreyer_constants'
+        # own frame; the final interreduction and normal_form are not counted
+        if sys._getframe(1).f_code in (buchberger.__code__, schreyer_constants.__code__):
             calls.append(f)
-        return real(f, reducers)
+        return real(f, reducers, exact)
 
     def pairs_reduced(compute):
         calls.clear()
@@ -244,15 +246,16 @@ def test_pair_work_is_pinned(monkeypatch):
 
     session = parse_session((FIXTURES / "double_lines.session").read_text())
 
-    def local_mu_basis(a, b):
-        # the products v*g whose basis local_mu builds at the meeting point
+    def local_mu_at_meeting(a, b):
+        # the chart ideal at the meeting point, its basis already held, so
+        # that only the S-pairs local_mu reduces for the syzygies are counted
         U = ideal_intersect(*(double_line_ideal(session.dlines[name]) for name in (a, b)))
         J = translate_to_origin(U, session.points["P"])
-        products = list(dict.fromkeys(v * g for v in J.ring.gens() for g in J.gens))
-        return lambda: buchberger(products)
+        J.groebner()
+        return lambda: local_mu(J)
 
-    meeting_products = local_mu_basis("M1", "M2")
-    violating_products = local_mu_basis("V1", "V2")
+    meeting_mu = local_mu_at_meeting("M1", "M2")
+    violating_mu = local_mu_at_meeting("V1", "V2")
     monkeypatch.setattr(liaison.groebner, "_reduce", counting)
     I1 = double_line_ideal(session.dlines["M1"])
     I2 = double_line_ideal(session.dlines["M2"])
@@ -268,8 +271,8 @@ def test_pair_work_is_pinned(monkeypatch):
         "block F31, no criteria": pairs_reduced(
             lambda: buchberger(_seeded_gens(block, 61, 4), use_criteria=False)
         ),
-        "local mu M1/M2 at P": pairs_reduced(meeting_products),
-        "local mu V1/V2 at P": pairs_reduced(violating_products),
+        "local mu M1/M2 at P": pairs_reduced(meeting_mu),
+        "local mu V1/V2 at P": pairs_reduced(violating_mu),
     }
     assert counts == PINNED_PAIR_COUNTS
 

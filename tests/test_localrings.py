@@ -9,6 +9,7 @@ from liaison import (
     RationalPoint,
     artinian_invariants,
     artinian_reduce,
+    double_line_ideal,
     ideal_equal,
     local_ci_test,
     local_mu,
@@ -17,14 +18,20 @@ from liaison import (
     substitute,
     translate_to_origin,
 )
-from liaison.generators import random_ci_linked_triple, random_form_dense, random_monomial_ideal
-from liaison.groebner import buchberger
+from liaison.generators import (
+    random_ci_linked_triple,
+    random_form_dense,
+    random_meeting_instance,
+    random_monomial_ideal,
+)
+from liaison.groebner import buchberger, normal_form
 from liaison.ideals import (
     ideal_intersect,
     ideal_sum,
     is_zero_dimensional,
     minimal_monomial_generators,
 )
+from liaison.linalg import rank
 from liaison.localrings import is_graded_complete_intersection, is_regular, local_gorenstein
 
 
@@ -223,6 +230,91 @@ def test_local_mu_needs_origin(A3):
         local_mu(Ideal(A3, [x - 1]))
 
 
+def _mu_by_normal_forms(I):
+    """Reference for local_mu: the rank over k of the generators' normal
+    forms modulo a Groebner basis of m*I, built from the products v*g."""
+    field = I.ring.field
+    if not I.gens:
+        return 0
+    mI = buchberger(list(dict.fromkeys(v * g for v in I.ring.gens() for g in I.gens)))
+    forms = [normal_form(g, mI).terms for g in I.gens]
+    monomials = sorted({e for f in forms for e in f})
+    return rank([[f.get(e, field.zero) for e in monomials] for f in forms], field)
+
+
+def _random_ideal_through_origin(R, rng):
+    """One to four random polynomials of degree at most 2, no constant term."""
+    monomials = [
+        Polynomial.monomial(R, e)
+        for e in itertools.product(range(3), repeat=R.nvars)
+        if 0 < sum(e) <= 2
+    ]
+    sample = [c for c in R.field.random_sample() if c != R.field.zero]
+    gens = []
+    for _ in range(rng.randint(1, 4)):
+        terms = rng.sample(monomials, rng.randint(1, 3))
+        gens.append(sum((m.scale(rng.choice(sample)) for m in terms), Polynomial.zero(R)))
+    return Ideal(R, gens)
+
+
+def test_local_mu_matches_normal_forms_modulo_m_times_i():
+    # the syzygy count agrees with the rank of normal forms modulo m*I
+    # on meeting unions at the meeting point and on affine ideals through
+    # the origin, also after padding, a unit multiple or a distant component
+    rng = random.Random(89)
+    R = make_ring(["x", "y", "z", "u"], "F31", "grevlex")
+    meeting = RationalPoint.projective(R, [0, 0, 0, 1])
+    mus = set()
+    for k in range(16):
+        L1, L2 = random_meeting_instance(R, ["a", "b_hold", "b_violate", "one_sided"][k % 4], rng)
+        U = ideal_intersect(double_line_ideal(L1), double_line_ideal(L2))
+        J = translate_to_origin(U, meeting)
+        mu = local_mu(J)
+        assert mu == _mu_by_normal_forms(J), U
+        mus.add(mu)
+    assert mus == {2, 3}
+    for field in ("F31", "F5", "Q"):
+        for names in (["x", "y"], ["x", "y", "z"], ["x", "y", "z", "u"]):
+            R = make_ring(names, field, "grevlex")
+            x, last = R.gens()[0], R.gens()[-1]
+            away = Ideal(R, [v - 1 for v in R.gens()])
+            variants = [Ideal.zero(R), Ideal(R, [x**2 + x * last])]
+            for _ in range(4):
+                I = _random_ideal_through_origin(R, rng)
+                g, h = I.gens[0], I.gens[-1]
+                variants += [
+                    I,
+                    Ideal(R, [*I.gens, g * last + h, g + h]),
+                    Ideal(R, [f * (R.one() + x) for f in I.gens]),
+                ]
+            variants.append(ideal_intersect(I, away))
+            for J in variants:
+                mu = local_mu(J)
+                assert mu == _mu_by_normal_forms(J), (field, J)
+                mus.add(mu)
+    assert mus >= {0, 1, 2, 3}
+
+
+def test_local_mu_takes_one_basis_and_no_normal_form(monkeypatch):
+    # the chart ideal of a meeting union: one basis, of its own generators
+    from liaison import groebner, ideals, localrings
+
+    R = make_ring(["x", "y", "z", "u"], "F31", "grevlex")
+    x, y, z, u = R.gens()
+    I1 = Ideal(R, [z * x + u * y, x**2, x * y, y**2])
+    I2 = Ideal(R, [y * x + u * z, x**2, x * z, z**2])
+    J = translate_to_origin(ideal_intersect(I1, I2), RationalPoint.projective(R, [0, 0, 0, 1]))
+
+    def no_normal_form(*args):
+        raise AssertionError("normal_form called")
+
+    for module in (groebner, ideals, localrings):
+        monkeypatch.setattr(module, "normal_form", no_normal_form)
+    calls = _count_bases(monkeypatch)
+    assert local_mu(J) == 2
+    assert calls == [list(J.gens)]
+
+
 def test_artinian_invariants_skip_components_away_from_origin():
     # x(x-1) and x^2(x-1): only the origin component (x), resp. (x^2), counts
     R = make_ring(["x"], "Q", "lex")
@@ -348,15 +440,41 @@ def test_local_ci_union_fixture():
 
 
 def test_inconclusive_is_reported_not_guessed():
-    # over F3 the surface x*y*(x+y)*(x+2y) = 0 contains every line through
-    # the origin of the chart, so no linear slice is ever certified regular
+    # over F3 the zero set of x*y*(x+y)*(x+2y) * (x, y) contains every line
+    # through the origin of the chart, so no linear slice is ever certified
+    # regular, and two generators are no complete intersection
     R = make_ring(["x", "y", "z"], "F3", "grevlex")
     x, y, z = R.gens()
-    I = Ideal(R, [x**3 * y - x * y**3])
+    I = Ideal(R, [x**4 * y - x**2 * y**3, x**3 * y**2 - x * y**4])
     p = RationalPoint.projective(R, [0, 0, 1])
     report = local_ci_test(I, p, seed=0)
-    assert report.gorenstein is None
+    assert (report.mu, report.codim, report.lci, report.gorenstein) == (2, 1, None, None)
     assert "inconclusive" in report.note
+
+
+def test_local_ci_test_reads_graded_complete_intersection_off_hilbert_data(monkeypatch):
+    # the hypersurface x*y*(x+y)*(x+2y) over F3 admits no certified slice,
+    # but its chart ideal at (0:0:1) is a graded complete intersection:
+    # lci and gorenstein agree with local_gorenstein, with no reduction
+    from liaison import localrings
+
+    def no_reduction(*args, **kwargs):
+        raise AssertionError("artinian_reduce called")
+
+    monkeypatch.setattr(localrings, "artinian_reduce", no_reduction)
+    R = make_ring(["x", "y", "z"], "F3", "grevlex")
+    x, y, z = R.gens()
+    p = RationalPoint.projective(R, [0, 0, 1])
+    report = local_ci_test(Ideal(R, [x**3 * y - x * y**3]), p, seed=0)
+    assert (report.mu, report.codim, report.lci) == (1, 1, True)
+    assert (report.length, report.socle_dim, report.gorenstein, report.note) == (4, 1, True, "")
+    # the cone point of a complete intersection of two quadrics in P^3
+    S = make_ring(["x", "y", "z", "u"], "Q", "grevlex")
+    x, y, z, u = S.gens()
+    I = Ideal(S, [x**2 - y * z, y**2 - x * u])
+    report = local_ci_test(I, RationalPoint.affine(S, [0, 0, 0, 0]), seed=0)
+    assert (report.mu, report.codim, report.lci) == (2, 2, True)
+    assert (report.length, report.socle_dim, report.gorenstein) == (4, 1, True)
 
 
 def test_lci_implies_gorenstein_on_tested_instances():
@@ -412,8 +530,10 @@ def _count_bases(monkeypatch):
         calls.append(gens)
         return buchberger(gens, *args, **kwargs)
 
-    for module in (ideals, localrings):
-        monkeypatch.setattr(module, "buchberger", counted)
+    # localrings takes every basis through ideals (Ideal.groebner and the
+    # ideal operations), so counting there counts them all
+    assert not hasattr(localrings, "buchberger")
+    monkeypatch.setattr(ideals, "buchberger", counted)
     return calls
 
 
