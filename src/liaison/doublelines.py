@@ -23,10 +23,8 @@ generated meeting campaigns.
 import itertools
 from dataclasses import dataclass, field as dc_field
 
-from .ideals import (
-    Ideal, hilbert_data, ideal_equal, ideal_intersect, ideal_product, is_zero_dimensional
-)
-from .linalg import kernel_basis, solve
+from .ideals import Ideal, hilbert_data, ideal_equal, ideal_intersect, ideal_product
+from .linalg import kernel_basis, rank, solve
 from .localrings import LocalPointReport, RationalPoint, local_mu, translate_to_origin
 from .polynomials import Polynomial
 
@@ -389,16 +387,22 @@ def lci_along_support(line):
     a unit and a change of coordinates, so the ideal is locally (v1', v2^2);
     where both vanish every generator lies in m*(v1, v2) + (v1, v2)^2 and
     the ideal needs four.
-    So the certificate is that the scheme (f, g, v1, v2) is empty, read off
-    the leading terms of its reduced Groebner basis rather than the
-    constructor's Euclid gcd: a homogeneous ideal has no projective zero iff
-    its quotient is finite-dimensional (is_zero_dimensional, which also
-    accepts the unit ideal that degree-0 forms give).
+    So the certificate is that f and g share no zero on the support line:
+    nonzero binary forms of degrees m and n share one on P^1 iff their
+    (m+n)-square Sylvester matrix is singular (no Euclid gcd, as in the
+    constructor, and no Groebner basis).  A zero form shares every zero of
+    its partner, so it passes only beside a nonzero constant.
     """
-    ring = line.ring
-    v1, v2 = (Polynomial.variable(ring, ring.variables[k]) for k in line.support)
+    field = line.ring.field
     f, g = line.forms
-    return is_zero_dimensional(Ideal(ring, [f, g, v1, v2]).groebner())
+    m, n = f.total_degree(), g.total_degree()
+    if f.is_zero() or g.is_zero():
+        return max(m, n) == 0
+    cf, cg = (binary_coefficients(form, line.pencil, d) for form, d in ((f, m), (g, n)))
+    zero = [field.zero]
+    rows = [zero * k + cf + zero * (n - 1 - k) for k in range(n)]
+    rows += [zero * k + cg + zero * (m - 1 - k) for k in range(m)]
+    return rank(rows, field) == m + n
 
 
 def oracle_lal(L1, L2):

@@ -200,12 +200,20 @@ def _minimalize(entries, key):
 
 
 def _interreduce(entries):
-    """Reduce each element of a minimal monic basis by the others.
+    """Reduce each element of a minimal monic basis, ascending, by the others.
 
     No other leading monomial divides an element's leading term, so it
     survives with coefficient one: the results are monic, in the same order.
+    Only the elements before it can act: all it has to reduce lies below it.
     """
-    return [_reduce(g, entries[:i] + entries[i + 1 :]) for i, (_, _, g) in enumerate(entries)]
+    return [_reduce(g, entries[:i]) for i, (_, _, g) in enumerate(entries)]
+
+
+def reduced_basis(ring, basis):
+    """Reduced Groebner basis of the ideal a Groebner basis generates, with no
+    S-pairs: buchberger's last step, minimalize then interreduce."""
+    entries = [(*g.leading_term(), g) for g in (f.monic() for f in basis)]
+    return GroebnerBasis(ring, _interreduce(_minimalize(entries, ring.key)))
 
 
 def buchberger(gens, *, use_criteria=True):

@@ -43,9 +43,18 @@ class Ideal:
     def from_groebner(cls, gb):
         """The ideal generated by a reduced Groebner basis, holding it as its
         cached basis."""
-        ideal = cls(gb.ring, gb.elements)
+        return cls.holding(gb.elements, gb)
+
+    @classmethod
+    def holding(cls, gens, gb):
+        """The ideal generated by gens, holding gb, its reduced basis (not checked)."""
+        ideal = cls(gb.ring, gens)
         ideal._gb = gb
         return ideal
+
+    def held_groebner(self):
+        """The Groebner basis held so far, or None; computes nothing."""
+        return self._gb
 
     def groebner(self):
         if self._gb is None:
@@ -127,7 +136,8 @@ def ideal_intersect(I, J):
     t is a new first variable under block(1), so t*f has exponents (1,)+e
     and (1-t)*g has (0,)+e and (1,)+e.  Under grevlex the t-free part of the
     reduced block(1) basis is the reduced grevlex basis of I cap J
-    (elimination theorem), and the result holds it.
+    (elimination theorem), and the result holds it.  buchberger reduces the
+    t-part too; the t-free elements sort first and reduce among themselves.
     """
     _check_same_ring(I, J)
     ring = I.ring

@@ -26,7 +26,7 @@ same reduction: the variables of the chart minus the number of cuts.
 import random
 from dataclasses import dataclass
 
-from .groebner import normal_form, schreyer_constants
+from .groebner import normal_form, reduced_basis, schreyer_constants
 from .ideals import (
     Ideal,
     hilbert_data,
@@ -38,7 +38,7 @@ from .ideals import (
 )
 from .linalg import rank, rref
 from .polynomials import Polynomial, substitute
-from .rings import make_ring
+from .rings import GREVLEX, make_ring
 
 # draws before a Gorenstein verdict is given up as inconclusive: tuples of
 # linear forms on homogeneous input, single forms per cut otherwise
@@ -123,6 +123,12 @@ def translate_to_origin(I, point):
     the ring), which keeps its terms apart, as a form's degree fixes that
     exponent.  Affine points keep the ring.  The remaining variables are
     then shifted by the point's coordinates, unless all of them are zero.
+
+    At the vertex of the last variable of a grevlex ring only, a basis I
+    holds is dehomogenized, a Groebner basis of the chart ideal as grevlex
+    breaks degree ties by that variable (Cox-Little-O'Shea, Ch. 8 sec. 4),
+    and re-reduced with no S-pairs ((a,b,c) cap (d,e) turns ae into a); the
+    chart ideal holds it and keeps the dehomogenized generators.
     """
     ring = I.ring
     if not vanishes_at(I, point):
@@ -135,11 +141,16 @@ def translate_to_origin(I, point):
         names = [v for i, v in enumerate(ring.variables) if i != chart]
         order = ring.order if ring.order.kind in ("lex", "grevlex") else None
         target = make_ring(names, ring.field, order or "grevlex")
-        gens = [
-            Polynomial(target, {e[:chart] + e[chart + 1 :]: c for e, c in g.terms.items()})
-            for g in gens
-        ]
+
+        def dehomogenize(g):
+            return Polynomial(target, {e[:chart] + e[chart + 1 :]: c for e, c in g.terms.items()})
+
+        gens = [dehomogenize(g) for g in gens]
         coords = coords[:chart] + coords[chart + 1 :]
+        held = I.held_groebner()
+        vertex = all(c == ring.field.zero for c in coords)
+        if held is not None and vertex and chart == ring.nvars - 1 and ring.order == GREVLEX:
+            return Ideal.holding(gens, reduced_basis(target, [dehomogenize(g) for g in held]))
     if any(c != ring.field.zero for c in coords):
         assignment = {
             name: Polynomial.variable(target, name) + Polynomial.constant(target, c)

@@ -118,6 +118,31 @@ def test_common_zero_agrees_with_hilbert_dimension(field):
         assert lci_along_support(_unchecked_line(R, (0, 1), f, g)) != expected, (f, g)
 
 
+def test_lci_along_support_sylvester_edges(P3):
+    # the certificate is the rank of the Sylvester matrix of (f, g) in the
+    # pencil (z, u); (z:u) = (1:0) is where the u-free coefficient vanishes
+    x, y, z, u = P3.gens()
+    one, zero = P3.one(), P3.zero()
+    cases = [
+        (one, 3 * one, True),  # two nonzero constants: an empty matrix
+        (zero, 2 * one, True),  # a zero form beside a nonzero constant
+        (one, zero, True),
+        (zero, z, False),  # a zero form beside a form with a zero
+        (u**2 + z * u, zero, False),
+        (zero, zero, False),
+        (z, u**2, True),  # unequal degrees
+        (z**2 + u**2, 5 * one, True),
+        (u, z * u + u**2, False),  # unequal degrees, shared zero at (1:0)
+        (z * u, u * (z + u), False),  # shared zero at (1:0)
+        (z * u, z * (z + u), False),  # shared zero at (0:1)
+        (z**2, z * u - u**2, True),
+    ]
+    for f, g, expected in cases:
+        assert lci_along_support(_unchecked_line(P3, (0, 1), f, g)) is expected, (f, g)
+        assert lci_along_support(_unchecked_line(P3, (0, 1), g, f)) is expected, (g, f)
+        assert binary_forms_have_common_zero(f, g, (2, 3)) is not expected, (f, g)
+
+
 def test_double_line_degenerate_forms(P3):
     x, y, z, u = P3.gens()
     L = _line(P3, (0, 1), P3.one(), P3.one())

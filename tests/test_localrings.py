@@ -15,6 +15,7 @@ from liaison import (
     local_mu,
     MonomialOrder,
     make_ring,
+    oracle_lal,
     substitute,
     translate_to_origin,
 )
@@ -159,6 +160,100 @@ def test_translate_matches_substitution_reference(field, order):
     assert checked == 4 * len(points)
 
 
+def _vertex_forms(R, rng, count):
+    """Sparse random forms of degree 1 or 2 vanishing at the vertex of the
+    last variable (no pure power of it)."""
+    forms = []
+    while len(forms) < count:
+        d = rng.randint(1, 2)
+        monomials = [
+            e for e in itertools.product(range(d + 1), repeat=R.nvars) if sum(e) == d and e[-1] < d
+        ]
+        chosen = rng.sample(monomials, min(3, len(monomials)))
+        f = Polynomial.from_dict(R, {e: rng.choice(R.field.random_sample()) for e in chosen})
+        if not f.is_zero():
+            forms.append(f)
+    return forms
+
+
+@pytest.mark.parametrize("field", ["F3", "F5", "F31", "Q"])
+def test_chart_of_a_held_basis_matches_the_chart_computed_afresh(field):
+    # at the last vertex the chart ideal holds the dehomogenized basis,
+    # re-reduced; it must be the basis buchberger gives the chart generators
+    R = make_ring(["x", "y", "z", "u"], field, "grevlex")
+    P = RationalPoint.projective(R, [0, 0, 0, 1])
+    rng = random.Random(f"held chart {field}")
+    held = []
+    for _ in range(4):
+        I, J = (Ideal(R, _vertex_forms(R, rng, 2)) for _ in range(2))
+        held.append(ideal_intersect(I, J))
+        held.append(Ideal.from_groebner(Ideal(R, _vertex_forms(R, rng, 3)).groebner()))
+    for U in held:
+        bare = Ideal(R, U.gens)
+        J, fresh = translate_to_origin(U, P), translate_to_origin(bare, P)
+        assert J.held_groebner() is not None and fresh.held_groebner() is None
+        assert J.gens == fresh.gens
+        assert J.groebner() == fresh.groebner()
+        assert local_mu(J) == local_mu(fresh)
+        assert local_ci_test(U, P).as_dict() == local_ci_test(bare, P).as_dict()
+
+
+def test_chart_of_a_held_basis_is_re_reduced():
+    # (a,b,c) cap (d,e) = (ad, ae, bd, be, cd, ce): at (0:0:0:0:1), ae
+    # becomes a, which divides ad, so three of the six elements remain
+    R = make_ring(["a", "b", "c", "d", "e"], "F31", "grevlex")
+    a, b, c, d, e = R.gens()
+    U = ideal_intersect(Ideal(R, [a, b, c]), Ideal(R, [d, e]))
+    J = translate_to_origin(U, RationalPoint.projective(R, [0, 0, 0, 0, 1]))
+    assert len(U.groebner()) == 6
+    assert J.held_groebner() == Ideal(J.ring, J.gens).groebner()
+    assert [str(g) for g in J.groebner()] == ["c", "b", "a"]
+    assert local_mu(J) == 3
+
+
+def test_chart_of_a_held_basis_keeps_the_generators(monkeypatch):
+    # (xz + y^2, xy) has a 3-element basis; its chart keeps the two
+    # generators, so the complete-intersection shortcut still fires and no
+    # Artinian reduction runs
+    from liaison import localrings
+
+    R = make_ring(["x", "y", "z", "u"], "F31", "grevlex")
+    x, y, z, u = R.gens()
+    I = Ideal(R, [x * z + y**2, x * y])
+    assert len(I.groebner()) == 3
+    P = RationalPoint.projective(R, [0, 0, 0, 1])
+    J = translate_to_origin(I, P)
+    assert len(J.gens) == 2 and len(J.held_groebner()) == 3
+    assert is_graded_complete_intersection(J)
+
+    def no_reduction(*args, **kwargs):
+        raise AssertionError("artinian_reduce called")
+
+    monkeypatch.setattr(localrings, "artinian_reduce", no_reduction)
+    report = local_ci_test(I, P)
+    assert (report.mu, report.codim, report.lci) == (2, 2, True)
+    assert (report.length, report.socle_dim, report.gorenstein) == (4, 1, True)
+
+
+def test_chart_of_a_held_basis_only_at_the_last_vertex(monkeypatch):
+    # another vertex, another point of the last chart, or a lex ring: the
+    # chart ideal holds no basis and local_mu computes one
+    calls = _count_bases(monkeypatch)
+    for order, coords in (
+        ("grevlex", [0, 0, 1, 0]),
+        ("grevlex", [0, 0, 1, 1]),
+        ("lex", [0, 0, 0, 1]),
+    ):
+        R = make_ring(["x", "y", "z", "u"], "F31", order)
+        x, y, z, u = R.gens()
+        I = Ideal.from_groebner(Ideal(R, [x * z + y * y, x * y]).groebner())
+        J = translate_to_origin(I, RationalPoint.projective(R, coords))
+        assert J.held_groebner() is None
+        calls.clear()
+        assert local_mu(J) == 2
+        assert len(calls) == 1
+
+
 def test_local_mu_examples(A3):
     x, y, z = A3.gens()
     assert local_mu(Ideal(A3, [x, y])) == 2
@@ -296,7 +391,9 @@ def test_local_mu_matches_normal_forms_modulo_m_times_i():
 
 
 def test_local_mu_takes_one_basis_and_no_normal_form(monkeypatch):
-    # the chart ideal of a meeting union: one basis, of its own generators
+    # the chart ideal of a meeting union holds the union's basis, moved to
+    # the chart: local_mu computes none.  The same chart ideal without a
+    # held basis takes one, of its own generators.
     from liaison import groebner, ideals, localrings
 
     R = make_ring(["x", "y", "z", "u"], "F31", "grevlex")
@@ -304,6 +401,7 @@ def test_local_mu_takes_one_basis_and_no_normal_form(monkeypatch):
     I1 = Ideal(R, [z * x + u * y, x**2, x * y, y**2])
     I2 = Ideal(R, [y * x + u * z, x**2, x * z, z**2])
     J = translate_to_origin(ideal_intersect(I1, I2), RationalPoint.projective(R, [0, 0, 0, 1]))
+    bare = Ideal(J.ring, J.gens)
 
     def no_normal_form(*args):
         raise AssertionError("normal_form called")
@@ -312,7 +410,28 @@ def test_local_mu_takes_one_basis_and_no_normal_form(monkeypatch):
         monkeypatch.setattr(module, "normal_form", no_normal_form)
     calls = _count_bases(monkeypatch)
     assert local_mu(J) == 2
-    assert calls == [list(J.gens)]
+    assert calls == []
+    assert local_mu(bare) == 2
+    assert calls == [list(bare.gens)]
+    assert bare.groebner() == J.groebner()
+
+
+def test_meeting_oracle_takes_one_basis(monkeypatch):
+    # the intersection's: the lci certificates along the supports are
+    # Sylvester ranks, and the chart at the meeting point holds the
+    # intersection's basis
+    from liaison import doublelines
+
+    assert not hasattr(doublelines, "buchberger")
+    R = make_ring(["x", "y", "z", "u"], "F31", "grevlex")
+    rng = random.Random(2107)
+    pairs = [random_meeting_instance(R, case, rng) for case in ("a", "b_hold", "b_violate", "one_sided")]
+    calls = _count_bases(monkeypatch)
+    for L1, L2 in pairs:
+        calls.clear()
+        _, (report,) = oracle_lal(L1, L2)
+        assert report.point.coordinates == (0, 0, 0, 1)
+        assert len(calls) == 1 and calls[0][0].ring.order == MonomialOrder("block", 1)
 
 
 def test_artinian_invariants_skip_components_away_from_origin():
