@@ -111,7 +111,7 @@ def _cmd_gorenstein(session, args, opts):
         return CommandResult(
             {"gorenstein": None, "note": "no certified Artinian reduction"},
             [f"point {p}: inconclusive (no certified Artinian reduction: "
-             "slice budget spent or length check failed)"],
+             "slice budget spent)"],
             exit_code=EXIT_INCONCLUSIVE,
             points_tested=[p],
         )

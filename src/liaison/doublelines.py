@@ -23,7 +23,7 @@ generated meeting campaigns.
 import itertools
 from dataclasses import dataclass, field as dc_field
 
-from .ideals import Ideal, hilbert_data, ideal_equal, ideal_intersect, ideal_product
+from .ideals import Ideal, hilbert_data, ideal_equal, ideal_intersect
 from .linalg import kernel_basis, rank, solve
 from .localrings import LocalPointReport, RationalPoint, local_mu, translate_to_origin
 from .polynomials import Polynomial
@@ -275,6 +275,23 @@ def _pm_extension_ideal(ring, support, N):
     return Ideal(ring, [binary_form(ring, pencil, vec) for vec in kernel])
 
 
+def _holds_line_product(Y, I1, I2, support):
+    """Whether Y contains F1*F2 and (v1, v2)^3, for the ideals I_i =
+    double_line_ideal(L_i) = (F_i) + (v1, v2)^2 of two double lines on the
+    support {v1 = v2 = 0}.
+
+    As F_i lies in (v1, v2), I1*I2 lies in (F1*F2) + (v1, v2)^3: True means
+    Y contains I1*I2, at the cost of one product and five normal forms
+    instead of sixteen of each.  The converse holds when Y contains
+    (v1, v2)^3, as two coprime quadrics in v1, v2 do: their four multiples
+    by v1 and v2 are independent cubics, so they span all four.
+    """
+    ring = Y.ring
+    v1, v2 = (Polynomial.variable(ring, ring.variables[k]) for k in support)
+    cubics = (v1**3, v1**2 * v2, v1 * v2**2, v2**3)
+    return Y.contains(I1.gens[0] * I2.gens[0]) and all(Y.contains(c) for c in cubics)
+
+
 def _witness_links_by_certificate(Y, L1, L2):
     """Whether Y links the double lines L1 and L2: (Y : I1) = I2 and
     (Y : I2) = I1, proved without a colon.
@@ -284,16 +301,20 @@ def _witness_links_by_certificate(Y, L1, L2):
     pencil forms of each line have no common zero, so I_i =
     double_line_ideal(L_i) is unmixed of degree 2: (v1, v2)/I_i is the ideal
     (f, g) of the pencil ring, shifted, which is torsion-free of rank 1.
-    With Y of degree 4 inside I1 and I2, and I1*I2 inside Y, (Y : I1) is
-    unmixed of degree 4 - 2 and contains I2, unmixed of the same degree, so
-    the two are equal; likewise (Y : I2) = I1.
+    With Y of degree 4 inside I1 and I2, and I1*I2 inside Y (checked on
+    F1*F2 and (v1, v2)^3, see _holds_line_product), (Y : I1) is unmixed of
+    degree 4 - 2 and contains I2, unmixed of the same degree, so the two
+    are equal; likewise (Y : I2) = I1.
 
-    For lines the DoubleLine constructor accepts, False also disproves the
-    colons.  The constructor rejects forms with a common zero, so the lci
-    checks hold.  If both colons hold, Y lies in (Y : I1) = I2 and in I1,
-    and I1*I2 = I1*(Y : I1) lies in Y.  Y also has Krull dimension 2: at
-    least that of I1, which contains it, and two quadrics with a common
-    factor h have (Y : I1) inside (h), which cannot contain I2.
+    For lines the DoubleLine constructor accepts and Y spanned by two
+    quadrics in v1, v2 (as _pm_extension_ideal builds it), False also
+    disproves the colons.  The constructor rejects forms with a common
+    zero, so the lci checks hold.  If both colons hold, Y lies in (Y : I1)
+    = I2 and in I1, and I1*I2 = I1*(Y : I1) lies in Y.  Y also has Krull
+    dimension 2: at least that of I1, which contains it, and two quadrics
+    with a common factor h have (Y : I1) inside (h), which cannot contain
+    I2.  So its quadrics are coprime, Y contains (v1, v2)^3, and the
+    product check is exact.
     """
     data = hilbert_data(Y)
     if not (len(Y.gens) == 2 and data.krull_dimension == 2 and data.degree == 4):
@@ -304,7 +325,7 @@ def _witness_links_by_certificate(Y, L1, L2):
     return (
         I1.contains_ideal(Y)
         and I2.contains_ideal(Y)
-        and Y.contains_ideal(ideal_product(I1, I2))
+        and _holds_line_product(Y, I1, I2, L1.support)
     )
 
 

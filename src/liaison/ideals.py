@@ -96,9 +96,19 @@ def ideal_product(I, J):
 
 
 def ideal_equal(I, J):
-    """Equality of ideals: identical reduced Groebner bases for the ring's order."""
+    """Equality of ideals, by containment both ways.
+
+    J's basis decides whether every generator of I lies in J; only then is
+    I's basis computed to test J's generators, so a pair with I not inside
+    J costs one basis.  A side that already holds its basis is the one
+    tested against, and two held reduced bases are compared as they are.
+    """
     _check_same_ring(I, J)
-    return I.groebner().elements == J.groebner().elements
+    if I.held_groebner() is not None:
+        if J.held_groebner() is not None:
+            return I.groebner().elements == J.groebner().elements
+        I, J = J, I
+    return J.contains_ideal(I) and I.contains_ideal(J)
 
 
 def _check_same_ring(I, J):

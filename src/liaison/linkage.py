@@ -135,7 +135,8 @@ def _linked_by_certificate(triple, seed):
     dimension give equal Hilbert series, so second = L and both relations
     hold.  R/first is certified Cohen-Macaulay when first is a graded
     complete intersection (localrings.is_graded_complete_intersection;
-    Bruns-Herzog, Thm 2.1.2), else by a completed artinian_reduce(first).
+    Bruns-Herzog, Thm 2.1.2), else by a completed artinian_reduce(first);
+    a refuted or inconclusive reduction leaves it uncertified.
     """
     base, first, second = triple.ideals()
     h_base, h_first, h_second = (hilbert_data(I).h_vector for I in triple.ideals())
@@ -148,7 +149,7 @@ def _linked_by_certificate(triple, seed):
         and base.contains_ideal(ideal_product(first, second))
         and (
             is_graded_complete_intersection(first)
-            or artinian_reduce(first, seed=seed)[0] is not None
+            or isinstance(artinian_reduce(first, seed=seed)[0], Ideal)
         )
     )
 

@@ -17,8 +17,9 @@ type 1 with length its degree, with no computation beyond its Hilbert data.
 Otherwise Gorenstein-ness of a positive-dimensional local ring is decided
 after cutting by linear forms down to dimension zero: homogeneous input is
 cut by a whole system of parameters at once, certified Cohen-Macaulay by one
-length check (dim_k R/Q = degree), other input one form at a time, each
-certified regular by the colon (I : h) = I.
+length check (dim_k R/Q = degree) and refuted, so not Gorenstein, when it
+fails; other input is cut one form at a time, each certified regular by the
+colon (I : h) = I.
 The local complete-intersection test reads the local codimension off the
 same reduction: the variables of the chart minus the number of cuts.
 """
@@ -272,15 +273,17 @@ def artinian_reduce(I, seed=0):
     """Cut by random linear forms down to dimension zero.
 
     Returns (Q, forms), Q the sliced ideal as it is (components away from
-    the origin included; artinian_invariants reads past them), or
-    (None, forms) when no certified Q is found.  A non-None Q certifies R/I
-    Cohen-Macaulay at the origin (when the origin lies on its zero set).
+    the origin included; artinian_invariants reads past them), which
+    certifies R/I Cohen-Macaulay at the origin (when the origin lies on its
+    zero set); (False, forms) when a length check refutes that; or
+    (None, forms) when the slice budget is spent first (inconclusive).
 
     Homogeneous I of Krull dimension d is cut by d forms h at once: Q = I +
     (h), one Groebner basis.  A zero-dimensional Q makes h a system of
     parameters, R/I finite over k[h] of rank deg R/I, and graded R/I is
     Cohen-Macaulay iff free over k[h] (graded Auslander-Buchsbaum), iff
-    dim_k R/Q = deg R/I; a mismatch returns None.  A Q of positive
+    dim_k R/Q = deg R/I; a mismatch returns False, as every component of
+    homogeneous I passes through the origin.  A Q of positive
     dimension draws a fresh tuple, up to SLICE_BUDGET tuples.  Other input
     is cut one form at a time, each certified by is_regular within
     SLICE_BUDGET draws: a regular sequence with zero-dimensional quotient,
@@ -303,7 +306,7 @@ def artinian_reduce(I, seed=0):
             Q = ideal_sum(I, Ideal(ring, forms))
             gb = Q.groebner()
             if is_zero_dimensional(gb):
-                return (Q if len(standard_monomials(gb)) == data.degree else None), forms
+                return (Q if len(standard_monomials(gb)) == data.degree else False), forms
         return None, forms
     current = I
     while not is_zero_dimensional(current.groebner()):
@@ -337,12 +340,15 @@ def local_gorenstein(I, seed=0):
     Gorenstein of type 1, Cohen-Macaulay, with length deg R/I after
     cutting by a system of parameters (Bruns-Herzog, Prop. 3.1.20): that
     is returned with no reduction.  Other I are read off the Artinian
-    reduction; None when artinian_reduce returns no Q (reported as
-    inconclusive, never guessed, also when a length check refuted
-    Cohen-Macaulayness)."""
+    reduction.  A length check that refutes Cohen-Macaulayness gives
+    (None, None, False): not Gorenstein, with no length or socle, which
+    would depend on the cut.  None when the slice budget is spent
+    (reported as inconclusive, never guessed)."""
     if is_graded_complete_intersection(I):
         return hilbert_data(I).degree, 1, True
     Q, _forms = artinian_reduce(I, seed=seed)
+    if Q is False:
+        return None, None, False
     return None if Q is None else artinian_invariants(Q)
 
 
@@ -358,11 +364,14 @@ def local_ci_test(I, point, seed=0):
     codimension and invariants are read off its Hilbert data (see
     local_gorenstein).  A certified Q cuts the chart by a regular sequence
     down to dimension zero, so every component through the point has
-    dimension len(forms).
-    Without one, the global codimension c (Hilbert data) only bounds the
-    local one from below and mu bounds it from above: lci is True when mu
-    equals c and None otherwise, and the Gorenstein verdict is None, with
-    an explanatory note (never guessed).
+    dimension len(forms).  A refuted one (homogeneous, its Krull dimension
+    len(forms)) gives the same codimension, as every component of a
+    homogeneous chart ideal is a cone through the origin; its report is
+    gorenstein False, with a note.
+    Without a zero-dimensional cut, the global codimension c (Hilbert data)
+    only bounds the local one from below and mu bounds it from above: lci is
+    True when mu equals c and None otherwise, and the Gorenstein verdict is
+    None, with an explanatory note (never guessed).
     """
     if not I.is_homogeneous():
         raise ValueError("local_ci_test needs a homogeneous ideal")
@@ -378,10 +387,13 @@ def local_ci_test(I, point, seed=0):
         codim = I.ring.nvars - hilbert_data(I).krull_dimension
         return LocalPointReport(
             mu=mu, codim=codim, lci=(mu == codim) or None, point=point,
-            note="inconclusive: no certified Artinian reduction "
-            "(slice budget spent or length check failed)",
+            note="inconclusive: no certified Artinian reduction (slice budget spent)",
         )
     codim = J.ring.nvars - len(forms)
     report = LocalPointReport(mu=mu, codim=codim, lci=(mu == codim), point=point)
-    report.length, report.socle_dim, report.gorenstein = artinian_invariants(Q)
+    if Q is False:
+        report.gorenstein = False
+        report.note = "not Cohen-Macaulay: the length check of the Artinian reduction failed"
+    else:
+        report.length, report.socle_dim, report.gorenstein = artinian_invariants(Q)
     return report

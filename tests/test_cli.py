@@ -312,6 +312,33 @@ def test_verify_triple_failed_exact_check_exits_one(tmp_path):
     assert proc.returncode == 1
 
 
+def test_refuted_cohen_macaulayness_exits_one(tmp_path):
+    # two planes (a, b) cap (c, d) of P^4 meeting in the point P are not
+    # Cohen-Macaulay there (a failed length check): gorenstein and lci give
+    # a false verdict, and so does verify-triple, whose exact checks all
+    # pass on them
+    session = tmp_path / "planes.session"
+    session.write_text(
+        "ring Q[a,b,c,d,e] order grevlex\n"
+        "ideal B = a*c, a*d, b*c, b*d\n"
+        "ideal A1 = a, b\n"
+        "ideal A2 = c, d\n"
+        "point P = (0:0:0:0:1)\n"
+    )
+    proc = run_cli(str(session), "gorenstein", "B", "P", "--json")
+    assert proc.returncode == 1, proc.stderr
+    result = json.loads(proc.stdout)["result"]
+    assert (result["length"], result["socle_dim"], result["gorenstein"]) == (None, None, False)
+    proc = run_cli(str(session), "lci", "B", "P", "--json")
+    assert proc.returncode == 1, proc.stderr
+    result = json.loads(proc.stdout)["result"]
+    assert (result["mu"], result["codim"], result["lci"], result["gorenstein"]) == (4, 2, False, False)
+    proc = run_cli(str(session), "verify-triple", "B", "A1", "A2")
+    assert "colon symmetry: True" in proc.stdout and "additive=True" in proc.stdout
+    assert "gorenstein at the cone origin: False" in proc.stdout
+    assert proc.returncode == 1, proc.stderr
+
+
 def test_verify_triple_exhausted_budget_exits_three(monkeypatch, capsys, tmp_path):
     from liaison import cli, localrings
 

@@ -16,6 +16,7 @@ from liaison import (
     ideal_colon,
     ideal_equal,
     ideal_intersect,
+    ideal_product,
     link,
     local_ci_test,
     make_ring,
@@ -34,7 +35,8 @@ from liaison.generators import (
     random_meeting_instance,
     random_same_support_instance,
 )
-from liaison.linalg import kernel_basis
+from liaison.groebner import buchberger
+from liaison.linalg import kernel_basis, rank
 from liaison.polynomials import Polynomial, substitute
 
 
@@ -577,6 +579,94 @@ def test_witness_certificate_agrees_with_colons(monkeypatch):
             with pytest.raises(ClassificationDiscrepancy):
                 classify_same_support_pair(L1, L2)
     assert rejected >= 60
+
+
+def _random_nonsingular_traceless(field, rng):
+    sample = field.random_sample()
+    while True:
+        n11, n12, n21 = (rng.choice(sample) for _ in range(3))
+        if field.add(field.mul(n11, n11), field.mul(n12, n21)) != field.zero:  # -det
+            return [[n11, n12], [n21, field.neg(n11)]]
+
+
+@pytest.mark.parametrize("field", ["F31", "F5", "Q"])
+def test_line_product_check_agrees_with_all_products(field):
+    # F1*F2 and (v1, v2)^3 inside Y, against all sixteen products of I1*I2
+    # inside Y: the witness of a traceless pair passes both.  Both reject a
+    # Y from another traceless N (its phi off the witness's line), the
+    # witness with one quadric moved off its span, every Y for a pair
+    # related by a non-traceless N (no phi kills its products), and the
+    # principal ideal (F1*F2), which holds no cubic in v1, v2.
+    R = make_ring(["x", "y", "z", "u"], field, "grevlex")
+    F = R.field
+    rng = random.Random(f"line product {field}")
+
+    def phi(N):
+        return [F.neg(N[0][1]), N[0][0], N[1][0]]
+
+    def witness(N):
+        return doublelines._pm_extension_ideal(R, (0, 1), N)
+
+    cases = []
+    for i in range(16):
+        traceless = i % 2 == 0
+        L1, L2, N = random_same_support_instance(R, rng, traceless)
+        other = _random_nonsingular_traceless(F, rng)
+        while traceless and rank([phi(N), phi(other)], F) < 2:
+            other = _random_nonsingular_traceless(F, rng)
+        cases.append((L1, L2, witness(other), False))
+        I1, I2 = double_line_ideal(L1), double_line_ideal(L2)
+        cases.append((L1, L2, Ideal(R, [I1.gens[0] * I2.gens[0]]), False))
+        if traceless:
+            Y = witness(N)
+            cases.append((L1, L2, Y, True))
+            span = [binary_coefficients(q, (0, 1), 2) for q in Y.gens]
+            while True:
+                coeffs = [rng.choice(F.random_sample()) for _ in range(3)]
+                if rank(span + [coeffs], F) == 3:
+                    break
+            q1, q2 = Y.gens
+            cases.append((L1, L2, Ideal(R, [q1 + binary_form(R, (0, 1), coeffs), q2]), False))
+    for L1, L2, Y, linked in cases:
+        I1, I2 = double_line_ideal(L1), double_line_ideal(L2)
+        assert Y.contains_ideal(ideal_product(I1, I2)) == linked, (L1, L2, Y)
+        assert doublelines._holds_line_product(Y, I1, I2, L1.support) == linked, (L1, L2, Y)
+    assert len(cases) == 48
+
+
+def test_unequal_same_support_oracle_takes_one_basis(monkeypatch):
+    # ideal_equal tests the first line's generators against the second's
+    # basis and stops at F1, so an unequal pair costs one basis; an equal
+    # pair (a line and its rescaling) takes both
+    from liaison import ideals
+
+    calls = []
+
+    def counted(gens, *args, **kwargs):
+        calls.append(gens)
+        return buchberger(gens, *args, **kwargs)
+
+    inside = []
+
+    def recording(I, J):
+        before = len(calls)
+        equal = ideal_equal(I, J)
+        inside.append((equal, len(calls) - before))
+        return equal
+
+    monkeypatch.setattr(ideals, "buchberger", counted)
+    monkeypatch.setattr(doublelines, "ideal_equal", recording)
+    R = make_ring(["x", "y", "z", "u"], "F31", "grevlex")
+    rng = random.Random(2203)
+    for i in range(6):
+        L1, L2, _N = random_same_support_instance(R, rng, traceless=i % 2 == 0)
+        calls.clear()
+        inside.clear()
+        assert oracle_lal(L1, L2)[0] == ("lal" if i % 2 == 0 else "not_lal")
+        assert inside == [(False, 1)] and len(calls) == 1
+    inside.clear()
+    assert oracle_lal(L1, L1.scaled(3)) == ("lal", [])
+    assert inside == [(True, 2)]
 
 
 def test_witness_for_lines_with_a_common_zero_is_refused(P3, monkeypatch):

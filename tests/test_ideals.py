@@ -278,3 +278,46 @@ def test_intersect_and_colon_hold_their_reduced_basis(field, order):
             assert colon._gb is not None
             for K in (meet, colon):
                 assert K.groebner().elements == buchberger(list(K.gens)).elements
+
+
+def _equal_by_reduced_bases(I, J):
+    """Reference for ideal_equal: the reduced bases of fresh copies agree."""
+    return Ideal(I.ring, I.gens).groebner().elements == Ideal(J.ring, J.gens).groebner().elements
+
+
+@pytest.mark.parametrize("order", ["grevlex", "lex", "block(1)"])
+@pytest.mark.parametrize("field", ["F31", "F5", "Q"])
+def test_ideal_equal_by_containment_agrees_with_reduced_bases(field, order):
+    # equal pairs (shuffled, scaled and redundant generators), unequal ones,
+    # the zero and the unit ideal; with no basis held, with one side's basis
+    # held (either side) and with both held
+    rng = random.Random(f"ideal_equal {field} {order}")
+    ring = make_ring(["x", "y", "z"], field, order)
+    x, y, z = ring.gens()
+    zero, unit = Ideal.zero(ring), Ideal(ring, [ring.one()])
+    pairs = [(zero, zero), (unit, Ideal(ring, [x, x + 1])), (zero, unit)]
+    for _ in range(12):
+        I = _random_ideal(ring, rng)
+        gens = list(I.gens)
+        scales = [ring.field.normalize(rng.randint(1, 4)) for _ in gens]
+        h = _random_ideal(ring, rng).gens[0]
+        pairs += [
+            (I, Ideal(ring, rng.sample(gens, len(gens)))),
+            (I, Ideal(ring, [g.scale(c) for g, c in zip(gens, scales)])),
+            (I, Ideal(ring, gens + [gens[0] * h + gens[-1]])),
+            (I, Ideal(ring, gens + [h])),
+            (I, Ideal(ring, gens[:-1] + [gens[-1] * x])),
+            (I, zero),
+            (I, unit),
+        ]
+    outcomes = set()
+    for I, J in pairs:
+        expected = _equal_by_reduced_bases(I, J)
+        outcomes.add(expected)
+        for held in ((), (0,), (1,), (0, 1)):
+            A, B = Ideal(ring, I.gens), Ideal(ring, J.gens)
+            for side in held:
+                (A, B)[side].groebner()
+            assert ideal_equal(A, B) == expected, (I, J, held)
+            assert ideal_equal(B, A) == expected, (I, J, held)
+    assert outcomes == {True, False}

@@ -27,10 +27,12 @@ from liaison.generators import (
 )
 from liaison.groebner import buchberger, normal_form
 from liaison.ideals import (
+    hilbert_data,
     ideal_intersect,
     ideal_sum,
     is_zero_dimensional,
     minimal_monomial_generators,
+    standard_monomials,
 )
 from liaison.linalg import rank
 from liaison.localrings import is_graded_complete_intersection, is_regular, local_gorenstein
@@ -640,6 +642,31 @@ def test_lci_without_certified_reduction_is_not_refuted(P3):
     assert "inconclusive" in report.note
 
 
+def test_refuted_cohen_macaulayness_is_a_verdict(P3):
+    # the skew lines (x, y) cap (z, u): two cuts leave length 3 against
+    # degree 2, so R/I is not Cohen-Macaulay and so not Gorenstein, at the
+    # cone origin and at the vertex of two planes meeting in a point of P^4
+    x, y, z, u = P3.gens()
+    I = Ideal(P3, [x * z, x * u, y * z, y * u])
+    Q, forms = artinian_reduce(I, seed=0)
+    assert Q is False and len(forms) == 2
+    cut = ideal_sum(I, Ideal(P3, forms)).groebner()
+    assert (len(standard_monomials(cut)), hilbert_data(I).degree) == (3, 2)
+    for seed in range(4):
+        assert local_gorenstein(I, seed=seed) == (None, None, False)
+    R = make_ring(["a", "b", "c", "d", "e"], "F31", "grevlex")
+    a, b, c, d, e = R.gens()
+    planes = Ideal(R, [a * c, a * d, b * c, b * d])
+    for J, point in (
+        (I, RationalPoint.affine(P3, [0, 0, 0, 0])),
+        (planes, RationalPoint.projective(R, [0, 0, 0, 0, 1])),
+    ):
+        report = local_ci_test(J, point, seed=0)
+        assert (report.mu, report.codim, report.lci) == (4, 2, False)
+        assert (report.length, report.socle_dim, report.gorenstein) == (None, None, False)
+        assert "not Cohen-Macaulay" in report.note
+
+
 def _count_bases(monkeypatch):
     from liaison import ideals, localrings
 
@@ -723,21 +750,23 @@ def _random_homogeneous_ideal(R, rng):
 def test_graded_length_certificate_agrees_with_regular_cuts():
     # the one length check on a whole system of parameters gives the same
     # verdict and invariants as cutting by certified-regular forms one at a
-    # time, on Cohen-Macaulay and non-Cohen-Macaulay ideals over F31 and Q
+    # time, on Cohen-Macaulay and non-Cohen-Macaulay ideals over F31 and Q;
+    # where it refutes Cohen-Macaulayness (False) the reference finds no
+    # regular sequence either
     rng = random.Random(71)
     for R, count in (
         (make_ring(["x", "y", "z"], "F31", "grevlex"), 14),
         (make_ring(["x", "y", "z", "u"], "F31", "grevlex"), 14),
         (make_ring(["x", "y", "z", "u"], "Q", "grevlex"), 10),
     ):
-        cohen_macaulay = set()
+        outcomes = set()
         for seed in range(count):
             I = _random_homogeneous_ideal(R, rng)
             expected = _reduce_one_cut_at_a_time(I, seed)
             Q, forms = artinian_reduce(I, seed=seed)
-            assert (None if Q is None else artinian_invariants(Q)) == expected, (R, I)
-            cohen_macaulay.add(expected is not None)
-        assert cohen_macaulay == {True, False}, R
+            assert (artinian_invariants(Q) if isinstance(Q, Ideal) else None) == expected, (R, I)
+            outcomes.add("refuted" if Q is False else expected is not None)
+        assert outcomes == {True, "refuted"}, R
 
 
 def test_graded_reduction_takes_one_basis_beyond_its_input(monkeypatch):
