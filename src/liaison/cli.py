@@ -95,7 +95,7 @@ def _cmd_lci(session, args, opts):
     I = session.lookup_ideal(args[0])
     p = session.lookup_point(args[1])
     report = local_ci_test(I, p, seed=opts.seed)
-    code = {True: EXIT_OK, False: EXIT_FALSE, None: EXIT_INCONCLUSIVE}[report.lci]
+    code = EXIT_OK if report.lci else EXIT_FALSE
     text = [
         f"point {p}: mu = {report.mu}, codim = {report.codim}, "
         f"lci = {report.lci}, gorenstein = {report.gorenstein}"

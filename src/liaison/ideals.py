@@ -1,15 +1,16 @@
 """Ideal-level algebra: sum, product, intersection, colon, saturation,
-elimination, equality, and Hilbert data (dimension and degree).
+elimination, equality, local leading ideals, and Hilbert data.
 
-Intersections use the t-trick (eliminate t from t*I + (1-t)*J); a colon by
-(g_1..g_s) is one chain of s intersections, K_i = (I cap g_i*K_(i-1)) / g_i;
-saturation is the stabilized iterated colon.  Dimension and degree come from
-the Hilbert series of the leading-term ideal.
+Intersections use the t-trick (eliminate t from t*I + (1-t)*J), local
+leading ideals a t-homogenization; a colon by (g_1..g_s) is one chain of s
+intersections, K_i = (I cap g_i*K_(i-1)) / g_i; saturation is the stabilized
+iterated colon.  Dimension and degree come from the Hilbert series of the
+leading-term ideal, local ones from that of the local leading ideal.
 """
 
 from dataclasses import dataclass
 
-from .groebner import GroebnerBasis, buchberger, normal_form
+from .groebner import GroebnerBasis, buchberger, normal_form, reduced_basis
 from .polynomials import Polynomial, mono_div, mono_divides, mono_gcd
 from .rings import GREVLEX, MonomialOrder, make_ring
 
@@ -169,6 +170,40 @@ def ideal_intersect(I, J):
     if ring.order == GREVLEX:
         return Ideal.from_groebner(GroebnerBasis(ring, kept))
     return Ideal(ring, kept)
+
+
+def local_leading_ideal(J):
+    """(L, cone): the leading ideal of J in the local ring at the origin, a
+    monomial ideal holding its basis, and the tangent cone of J there.
+
+    Lazard's method (Greuel-Pfister, Sec. 1.7): homogenize J's generators by
+    a new first variable t and take one reduced block(1) basis; as block(1)
+    puts the higher power of t first among monomials of one degree, the
+    dehomogenized basis is a standard basis of J for a local degree order.
+    L holds its leading monomials, the cone its lowest forms; both have the
+    Hilbert function of the associated graded ring, so hilbert_data(L) gives
+    the local dimension and multiplicity, and the standard monomials of a
+    zero-dimensional L count the local length.  A homogeneous J is its own
+    cone, and L comes from the basis J holds.
+    """
+    ring = J.ring
+    if J.is_homogeneous():
+        leading, cone = J.groebner().leading_monomials(), J
+    else:
+        tname = _fresh_name(set(ring.variables), "t")
+        ext = make_ring([tname, *ring.variables], ring.field, MonomialOrder("block", 1))
+        homogenized = []
+        for f in J.gens:
+            top = f.total_degree()
+            homogenized.append(Polynomial(ext, {(top - sum(e), *e): c for e, c in f.terms.items()}))
+        lifted = [(g, g.leading_monomial()) for g in buchberger(homogenized)]
+        leading = [lm[1:] for _, lm in lifted]
+        cone = Ideal(ring, [
+            Polynomial(ring, {e[1:]: c for e, c in g.terms.items() if e[0] == lm[0]})
+            for g, lm in lifted
+        ])
+    monomials = [Polynomial.monomial(ring, e) for e in leading]
+    return Ideal.from_groebner(reduced_basis(ring, monomials)), cone
 
 
 def exact_divide(g, f):

@@ -14,14 +14,10 @@ multiplication by the variables.  A homogeneous Q is its own origin
 component.
 A graded complete intersection, chart ideals included, is Gorenstein of
 type 1 with length its degree, with no computation beyond its Hilbert data.
-Otherwise Gorenstein-ness of a positive-dimensional local ring is decided
-after cutting by linear forms down to dimension zero: homogeneous input is
-cut by a whole system of parameters at once, certified Cohen-Macaulay by one
-length check (dim_k R/Q = degree) and refuted, so not Gorenstein, when it
-fails; other input is cut one form at a time, each certified regular by the
-colon (I : h) = I.
-The local complete-intersection test reads the local codimension off the
-same reduction: the variables of the chart minus the number of cuts.
+Otherwise the local leading ideal (Lazard) gives the local dimension d and
+multiplicity e, and one cut by d linear forms, with no colon, certifies the
+local ring Cohen-Macaulay when its length is e, else refutes it; the local
+codimension, the chart's variables minus d, is always exact.
 """
 
 import random
@@ -31,18 +27,16 @@ from .groebner import normal_form, reduced_basis, schreyer_constants
 from .ideals import (
     Ideal,
     hilbert_data,
-    ideal_colon,
-    ideal_equal,
     ideal_sum,
     is_zero_dimensional,
+    local_leading_ideal,
     standard_monomials,
 )
 from .linalg import rank, rref
 from .polynomials import Polynomial, substitute
 from .rings import GREVLEX, make_ring
 
-# draws before a Gorenstein verdict is given up as inconclusive: tuples of
-# linear forms on homogeneous input, single forms per cut otherwise
+# tuples of linear forms drawn before a Gorenstein verdict is inconclusive
 SLICE_BUDGET = 8
 
 
@@ -92,7 +86,7 @@ class LocalPointReport:
 
     mu: int
     codim: int
-    lci: bool | None
+    lci: bool
     length: int | None = None
     socle_dim: int | None = None
     gorenstein: bool | None = None
@@ -264,61 +258,44 @@ def socle_dimensions(Q, carriers):
     return tuple(dims)
 
 
-def is_regular(h, I):
-    """Whether h is a nonzerodivisor on R/I: (I : h) = I."""
-    return ideal_equal(ideal_colon(I, Ideal(I.ring, [h])), I)
-
-
 def artinian_reduce(I, seed=0):
-    """Cut by random linear forms down to dimension zero.
+    """Cut by random linear forms down to a local ring of dimension zero.
 
-    Returns (Q, forms), Q the sliced ideal as it is (components away from
-    the origin included; artinian_invariants reads past them), which
-    certifies R/I Cohen-Macaulay at the origin (when the origin lies on its
-    zero set); (False, forms) when a length check refutes that; or
-    (None, forms) when the slice budget is spent first (inconclusive).
-
-    Homogeneous I of Krull dimension d is cut by d forms h at once: Q = I +
-    (h), one Groebner basis.  A zero-dimensional Q makes h a system of
-    parameters, R/I finite over k[h] of rank deg R/I, and graded R/I is
-    Cohen-Macaulay iff free over k[h] (graded Auslander-Buchsbaum), iff
-    dim_k R/Q = deg R/I; a mismatch returns False, as every component of
-    homogeneous I passes through the origin.  A Q of positive
-    dimension draws a fresh tuple, up to SLICE_BUDGET tuples.  Other input
-    is cut one form at a time, each certified by is_regular within
-    SLICE_BUDGET draws: a regular sequence with zero-dimensional quotient,
-    so depth equals dimension.
+    Returns (Q, forms): a zero-dimensional Q with the origin component of
+    I + (forms), certifying R/I Cohen-Macaulay at the origin; False for Q
+    when the length check refutes that; None when the slice budget is spent
+    first (inconclusive).  The local leading ideal L of I and its tangent
+    cone C (local_leading_ideal) give the local dimension d and multiplicity
+    e.  d forms h are drawn at once, up to SLICE_BUDGET tuples, until C + (h)
+    is zero-dimensional: (h) is then a reduction of m on R/I, and R/I is
+    Cohen-Macaulay iff the local length of R/(I + (h)) is e (Serre;
+    Matsumura, Thm 17.11).  Homogeneous I has every component through the
+    origin, and Q = I + (h); other I add (x_1^l, ..., x_n^l), l that length.
     """
     rng = random.Random(seed)
     ring = I.ring
     sample = ring.field.random_sample()
-
-    def draw():
-        return sum((v.scale(rng.choice(sample)) for v in ring.gens()), Polynomial.zero(ring))
-
-    forms = []
-    if I.is_homogeneous():
-        data = hilbert_data(I)
-        if data.krull_dimension <= 0:
-            return I, forms
+    L, cone = local_leading_ideal(I)
+    data = hilbert_data(L)
+    forms, cut = [], cone
+    if data.krull_dimension > 0:
         for _ in range(SLICE_BUDGET):
-            forms = [draw() for _ in range(data.krull_dimension)]
-            Q = ideal_sum(I, Ideal(ring, forms))
-            gb = Q.groebner()
-            if is_zero_dimensional(gb):
-                return (Q if len(standard_monomials(gb)) == data.degree else False), forms
-        return None, forms
-    current = I
-    while not is_zero_dimensional(current.groebner()):
-        for _ in range(SLICE_BUDGET):
-            h = draw()
-            if is_regular(h, current):
+            forms = [
+                sum((v.scale(rng.choice(sample)) for v in ring.gens()), Polynomial.zero(ring))
+                for _ in range(data.krull_dimension)
+            ]
+            cut = ideal_sum(cone, Ideal(ring, forms))
+            if is_zero_dimensional(cut.groebner()):
                 break
         else:
             return None, forms
-        forms.append(h)
-        current = ideal_sum(current, Ideal(ring, [h]))
-    return current, forms
+    Q = cut if cone is I else ideal_sum(I, Ideal(ring, forms))
+    length = len(standard_monomials(local_leading_ideal(Q)[0].groebner()))
+    if length != data.degree:
+        return False, forms
+    if cone is not I:
+        Q = ideal_sum(Q, Ideal(ring, [v**length for v in ring.gens()]))
+    return Q, forms
 
 
 def is_graded_complete_intersection(I):
@@ -333,23 +310,29 @@ def is_graded_complete_intersection(I):
     return dim >= 0 and len(I.gens) == I.ring.nvars - dim
 
 
+def _reduced_at_origin(I, seed):
+    """(codim, invariants) of the local ring of I at the origin: codim is
+    nvars - len(forms), one cut per local dimension; see local_gorenstein."""
+    if is_graded_complete_intersection(I):
+        data = hilbert_data(I)
+        return I.ring.nvars - data.krull_dimension, (data.degree, 1, True)
+    Q, forms = artinian_reduce(I, seed=seed)
+    codim = I.ring.nvars - len(forms)
+    if Q is None:
+        return codim, None
+    return codim, (None, None, False) if Q is False else artinian_invariants(Q)
+
+
 def local_gorenstein(I, seed=0):
     """(length, socle_dim, gorenstein) of the local ring of I at the origin.
 
     A graded complete intersection (is_graded_complete_intersection) is
-    Gorenstein of type 1, Cohen-Macaulay, with length deg R/I after
-    cutting by a system of parameters (Bruns-Herzog, Prop. 3.1.20): that
-    is returned with no reduction.  Other I are read off the Artinian
-    reduction.  A length check that refutes Cohen-Macaulayness gives
-    (None, None, False): not Gorenstein, with no length or socle, which
-    would depend on the cut.  None when the slice budget is spent
-    (reported as inconclusive, never guessed)."""
-    if is_graded_complete_intersection(I):
-        return hilbert_data(I).degree, 1, True
-    Q, _forms = artinian_reduce(I, seed=seed)
-    if Q is False:
-        return None, None, False
-    return None if Q is None else artinian_invariants(Q)
+    Gorenstein of type 1 with length deg R/I (Bruns-Herzog, Prop. 3.1.20),
+    with no reduction.  Other I are read off the Artinian reduction, whose
+    length is the local multiplicity: (None, None, False) when its length
+    check refutes Cohen-Macaulayness (no length or socle, which would depend
+    on the cut), None when the slice budget is spent (inconclusive)."""
+    return _reduced_at_origin(I, seed)[1]
 
 
 def local_ci_test(I, point, seed=0):
@@ -358,42 +341,20 @@ def local_ci_test(I, point, seed=0):
 
     I must be homogeneous, else ValueError.  mu = dim_k(I/mI) after
     translating the point to the origin (see local_mu); lci means mu equals
-    the local codimension.  That codimension, and the Gorenstein verdict,
-    come from Artinian reduction of the chart ideal (see artinian_reduce),
-    except on a chart ideal that is a graded complete intersection, whose
-    codimension and invariants are read off its Hilbert data (see
-    local_gorenstein).  A certified Q cuts the chart by a regular sequence
-    down to dimension zero, so every component through the point has
-    dimension len(forms).  A refuted one (homogeneous, its Krull dimension
-    len(forms)) gives the same codimension, as every component of a
-    homogeneous chart ideal is a cone through the origin; its report is
-    gorenstein False, with a note.
-    Without a zero-dimensional cut, the global codimension c (Hilbert data)
-    only bounds the local one from below and mu bounds it from above: lci is
-    True when mu equals c and None otherwise, and the Gorenstein verdict is
-    None, with an explanatory note (never guessed).
+    the local codimension, which is exact: the chart's variables minus the
+    local dimension (see _reduced_at_origin).  The Gorenstein verdict comes
+    from the same reduction, with a note when it is False by a failed length
+    check or None by a spent slice budget.
     """
     if not I.is_homogeneous():
         raise ValueError("local_ci_test needs a homogeneous ideal")
     J = translate_to_origin(I, point)
     mu = local_mu(J)
-    if is_graded_complete_intersection(J):
-        codim = J.ring.nvars - hilbert_data(J).krull_dimension
-        report = LocalPointReport(mu=mu, codim=codim, lci=(mu == codim), point=point)
-        report.length, report.socle_dim, report.gorenstein = local_gorenstein(J)
-        return report
-    Q, forms = artinian_reduce(J, seed=seed)
-    if Q is None:
-        codim = I.ring.nvars - hilbert_data(I).krull_dimension
-        return LocalPointReport(
-            mu=mu, codim=codim, lci=(mu == codim) or None, point=point,
-            note="inconclusive: no certified Artinian reduction (slice budget spent)",
-        )
-    codim = J.ring.nvars - len(forms)
+    codim, invariants = _reduced_at_origin(J, seed)
     report = LocalPointReport(mu=mu, codim=codim, lci=(mu == codim), point=point)
-    if Q is False:
-        report.gorenstein = False
+    report.length, report.socle_dim, report.gorenstein = invariants or (None, None, None)
+    if invariants is None:
+        report.note = "inconclusive Gorenstein verdict: no Artinian reduction (slice budget spent)"
+    elif report.length is None:
         report.note = "not Cohen-Macaulay: the length check of the Artinian reduction failed"
-    else:
-        report.length, report.socle_dim, report.gorenstein = artinian_invariants(Q)
     return report

@@ -239,9 +239,9 @@ def test_inhomogeneous_ideal_at_projective_point_exits_two(tmp_path, command):
     assert "homogeneous" in proc.stderr
 
 
-def test_lci_without_certified_reduction_exits_three(tmp_path):
-    # a plane and a line; at a point of the line only, mu = 2 exceeds the
-    # global codimension 1, a lower bound, so no verdict is given
+def test_lci_of_a_line_beside_a_plane_exits_zero(tmp_path):
+    # a plane and a line; at a point of the line only, the local leading
+    # ideal sees the line alone: codim 2, mu 2, so lci
     session = tmp_path / "mixed.session"
     session.write_text(
         "ring Q[x,y,z,u] order grevlex\n"
@@ -249,13 +249,14 @@ def test_lci_without_certified_reduction_exits_three(tmp_path):
         "point P = (1:0:0:1)\n"
     )
     proc = run_cli(str(session), "lci", "I", "P", "--json")
-    assert proc.returncode == 3, proc.stderr
+    assert proc.returncode == 0, proc.stderr
     report = json.loads(proc.stdout)["result"]
-    assert (report["mu"], report["codim"], report["lci"]) == (2, 1, None)
+    assert (report["mu"], report["codim"], report["lci"], report["gorenstein"]) == (2, 2, True, True)
 
 
 # I = x*y*(x^2 - y^2) * (x, y) over F3: not a complete intersection, and
-# every F3-linear form is a zero divisor on it, so no slice is certified
+# every F3-linear form vanishes on one of the four lines of its zero set, so
+# no cut is zero-dimensional
 NON_CI_SESSION = (
     "ring F3[x,y,z] order grevlex\n"
     "ideal I = x^4*y - x^2*y^3, x^3*y^2 - x*y^4\n"
@@ -268,6 +269,35 @@ def test_gorenstein_inconclusive_exits_three(tmp_path):
     proc = run_cli(str(session), "gorenstein", "I", "P")
     assert proc.returncode == 3
     assert "inconclusive" in proc.stdout
+
+
+def test_lci_where_no_cut_is_zero_dimensional_exits_one(tmp_path):
+    # the codimension needs no cut: the local dimension 1 is read off the
+    # local leading ideal, so mu = 2 against codim 1 is a definite False
+    session = tmp_path / "allateral.session"
+    session.write_text(NON_CI_SESSION + "point P = (0:0:1)\n")
+    proc = run_cli(str(session), "lci", "I", "P", "--json")
+    assert proc.returncode == 1, proc.stderr
+    report = json.loads(proc.stdout)["result"]
+    assert (report["mu"], report["codim"], report["lci"], report["gorenstein"]) == (2, 1, False, None)
+    assert "inconclusive" in report["note"]
+
+
+def test_gorenstein_at_a_smooth_conic_point_does_not_depend_on_the_seed(capsys, tmp_path):
+    # the length is the multiplicity 1 at every seed, also at seed 0, whose
+    # first form drawn is the tangent line
+    from liaison import cli
+
+    session = tmp_path / "conic.session"
+    session.write_text(
+        "ring F31[x,y,u] order grevlex\n"
+        "ideal C = 3*x^2 + 17*x*y + 2*y^2 + 23*x*u + 24*y*u + 6*u^2\n"
+        "point P = (0:2:1)\n"
+    )
+    for seed in range(4):
+        assert cli.main([str(session), "gorenstein", "C", "P", "--seed", str(seed), "--json"]) == 0
+        result = json.loads(capsys.readouterr().out)["result"]
+        assert result == {"gorenstein": True, "length": 1, "socle_dim": 1}, seed
 
 
 def test_gorenstein_of_complete_intersection_is_definite(tmp_path):

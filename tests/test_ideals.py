@@ -20,6 +20,7 @@ from liaison import (
     standard_monomials,
 )
 from liaison.generators import random_monomial_ideal
+from liaison.ideals import local_leading_ideal
 
 
 @pytest.fixture
@@ -321,3 +322,28 @@ def test_ideal_equal_by_containment_agrees_with_reduced_bases(field, order):
             assert ideal_equal(A, B) == expected, (I, J, held)
             assert ideal_equal(B, A) == expected, (I, J, held)
     assert outcomes == {True, False}
+
+
+def test_local_leading_ideal_examples():
+    # Lazard's leading ideal at the origin sees only the origin's germ, and
+    # the tangent cone has its Hilbert data: local dimension and multiplicity
+    R = make_ring(["x", "y", "t"], "Q", "grevlex")  # t is taken: a fresh name is used
+    x, y, t = R.gens()
+    cases = [
+        # (x, y) cap (x - 1): the plane x = 1 misses the origin
+        ([x**2 - x, x * y - y], [x, y], 1, 1),
+        # a node, tangent cone x^2 - y^2 (x^2 leads under grevlex)
+        ([y**2 - x**2 - x**3], [x**2], 2, 2),
+        # a smooth surface tangent to y = 0, and a cuspidal one
+        ([y - x**2 - t**3], [y], 2, 1),
+        ([y**2 - x**3], [y**2], 2, 2),
+    ]
+    for gens, leading, dim, multiplicity in cases:
+        L, cone = local_leading_ideal(Ideal(R, gens))
+        assert L.held_groebner() is not None and set(L.groebner()) == set(leading), gens
+        assert cone.is_homogeneous()
+        for data in (hilbert_data(L), hilbert_data(cone)):
+            assert (data.krull_dimension, data.degree) == (dim, multiplicity), gens
+    graded = Ideal(R, [x * y, y**2])
+    L, cone = local_leading_ideal(graded)
+    assert cone is graded and set(L.groebner()) == {x * y, y**2}

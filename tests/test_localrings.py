@@ -29,13 +29,15 @@ from liaison.groebner import buchberger, normal_form
 from liaison.ideals import (
     hilbert_data,
     ideal_intersect,
+    ideal_product,
     ideal_sum,
     is_zero_dimensional,
     minimal_monomial_generators,
     standard_monomials,
 )
 from liaison.linalg import rank
-from liaison.localrings import is_graded_complete_intersection, is_regular, local_gorenstein
+from liaison.linkage import is_regular
+from liaison.localrings import is_graded_complete_intersection, local_gorenstein
 
 
 @pytest.fixture
@@ -562,14 +564,16 @@ def test_local_ci_union_fixture():
 
 def test_inconclusive_is_reported_not_guessed():
     # over F3 the zero set of x*y*(x+y)*(x+2y) * (x, y) contains every line
-    # through the origin of the chart, so no linear slice is ever certified
-    # regular, and two generators are no complete intersection
+    # through the origin of the chart, so no linear cut is zero-dimensional,
+    # and two generators are no complete intersection: the Gorenstein
+    # verdict is inconclusive, while the local dimension 1 needs no cut, so
+    # mu = 2 > codim = 1 is a definite lci False
     R = make_ring(["x", "y", "z"], "F3", "grevlex")
     x, y, z = R.gens()
     I = Ideal(R, [x**4 * y - x**2 * y**3, x**3 * y**2 - x * y**4])
     p = RationalPoint.projective(R, [0, 0, 1])
     report = local_ci_test(I, p, seed=0)
-    assert (report.mu, report.codim, report.lci, report.gorenstein) == (2, 1, None, None)
+    assert (report.mu, report.codim, report.lci, report.gorenstein) == (2, 1, False, None)
     assert "inconclusive" in report.note
 
 
@@ -612,9 +616,9 @@ def test_lci_implies_gorenstein_on_tested_instances():
 
 
 def test_local_ci_test_refuses_non_homogeneous_input(A3):
-    # without a certified reduction the codimension bound is read off
-    # Hilbert data, which needs a homogeneous ideal; x + y^2 is a smooth
-    # surface, not a curve, so no guess is made
+    # local_ci_test is defined on homogeneous ideals, whose points sit in
+    # projective charts; the local reduction would take affine input too,
+    # but the command keeps that out of scope, so x + y^2 is refused
     x, y, z = A3.gens()
     p = RationalPoint.affine(A3, [0, 0, 0])
     for gens in ([x + y * z, y + x**2], [x + y**2]):
@@ -632,14 +636,14 @@ def test_lci_codim_is_local_on_mixed_dimensions():
     assert (report.mu, report.codim, report.lci, report.gorenstein) == (3, 3, True, True)
 
 
-def test_lci_without_certified_reduction_is_not_refuted(P3):
+def test_lci_beside_a_distant_component_is_decided(P3):
     # the plane x = 0 and the line y = z = 0: at (1:0:0:1), on the line only,
-    # the chart keeps the plane, so no reduction is certified; mu = 2 exceeds
-    # the global codimension 1, which only bounds the local one from below
+    # the chart keeps the plane, which the local leading ideal does not see:
+    # locally (y, z), codim 2 = mu, a Gorenstein point of length 1
     x, y, z, u = P3.gens()
     report = local_ci_test(Ideal(P3, [x * y, x * z]), RationalPoint.projective(P3, [1, 0, 0, 1]))
-    assert (report.mu, report.codim, report.lci, report.gorenstein) == (2, 1, None, None)
-    assert "inconclusive" in report.note
+    assert (report.mu, report.codim, report.lci, report.gorenstein) == (2, 2, True, True)
+    assert (report.length, report.socle_dim, report.note) == (1, 1, "")
 
 
 def test_refuted_cohen_macaulayness_is_a_verdict(P3):
@@ -717,13 +721,13 @@ def test_regularity_certificate_edges():
 
 
 def _reduce_one_cut_at_a_time(I, seed):
-    """Reference for artinian_reduce: the invariants after cutting by linear
-    forms certified regular one at a time by the colon, or None when 8 draws
-    give no regular form."""
+    """Reference for artinian_reduce: (cuts, invariants) after cutting by
+    linear forms certified regular one at a time by the colon, or None when
+    8 draws give no regular form."""
     rng = random.Random(seed)
     R = I.ring
     sample = R.field.random_sample()
-    current = I
+    current, cuts = I, 0
     while not is_zero_dimensional(current.groebner()):
         for _ in range(8):
             h = sum((v.scale(rng.choice(sample)) for v in R.gens()), Polynomial.zero(R))
@@ -731,8 +735,8 @@ def _reduce_one_cut_at_a_time(I, seed):
                 break
         else:
             return None
-        current = ideal_sum(current, Ideal(R, [h]))
-    return artinian_invariants(current)
+        current, cuts = ideal_sum(current, Ideal(R, [h])), cuts + 1
+    return cuts, artinian_invariants(current)
 
 
 def _random_homogeneous_ideal(R, rng):
@@ -764,6 +768,9 @@ def test_graded_length_certificate_agrees_with_regular_cuts():
             I = _random_homogeneous_ideal(R, rng)
             expected = _reduce_one_cut_at_a_time(I, seed)
             Q, forms = artinian_reduce(I, seed=seed)
+            if expected is not None:
+                assert len(forms) == expected[0], (R, I)
+                expected = expected[1]
             assert (artinian_invariants(Q) if isinstance(Q, Ideal) else None) == expected, (R, I)
             outcomes.add("refuted" if Q is False else expected is not None)
         assert outcomes == {True, "refuted"}, R
@@ -792,8 +799,9 @@ def _count_colons(monkeypatch):
 
         return wrapper
 
-    for module in (ideals, localrings):
-        monkeypatch.setattr(module, "ideal_colon", counted("ideal_colon", module.ideal_colon))
+    # localrings imports no colon, so every one would go through ideals
+    assert not hasattr(localrings, "ideal_colon")
+    monkeypatch.setattr(ideals, "ideal_colon", counted("ideal_colon", ideals.ideal_colon))
     monkeypatch.setattr(ideals, "saturate", counted("saturate", ideals.saturate))
     return calls
 
@@ -808,6 +816,116 @@ def test_invariants_and_graded_slices_take_no_colon(monkeypatch):
     Q, forms = artinian_reduce(graded, seed=5)
     assert Q is not None and len(forms) == 2
     assert calls == []
-    # a chart ideal keeps the colon certificate
-    artinian_reduce(Ideal(R, [x**2 + u * z, y**2 - z]), seed=5)
-    assert "ideal_colon" in calls
+    # a chart ideal is cut the same way, off its local leading ideal
+    Q, forms = artinian_reduce(Ideal(R, [x**2 + u * z, y**2 - z]), seed=5)
+    assert isinstance(Q, Ideal) and len(forms) == 2
+    assert calls == []
+
+
+def test_isolated_point_beside_a_distant_line():
+    # each ideal has local dimension 0 at (0:0:1), while its chart keeps a
+    # line away from the origin: the reduction takes no cut, and its Q
+    # keeps the origin's component only, so Q is zero-dimensional
+    R = make_ring(["x", "y", "u"], "Q", "grevlex")
+    x, y, u = R.gens()
+    P = RationalPoint.projective(R, [0, 0, 1])
+    for local, away, expected in (
+        ([x, y], [x - u], (2, 2, True, 1, 1, True)),
+        ([x**2, y], [x - u], (2, 2, True, 2, 1, True)),
+        ([x**2, x * y, y**2], [y - u], (3, 2, False, 3, 2, False)),
+    ):
+        I = ideal_intersect(Ideal(R, local), Ideal(R, away))
+        report = local_ci_test(I, P)
+        assert (report.mu, report.codim, report.lci) == expected[:3], local
+        assert (report.length, report.socle_dim, report.gorenstein) == expected[3:], local
+        Q, forms = artinian_reduce(translate_to_origin(I, P))
+        assert forms == [] and is_zero_dimensional(Q.groebner())
+
+
+def _vertex_ideal(R, rng):
+    """Random forms through the vertex of the last variable, a union of two
+    such ideals, or such forms times (x, y)."""
+    kind = rng.randrange(3)
+    if kind == 0:
+        return Ideal(R, _vertex_forms(R, rng, rng.randint(1, 3)))
+    if kind == 1:
+        return ideal_intersect(*(Ideal(R, _vertex_forms(R, rng, rng.randint(1, 2))) for _ in range(2)))
+    x, y = R.gens()[:2]
+    return ideal_product(Ideal(R, _vertex_forms(R, rng, rng.randint(1, 2))), Ideal(R, [x, y]))
+
+
+def _moved_to(I, c, A=None):
+    """The image of I, through the vertex (0:...:0:1), under x -> A(x - c*u):
+    through (c:1), with the vertex chart moved by A (the identity if None)."""
+    R = I.ring
+    *xs, u = R.gens()
+    A = A or [[int(i == j) for j in range(len(xs))] for i in range(len(xs))]
+    shifted = [v - u.scale(ci) for v, ci in zip(xs, c)]
+    images = [sum((w.scale(a) for w, a in zip(shifted, row)), Polynomial.zero(R)) for row in A]
+    assignment = dict(zip(R.variables, [*images, u]))
+    return Ideal(R, [substitute(g, assignment) for g in I.gens])
+
+
+@pytest.mark.parametrize("field", ["F31", "F5", "Q"])
+def test_report_is_the_same_at_the_vertex_and_at_a_moved_point(field):
+    # x_i -> x_i - c_i*u moves the vertex to (c:1) and carries the chart
+    # ideal along; a linear change of the x_i on top moves the chart by an
+    # automorphism fixing the origin: the local report stays the same
+    R = make_ring(["x", "y", "z", "u"], field, "grevlex")
+    rng = random.Random(f"moved point {field}")
+    sample = R.field.random_sample()
+    vertex = RationalPoint.projective(R, [0, 0, 0, 1])
+    outcomes = set()
+    for _ in range(6):
+        I = _vertex_ideal(R, rng)
+        c = [rng.choice(sample) for _ in range(3)]
+        A = [[rng.choice(sample) for _ in range(3)] for _ in range(3)]
+        while rank(A, R.field) < 3:
+            A = [[rng.choice(sample) for _ in range(3)] for _ in range(3)]
+        point = RationalPoint.projective(R, [*c, 1])
+        for seed in (0, 1):
+            expected = local_ci_test(I, vertex, seed=seed).as_dict()
+            del expected["point"]
+            for moved in (_moved_to(I, c), _moved_to(I, c, A)):
+                got = local_ci_test(moved, point, seed=seed).as_dict()
+                del got["point"]
+                assert got == expected, (I, c, A)
+            outcomes.add((expected["lci"], expected["gorenstein"]))
+    assert {(True, True), (False, False)} <= outcomes, outcomes
+
+
+def test_local_reduction_agrees_with_regular_cuts_on_chart_ideals():
+    # on chart ideals at points off the vertices, where cutting by forms
+    # certified regular one at a time is definite, the one-shot reduction
+    # cuts as often and finds the same socle and verdict; its length is the
+    # multiplicity, which the reference's cut may exceed.  Where a distant
+    # component leaves the reference inconclusive, the reduction decides.
+    rng = random.Random(97)
+    compared = decided = 0
+    for field in ("F31", "F5", "Q"):
+        R = make_ring(["x", "y", "z", "u"], field, "grevlex")
+        sample = R.field.random_sample()
+        for seed in range(10):
+            c = [rng.choice(sample) for _ in range(3)]
+            I = _moved_to(_vertex_ideal(R, rng), c)
+            J = translate_to_origin(I, RationalPoint.projective(R, [*c, 1]))
+            expected = _reduce_one_cut_at_a_time(J, seed)
+            Q, forms = artinian_reduce(J, seed=seed)
+            assert Q is not None, (field, J)
+            if expected is None:
+                decided += 1
+                continue
+            cuts, (length, socle_dim, gorenstein) = expected
+            assert isinstance(Q, Ideal) and len(forms) == cuts, (field, J)
+            got = artinian_invariants(Q)
+            assert got[1:] == (socle_dim, gorenstein) and got[0] <= length, (field, J)
+            compared += 1
+    assert compared >= 12 and decided >= 6, (compared, decided)
+    # a smooth point of a conic: at seed 0 the reference's first form is the
+    # tangent line, regular but no reduction, and its length 2 falls to 1
+    R = make_ring(["x", "y", "u"], "F31", "grevlex")
+    x, y, u = R.gens()
+    C = Ideal(R, [3 * x**2 + 17 * x * y + 2 * y**2 + 23 * x * u + 24 * y * u + 6 * u**2])
+    J = translate_to_origin(C, RationalPoint.projective(R, [0, 2, 1]))
+    assert _reduce_one_cut_at_a_time(J, 0) == (1, (2, 1, True))
+    assert local_gorenstein(J, seed=0) == (1, 1, True)
