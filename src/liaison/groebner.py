@@ -53,14 +53,17 @@ class GroebnerBasis:
 
 
 def _reduce(f, reducers, exact=None):
-    """Full normal form of f against a list of (lm, lc, poly) reducers.
+    """Full normal form of f against a list of (lm, poly) reducers, each poly
+    monic with leading monomial lm.
 
     The terms still to be reduced live in `work`; a heap of
     (heap_key, exponent) pops them greatest first.  An exponent whose
     coefficient cancelled, or that was pushed twice, is no longer in `work`
-    when popped and is skipped (lazy deletion).  When a list `exact` is
-    given, each step that removes a reducer's leading monomial itself
-    appends (lm, factor): those are the constant terms of the quotients.
+    when popped and is skipped (lazy deletion); the remainder keeps its
+    terms as they pop, so its first key is its leading monomial.  When a
+    list `exact` is given, each step that removes a reducer's leading
+    monomial itself appends (lm, factor): those are the constant terms of
+    the quotients.
     """
     ring = f.ring
     field = ring.field
@@ -75,11 +78,11 @@ def _reduce(f, reducers, exact=None):
         c = work.pop(e, None)
         if c is None:
             continue
-        for lm, lc, g in reducers:
-            if mono_divides(lm, e):
-                factor = field.div(c, lc)
+        for lm, g in reducers:
+            if all(map(le, lm, e)):  # mono_divides(lm, e), inlined on the hot path
+                # g is monic: the factor is c itself
                 if exact is not None and e == lm:
-                    exact.append((lm, factor))
+                    exact.append((lm, c))
                 q = mono_div(e, lm)
                 for eg, cg in g.terms.items():
                     if eg == lm:
@@ -88,10 +91,10 @@ def _reduce(f, reducers, exact=None):
                     target = mono_mul(eg, q)
                     acc = work.get(target)
                     if acc is None:
-                        work[target] = sub(zero, mul(cg, factor))
+                        work[target] = sub(zero, mul(cg, c))
                         heappush(heap, (heap_key(target), target))
                     else:
-                        acc = sub(acc, mul(cg, factor))
+                        acc = sub(acc, mul(cg, c))
                         if acc == zero:
                             del work[target]
                         else:
@@ -100,6 +103,12 @@ def _reduce(f, reducers, exact=None):
         else:
             result[e] = c
     return Polynomial(ring, result)
+
+
+def _entry(f):
+    """The reducer (lm, f made monic) of a nonzero polynomial f."""
+    lm, lc = f.leading_term()
+    return lm, (f if lc == f.ring.field.one else f.monic())
 
 
 def normal_form(f, basis):
@@ -112,15 +121,15 @@ def normal_form(f, basis):
     if isinstance(basis, GroebnerBasis):
         if f.ring != basis.ring:
             raise ValueError("polynomial and basis live in different rings")
-        return _reduce(f, [(*g.leading_term(), g) for g in basis.elements])
+        return _reduce(f, [_entry(g) for g in basis.elements])
     raise TypeError("normal_form expects a GroebnerBasis")
 
 
 def _s_poly(a, b, l):
-    """(l/lm_f)*f - (l/lm_g)*g for held monic entries a = (lm_f, 1, f) and
-    b = (lm_g, 1, g), l = lcm(lm_f, lm_g); the leading terms cancel and are skipped."""
-    lmf, _, f = a
-    lmg, _, g = b
+    """(l/lm_f)*f - (l/lm_g)*g for held monic entries a = (lm_f, f) and
+    b = (lm_g, g), l = lcm(lm_f, lm_g); the leading terms cancel and are skipped."""
+    lmf, f = a
+    lmg, g = b
     field = f.ring.field
     zero, neg, sub = field.zero, field.neg, field.sub
     qf, qg = mono_div(l, lmf), mono_div(l, lmg)
@@ -144,7 +153,7 @@ def _s_poly(a, b, l):
 def s_polynomial(f, g):
     """S-polynomial lcm/lt(f)*f - lcm/lt(g)*g of two nonzero polynomials."""
     f._check_ring(g)
-    a, b = ((*h.leading_term(), h) for h in (f.monic(), g.monic()))
+    a, b = _entry(f), _entry(g)
     return _s_poly(a, b, mono_lcm(a[0], b[0]))
 
 
@@ -153,8 +162,11 @@ def _update_pairs(lms, P, heap, key, use_criteria):
     generator lms[-1]; each new pair is also pushed on the heap by its rank.
 
     Old pairs whose lcm the new leading monomial strictly divides are found
-    in one pass and deleted after it.  lcm(a, b) = a*b exactly when their
-    degrees add up, so the product criterion compares degrees.
+    in one pass, testing the seldom-true divisibility first, and deleted
+    after it.  New pairs keep one pair per lcm that no other lcm properly
+    divides, scanned by degree (a proper divisor has the smaller one, so any
+    order extending divisibility keeps the same set), unless a pair of that
+    lcm is coprime: lcm(a, b) = a*b exactly when their degrees add up.
     """
     new_index = len(lms) - 1
     lmf = lms[new_index]
@@ -165,24 +177,26 @@ def _update_pairs(lms, P, heap, key, use_criteria):
         doomed = [
             ij
             for ij, l in P.items()
-            if lcms[ij[0]] != l and lcms[ij[1]] != l and all(map(le, lmf, l))
+            if all(map(le, lmf, l)) and lcms[ij[0]] != l and lcms[ij[1]] != l
         ]
         for ij in doomed:
             del P[ij]
-        # group candidate new pairs by lcm, keep a minimal, non-product pair per lcm
         by_lcm = {}
         for i, l in enumerate(lcms):
             by_lcm.setdefault(l, []).append(i)
-        minimal = []
-        for l in sorted(by_lcm, key=key):
-            if not any(all(map(le, m, l)) for m in minimal):
-                minimal.append(l)
         degree = sum(lmf)
-        new = [
-            (by_lcm[l][0], l)
-            for l in minimal
-            if all(sum(lms[i]) + degree != sum(l) for i in by_lcm[l])
-        ]
+        minimal, new = [], []
+        for l in sorted(by_lcm, key=sum):
+            for m in minimal:
+                if all(map(le, m, l)):
+                    break
+            else:
+                minimal.append(l)
+                for i in by_lcm[l]:
+                    if sum(lms[i]) + degree == sum(l):
+                        break
+                else:
+                    new.append((by_lcm[l][0], l))
     for i, l in new:
         P[i, new_index] = l
         heappush(heap, (sum(l), key(l), i, new_index))
@@ -206,13 +220,13 @@ def _interreduce(entries):
     survives with coefficient one: the results are monic, in the same order.
     Only the elements before it can act: all it has to reduce lies below it.
     """
-    return [_reduce(g, entries[:i]) for i, (_, _, g) in enumerate(entries)]
+    return [_reduce(g, entries[:i]) for i, (_, g) in enumerate(entries)]
 
 
 def reduced_basis(ring, basis):
     """Reduced Groebner basis of the ideal a Groebner basis generates, with no
     S-pairs: buchberger's last step, minimalize then interreduce."""
-    entries = [(*g.leading_term(), g) for g in (f.monic() for f in basis)]
+    entries = [_entry(f) for f in basis]
     return GroebnerBasis(ring, _interreduce(_minimalize(entries, ring.key)))
 
 
@@ -237,13 +251,12 @@ def buchberger(gens, *, use_criteria=True):
     if not gens:
         return GroebnerBasis(ring, [])
 
-    G = []  # (lm, lc, poly) of each monic element, kept from when it is appended
+    G = []  # (lm, poly) of each monic element, kept from when it is appended
     lms = []
     P = {}  # live pair (i, j) -> lcm of lms[i] and lms[j]
     heap = []  # (degree, key of the lcm, i, j) of every pair made; pruned ones are skipped
     for f in gens:
-        f = f.monic()
-        G.append((*f.leading_term(), f))
+        G.append(_entry(f))
         lms.append(G[-1][0])
         _update_pairs(lms, P, heap, key, use_criteria)
 
@@ -254,9 +267,10 @@ def buchberger(gens, *, use_criteria=True):
             continue
         r = _reduce(_s_poly(G[i], G[j], l), G)
         if not r.is_zero():
-            r = r.monic()
-            G.append((*r.leading_term(), r))
-            lms.append(G[-1][0])
+            lm = next(iter(r.terms))  # _reduce stores the leading term first
+            r = r.scale(ring.field.inv(r.terms[lm]))
+            G.append((lm, r))
+            lms.append(lm)
             _update_pairs(lms, P, heap, key, use_criteria)
 
     return GroebnerBasis(ring, _interreduce(_minimalize(G, key)))
@@ -282,7 +296,7 @@ def schreyer_constants(basis):
     a_k sums the factors of the steps that remove lm_k itself: entry k of
     the row, up to sign.
     """
-    G = [(*g.leading_term(), g) for g in basis.elements]
+    G = [_entry(g) for g in basis.elements]
     ring = basis.ring
     zero, add = ring.field.zero, ring.field.add
     lms, pairs = [], {}

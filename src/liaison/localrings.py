@@ -213,10 +213,12 @@ def artinian_invariants(Q):
     as each x_i is nilpotent of index at most d on R/Q_0, and J + Q' = R, as
     V(J) is the origin alone; so Q_0 = Q_0(J + Q') lies in J + Q, which lies
     in Q_0.  A homogeneous Q has no other component and is Q_0 itself;
-    other Q take one Groebner basis of Q + J.  The length is the number of
-    standard monomials of Q_0, and with M_i the matrix of multiplication by
-    x_i on them, the socle is the common kernel of the M_i: socle_dim =
-    length - rank(M_1; ...; M_n).  gorenstein means socle_dim 1.
+    other Q take one Groebner basis of Q + J, unless n normal forms show
+    that J already lies in Q (as for artinian_reduce's chart output), when
+    Q is Q_0.  The length is the number of standard monomials of Q_0, and
+    with M_i the matrix of multiplication by x_i on them, the socle is the
+    common kernel of the M_i: socle_dim = length - rank(M_1; ...; M_n).
+    gorenstein means socle_dim 1.
     """
     ring = Q.ring
     field = ring.field
@@ -227,7 +229,9 @@ def artinian_invariants(Q):
         raise ValueError("artinian_invariants needs a zero-dimensional ideal")
     if not Q.is_homogeneous():
         d = len(standard_monomials(gb))
-        gb = Ideal(ring, [*gb.elements, *(v**d for v in ring.gens())]).groebner()
+        powers = [v**d for v in ring.gens()]
+        if any(normal_form(p, gb) for p in powers):
+            gb = Ideal(ring, [*gb.elements, *powers]).groebner()
     std = standard_monomials(gb)
     length = len(std)
     socle_dim = length - rank([row for M in _multiplication_matrices(gb, std) for row in M], field)
@@ -312,14 +316,15 @@ def is_graded_complete_intersection(I):
 
 def _reduced_at_origin(I, seed):
     """(codim, invariants) of the local ring of I at the origin: codim is
-    nvars - len(forms), one cut per local dimension; see local_gorenstein."""
+    nvars minus the local dimension, the number of forms of a reduction or,
+    when the slice budget is spent (maybe before any draw), read off L(I)."""
     if is_graded_complete_intersection(I):
         data = hilbert_data(I)
         return I.ring.nvars - data.krull_dimension, (data.degree, 1, True)
     Q, forms = artinian_reduce(I, seed=seed)
-    codim = I.ring.nvars - len(forms)
     if Q is None:
-        return codim, None
+        return I.ring.nvars - hilbert_data(local_leading_ideal(I)[0]).krull_dimension, None
+    codim = I.ring.nvars - len(forms)
     return codim, (None, None, False) if Q is False else artinian_invariants(Q)
 
 

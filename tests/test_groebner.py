@@ -6,6 +6,7 @@ import pytest
 
 import liaison.groebner
 from liaison import (
+    GroebnerBasis,
     Ideal,
     MonomialOrder,
     Polynomial,
@@ -146,6 +147,36 @@ def test_criteria_are_safe_pruning_in_other_orders(field, order):
     _assert_criteria_safe(make_ring(["x", "y", "z"], field, order), 43)
 
 
+@pytest.mark.parametrize("field", ["F31", "F5", "Q"])
+@pytest.mark.parametrize(
+    "order", ["grevlex", "lex", MonomialOrder("block", 1)], ids=["grevlex", "lex", "block1"]
+)
+def test_reduce_stores_the_leading_term_first(field, order):
+    # buchberger reads a remainder's leading monomial off its first key
+    rng = random.Random(47)
+    R = make_ring(["x", "y", "z"], field, order)
+    x = R.variable("x")
+    kinds = set()
+    for _ in range(12):
+        # multiples of x: the ideal is proper, so a constant stays a remainder
+        gens = [x * p for p in (_random_poly(R, rng) for _ in range(3)) if not p.is_zero()]
+        if not gens:
+            continue
+        G = buchberger(gens)
+        reducers = [(g.leading_monomial(), g) for g in G]
+        member = _random_poly(R, rng) * G.elements[0]
+        for f in (_random_poly(R, rng, max_terms=6), member, member + 2):
+            r = liaison.groebner._reduce(f, reducers)
+            # normal_form makes the elements of a basis built by hand monic
+            assert r == normal_form(f, G) == normal_form(f, GroebnerBasis(R, [g.scale(3) for g in G]))
+            if r.is_zero():
+                kinds.add("zero")
+                continue
+            kinds.add("constant" if r.total_degree() == 0 else "other")
+            assert next(iter(r.terms)) == r.leading_monomial()
+    assert kinds == {"zero", "constant", "other"}
+
+
 def test_basis_elements_lie_in_ideal():
     # re-check membership through an independently recomputed, permuted basis
     rng = random.Random(41)
@@ -222,6 +253,8 @@ PINNED_PAIR_COUNTS = {
     # union I1 cap I2 moved from P to the origin
     "local mu M1/M2 at P": 6,
     "local mu V1/V2 at P": 4,
+    "lex F31": 38,
+    "grevlex Q": 34,
 }
 
 
@@ -262,6 +295,8 @@ def test_pair_work_is_pinned(monkeypatch):
     Y, J1 = session.ideals["Y"], session.ideals["I1"]
     grevlex = make_ring(["x", "y", "z", "u"], "F31", "grevlex")
     block = make_ring(["t", "x", "y", "z"], "F31", MonomialOrder("block", 1))
+    lex = make_ring(["x", "y", "z", "u"], "F31", "lex")
+    rational = make_ring(["x", "y", "z", "u"], "Q", "grevlex")
     counts = {
         "Y": pairs_reduced(lambda: buchberger(Y.gens)),
         "meeting I1 cap I2": pairs_reduced(lambda: ideal_intersect(I1, I2)),
@@ -273,6 +308,8 @@ def test_pair_work_is_pinned(monkeypatch):
         ),
         "local mu M1/M2 at P": pairs_reduced(meeting_mu),
         "local mu V1/V2 at P": pairs_reduced(violating_mu),
+        "lex F31": pairs_reduced(lambda: buchberger(_seeded_gens(lex, 101, 4))),
+        "grevlex Q": pairs_reduced(lambda: buchberger(_seeded_gens(rational, 110, 4))),
     }
     assert counts == PINNED_PAIR_COUNTS
 

@@ -1,5 +1,6 @@
 import itertools
 import random
+from pathlib import Path
 
 import pytest
 
@@ -16,6 +17,7 @@ from liaison import (
     MonomialOrder,
     make_ring,
     oracle_lal,
+    parse_session,
     substitute,
     translate_to_origin,
 )
@@ -38,6 +40,8 @@ from liaison.ideals import (
 from liaison.linalg import rank
 from liaison.linkage import is_regular
 from liaison.localrings import is_graded_complete_intersection, local_gorenstein
+
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 
 @pytest.fixture
@@ -699,6 +703,28 @@ def test_artinian_invariants_take_at_most_one_basis(monkeypatch):
     assert calls == []
     assert artinian_invariants(chart) == (6, 1, True)
     assert len(calls) == 1
+    # artinian_reduce's chart output already holds every x_i^d: no basis at all
+    session = parse_session((FIXTURES / "double_lines.session").read_text())
+    certified, _forms = artinian_reduce(translate_to_origin(session.ideals["I1"], session.points["S"]))
+    certified.groebner()
+    calls.clear()
+    assert not certified.is_homogeneous()
+    assert artinian_invariants(certified) == (2, 1, True)
+    assert calls == []
+
+
+def test_lci_with_no_slice_drawn_reads_codim_off_the_local_dimension(monkeypatch):
+    # with no tuple of forms drawn, the codimension still comes from L(J):
+    # (xy, xz) is the plane x = 0 and the line y = z = 0, and (1:0:0:1) lies
+    # on the line only
+    from liaison import localrings
+
+    R = make_ring(["x", "y", "z", "u"], "Q", "grevlex")
+    x, y, z, u = R.gens()
+    monkeypatch.setattr(localrings, "SLICE_BUDGET", 0)
+    report = local_ci_test(Ideal(R, [x * y, x * z]), RationalPoint.projective(R, (1, 0, 0, 1)))
+    assert (report.mu, report.codim, report.lci, report.gorenstein) == (2, 2, True, None)
+    assert report.note == "inconclusive Gorenstein verdict: no Artinian reduction (slice budget spent)"
 
 
 def test_regularity_certificate_edges():
