@@ -5,7 +5,8 @@ form of Buchberger's product and chain criteria); the result is the reduced
 Groebner basis, the unique canonical representative of the ideal for the
 ring's order.  Pairs wait in a heap under the lcm of their leading
 monomials, computed once; a pair pruned meanwhile is skipped when popped.
-S-polynomials are built from the held monic terms and that lcm.  Normal
+S-polynomials are built from the held monic terms and that lcm.  An
+elimination basis interreduces only the part it keeps.  Normal
 forms modulo such a basis decide ideal membership; reducing its own
 S-pairs, as pruned, to zero gives the constant parts of its syzygies, hence
 the local minimal generator count (see localrings.local_mu).
@@ -230,16 +231,12 @@ def reduced_basis(ring, basis):
     return GroebnerBasis(ring, _interreduce(_minimalize(entries, ring.key)))
 
 
-def buchberger(gens, *, use_criteria=True):
-    """Reduced Groebner basis of the ideal generated by gens, for the
-    monomial order of their ring.
-
-    Deterministic: the reduced basis is unique for the order, so the output
-    does not depend on the input ordering.  Zero generators are discarded.
-    """
+def _minimal_entries(gens, use_criteria=True):
+    """(ring, entries): the S-pair loop on gens, returning the minimal monic
+    (lm, poly) entries of a Groebner basis, ascending by the order's key."""
     gens = list(gens)
     if not gens:
-        raise ValueError("buchberger needs at least one generator (possibly zero)")
+        raise ValueError("a Groebner basis needs at least one generator (possibly zero)")
     if not all(isinstance(g, Polynomial) for g in gens):
         raise TypeError("generators must be polynomials")
     rings = {g.ring for g in gens}
@@ -249,7 +246,7 @@ def buchberger(gens, *, use_criteria=True):
     key = ring.key
     gens = [g for g in gens if not g.is_zero()]
     if not gens:
-        return GroebnerBasis(ring, [])
+        return ring, []
 
     G = []  # (lm, poly) of each monic element, kept from when it is appended
     lms = []
@@ -273,7 +270,38 @@ def buchberger(gens, *, use_criteria=True):
             lms.append(lm)
             _update_pairs(lms, P, heap, key, use_criteria)
 
-    return GroebnerBasis(ring, _interreduce(_minimalize(G, key)))
+    return ring, _minimalize(G, key)
+
+
+def buchberger(gens, *, use_criteria=True):
+    """Reduced Groebner basis of the ideal generated by gens, for the
+    monomial order of their ring.
+
+    Deterministic: the reduced basis is unique for the order, so the output
+    does not depend on the input ordering.  Zero generators are discarded.
+    """
+    ring, entries = _minimal_entries(gens, use_criteria)
+    return GroebnerBasis(ring, _interreduce(entries))
+
+
+def elimination_basis(gens):
+    """Reduced Groebner basis of (gens) cap k[x_(k+1)..x_n], for gens in a
+    ring of order block(k): its elements, free of the first k variables,
+    stay in that ring.
+
+    By the elimination theorem the minimal entries whose leading monomial
+    is free of the first k variables form a Groebner basis of the
+    elimination ideal.  Under block(k) every other monomial is greater, so
+    these entries come first and only they can reduce one another: they
+    are interreduced in the block ring, and the rest is never reduced.
+    The result is the t-free part of buchberger(gens).
+    """
+    ring, entries = _minimal_entries(gens)
+    if ring.order.kind != "block":
+        raise ValueError("elimination_basis needs a block order")
+    k = ring.order.block
+    kept = [entry for entry in entries if not any(entry[0][:k])]
+    return GroebnerBasis(ring, _interreduce(kept))
 
 
 def schreyer_constants(basis):

@@ -10,8 +10,8 @@ leading-term ideal, local ones from that of the local leading ideal.
 
 from dataclasses import dataclass
 
-from .groebner import GroebnerBasis, buchberger, normal_form, reduced_basis
-from .polynomials import Polynomial, mono_div, mono_divides, mono_gcd
+from .groebner import GroebnerBasis, buchberger, elimination_basis, normal_form, reduced_basis
+from .polynomials import Polynomial, mono_div, mono_divides, mono_gcd, mono_lcm
 from .rings import GREVLEX, MonomialOrder, make_ring
 
 
@@ -145,10 +145,12 @@ def ideal_intersect(I, J):
     """I cap J via elimination: eliminate t from t*I + (1-t)*J.
 
     t is a new first variable under block(1), so t*f has exponents (1,)+e
-    and (1-t)*g has (0,)+e and (1,)+e.  Under grevlex the t-free part of the
-    reduced block(1) basis is the reduced grevlex basis of I cap J
-    (elimination theorem), and the result holds it.  buchberger reduces the
-    t-part too; the t-free elements sort first and reduce among themselves.
+    and (1-t)*g has (0,)+e and (1,)+e.  For monomial generators m of I and
+    m' of J, lcm(m, m') lies in I cap J: the divisibility-minimal ones are
+    entered too, without t, which leaves the ideal unchanged.  Under grevlex
+    the t-free part of the reduced block(1) basis, which elimination_basis
+    returns, is the reduced grevlex basis of I cap J (elimination theorem),
+    and the result holds it.
     """
     _check_same_ring(I, J)
     ring = I.ring
@@ -156,16 +158,18 @@ def ideal_intersect(I, J):
         return Ideal(ring, [])
     tname = _fresh_name(set(ring.variables), "t")
     ext = make_ring([tname, *ring.variables], ring.field, MonomialOrder("block", 1))
-    neg = ring.field.neg
+    neg, one = ring.field.neg, ring.field.one
     gens = [Polynomial(ext, {(1, *e): c for e, c in f.terms.items()}) for f in I.gens]
     for g in J.gens:
         terms = {(0, *e): c for e, c in g.terms.items()}
         terms.update({(1, *e): neg(c) for e, c in g.terms.items()})
         gens.append(Polynomial(ext, terms))
+    mI, mJ = ([e for f in K.gens if len(f.terms) == 1 for e in f.terms] for K in (I, J))
+    lcms = minimal_monomial_generators(mono_lcm(m, n) for m in mI for n in mJ)
+    gens += [Polynomial(ext, {(0, *e): one}) for e in lcms]
     kept = [
         Polynomial(ring, {e[1:]: c for e, c in g.terms.items()})
-        for g in buchberger(gens).elements
-        if all(e[0] == 0 for e in g.terms)
+        for g in elimination_basis(gens)
     ]
     if ring.order == GREVLEX:
         return Ideal.from_groebner(GroebnerBasis(ring, kept))
@@ -253,7 +257,8 @@ def eliminate(I, names):
     """Generators of I cap k[remaining variables].
 
     Builds a ring with the eliminated variables moved in front under a block
-    order, takes the Groebner basis, and keeps the elements free of them.
+    order; elimination_basis gives the reduced basis of the elimination
+    ideal there, whose elements, free of them, are moved back.
     """
     names = list(names)
     ring = I.ring
@@ -271,10 +276,7 @@ def eliminate(I, names):
     moved = [map_to_ring(g, perm) for g in I.gens]
     if not moved:
         return Ideal(ring, [])
-    gb = buchberger(moved)
-    killed = set(range(len(names)))
-    kept = [g for g in gb.elements if all(all(e[i] == 0 for i in killed) for e in g.terms)]
-    return Ideal(ring, [map_to_ring(g, ring) for g in kept])
+    return Ideal(ring, [map_to_ring(g, ring) for g in elimination_basis(moved)])
 
 
 # -- leading-term combinatorics ----------------------------------------------

@@ -210,6 +210,15 @@ def test_intersect_saturate_link_hilbert_localize():
     assert run_cli(base, "localize", "I1", "P").returncode == 0
 
 
+def test_intersect_matches_golden_bytes():
+    # the intersection's generators are its reduced basis, in the order the
+    # elimination gives them: the bytes pin both
+    golden = Path(__file__).resolve().parent / "golden" / "intersect_double_lines.json"
+    proc = run_cli(str(FIXTURES / "double_lines.session"), "intersect", "I1", "I2", "--json")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == golden.read_text()
+
+
 @pytest.mark.parametrize(
     "point, generators",
     [

@@ -20,7 +20,7 @@ from liaison import (
     standard_monomials,
 )
 from liaison.generators import random_monomial_ideal
-from liaison.ideals import local_leading_ideal
+from liaison.ideals import local_leading_ideal, map_to_ring
 
 
 @pytest.fixture
@@ -322,6 +322,112 @@ def test_ideal_equal_by_containment_agrees_with_reduced_bases(field, order):
             assert ideal_equal(A, B) == expected, (I, J, held)
             assert ideal_equal(B, A) == expected, (I, J, held)
     assert outcomes == {True, False}
+
+
+def _t_free_part_by_reference(gens, k):
+    """Reference for elimination: the elements of buchberger's reduced
+    block(k) basis that are free of the first k variables."""
+    if not gens:
+        return []
+    return [g for g in buchberger(gens).elements if not any(g.leading_monomial()[:k])]
+
+
+def _intersect_by_reference(I, J):
+    """ideal_intersect's generators as the t-trick gives them with no lcms
+    entered: the t-free part of the reduced block(1) basis of t*I + (1-t)*J."""
+    ring = I.ring
+    assert "t" not in ring.variables
+    ext = make_ring(["t", *ring.variables], ring.field, "block(1)")
+    t = ext.variable("t")
+    gens = [t * map_to_ring(f, ext) for f in I.gens]
+    gens += [(ext.one() - t) * map_to_ring(g, ext) for g in J.gens]
+    kept = _t_free_part_by_reference(gens, 1) if I.gens and J.gens else []
+    return tuple(Polynomial(ring, {e[1:]: c for e, c in g.terms.items()}) for g in kept)
+
+
+def _eliminate_by_reference(I, names):
+    ring = I.ring
+    remaining = [v for v in ring.variables if v not in names]
+    perm = make_ring(names + remaining, ring.field, f"block({len(names)})")
+    kept = _t_free_part_by_reference([map_to_ring(g, perm) for g in I.gens], len(names))
+    return tuple(map_to_ring(g, ring) for g in kept)
+
+
+_SMALL_MONOMIALS = [e for e in itertools.product(range(3), repeat=3) if 1 <= sum(e) <= 2]
+
+
+def _with_monomials(ring, rng, count):
+    """A random ideal of _random_ideal's kind plus count monomial generators,
+    scaled by a random nonzero coefficient."""
+    gens = list(_random_ideal(ring, rng).gens)
+    for _ in range(count):
+        gens.append(Polynomial.monomial(ring, rng.choice(_SMALL_MONOMIALS), rng.choice([1, 2, -3])))
+    return Ideal(ring, gens)
+
+
+def _intersection_cases(ring, rng):
+    """Pairs with 0-3 monomial generators on each side, a shared generator,
+    the unit ideal, and a zero generator (dropped, leaving the zero ideal)."""
+    x, y, z = ring.gens()
+    cases = []
+    for count in range(4):
+        for _ in range(3):
+            cases.append((_with_monomials(ring, rng, count), _with_monomials(ring, rng, rng.randint(0, 3))))
+    I, J = _with_monomials(ring, rng, 1), _with_monomials(ring, rng, 1)
+    cases.append((I, Ideal(ring, list(J.gens) + [I.gens[0]])))
+    cases.append((Ideal(ring, [ring.one()]), _with_monomials(ring, rng, 2)))
+    cases.append((_with_monomials(ring, rng, 2), Ideal(ring, [ring.one(), x])))
+    cases.append((Ideal(ring, [x * y, Polynomial.zero(ring)]), Ideal(ring, [x**2, y * z + x])))
+    cases.append((Ideal(ring, [Polynomial.zero(ring)]), Ideal(ring, [x**2])))
+    return cases
+
+
+@pytest.mark.parametrize("order", ["grevlex", "lex", "block(1)"])
+@pytest.mark.parametrize("field", ["F31", "F5", "Q"])
+def test_intersect_and_eliminate_match_the_plain_t_trick(field, order):
+    # ideal_intersect enters the lcms of monomial generators and interreduces
+    # only the t-free part of its basis, in the block ring: the generators
+    # must be the very polynomials the plain t-trick keeps (under lex, a
+    # t-free part interreduced after dropping t would differ)
+    rng = random.Random(f"intersect reference {field} {order}")
+    ring = make_ring(["x", "y", "z"], field, order)
+    for I, J in _intersection_cases(ring, rng):
+        expected = _intersect_by_reference(I, J)
+        meet = ideal_intersect(I, J)
+        assert meet.gens == expected, (I, J)
+        if order == "grevlex":
+            assert meet.groebner().elements == expected
+        W = ideal_sum(I, J)
+        for names in (["x"], ["z"], ["x", "y"], ["y", "z"]):
+            assert eliminate(W, names).gens == _eliminate_by_reference(W, names), (W, names)
+
+
+@pytest.mark.parametrize("order", ["grevlex", "lex", "block(1)"])
+@pytest.mark.parametrize("field", ["F31", "Q"])
+def test_intersect_is_invariant_under_presentation(field, order):
+    # swapping the sides, shuffling generators and adding redundant monomial
+    # generators change the lcms entered, never the basis returned
+    rng = random.Random(f"intersect metamorphic {field} {order}")
+    ring = make_ring(["x", "y", "z"], field, order)
+    variables = ring.gens()
+    cubics = [e for e in itertools.product(range(4), repeat=3) if sum(e) == 3]
+    for I, J in _intersection_cases(ring, rng):
+        expected = ideal_intersect(I, J).gens
+
+        def redundant(K):
+            # a multiple of a generator made a monomial, and monomials of K
+            extra = [m * rng.choice(variables) for m in K.gens if len(m.terms) == 1][:1]
+            extra += [m for m in (Polynomial.monomial(ring, e) for e in cubics) if K.contains(m)][:2]
+            return Ideal(ring, list(K.gens) + extra)
+
+        for A, B in (
+            (J, I),
+            (Ideal(ring, rng.sample(I.gens, len(I.gens))), Ideal(ring, rng.sample(J.gens, len(J.gens)))),
+            (redundant(I), J),
+            (I, redundant(J)),
+            (redundant(J), redundant(I)),
+        ):
+            assert ideal_intersect(A, B).gens == expected, (I, J, A, B)
 
 
 def test_local_leading_ideal_examples():

@@ -27,7 +27,7 @@ from liaison.generators import (
     random_meeting_instance,
     random_monomial_ideal,
 )
-from liaison.groebner import buchberger, normal_form
+from liaison.groebner import buchberger, elimination_basis, normal_form
 from liaison.ideals import (
     hilbert_data,
     ideal_intersect,
@@ -684,10 +684,17 @@ def _count_bases(monkeypatch):
         calls.append(gens)
         return buchberger(gens, *args, **kwargs)
 
+    def counted_elimination(gens):
+        calls.append(gens)
+        return elimination_basis(gens)
+
     # localrings takes every basis through ideals (Ideal.groebner and the
-    # ideal operations), so counting there counts them all
+    # ideal operations, which eliminate by elimination_basis), so counting
+    # there counts them all
     assert not hasattr(localrings, "buchberger")
+    assert not hasattr(localrings, "elimination_basis")
     monkeypatch.setattr(ideals, "buchberger", counted)
+    monkeypatch.setattr(ideals, "elimination_basis", counted_elimination)
     return calls
 
 
