@@ -292,17 +292,13 @@ def minimal_monomial_generators(monomials):
     return out
 
 
-def leading_term_ideal(gb):
-    return minimal_monomial_generators(gb.leading_monomials())
-
-
 def is_zero_dimensional(gb):
     """Whether the quotient by the ideal is a finite-dimensional vector space."""
     if gb.is_unit_ideal():
         return True
     if not gb.elements:
         return gb.ring.nvars == 0
-    lts = leading_term_ideal(gb)
+    lts = gb.leading_monomials()
     n = gb.ring.nvars
     for i in range(n):
         if not any(sum(m) == m[i] and m[i] > 0 for m in lts):
@@ -314,7 +310,7 @@ def standard_monomials(gb):
     """All monomials outside the leading-term ideal; requires dimension zero."""
     if not is_zero_dimensional(gb):
         raise ValueError("standard monomial enumeration needs a zero-dimensional ideal")
-    lts = leading_term_ideal(gb)
+    lts = gb.leading_monomials()
     n = gb.ring.nvars
     seen = set()
     frontier = [(0,) * n]
@@ -420,8 +416,7 @@ def hilbert_data(I):
 def _hilbert_data(I):
     gb = I.groebner()
     n = I.ring.nvars
-    mingens = leading_term_ideal(gb)
-    numer = _numerator(mingens)
+    numer = _numerator(gb.leading_monomials())
     if not numer:
         # unit ideal: empty scheme
         return HilbertData(-1, -2, 0, (0,))

@@ -265,5 +265,5 @@ def socle_lemma_test(triple):
     for I in triple.ideals():
         if not is_zero_dimensional(I.groebner()):
             raise ValueError("socle_lemma_test needs Artinian quotients")
-    dims = socle_dimensions(base, (second, first))
+    dims = socle_dimensions(base.groebner(), (second, first))[1:]
     return SocleLemmaReport(socle_dim=dims[0], dims=dims, all_equal=len(set(dims)) == 1)

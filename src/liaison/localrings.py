@@ -10,8 +10,9 @@ zero-dimensional Q are linear algebra on the origin's primary component
 Q + (x_1^d, ..., x_n^d), d = dim_k R/Q, in its basis of standard monomials,
 with no primary decomposition: the length is the count of standard
 monomials, and the socle is the common kernel of the matrices of
-multiplication by the variables.  A homogeneous Q is its own origin
-component.
+multiplication by the variables, one routine (socle_dimensions) for every
+caller.  Q is its own origin component exactly when n normal forms put
+every x_i^d in Q, graded Q included.
 A graded complete intersection, chart ideals included, is Gorenstein of
 type 1 with length its degree, with no computation beyond its Hilbert data.
 Otherwise the local leading ideal (Lazard) gives the local dimension d and
@@ -183,13 +184,13 @@ def _coordinates(f, gb, index):
 
 
 def _multiplication_matrices(gb, std):
-    """The matrix of multiplication by each variable on R/(gb), in the basis
-    std of standard monomials: column j of the i-th matrix is the normal
-    form of x_i * std[j]."""
+    """The matrices M_1, ..., M_n of multiplication by the variables on
+    R/(gb), in the basis std of standard monomials, stacked as one list of
+    rows: column j of M_i is the normal form of x_i * std[j]."""
     ring = gb.ring
     field = ring.field
     index = {e: j for j, e in enumerate(std)}
-    matrices = []
+    rows = []
     for i in range(ring.nvars):
         columns = []
         for b in std:
@@ -200,8 +201,8 @@ def _multiplication_matrices(gb, std):
             else:
                 column = _coordinates(Polynomial.monomial(ring, e), gb, index)
             columns.append(column)
-        matrices.append([list(row) for row in zip(*columns)])
-    return matrices
+        rows.extend(list(row) for row in zip(*columns))
+    return rows
 
 
 def artinian_invariants(Q):
@@ -212,50 +213,45 @@ def artinian_invariants(Q):
     cap Q'.  With d = dim_k R/Q and J = (x_1^d, ..., x_n^d), J lies in Q_0,
     as each x_i is nilpotent of index at most d on R/Q_0, and J + Q' = R, as
     V(J) is the origin alone; so Q_0 = Q_0(J + Q') lies in J + Q, which lies
-    in Q_0.  A homogeneous Q has no other component and is Q_0 itself;
-    other Q take one Groebner basis of Q + J, unless n normal forms show
-    that J already lies in Q (as for artinian_reduce's chart output), when
-    Q is Q_0.  The length is the number of standard monomials of Q_0, and
-    with M_i the matrix of multiplication by x_i on them, the socle is the
-    common kernel of the M_i: socle_dim = length - rank(M_1; ...; M_n).
+    in Q_0.  One rule for every Q: n normal forms decide whether J lies in
+    Q, when Q is Q_0 (a graded Q, which vanishes from degree d on, and
+    artinian_reduce's chart output), else Q_0 takes one Groebner basis of
+    Q + J.  The length and socle come from socle_dimensions on Q_0's basis;
     gorenstein means socle_dim 1.
     """
     ring = Q.ring
-    field = ring.field
-    if any(g.constant_term() != field.zero for g in Q.gens):
+    if any(g.constant_term() != ring.field.zero for g in Q.gens):
         raise ValueError("origin is not on the zero set of the ideal")
     gb = Q.groebner()
     if not is_zero_dimensional(gb):
         raise ValueError("artinian_invariants needs a zero-dimensional ideal")
-    if not Q.is_homogeneous():
-        d = len(standard_monomials(gb))
-        powers = [v**d for v in ring.gens()]
-        if any(normal_form(p, gb) for p in powers):
-            gb = Ideal(ring, [*gb.elements, *powers]).groebner()
-    std = standard_monomials(gb)
-    length = len(std)
-    socle_dim = length - rank([row for M in _multiplication_matrices(gb, std) for row in M], field)
+    d = len(standard_monomials(gb))
+    powers = [v**d for v in ring.gens()]
+    if any(normal_form(p, gb) for p in powers):
+        gb = Ideal(ring, [*gb.elements, *powers]).groebner()
+    length, socle_dim = socle_dimensions(gb, ())
     return length, socle_dim, socle_dim == 1
 
 
-def socle_dimensions(Q, carriers):
-    """dim_k of the socle of R/Q at the origin, then of its meet with the
-    image of each ideal in carriers; Q zero-dimensional.
+def socle_dimensions(gb, carriers):
+    """(length, socle_dim, *carrier socle dims) of R/Q, gb the reduced basis
+    of a zero-dimensional Q: dim_k R/Q, the dimension of the socle at the
+    origin, then that of its meet with the image of each ideal in carriers.
 
-    With d = dim_k R/Q and M = (M_1; ...; M_n) the stacked multiplication
-    matrices, the socle (Q : m)/Q is ker M, of dimension d - rank(M).  The
-    image of (Q : m) cap J in R/Q is ((Q : m) cap (Q + J))/Q by the modular
-    law, as Q lies in (Q : m), whether or not Q lies in J.  That is ker M cap
-    ker P, P the projection R/Q -> R/(Q + J), of dimension d - rank(M; P).
+    With d = dim_k R/Q, the number of standard monomials, and M = (M_1;
+    ...; M_n) the stacked multiplication matrices, the socle (Q : m)/Q is
+    ker M, of dimension d - rank(M).  The image of (Q : m) cap J in R/Q is
+    ((Q : m) cap (Q + J))/Q by the modular law, as Q lies in (Q : m),
+    whether or not Q lies in J.  That is ker M cap ker P, P the projection
+    R/Q -> R/(Q + J), of dimension d - rank(M; P).
     """
-    ring = Q.ring
-    gb = Q.groebner()
+    ring = gb.ring
     std = standard_monomials(gb)
     d = len(std)
-    socle_rows, _ = rref([row for M in _multiplication_matrices(gb, std) for row in M], ring.field)
-    dims = [d - len(socle_rows)]
+    socle_rows, _ = rref(_multiplication_matrices(gb, std), ring.field)
+    dims = [d, d - len(socle_rows)]
     for J in carriers:
-        target = ideal_sum(Q, J).groebner()
+        target = Ideal(ring, [*gb.elements, *J.gens]).groebner()
         index = {e: i for i, e in enumerate(standard_monomials(target))}
         columns = [_coordinates(Polynomial.monomial(ring, b), target, index) for b in std]
         dims.append(d - rank(socle_rows + list(zip(*columns)), ring.field))

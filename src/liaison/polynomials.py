@@ -165,7 +165,7 @@ class Polynomial:
         out = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
+                e = mono_mul(e1, e2)
                 c = field.mul(c1, c2)
                 acc = out.get(e)
                 if acc is None:

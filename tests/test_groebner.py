@@ -324,6 +324,34 @@ def test_mixed_rings_rejected():
         buchberger([R1.variable("x"), R2.variable("y")])
 
 
+def test_buchberger_rejects_non_polynomials_and_drops_zeros():
+    R = make_ring(["x", "y"], "Q", "grevlex")
+    x, y = R.gens()
+    with pytest.raises(TypeError, match="must be polynomials"):
+        buchberger([x, 3])
+    gb = buchberger([Polynomial.zero(R), Polynomial.zero(R)])
+    assert gb.ring == R
+    assert gb.elements == ()
+
+
+def test_normal_form_needs_a_groebner_basis_of_its_ring():
+    R = make_ring(["x", "y"], "Q", "grevlex")
+    S = make_ring(["u", "v"], "Q", "grevlex")
+    x, y = R.gens()
+    with pytest.raises(ValueError, match="different rings"):
+        normal_form(S.variable("u"), buchberger([x, y]))
+    with pytest.raises(TypeError, match="expects a GroebnerBasis"):
+        normal_form(x**2, [x])
+
+
+def test_schreyer_constants_rejects_a_non_groebner_basis():
+    # S(x^2 - y, xy) = -y^2, which neither leading monomial divides
+    R = make_ring(["x", "y"], "Q", "grevlex")
+    x, y = R.gens()
+    with pytest.raises(ValueError, match="needs a Groebner basis"):
+        schreyer_constants(GroebnerBasis(R, [x**2 - y, x * y]))
+
+
 def test_elimination_basis_needs_a_block_order():
     R = make_ring(["t", "x"], "Q", "grevlex")
     t, x = R.gens()

@@ -20,7 +20,7 @@ from liaison import (
     standard_monomials,
 )
 from liaison.generators import random_monomial_ideal
-from liaison.ideals import local_leading_ideal, map_to_ring
+from liaison.ideals import exact_divide, local_leading_ideal, map_to_ring
 
 
 @pytest.fixture
@@ -96,6 +96,20 @@ def test_colon_makes_one_intersection_per_divisor_generator(P3, monkeypatch):
     colon = ideal_colon(Y, Ideal(P3, [z * x + u * y, x * y, y**2]))
     assert ideal_equal(colon, Ideal(P3, [z * x - u * y, x**2, x * y, y**2]))
     assert len(calls) == 3
+
+
+def test_exact_divide_rejects_zero_and_inexact_divisors(P3):
+    x, y, *_ = P3.gens()
+    with pytest.raises(ZeroDivisionError, match="zero polynomial"):
+        exact_divide(x * y, Polynomial.zero(P3))
+    with pytest.raises(ValueError, match="nonzero remainder"):
+        exact_divide(x**2 + y, x)
+
+
+def test_ideal_rejects_a_generator_from_another_ring(P3):
+    other = make_ring(["x", "y", "z", "u"], "F31", "grevlex")
+    with pytest.raises(ValueError, match="different ring context"):
+        Ideal(P3, [P3.variable("x"), other.variable("y")])
 
 
 def test_colon_by_zero_rejected(P3):

@@ -79,6 +79,15 @@ def test_translate_shifts_point(A3):
     assert ideal_equal(J, Ideal(A3, [x, y]))
 
 
+def test_rational_point_rejects_bad_coordinates(A3, P3):
+    with pytest.raises(ValueError, match="wrong number of coordinates"):
+        RationalPoint.affine(A3, [1, 2])
+    with pytest.raises(ValueError, match="wrong number of coordinates"):
+        RationalPoint.projective(P3, [1, 2, 3])
+    with pytest.raises(ValueError, match="needs a nonzero coordinate"):
+        RationalPoint.projective(P3, [0, 0, 0, 0])
+
+
 def test_translate_point_off_variety_rejected(A3):
     x, *_ = A3.gens()
     with pytest.raises(ValueError):

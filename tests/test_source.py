@@ -1,6 +1,7 @@
 """Rules on the library's source text."""
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "liaison"
@@ -32,4 +33,38 @@ def test_no_module_imports_a_private_name_from_a_sibling():
         for alias in node.names
         if alias.name.startswith("_")
     ]
+    assert offenders == []
+
+
+def _identifiers(tree):
+    """Every name the tree uses: bare names, attributes and imported names."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.alias):
+            yield node.name.rpartition(".")[2]
+
+
+def test_every_library_definition_is_referenced():
+    # a function or class that nothing names outside its own body is dead
+    # code; the library, its tests, the demos and the benchmark all count as
+    # users, and dunder methods are called by the language itself
+    root = SRC.parent.parent
+    definitions = [
+        (path.name, node)
+        for path in sorted(SRC.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and not (node.name.startswith("__") and node.name.endswith("__"))
+    ]
+    assert definitions, SRC
+    uses = Counter()
+    for folder in ("src", "tests", "demos", "perfbench"):
+        for path in sorted((root / folder).rglob("*.py")):
+            uses.update(_identifiers(ast.parse(path.read_text(), filename=str(path))))
+    for _, node in definitions:
+        uses[node.name] -= sum(1 for name in _identifiers(node) if name == node.name)
+    offenders = [f"{name}:{node.lineno} {node.name}" for name, node in definitions if uses[node.name] <= 0]
     assert offenders == []
