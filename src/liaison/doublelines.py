@@ -24,7 +24,7 @@ import itertools
 from dataclasses import dataclass, field as dc_field
 
 from .ideals import Ideal, hilbert_data, ideal_equal, ideal_intersect
-from .linalg import kernel_basis, rank, solve
+from .linalg import kernel_basis, solve
 from .localrings import LocalPointReport, RationalPoint, local_mu, translate_to_origin
 from .polynomials import Polynomial
 
@@ -78,7 +78,13 @@ def _univariate_gcd_degree(a, b, field):
 
 
 def binary_forms_have_common_zero(f, g, pencil):
-    """Common zero on P^1 of two binary forms in the pencil variables."""
+    """Common zero on P^1 of two binary forms in the pencil variables.
+
+    The one coprimality test, shared by the DoubleLine constructor and
+    lci_along_support: (1:0) is a common zero iff both top coefficients
+    vanish, any other is a root of the Euclid gcd of the forms at w = 1.
+    A zero form shares every zero of its partner.
+    """
     field = f.ring.field
     cf = binary_coefficients(f, pencil, f.total_degree())
     cg = binary_coefficients(g, pencil, g.total_degree())
@@ -408,22 +414,12 @@ def lci_along_support(line):
     a unit and a change of coordinates, so the ideal is locally (v1', v2^2);
     where both vanish every generator lies in m*(v1, v2) + (v1, v2)^2 and
     the ideal needs four.
-    So the certificate is that f and g share no zero on the support line:
-    nonzero binary forms of degrees m and n share one on P^1 iff their
-    (m+n)-square Sylvester matrix is singular (no Euclid gcd, as in the
-    constructor, and no Groebner basis).  A zero form shares every zero of
-    its partner, so it passes only beside a nonzero constant.
+    So the certificate is that f and g share no zero on the support line,
+    decided by binary_forms_have_common_zero, the constructor's test (no
+    Groebner basis).  A zero form shares every zero of its partner, so it
+    passes only beside a nonzero constant.
     """
-    field = line.ring.field
-    f, g = line.forms
-    m, n = f.total_degree(), g.total_degree()
-    if f.is_zero() or g.is_zero():
-        return max(m, n) == 0
-    cf, cg = (binary_coefficients(form, line.pencil, d) for form, d in ((f, m), (g, n)))
-    zero = [field.zero]
-    rows = [zero * k + cf + zero * (n - 1 - k) for k in range(n)]
-    rows += [zero * k + cg + zero * (m - 1 - k) for k in range(m)]
-    return rank(rows, field) == m + n
+    return not binary_forms_have_common_zero(*line.forms, line.pencil)
 
 
 def oracle_lal(L1, L2):

@@ -70,14 +70,10 @@ def random_meeting_instance(ring, case, rng):
             a2, b2 = random_coprime_pair(ring, pencil2, r2, rng)
             if zero_on_first:
                 b1 = _set_coefficient(b1, pencil1, r1, 0, field.zero)
-                if b1.is_zero() or binary_forms_have_common_zero(a1, b1, pencil1):
-                    continue
                 if binary_coefficients(b2, pencil2, r2)[0] == field.zero:
                     continue
             else:
                 b2 = _set_coefficient(b2, pencil2, r2, 0, field.zero)
-                if b2.is_zero() or binary_forms_have_common_zero(a2, b2, pencil2):
-                    continue
                 if binary_coefficients(b1, pencil1, r1)[0] == field.zero:
                     continue
         else:
@@ -105,8 +101,6 @@ def random_meeting_instance(ring, case, rng):
             b2 = random_form(ring, pencil2, r2, rng, allow_zero=True)
             b2 = _set_coefficient(b2, pencil2, r2, 0, field.zero)
             b2 = _set_coefficient(b2, pencil2, r2, 1, target)
-            if binary_forms_have_common_zero(a2, b2, pencil2):
-                continue
         try:
             L1 = DoubleLine(ring, support1, (a1, b1))
             L2 = DoubleLine(ring, support2, (a2, b2))

@@ -213,23 +213,21 @@ def artinian_invariants(Q):
     cap Q'.  With d = dim_k R/Q and J = (x_1^d, ..., x_n^d), J lies in Q_0,
     as each x_i is nilpotent of index at most d on R/Q_0, and J + Q' = R, as
     V(J) is the origin alone; so Q_0 = Q_0(J + Q') lies in J + Q, which lies
-    in Q_0.  One rule for every Q: n normal forms decide whether J lies in
-    Q, when Q is Q_0 (a graded Q, which vanishes from degree d on, and
-    artinian_reduce's chart output), else Q_0 takes one Groebner basis of
-    Q + J.  The length and socle come from socle_dimensions on Q_0's basis;
-    gorenstein means socle_dim 1.
+    in Q_0.  One rule for every Q: socle_dimensions on Q's basis gives d
+    first, and n normal forms decide whether J lies in Q.  It does when Q is
+    Q_0 (a graded Q, which vanishes from degree d on, and artinian_reduce's
+    chart output), and d and the socle are Q_0's; else Q_0 takes one
+    Groebner basis of Q + J and a second socle_dimensions call.  gorenstein
+    means socle_dim 1.
     """
     ring = Q.ring
     if any(g.constant_term() != ring.field.zero for g in Q.gens):
         raise ValueError("origin is not on the zero set of the ideal")
     gb = Q.groebner()
-    if not is_zero_dimensional(gb):
-        raise ValueError("artinian_invariants needs a zero-dimensional ideal")
-    d = len(standard_monomials(gb))
-    powers = [v**d for v in ring.gens()]
-    if any(normal_form(p, gb) for p in powers):
-        gb = Ideal(ring, [*gb.elements, *powers]).groebner()
     length, socle_dim = socle_dimensions(gb, ())
+    powers = [v**length for v in ring.gens()]
+    if any(normal_form(p, gb) for p in powers):
+        length, socle_dim = socle_dimensions(Ideal(ring, [*gb.elements, *powers]).groebner(), ())
     return length, socle_dim, socle_dim == 1
 
 

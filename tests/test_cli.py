@@ -71,6 +71,16 @@ def test_parse_error_exits_two(tmp_path):
     assert "line 2" in proc.stderr
 
 
+def test_dline_whose_forms_share_a_zero_exits_two(tmp_path):
+    # z*u and z*(z+u) vanish together at (z:u) = (0:1): the session parse
+    # hands the constructor's refusal on as an input error
+    bad = tmp_path / "bad.session"
+    bad.write_text("ring Q[x,y,z,u] order grevlex\ndline L support x,y pair (z*u, z*(z+u))\n")
+    proc = run_cli(str(bad), "classify", "L", "L")
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == "error: line 2 col 1: forms share a zero on the support line (resultant 0)\n"
+
 
 def test_trailing_input_after_point_exits_two(tmp_path):
     bad = tmp_path / "bad.session"

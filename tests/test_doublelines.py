@@ -1,3 +1,5 @@
+import collections
+import hashlib
 import itertools
 import random
 import sys
@@ -31,6 +33,7 @@ from liaison.doublelines import (
     lci_along_support,
 )
 from liaison.generators import (
+    random_ci_linked_triple,
     random_coprime_pair,
     random_meeting_instance,
     random_same_support_instance,
@@ -121,8 +124,9 @@ def test_common_zero_agrees_with_hilbert_dimension(field):
 
 
 def test_lci_along_support_sylvester_edges(P3):
-    # the certificate is the rank of the Sylvester matrix of (f, g) in the
-    # pencil (z, u); (z:u) = (1:0) is where the u-free coefficient vanishes
+    # the certificate is binary_forms_have_common_zero on (f, g) in the
+    # pencil (z, u), the constructor's Euclid test; (z:u) = (1:0) is where
+    # the u-free coefficient vanishes
     x, y, z, u = P3.gens()
     one, zero = P3.one(), P3.zero()
     cases = [
@@ -682,3 +686,112 @@ def test_witness_for_lines_with_a_common_zero_is_refused(P3, monkeypatch):
     with pytest.raises(ClassificationDiscrepancy):
         classify_same_support_pair(L1, L2)
     assert calls == []
+
+
+def _small_field_candidates(ring, support):
+    """Every pair (f, g) of binary forms of equal degree d <= 1 on the
+    support, not both zero, with first nonzero coefficient 1: one per double
+    line up to scaling.  Yields (d, coefficients, f, g)."""
+    pencil = tuple(k for k in range(4) if k not in support)
+    field = ring.field
+    elements = [field.normalize(k) for k in range(field.characteristic)]
+    for d in (0, 1):
+        for coeffs in itertools.product(elements, repeat=2 * (d + 1)):
+            if next((c for c in coeffs if c != field.zero), None) != field.one:
+                continue
+            f = binary_form(ring, pencil, list(coeffs[: d + 1]))
+            g = binary_form(ring, pencil, list(coeffs[d + 1 :]))
+            yield d, coeffs, f, g
+
+
+def _small_field_lines(ring, support):
+    lines = []
+    for _d, _coeffs, f, g in _small_field_candidates(ring, support):
+        try:
+            lines.append(DoubleLine(ring, support, (f, g)))
+        except ValueError:
+            pass
+    return lines
+
+
+@pytest.mark.parametrize("field", ["F3", "F5"])
+def test_constructor_accepts_exactly_the_coprime_small_field_lines(field):
+    # closed form: constant pairs always share no zero, and two linear forms
+    # share none iff they are independent, so the constructor accepts the
+    # q+1 points of P^1(F_q) in degree 0 and the (q^2-1)(q^2-q)/(q-1)
+    # invertible matrices up to scaling in degree 1
+    R = make_ring(["x", "y", "z", "u"], field, "grevlex")
+    q = R.field.characteristic
+    for support in ((0, 1), (0, 2)):
+        accepted = 0
+        for d, coeffs, f, g in _small_field_candidates(R, support):
+            coprime = d == 0 or R.field.mul(coeffs[0], coeffs[3]) != R.field.mul(coeffs[1], coeffs[2])
+            try:
+                DoubleLine(R, support, (f, g))
+            except ValueError as exc:
+                assert not coprime and "share a zero" in str(exc), (f, g)
+                continue
+            assert coprime, (f, g)
+            accepted += 1
+        assert accepted == (q + 1) + (q + 1) * (q * q - q)
+
+
+def test_classify_buckets_on_every_small_field_pair():
+    # every pair of F3 double lines of degree <= 1, on {x=y=0} and {x=z=0}
+    # (meeting) and twice on {x=y=0} (same support).  The counts were
+    # measured with classify(mode="both") when this test was added; "both"
+    # raises unless the conditions and the oracle agree on every pair, so
+    # pinned counts also catch a change that moves both the same way.
+    # Meeting: b is nonzero at the meeting point on 21 of the 28 lines of
+    # each support, so 21^2 = 441 pairs are meeting_a; of the 7^2 pairs with
+    # both values zero, 19 satisfy the tangent identity.  Same support: the
+    # 28 equal pairs are the diagonal.
+    R = make_ring(["x", "y", "z", "u"], "F3", "grevlex")
+    first, second = _small_field_lines(R, (0, 1)), _small_field_lines(R, (0, 2))
+    assert len(first) == len(second) == 28
+    meeting = collections.Counter(classify(L1, L2, mode="both").case_tag for L1 in first for L2 in second)
+    assert meeting == {"meeting_a": 441, "meeting_b": 19, "not_linked": 324}
+    same = collections.Counter(classify(L1, L2, mode="both").case_tag for L1 in first for L2 in first)
+    assert same == {"same_support_equal": 28, "same_support_pm": 228, "not_linked": 528}
+
+
+def _generator_digests():
+    """sha256 prefixes of 25 seeded F31 draws from each generator and case."""
+
+    def line_text(line):
+        return f"{line.support}: {line.forms[0]} | {line.forms[1]}"
+
+    R = make_ring(["x", "y", "z", "u"], "F31", "grevlex")
+    texts = {}
+    for case in ("a", "b_hold", "b_violate", "one_sided"):
+        rng = random.Random(f"meeting/{case}")
+        pairs = (random_meeting_instance(R, case, rng) for _ in range(25))
+        texts[f"meeting/{case}"] = [f"{line_text(L1)} ; {line_text(L2)}" for L1, L2 in pairs]
+    for traceless in (True, False):
+        rng = random.Random(f"same_support/{traceless}")
+        triples = (random_same_support_instance(R, rng, traceless) for _ in range(25))
+        texts[f"same_support/{traceless}"] = [f"{line_text(L1)} ; {line_text(L2)} ; {N}" for L1, L2, N in triples]
+    for names in (["x", "y", "z"], ["x", "y", "z", "u"]):
+        ring = make_ring(names, "F31", "grevlex")
+        rng = random.Random(f"triple/{ring.nvars}")
+        triples = (random_ci_linked_triple(ring, rng, max_degree=2) for _ in range(25))
+        texts[f"triple/{ring.nvars}"] = [
+            "None" if t is None else " ; ".join(", ".join(map(str, I.gens)) for I in t.ideals()) for t in triples
+        ]
+    return {key: hashlib.sha256("\n".join(rows).encode()).hexdigest()[:16] for key, rows in texts.items()}
+
+
+def test_generators_reproduce_their_seeded_draws():
+    # the campaigns and the benchmark regenerate their inputs from a seed, so
+    # a generator edit must leave every draw byte-identical: a changed digest
+    # means changed inputs for every campaign and benchmark run
+    assert _generator_digests() == {
+        "meeting/a": "65e3b53f5e1df7e1",
+        "meeting/b_hold": "851c3bfdc99082a3",
+        "meeting/b_violate": "b421810cd6a5f9c1",
+        "meeting/one_sided": "bbd8ca59598ef460",
+        "same_support/True": "1119a82be911dab3",
+        "same_support/False": "a0fc9ca4a8c494df",
+        "triple/3": "5c6a683bb4a03ebd",
+        "triple/4": "54f70489c9e9a131",
+    }

@@ -435,8 +435,8 @@ def test_local_mu_takes_one_basis_and_no_normal_form(monkeypatch):
 
 def test_meeting_oracle_takes_one_basis(monkeypatch):
     # the intersection's: the lci certificates along the supports are
-    # Sylvester ranks, and the chart at the meeting point holds the
-    # intersection's basis
+    # Euclid gcds of the pencil forms, and the chart at the meeting point
+    # holds the intersection's basis
     from liaison import doublelines
 
     assert not hasattr(doublelines, "buchberger")
