@@ -22,6 +22,7 @@ from .polynomials import Polynomial, substitute
 from .groebner import (
     GroebnerBasis,
     buchberger,
+    divide,
     normal_form,
 )
 from .ideals import (
@@ -81,6 +82,7 @@ __all__ = [
     "substitute",
     "GroebnerBasis",
     "buchberger",
+    "divide",
     "normal_form",
     "HilbertData",
     "Ideal",

@@ -7,7 +7,8 @@ ring's order.  Pairs wait in a heap under the lcm of their leading
 monomials, computed once; a pair pruned meanwhile is skipped when popped.
 S-polynomials are built from the held monic terms and that lcm.  An
 elimination basis interreduces only the part it keeps.  Normal
-forms modulo such a basis decide ideal membership; reducing its own
+forms modulo such a basis decide ideal membership, and the steps of the
+same reduction give the quotients of a division (divide); reducing its own
 S-pairs, as pruned, to zero gives the constant parts of its syzygies, hence
 the local minimal generator count (see localrings.local_mu).
 """
@@ -53,7 +54,7 @@ class GroebnerBasis:
         return "GroebnerBasis[" + ", ".join(str(g) for g in self.elements) + "]"
 
 
-def _reduce(f, reducers, exact=None):
+def _reduce(f, reducers, steps=None):
     """Full normal form of f against a list of (lm, poly) reducers, each poly
     monic with leading monomial lm.
 
@@ -62,9 +63,10 @@ def _reduce(f, reducers, exact=None):
     coefficient cancelled, or that was pushed twice, is no longer in `work`
     when popped and is skipped (lazy deletion); the remainder keeps its
     terms as they pop, so its first key is its leading monomial.  When a
-    list `exact` is given, each step that removes a reducer's leading
-    monomial itself appends (lm, factor): those are the constant terms of
-    the quotients.
+    list `steps` is given, each step appends (lm, q, c): it subtracts
+    c*x^q times the reducer of leading monomial lm, so f is the sum of
+    those multiples plus the remainder.  Every pushed exponent lies below
+    the popped one, so no exponent pops twice and no (lm, q) repeats.
     """
     ring = f.ring
     field = ring.field
@@ -82,9 +84,9 @@ def _reduce(f, reducers, exact=None):
         for lm, g in reducers:
             if all(map(le, lm, e)):  # mono_divides(lm, e), inlined on the hot path
                 # g is monic: the factor is c itself
-                if exact is not None and e == lm:
-                    exact.append((lm, c))
                 q = mono_div(e, lm)
+                if steps is not None:
+                    steps.append((lm, q, c))
                 for eg, cg in g.terms.items():
                     if eg == lm:
                         # lm * q = e cancels exactly, and e has left work
@@ -124,6 +126,36 @@ def normal_form(f, basis):
             raise ValueError("polynomial and basis live in different rings")
         return _reduce(f, [_entry(g) for g in basis.elements])
     raise TypeError("normal_form expects a GroebnerBasis")
+
+
+def divide(f, basis):
+    """(quotients, remainder) of f by a Groebner basis (g_1..g_s):
+    f = sum q_k g_k + remainder, the remainder is normal_form(f, basis), and
+    no leading monomial of q_k g_k exceeds that of f.
+
+    The quotients are read off the steps of the reduction normal_form runs,
+    so a zero remainder proves membership and gives a standard
+    representation at once.  The basis's leading monomials must be
+    distinct, as in any reduced basis.
+    """
+    if not isinstance(basis, GroebnerBasis):
+        raise TypeError("divide expects a GroebnerBasis")
+    if f.ring != basis.ring:
+        raise ValueError("polynomial and basis live in different rings")
+    ring = f.ring
+    entries = [_entry(g) for g in basis.elements]
+    steps = []
+    remainder = _reduce(f, entries, steps)
+    index = {lm: k for k, (lm, _) in enumerate(entries)}
+    terms = [{} for _ in entries]
+    for lm, q, c in steps:
+        terms[index[lm]][q] = c
+    quotients = [Polynomial(ring, t) for t in terms]
+    for k, ((_, monic), g) in enumerate(zip(entries, basis.elements)):
+        if monic is not g:
+            # the steps multiplied g / lc(g)
+            quotients[k] = quotients[k].scale(ring.field.inv(g.leading_coefficient()))
+    return quotients, remainder
 
 
 def _s_poly(a, b, l):
@@ -321,12 +353,12 @@ def schreyer_constants(basis):
     lifts to the Koszul syzygy g_j e_i - g_i e_j, with no constant part,
     and is not reduced.  No leading monomial of a reduced basis divides
     another, so m_i and m_j are never constant, and the constant term of
-    a_k sums the factors of the steps that remove lm_k itself: entry k of
-    the row, up to sign.
+    a_k is the factor of the one step with a constant quotient, the step
+    that removes lm_k itself (see _reduce): entry k of the row, up to sign.
     """
     G = [_entry(g) for g in basis.elements]
     ring = basis.ring
-    zero, add = ring.field.zero, ring.field.add
+    zero = ring.field.zero
     lms, pairs = [], {}
     for entry in G:
         lms.append(entry[0])
@@ -335,11 +367,12 @@ def schreyer_constants(basis):
     index = {lm: k for k, lm in enumerate(lms)}
     rows = []
     for (i, j), l in pairs.items():
-        exact = []
-        if not _reduce(_s_poly(G[i], G[j], l), G, exact).is_zero():
+        steps = []
+        if not _reduce(_s_poly(G[i], G[j], l), G, steps).is_zero():
             raise ValueError("schreyer_constants needs a Groebner basis")
         row = [zero] * len(G)
-        for lm, factor in exact:
-            row[index[lm]] = add(row[index[lm]], factor)
+        for lm, q, factor in steps:
+            if not any(q):
+                row[index[lm]] = factor
         rows.append(row)
     return rows

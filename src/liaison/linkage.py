@@ -6,10 +6,13 @@ A triple (base, first, second) is linked when base is contained in both
 links and the colon relations (base : first) = second and (base : second) =
 first hold with all three quotients of equal dimension.  verify_linked_triple
 proves both colon relations by a certificate when the theory allows it:
-R/base Gorenstein and R/first Cohen-Macaulay (both read off the generator
-count of a complete intersection, else certified by Artinian reduction),
-first*second inside base, and the h-vector of second equal to the one
-linkage predicts (Peskine-Szpiro).  Otherwise it computes the two colons.
+R/base Gorenstein, the h-vector of second equal to the one linkage predicts
+(Peskine-Szpiro), and second inside (base : first).  When base and first
+are both generated by codim forms, base = C*first and second only has to
+contain det C, read off the division that proves base inside first;
+otherwise R/first must be Cohen-Macaulay (a complete intersection, else
+certified by Artinian reduction) and first*second inside base.  Where no
+certificate applies it computes the two colons.
 The dualizing modules of the theory are never materialized; every check is
 phrased in the colon, length, Hilbert-series and socle arithmetic the
 proofs themselves reduce to, so the reports flag themselves as
@@ -19,6 +22,7 @@ multiplication matrices of R/base (see localrings).
 
 from dataclasses import dataclass, field as dc_field
 
+from .groebner import divide
 from .ideals import (
     Ideal,
     hilbert_data,
@@ -35,6 +39,7 @@ from .localrings import (
     local_gorenstein,
     socle_dimensions,
 )
+from .polynomials import Polynomial
 
 NECESSARY_CONDITION_NOTE = (
     "necessary-condition verification: colon symmetry, lengths, and socles "
@@ -121,21 +126,44 @@ class TripleReport:
         }
 
 
-def _linked_by_certificate(triple, seed):
+def _determinant(ring, rows):
+    """Determinant of a square matrix of polynomials (1 when it is empty),
+    expanded along the first row."""
+    if not rows:
+        return Polynomial.constant(ring, 1)
+    total = Polynomial.zero(ring)
+    for j, entry in enumerate(rows[0]):
+        if not entry.is_zero():
+            term = entry * _determinant(ring, [row[:j] + row[j + 1 :] for row in rows[1:]])
+            total = total - term if j % 2 else total + term
+    return total
+
+
+def _linked_by_certificate(triple, quotients, seed):
     """Whether both colon relations of a triple follow from cheap facts,
-    given R/base Gorenstein and three quotients of equal dimension.  False
-    means only "not certified".
+    given R/base Gorenstein, base inside first and second, and three
+    quotients of equal dimension.  quotients[i] lists the quotients of the
+    i-th generator of base divided by first's reduced basis (groebner.divide).
+    False means only "not certified".
 
     With R/base Gorenstein and R/first Cohen-Macaulay of the same
     dimension, L = (base : first) is Cohen-Macaulay with h-vector
     h_base(t) - t^s * h_first(1/t), s = deg h_base, and (base : L) = first
-    (Peskine-Szpiro 1974; Migliore 1998, ch. 5).  base inside second and
-    first*second inside base give second inside L; equal h-vectors in equal
-    dimension give equal Hilbert series, so second = L and both relations
-    hold.  R/first is certified Cohen-Macaulay when first is a graded
-    complete intersection (localrings.is_graded_complete_intersection;
-    Bruns-Herzog, Thm 2.1.2), else by a completed artinian_reduce(first);
-    a refuted or inconclusive reduction leaves it uncertified.
+    (Peskine-Szpiro 1974; Migliore 1998, ch. 5).  Once second is shown
+    inside L, equal h-vectors in equal dimension give equal Hilbert series,
+    so second = L and both relations hold.  Two routes show it:
+
+    - Determinant: base has exactly c = codim generators g and first's
+      reduced basis f exactly c elements, so both are regular sequences
+      (R is Cohen-Macaulay; Bruns-Herzog, Thm 2.1.2) and the quotients
+      give g = C*f.  Then L = base + (det C) (Peskine-Szpiro), so second
+      contains L when it contains det C.
+    - Product: first*second inside base gives second inside L.  R/first is
+      certified Cohen-Macaulay when first is a graded complete intersection
+      (localrings.is_graded_complete_intersection), else by a completed
+      artinian_reduce(first); a refuted or inconclusive reduction leaves it
+      uncertified.  Only this route covers a Cohen-Macaulay first that is
+      not a complete intersection.
     """
     base, first, second = triple.ideals()
     h_base, h_first, h_second = (hilbert_data(I).h_vector for I in triple.ideals())
@@ -143,13 +171,13 @@ def _linked_by_certificate(triple, seed):
     if len(h_first) - 1 > s:
         return False
     predicted = sub_shifted(h_base, h_first[::-1], s - (len(h_first) - 1))
-    return (
-        tuple(predicted) == h_second
-        and base.contains_ideal(ideal_product(first, second))
-        and (
-            is_graded_complete_intersection(first)
-            or isinstance(artinian_reduce(first, seed=seed)[0], Ideal)
-        )
+    if tuple(predicted) != h_second:
+        return False
+    if is_graded_complete_intersection(base) and len(first.groebner()) == len(base.gens):
+        return second.contains(_determinant(base.ring, quotients))
+    return base.contains_ideal(ideal_product(first, second)) and (
+        is_graded_complete_intersection(first)
+        or isinstance(artinian_reduce(first, seed=seed)[0], Ideal)
     )
 
 
@@ -166,9 +194,10 @@ def verify_linked_triple(triple, seed=0):
 
     When the base is Gorenstein and both containments hold, colon symmetry
     is first tried by certificate (see _linked_by_certificate), which sets
-    both flags to True or leaves them undecided.  Every undecided case
-    computes the two colons, so the report does not depend on which path
-    decided it.
+    both flags to True or leaves them undecided.  The division of base's
+    generators by first's basis that decides the first containment also
+    gives the certificate its quotients.  Every undecided case computes
+    the two colons, so the report does not depend on which path decided it.
     """
     base, first, second = triple.ideals()
     if not (base.ring == first.ring == second.ring):
@@ -176,7 +205,12 @@ def verify_linked_triple(triple, seed=0):
     if not all(I.is_homogeneous() for I in triple.ideals()):
         raise ValueError("verification needs homogeneous ideals (dimension bookkeeping)")
     report = TripleReport()
-    report.containments = (first.contains_ideal(base), second.contains_ideal(base))
+    gb = first.groebner()
+    division = [divide(g, gb) for g in base.gens]
+    report.containments = (
+        all(r.is_zero() for _, r in division),
+        second.contains_ideal(base),
+    )
     data = [hilbert_data(I) for I in triple.ideals()]
     dims = tuple(d.krull_dimension for d in data)
     degs = tuple(d.degree for d in data)
@@ -196,7 +230,8 @@ def verify_linked_triple(triple, seed=0):
     report.point_reports.append((origin, length, socle_dim, gor))
     report.gorenstein_ok = gor
 
-    if gor is True and all(report.containments) and _linked_by_certificate(triple, seed):
+    quotients = [q for q, _ in division]
+    if gor is True and all(report.containments) and _linked_by_certificate(triple, quotients, seed):
         report.colon_first = report.colon_second = True
     else:
         report.colon_first = ideal_equal(ideal_colon(base, first), second)

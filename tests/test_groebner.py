@@ -20,7 +20,7 @@ from liaison import (
     parse_session,
     translate_to_origin,
 )
-from liaison.groebner import elimination_basis, s_polynomial, schreyer_constants
+from liaison.groebner import divide, elimination_basis, s_polynomial, schreyer_constants
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -175,6 +175,53 @@ def test_reduce_stores_the_leading_term_first(field, order):
             kinds.add("constant" if r.total_degree() == 0 else "other")
             assert next(iter(r.terms)) == r.leading_monomial()
     assert kinds == {"zero", "constant", "other"}
+
+
+@pytest.mark.parametrize("field", ["F31", "F5", "Q"])
+@pytest.mark.parametrize(
+    "order", ["grevlex", "lex", MonomialOrder("block", 1)], ids=["grevlex", "lex", "block1"]
+)
+def test_divide_gives_the_normal_form_and_a_standard_representation(field, order):
+    # f = sum q_k g_k + r with r the normal form and no q_k g_k above f,
+    # for reduced bases and for the same bases with leading coefficient 3
+    rng = random.Random(59)
+    R = make_ring(["x", "y", "z"], field, order)
+    kinds = set()
+    for _ in range(10):
+        gens = [p for p in (_random_poly(R, rng) for _ in range(3)) if not p.is_zero()]
+        if not gens:
+            continue
+        G = buchberger(gens)
+        member = Polynomial.zero(R)
+        for g in gens:
+            member = member + _random_poly(R, rng) * g
+        for basis in (G, GroebnerBasis(R, [g.scale(3) for g in G])):
+            for f in (Polynomial.zero(R), _random_poly(R, rng, max_terms=6), member):
+                quotients, r = divide(f, basis)
+                assert len(quotients) == len(basis)
+                assert r == normal_form(f, basis)
+                total = r
+                for q, g in zip(quotients, basis):
+                    total = total + q * g
+                    if not q.is_zero():
+                        assert R.key((q * g).leading_monomial()) <= R.key(f.leading_monomial())
+                assert total == f
+                if f.is_zero():
+                    kinds.add("zero")
+                    assert all(q.is_zero() for q in quotients)
+                else:
+                    kinds.add("member" if r.is_zero() else "remainder")
+    assert kinds == {"zero", "member", "remainder"}
+
+
+def test_divide_needs_a_groebner_basis_of_its_ring():
+    R = make_ring(["x", "y"], "Q", "grevlex")
+    S = make_ring(["u", "v"], "Q", "grevlex")
+    x, y = R.gens()
+    with pytest.raises(ValueError, match="different rings"):
+        divide(S.variable("u"), buchberger([x, y]))
+    with pytest.raises(TypeError, match="expects a GroebnerBasis"):
+        divide(x**2, [x])
 
 
 def test_basis_elements_lie_in_ideal():

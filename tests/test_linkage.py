@@ -6,18 +6,23 @@ import pytest
 from liaison import (
     Ideal,
     LinkedTriple,
+    Polynomial,
     doubling_check,
     hilbert_data,
     ideal_colon,
     ideal_equal,
+    ideal_product,
     link,
     make_ring,
     regular_element_transfer_test,
     socle_lemma_test,
+    substitute,
     verify_linked_triple,
 )
 from liaison import ideals, linkage, localrings
-from liaison.generators import random_ci_linked_triple
+from liaison.generators import random_ci_linked_triple, random_form_dense
+from liaison.groebner import divide
+from liaison.linalg import rank
 from liaison.sessions import parse_session
 
 
@@ -319,16 +324,31 @@ def _count_colons(monkeypatch):
     return calls
 
 
+def _count_products(monkeypatch):
+    calls = []
+
+    def counting(I, J):
+        calls.append((I, J))
+        return ideal_product(I, J)
+
+    monkeypatch.setattr(linkage, "ideal_product", counting)
+    return calls
+
+
 def _fresh(triple):
     """The same triple with no cached Groebner basis or Hilbert data."""
     return LinkedTriple(*(Ideal(I.ring, I.gens) for I in triple.ideals()))
 
 
 def test_certified_fossum_triple_makes_no_colon(fossum, monkeypatch):
+    # base and first are complete intersections: the determinant route
+    # builds no product first*second either
     calls = _count_colons(monkeypatch)
+    products = _count_products(monkeypatch)
     report = verify_linked_triple(_fresh(fossum), seed=0)
     assert report.colon_first and report.colon_second and report.passed
     assert calls == []
+    assert products == []
 
 
 def test_skew_lines_take_the_colon_fallback(P3, monkeypatch):
@@ -378,10 +398,32 @@ def test_certificate_needs_first_cohen_macaulay(monkeypatch):
     triple = _non_cohen_macaulay_first_triple()
     assert [hilbert_data(I).h_vector for I in triple.ideals()] == [(1, 2, 3, 2, 1), (1, 2), (1, 2, 3)]
     calls = _count_colons(monkeypatch)
+    # first's basis has four elements: the product route, whose
+    # Cohen-Macaulay check refutes it
+    products = _count_products(monkeypatch)
     report = verify_linked_triple(triple, seed=0)
     assert len(calls) == 2
+    assert products == [(triple.first, triple.second)]
     assert report.gorenstein_ok and all(report.containments) and report.degree_additive
     assert not report.colon_first and not report.colon_second and not report.passed
+
+
+def test_base_with_redundant_generators_takes_the_product_route(monkeypatch):
+    # base = (x^2, y^2) given with x^2*y: three generators in codimension
+    # two, and first = (x, y)^2 has a three-element basis.  Only c forms
+    # generating a codimension c ideal are a regular sequence, so the
+    # determinant route does not apply, although its square matrix exists;
+    # the product route and a Cohen-Macaulay reduction of first certify it
+    R = make_ring(["x", "y"], "Q", "grevlex")
+    x, y = R.gens()
+    triple = LinkedTriple(
+        Ideal(R, [x**2, y**2, x**2 * y]), Ideal(R, [x**2, x * y, y**2]), Ideal(R, [x, y])
+    )
+    calls = _count_colons(monkeypatch)
+    products = _count_products(monkeypatch)
+    assert verify_linked_triple(triple, seed=0).passed
+    assert calls == []
+    assert products == [(triple.first, triple.second)]
 
 
 def _count_artinian_reductions(monkeypatch):
@@ -409,11 +451,11 @@ def test_complete_intersections_take_no_artinian_reduction(fossum, monkeypatch):
     assert calls == [triple.first]
 
 
-def _held_out_triples(count):
-    """count CI-linked F31 triples from the held-out seed 1001, cycling
-    through 2, 3 and 4 variables."""
+def _held_out_triples(count, field="F31"):
+    """count CI-linked triples over field from the held-out seed 1001,
+    cycling through 2, 3 and 4 variables."""
     names = (["x1", "x2"], ["x", "y", "z"], ["x", "y", "z", "u"])
-    rings = [make_ring(n, "F31", "grevlex") for n in names]
+    rings = [make_ring(n, field, "grevlex") for n in names]
     rng = random.Random(1001)
     triples = []
     while len(triples) < count:
@@ -425,33 +467,124 @@ def _held_out_triples(count):
 
 def _reports_both_ways(triple, seed, monkeypatch):
     """verify_linked_triple's report with the certificate, then with the
-    colons alone."""
+    colons alone, and the number of products the first run built."""
     outcomes = []
     for certificate in (linkage._linked_by_certificate, lambda *args: False):
         with monkeypatch.context() as patch:
             patch.setattr(linkage, "_linked_by_certificate", certificate)
-            outcomes.append(verify_linked_triple(_fresh(triple), seed=seed).as_dict())
-    return outcomes
+            products = _count_products(patch)
+            report = verify_linked_triple(_fresh(triple), seed=seed).as_dict()
+            outcomes.append((report, len(products)))
+    (with_certificate, built), (with_colons, _) = outcomes
+    return with_certificate, with_colons, built
+
+
+def _certified(triple, seed):
+    """_linked_by_certificate with the quotients verify_linked_triple passes:
+    base's generators divided by first's reduced basis."""
+    base, first, _ = triple.ideals()
+    quotients = [divide(g, first.groebner())[0] for g in base.gens]
+    return linkage._linked_by_certificate(triple, quotients, seed)
 
 
 def test_triple_certificate_agrees_with_colons_on_held_out_triples(monkeypatch):
-    rejected = 0
-    for k, triple in enumerate(_held_out_triples(40)):
-        fresh = _fresh(triple)
-        base, first, second = fresh.ideals()
-        colons = (
-            ideal_equal(ideal_colon(base, first), second),
-            ideal_equal(ideal_colon(base, second), first),
-        )
-        assert colons == (True, True)
-        assert linkage._linked_by_certificate(fresh, k)
-        with_certificate, with_colons = _reports_both_ways(triple, k, monkeypatch)
-        assert with_certificate == with_colons and with_colons["passed"]
-        # mutants: drop one generator of second, keeping base inside it
-        for j in range(len(second.gens)):
-            kept = second.gens[:j] + second.gens[j + 1 :]
-            mutant = LinkedTriple(base, first, Ideal(base.ring, base.gens + kept))
-            with_certificate, with_colons = _reports_both_ways(mutant, k, monkeypatch)
-            assert with_certificate == with_colons, (k, j)
-            rejected += not with_colons["passed"]
-    assert rejected >= 20
+    for field, count in (("F31", 40), ("F5", 20), ("Q", 20)):
+        rejected = wrong_seconds = 0
+        for k, triple in enumerate(_held_out_triples(count, field)):
+            fresh = _fresh(triple)
+            base, first, second = fresh.ideals()
+            ring = base.ring
+            colons = (
+                ideal_equal(ideal_colon(base, first), second),
+                ideal_equal(ideal_colon(base, second), first),
+            )
+            assert colons == (True, True)
+            assert _certified(fresh, k)
+            with_certificate, with_colons, products = _reports_both_ways(triple, k, monkeypatch)
+            assert with_certificate == with_colons and with_colons["passed"]
+            # base and first are complete intersections: the determinant route
+            assert products == 0, (field, k)
+            # mutants: drop one generator of second, keeping base inside it
+            for j in range(len(second.gens)):
+                kept = second.gens[:j] + second.gens[j + 1 :]
+                mutant = LinkedTriple(base, first, Ideal(ring, base.gens + kept))
+                with_certificate, with_colons, _ = _reports_both_ways(mutant, k, monkeypatch)
+                assert with_certificate == with_colons, (field, k, j)
+                rejected += not with_colons["passed"]
+            # mutant: base with a redundant generator is no longer read as a
+            # complete intersection, so the certificate takes the product route
+            x = ring.variable(ring.variables[0])
+            redundant = LinkedTriple(Ideal(ring, base.gens + (x * base.gens[0],)), first, second)
+            with_certificate, with_colons, products = _reports_both_ways(redundant, k, monkeypatch)
+            assert with_certificate == with_colons and with_colons["passed"], (field, k)
+            assert products == 1, (field, k)
+            # mutant: a wrong second with the right h-vector.  With first =
+            # (f1, f2) and base* = (h1*f1, h2*f2), deg h_i = deg f_i, base*
+            # lies in first and in (h1, f2), two complete intersections of
+            # the same degrees; their links base* + (h1*h2) and
+            # base* + (f1*h2) share an h-vector, and det C = h1*h2 is not in
+            # the second one unless the two links are equal
+            f1, f2 = first.groebner().elements
+            rng = random.Random(f"wrong second {field} {k}")
+            h1, h2 = (random_form_dense(ring, f.total_degree(), rng) for f in (f1, f2))
+            star = Ideal(ring, [h1 * f1, h2 * f2])
+            if hilbert_data(star).krull_dimension != hilbert_data(first).krull_dimension:
+                continue
+            right, wrong = (Ideal(ring, [*star.gens, h * h2]) for h in (h1, f1))
+            assert hilbert_data(wrong).h_vector == hilbert_data(right).h_vector
+            assert _certified(LinkedTriple(star, first, right), k)
+            if ideal_equal(wrong, right):
+                continue
+            mutant = LinkedTriple(star, first, wrong)
+            assert not _certified(mutant, k), (field, k)
+            with_certificate, with_colons, products = _reports_both_ways(mutant, k, monkeypatch)
+            assert with_certificate == with_colons and not with_colons["passed"], (field, k)
+            assert products == 0
+            wrong_seconds += 1
+        assert rejected >= count // 2, field
+        assert wrong_seconds >= count // 2, field
+
+
+def _changed_coordinates(I, A):
+    """The image of I under the linear change x_i -> sum_j A[i][j] x_j."""
+    ring = I.ring
+    x = ring.gens()
+    images = [sum((v.scale(a) for v, a in zip(x, row)), Polynomial.zero(ring)) for row in A]
+    assignment = dict(zip(ring.variables, images))
+    return Ideal(ring, [substitute(g, assignment) for g in I.gens])
+
+
+def test_triple_report_is_invariant_under_a_linear_change_of_coordinates(monkeypatch):
+    # an invertible linear change of coordinates is a graded automorphism
+    # fixing the origin: it maps the three ideals, their colons and the
+    # local ring at the origin along, so every field of the report stays
+    # the same.  The mutant drops a generator of second.  The new
+    # coordinates give the determinant route dense quotients, and a linked
+    # image still takes it
+    names = (["x1", "x2"], ["x", "y", "z"], ["x", "y", "z", "u"])
+    verdicts = set()
+    for field in ("F31", "Q"):
+        rings = [make_ring(n, field, "grevlex") for n in names]
+        rng = random.Random(1003)
+        sample = rings[0].field.random_sample()
+        for k in range(12):
+            ring = rings[k % 3]
+            triple = None
+            while triple is None:
+                triple = random_ci_linked_triple(ring, rng, max_degree=2)
+            n = ring.nvars
+            A = [[rng.choice(sample) for _ in range(n)] for _ in range(n)]
+            while rank(A, ring.field) < n:
+                A = [[rng.choice(sample) for _ in range(n)] for _ in range(n)]
+            base, first, second = triple.ideals()
+            mutant = LinkedTriple(base, first, Ideal(ring, base.gens + second.gens[1:]))
+            for t in (triple, mutant):
+                expected = verify_linked_triple(_fresh(t), seed=k).as_dict()
+                moved = LinkedTriple(*(_changed_coordinates(I, A) for I in t.ideals()))
+                with monkeypatch.context() as patch:
+                    products = _count_products(patch)
+                    assert verify_linked_triple(moved, seed=k).as_dict() == expected, (field, k)
+                if t is triple:
+                    assert expected["passed"] and products == [], (field, k)
+                verdicts.add(expected["passed"])
+    assert verdicts == {True, False}
