@@ -133,11 +133,8 @@ def random_same_support_instance(ring, rng, traceless):
         b2 = a.scale(n12) + b.scale(n22)
         if (a * b2 - a2 * b).is_zero():
             continue  # (a, b) is an eigenrow: the pair is proportional
-        try:
-            L1 = DoubleLine(ring, support, (a, b))
-            L2 = DoubleLine(ring, support, (a2, b2))
-        except ValueError:
-            continue
+        L1 = DoubleLine(ring, support, (a, b))
+        L2 = DoubleLine(ring, support, (a2, b2))
         return L1, L2, [[n11, n12], [n21, n22]]
 
 

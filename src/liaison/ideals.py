@@ -3,14 +3,17 @@ elimination, equality, local leading ideals, and Hilbert data.
 
 Intersections use the t-trick (eliminate t from t*I + (1-t)*J), local
 leading ideals a t-homogenization; a colon by (g_1..g_s) is one chain of s
-intersections, K_i = (I cap g_i*K_(i-1)) / g_i; saturation is the stabilized
-iterated colon.  Dimension and degree come from the Hilbert series of the
-leading-term ideal, local ones from that of the local leading ideal.
+intersections, K_i = (I cap g_i*K_(i-1)) / g_i, each quotient read off
+groebner.divide by (g_i); saturation is the stabilized iterated colon.
+Dimension and degree come from the Hilbert series of the leading-term
+ideal, local ones from that of the local leading ideal.
 """
 
 from dataclasses import dataclass
 
-from .groebner import GroebnerBasis, buchberger, elimination_basis, normal_form, reduced_basis
+from .groebner import (
+    GroebnerBasis, buchberger, divide, elimination_basis, normal_form, reduced_basis,
+)
 from .polynomials import Polynomial, mono_div, mono_divides, mono_gcd, mono_lcm
 from .rings import GREVLEX, MonomialOrder, make_ring
 
@@ -210,36 +213,25 @@ def local_leading_ideal(J):
     return Ideal.from_groebner(reduced_basis(ring, monomials)), cone
 
 
-def exact_divide(g, f):
-    """Quotient g / f when f divides g exactly; raises otherwise."""
-    if f.is_zero():
-        raise ZeroDivisionError("division by the zero polynomial")
-    ring = g.ring
-    field = ring.field
-    lm, lc = f.leading_term()
-    quotient = Polynomial.zero(ring)
-    rem = g
-    while not rem.is_zero():
-        e, c = rem.leading_term()
-        if not mono_divides(lm, e):
-            raise ValueError("exact division has a nonzero remainder")
-        q = Polynomial.monomial(ring, mono_div(e, lm), field.div(c, lc))
-        quotient = quotient + q
-        rem = rem - q * f
-    return quotient
-
-
 def ideal_colon(I, J):
     """(I : J) = {f : f*J inside I}, by one chain over the generators g_i of J:
     K_0 = R and K_i = (I cap g_i*K_(i-1)) / g_i = {f in K_(i-1) : f*g_i in I},
-    so K_s = (I : J) after s intersections."""
+    so K_s = (I : J) after s intersections.  The quotients by g_i are read off
+    divide by the basis (g_i made monic), exact up to the unit lc(g_i); as
+    I cap g_i*K_(i-1) lies in (g_i), a nonzero remainder is an internal fault
+    and raises RuntimeError."""
     _check_same_ring(I, J)
     if not J.gens:
         raise ValueError("colon by the zero ideal")
-    K = Ideal(I.ring, [Polynomial.constant(I.ring, 1)])
+    ring = I.ring
+    K = Ideal(ring, [Polynomial.constant(ring, 1)])
     for g in J.gens:
-        W = ideal_intersect(I, Ideal(I.ring, [g * k for k in K.gens]))
-        K = Ideal(I.ring, [exact_divide(w, g) for w in W.gens])
+        W = ideal_intersect(I, Ideal(ring, [g * k for k in K.gens]))
+        principal = GroebnerBasis(ring, [g.monic()])
+        divisions = [divide(w, principal) for w in W.gens]
+        if any(not remainder.is_zero() for _, remainder in divisions):
+            raise RuntimeError("colon: a generator of I cap g*K lies outside (g)")
+        K = Ideal(ring, [q for (q,), _ in divisions])
     return Ideal.from_groebner(K.groebner())
 
 

@@ -13,6 +13,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
+from .polynomials import Polynomial
+
 _IDENTIFIER = re.compile(r"[A-Za-z_][A-Za-z_0-9]*\Z")
 
 
@@ -287,21 +289,15 @@ class RingContext:
         except KeyError:
             raise ValueError(f"unknown variable {name!r}") from None
 
-    # -- convenience constructors (local import avoids a module cycle) --
+    # -- convenience constructors --
 
     def variable(self, name):
-        from .polynomials import Polynomial
-
         return Polynomial.variable(self, name)
 
     def zero(self):
-        from .polynomials import Polynomial
-
         return Polynomial.zero(self)
 
     def one(self):
-        from .polynomials import Polynomial
-
         return Polynomial.constant(self, 1)
 
     def gens(self):

@@ -289,7 +289,9 @@ def test_criterion_10_cli_golden_files():
         assert first == second, f"{name}: output not byte-stable across runs"
         json.loads(first)  # must be valid JSON
         path = GOLDEN / f"{name}.json"
-        if regen or not path.exists():
+        if regen:
             path.write_text(first)
+        # a deleted golden fails too: only GOLDEN_REGEN=1 writes one
+        assert path.exists(), f"{name}: golden file missing (regenerate with GOLDEN_REGEN=1)"
         assert first == path.read_text(), f"{name}: output differs from golden file"
     _report(10, f"{len(GOLDEN_COMMANDS)} golden JSON documents byte-stable")

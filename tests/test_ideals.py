@@ -20,7 +20,7 @@ from liaison import (
     standard_monomials,
 )
 from liaison.generators import random_monomial_ideal
-from liaison.ideals import exact_divide, local_leading_ideal, map_to_ring
+from liaison.ideals import local_leading_ideal, map_to_ring
 
 
 @pytest.fixture
@@ -98,12 +98,26 @@ def test_colon_makes_one_intersection_per_divisor_generator(P3, monkeypatch):
     assert len(calls) == 3
 
 
-def test_exact_divide_rejects_zero_and_inexact_divisors(P3):
+def test_colon_raises_when_a_division_leaves_a_remainder(P3, monkeypatch, capsys):
+    from pathlib import Path
+
+    from liaison import cli, ideals
+
+    # an intersection outside (g) is an internal fault: the chain must stop
+    # there, not divide it inexactly and return a colon
+    def outside(I, J):
+        return Ideal(I.ring, [Polynomial.constant(I.ring, 1)])
+
+    monkeypatch.setattr(ideals, "ideal_intersect", outside)
     x, y, *_ = P3.gens()
-    with pytest.raises(ZeroDivisionError, match="zero polynomial"):
-        exact_divide(x * y, Polynomial.zero(P3))
-    with pytest.raises(ValueError, match="nonzero remainder"):
-        exact_divide(x**2 + y, x)
+    with pytest.raises(RuntimeError, match="lies outside"):
+        ideal_colon(Ideal(P3, [x * y]), Ideal(P3, [x]))
+    session = Path(__file__).resolve().parent.parent / "fixtures" / "fossum.session"
+    code = cli.main([str(session), "colon", "B", "A1", "--json"])
+    assert code == cli.EXIT_ERROR
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: internal failure in colon: RuntimeError: colon: ")
 
 
 def test_ideal_rejects_a_generator_from_another_ring(P3):

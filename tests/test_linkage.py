@@ -426,6 +426,30 @@ def test_base_with_redundant_generators_takes_the_product_route(monkeypatch):
     assert products == [(triple.first, triple.second)]
 
 
+def test_certificate_declines_a_first_with_a_longer_h_vector(monkeypatch):
+    # first = (x^2, y^2, x*y*z) has h-vector 1, 2, 1, -1, longer than base's
+    # 1, 2, 1: no shift of it predicts second's h-vector, so the certificate
+    # declines before computing one, and the colons decide.  second is
+    # (base : first), but (base : second) = (x, y)^2 is not first
+    R = make_ring(["x", "y", "z"], "Q", "grevlex")
+    x, y, z = R.gens()
+    triple = LinkedTriple(
+        Ideal(R, [x**2, y**2]), Ideal(R, [x**2, y**2, x * y * z]), Ideal(R, [x, y])
+    )
+    assert [hilbert_data(I).h_vector for I in triple.ideals()] == [(1, 2, 1), (1, 2, 1, -1), (1,)]
+
+    def unreachable(*args):
+        raise AssertionError("the certificate predicted an h-vector")
+
+    monkeypatch.setattr(linkage, "sub_shifted", unreachable)
+    assert _certified(triple, 0) is False
+    calls = _count_colons(monkeypatch)
+    report = verify_linked_triple(_fresh(triple), seed=0)
+    assert len(calls) == 2
+    assert report.gorenstein_ok and all(report.containments)
+    assert report.colon_first and not report.colon_second and not report.passed
+
+
 def _count_artinian_reductions(monkeypatch):
     calls = []
     artinian_reduce = localrings.artinian_reduce
