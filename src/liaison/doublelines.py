@@ -385,8 +385,16 @@ def classify_same_support_pair(L1, L2):
 
     witness_vec = _nonvanishing_member(particular, kernel, determinant, field)
     if witness_vec is None:
-        return ClassificationVerdict(
-            False, "not_linked", witness={"failed": "every traceless solution is singular"}
+        # Unreachable for constructor-made lines.  Degree r >= 1: coprime a1,
+        # b1 are linearly independent, so N is unique; a singular traceless
+        # N is nilpotent (Cayley-Hamilton), so N = u*v^T and (a2, b2) =
+        # h*(v1, v2) with h = a1*u1 + b1*u2: L2's forms share the zeros of
+        # h, and the constructor refuses such a line.  Degree 0: the
+        # solutions form a line N0 + t*K with K of rank 1, so det is affine
+        # in t and not identically zero, and t = 0 or t = 1 works.
+        raise ClassificationDiscrepancy(
+            "no traceless solution has a nonzero determinant: "
+            f"pair1 = ({a1}, {b1}), pair2 = ({a2}, {b2})"
         )
 
     N = [[witness_vec[0], witness_vec[2]], [witness_vec[1], witness_vec[3]]]

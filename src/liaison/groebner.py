@@ -14,7 +14,7 @@ the local minimal generator count (see localrings.local_mu).
 """
 
 from heapq import heapify, heappop, heappush
-from operator import le
+from operator import le, neg
 
 from .polynomials import Polynomial, mono_div, mono_divides, mono_lcm, mono_mul
 
@@ -190,9 +190,10 @@ def s_polynomial(f, g):
     return _s_poly(a, b, mono_lcm(a[0], b[0]))
 
 
-def _update_pairs(lms, P, heap, key, use_criteria):
+def _update_pairs(lms, P, heap, heap_key, use_criteria):
     """Gebauer-Moeller update of the pair dict P (pair -> lcm) after appending
-    generator lms[-1]; each new pair is also pushed on the heap by its rank.
+    generator lms[-1]; each new pair is also pushed on the heap by its rank:
+    degree, then the negated heap key, ascending with the lcm.
 
     Old pairs whose lcm the new leading monomial strictly divides are found
     in one pass, testing the seldom-true divisibility first, and deleted
@@ -232,14 +233,14 @@ def _update_pairs(lms, P, heap, key, use_criteria):
                     new.append((by_lcm[l][0], l))
     for i, l in new:
         P[i, new_index] = l
-        heappush(heap, (sum(l), key(l), i, new_index))
+        heappush(heap, (sum(l), tuple(map(neg, heap_key(l))), i, new_index))
 
 
-def _minimalize(entries, key):
+def _minimalize(entries, heap_key):
     """The entries whose leading monomial no other one divides (one per
-    leading monomial), ascending by the order's key."""
+    leading monomial), ascending under the order: descending by its key."""
     out = []
-    for entry in sorted(entries, key=lambda en: key(en[0])):
+    for entry in sorted(entries, key=lambda en: heap_key(en[0]), reverse=True):
         lm = entry[0]
         if all(not mono_divides(kept[0], lm) for kept in out):
             out.append(entry)
@@ -260,12 +261,12 @@ def reduced_basis(ring, basis):
     """Reduced Groebner basis of the ideal a Groebner basis generates, with no
     S-pairs: buchberger's last step, minimalize then interreduce."""
     entries = [_entry(f) for f in basis]
-    return GroebnerBasis(ring, _interreduce(_minimalize(entries, ring.key)))
+    return GroebnerBasis(ring, _interreduce(_minimalize(entries, ring.heap_key)))
 
 
 def _minimal_entries(gens, use_criteria=True):
     """(ring, entries): the S-pair loop on gens, returning the minimal monic
-    (lm, poly) entries of a Groebner basis, ascending by the order's key."""
+    (lm, poly) entries of a Groebner basis, ascending under the order."""
     gens = list(gens)
     if not gens:
         raise ValueError("a Groebner basis needs at least one generator (possibly zero)")
@@ -275,7 +276,7 @@ def _minimal_entries(gens, use_criteria=True):
     if len(rings) > 1:
         raise ValueError("mixed ring contexts")
     ring = gens[0].ring
-    key = ring.key
+    heap_key = ring.heap_key
     gens = [g for g in gens if not g.is_zero()]
     if not gens:
         return ring, []
@@ -283,11 +284,11 @@ def _minimal_entries(gens, use_criteria=True):
     G = []  # (lm, poly) of each monic element, kept from when it is appended
     lms = []
     P = {}  # live pair (i, j) -> lcm of lms[i] and lms[j]
-    heap = []  # (degree, key of the lcm, i, j) of every pair made; pruned ones are skipped
+    heap = []  # (degree, negated key of the lcm, i, j) of every pair made; pruned ones are skipped
     for f in gens:
         G.append(_entry(f))
         lms.append(G[-1][0])
-        _update_pairs(lms, P, heap, key, use_criteria)
+        _update_pairs(lms, P, heap, heap_key, use_criteria)
 
     while heap:
         i, j = heappop(heap)[2:]
@@ -300,9 +301,9 @@ def _minimal_entries(gens, use_criteria=True):
             r = r.scale(ring.field.inv(r.terms[lm]))
             G.append((lm, r))
             lms.append(lm)
-            _update_pairs(lms, P, heap, key, use_criteria)
+            _update_pairs(lms, P, heap, heap_key, use_criteria)
 
-    return ring, _minimalize(G, key)
+    return ring, _minimalize(G, heap_key)
 
 
 def buchberger(gens, *, use_criteria=True):
@@ -363,7 +364,7 @@ def schreyer_constants(basis):
     for entry in G:
         lms.append(entry[0])
         # every kept pair is reduced, so the heap's order is not needed
-        _update_pairs(lms, pairs, [], ring.key, True)
+        _update_pairs(lms, pairs, [], ring.heap_key, True)
     index = {lm: k for k, lm in enumerate(lms)}
     rows = []
     for (i, j), l in pairs.items():

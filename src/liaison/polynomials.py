@@ -101,14 +101,14 @@ class Polynomial:
 
     def sorted_terms(self):
         """Terms as (exponent, coefficient), descending under the ring's order."""
-        key = self.ring.key
-        return sorted(self.terms.items(), key=lambda t: key(t[0]), reverse=True)
+        heap_key = self.ring.heap_key
+        return sorted(self.terms.items(), key=lambda t: heap_key(t[0]))
 
     def leading_monomial(self):
         """Greatest exponent under the ring's order."""
         if not self.terms:
             raise ValueError("zero polynomial has no leading term")
-        return max(self.terms, key=self.ring.key)
+        return min(self.terms, key=self.ring.heap_key)
 
     def leading_coefficient(self):
         return self.terms[self.leading_monomial()]

@@ -154,23 +154,15 @@ def field_from_spec(spec):
     raise ValueError(f"unknown field spec {spec!r}")
 
 
-# Each order has a sort key (the greater key is the greater monomial) and a
-# heap key (a flat int tuple, the smaller key is the greater monomial, so a
-# min-heap pops the leader).  The grevlex and block keys are memoized: they
-# sit on the hot path and are called once per distinct monomial.
-
-
-def _lex_key(exponents):
-    return tuple(exponents)
+# Each order has one key, a flat int tuple of an exponent tuple: the smaller
+# key is the greater monomial.  So `min` finds the leading monomial, an
+# ascending sort lists terms greatest first, and a min-heap pops the leader.
+# The grevlex and block keys are memoized: they sit on the hot path and are
+# called once per distinct monomial.
 
 
 def _lex_heap_key(exponents):
     return tuple(-e for e in exponents)
-
-
-@lru_cache(maxsize=None)
-def _grevlex_key(exponents):
-    return (sum(exponents), tuple(-e for e in reversed(exponents)))
 
 
 @lru_cache(maxsize=None)
@@ -179,19 +171,23 @@ def _grevlex_heap_key(exponents):
 
 
 @lru_cache(maxsize=None)
-def _block_keys(b):
-    """Sort key and heap key of the block order whose leading block is the
-    first b variables."""
-
-    @lru_cache(maxsize=None)
-    def key(exponents):
-        return (_grevlex_key(exponents[:b]), _grevlex_key(exponents[b:]))
+def _block_heap_key(b):
+    """Key of the block order whose leading block is the first b variables."""
 
     @lru_cache(maxsize=None)
     def heap_key(exponents):
         return _grevlex_heap_key(exponents[:b]) + _grevlex_heap_key(exponents[b:])
 
-    return key, heap_key
+    return heap_key
+
+
+def _heap_key(order):
+    """The key function of an order, the same object for equal orders."""
+    if order.kind == "grevlex":
+        return _grevlex_heap_key
+    if order.kind == "lex":
+        return _lex_heap_key
+    return _block_heap_key(order.block)
 
 
 @dataclass(frozen=True)
@@ -208,19 +204,6 @@ class MonomialOrder:
             raise ValueError(f"unknown monomial order {self.kind!r}")
         if self.kind == "block" and self.block < 1:
             raise ValueError("block order needs a positive block size")
-
-    def keys(self):
-        """The pair (key, heap_key) of functions of an exponent tuple, the
-        same function objects for equal orders."""
-        if self.kind == "grevlex":
-            return _grevlex_key, _grevlex_heap_key
-        if self.kind == "lex":
-            return _lex_key, _lex_heap_key
-        return _block_keys(self.block)
-
-    def key(self, exponents):
-        """Sort key; the greater key is the greater monomial."""
-        return self.keys()[0](exponents)
 
     def __str__(self):
         if self.kind == "block":
@@ -253,11 +236,12 @@ def monomial_compare(m1, m2, order):
     """Compare exponent vectors under an order: -1, 0, or 1."""
     if len(m1) != len(m2):
         raise ValueError("exponent vectors of different lengths")
-    order = order_from_spec(order)
-    k1, k2 = order.key(tuple(m1)), order.key(tuple(m2))
-    if k1 < k2:
-        return -1
+    heap_key = _heap_key(order_from_spec(order))
+    k1, k2 = heap_key(tuple(m1)), heap_key(tuple(m2))
+    # the smaller key is the greater monomial
     if k1 > k2:
+        return -1
+    if k1 < k2:
         return 1
     return 0
 
@@ -265,17 +249,17 @@ def monomial_compare(m1, m2, order):
 class RingContext:
     """Immutable context: variable names, coefficient field, monomial order.
 
-    `key` and `heap_key` are the order's sort key and heap key (see
-    MonomialOrder.keys), bound once so the hot paths skip the dispatch.
+    `heap_key` is the order's one key, bound once so the hot paths skip
+    the dispatch: the smaller key is the greater monomial.
     """
 
-    __slots__ = ("variables", "field", "order", "key", "heap_key", "_index", "_hash")
+    __slots__ = ("variables", "field", "order", "heap_key", "_index", "_hash")
 
     def __init__(self, variables, field, order):
         self.variables = tuple(variables)
         self.field = field
         self.order = order
-        self.key, self.heap_key = order.keys()
+        self.heap_key = _heap_key(order)
         self._index = {name: i for i, name in enumerate(self.variables)}
         self._hash = hash((self.variables, self.field, self.order))
 

@@ -229,6 +229,38 @@ def test_intersect_matches_golden_bytes():
     assert proc.stdout == golden.read_text()
 
 
+# One session per order that no fixture uses.  Each term prints in the
+# order's direction and each basis lists its elements ascending under it,
+# so the bytes pin both.  CI's runtime step writes the lex session with the
+# same text.
+ORDER_SESSIONS = {
+    "lex": (
+        "ring Q[x,y,z] order lex\n"
+        "ideal I = x^2 + y*z - 2*z, x*y - z^2 + y, y^2 - x*z\n"
+        "ideal J = x*z - y + 1, y*z - z^2\n"
+    ),
+    "block": (
+        "ring F31[t,x,y,z] order block(1)\n"
+        "ideal I = t*x - y^2 + z, t*y - x*z, x^2 - y*z\n"
+        "ideal J = t*z - x, y^2 - 5*x*z\n"
+    ),
+}
+
+
+@pytest.mark.parametrize("order", sorted(ORDER_SESSIONS))
+@pytest.mark.parametrize("command", [["gb", "I"], ["intersect", "I", "J"]])
+def test_lex_and_block_output_matches_golden_bytes(tmp_path, order, command):
+    session = tmp_path / f"{order}.session"
+    session.write_text(ORDER_SESSIONS[order])
+    proc = run_cli(str(session), *command, "--json")
+    assert proc.returncode == 0, proc.stderr
+    golden = Path(__file__).resolve().parent / "golden" / f"{command[0]}_{order}.json"
+    # only GOLDEN_REGEN=1 writes a golden; a missing one fails
+    if os.environ.get("GOLDEN_REGEN") == "1":
+        golden.write_text(proc.stdout)
+    assert proc.stdout == golden.read_text()
+
+
 @pytest.mark.parametrize(
     "point, generators",
     [

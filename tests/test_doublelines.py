@@ -755,6 +755,28 @@ def test_classify_buckets_on_every_small_field_pair():
     assert same == {"same_support_equal": 28, "same_support_pm": 228, "not_linked": 528}
 
 
+def _swapped(line):
+    """The same double line, its support variables listed the other way:
+    g*v2 + f*v1 is the same generator, so the ideal is unchanged."""
+    (s1, s2), (f, g) = line.support, line.forms
+    return DoubleLine(line.ring, (s2, s1), (g, f))
+
+
+@pytest.mark.parametrize("field", ["F5", "F31", "Q"])
+def test_classify_does_not_depend_on_the_support_order(field):
+    # the generators list the shared support variable first; listing it
+    # second must give the same verdict, witness and oracle report
+    R = make_ring(["x", "y", "z", "u"], field, "grevlex")
+    rng = random.Random(f"support-order/{field}")
+    cases = ("a", "b_hold", "b_violate", "one_sided")
+    pairs = [random_meeting_instance(R, case, rng) for case in cases for _ in range(6)]
+    pairs += [random_same_support_instance(R, rng, traceless)[:2] for traceless in (True, False) for _ in range(6)]
+    for L1, L2 in pairs:
+        expected = classify(L1, L2, mode="both").as_dict()
+        for M1, M2 in ((_swapped(L1), L2), (L1, _swapped(L2)), (_swapped(L1), _swapped(L2))):
+            assert classify(M1, M2, mode="both").as_dict() == expected
+
+
 def _generator_digests():
     """sha256 prefixes of 25 seeded F31 draws from each generator and case."""
 

@@ -55,7 +55,7 @@ def test_random_sample_never_contains_zero():
 def test_grevlex_degree_two_textbook_order():
     # x^2 > xy > y^2 > xz > yz > z^2 on (x, y, z)
     deg2 = [e for e in itertools.product(range(3), repeat=3) if sum(e) == 2]
-    deg2.sort(key=GREVLEX.key, reverse=True)
+    deg2.sort(key=make_ring(["x", "y", "z"], "Q", "grevlex").heap_key)
     assert deg2 == [(2, 0, 0), (1, 1, 0), (0, 2, 0), (1, 0, 1), (0, 1, 1), (0, 0, 2)]
 
 
@@ -109,12 +109,37 @@ def test_block_size_validated():
 ORDERS_4 = ["lex", "grevlex", "block(1)", "block(2)"]
 
 
+def _textbook_compare(a, b, order):
+    """-1, 0 or 1 as a < b, a = b or a > b, from the definitions (Cox, Little,
+    O'Shea, Ch. 2 Sec. 2), independent of the library's key."""
+    if order == "lex":
+        # the leftmost nonzero entry of a - b is positive when a > b
+        for x, y in zip(a, b):
+            if x != y:
+                return 1 if x > y else -1
+        return 0
+    if order == "grevlex":
+        if sum(a) != sum(b):
+            return 1 if sum(a) > sum(b) else -1
+        # same degree: the rightmost nonzero entry of a - b is negative when a > b
+        for x, y in zip(reversed(a), reversed(b)):
+            if x != y:
+                return 1 if x < y else -1
+        return 0
+    # block(k): grevlex on the first k variables, ties broken by grevlex on the rest
+    k = int(order[len("block(") : -1])
+    return _textbook_compare(a[:k], b[:k], "grevlex") or _textbook_compare(a[k:], b[k:], "grevlex")
+
+
 @pytest.mark.parametrize("order", ORDERS_4)
 def test_heap_key_sorts_descending(order):
     # a min-heap on heap_key must pop monomials greatest first
     ring = make_ring(["a", "b", "c", "d"], "F31", order)
     mons = [e for e in itertools.product(range(4), repeat=4) if sum(e) <= 3]
-    by_heap = sorted(mons, key=ring.heap_key)
-    by_compare = sorted(mons, key=functools.cmp_to_key(lambda a, b: monomial_compare(b, a, order)))
-    assert by_heap == by_compare
-    assert sorted(mons, key=ring.key) == sorted(mons, key=ring.order.key)
+    by_textbook = sorted(mons, key=functools.cmp_to_key(lambda a, b: _textbook_compare(b, a, order)))
+    assert sorted(mons, key=ring.heap_key) == by_textbook
+    for a in mons:
+        for b in mons:
+            assert monomial_compare(a, b, order) == _textbook_compare(a, b, order)
+    # equal orders share one key function: the memoized block keys rely on it
+    assert make_ring(["w", "x", "y", "z"], "Q", order).heap_key is ring.heap_key
