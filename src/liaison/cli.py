@@ -10,6 +10,7 @@ for a fixed session, command, and seed); timings are only included when
 
 import argparse
 import json
+import os
 import sys
 import time
 
@@ -259,10 +260,21 @@ def main(argv=None):
             "seed": opts.seed,
             "timings": {"seconds": round(elapsed, 6)} if opts.timings else None,
         }
-        print(json.dumps(document, indent=2, sort_keys=True))
+        lines = [json.dumps(document, indent=2, sort_keys=True)]
     else:
-        for line in outcome.text:
+        lines = outcome.text
+    try:
+        for line in lines:
             print(line)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout early (say, a pipe into head): the output
+        # is cut short, an error and never the false verdict of exit 1.
+        # stdout points at devnull, so that nothing written to it later,
+        # the flush at exit included, fails again.
+        sys.stdout = open(os.devnull, "w", encoding="utf-8")
+        print("error: stdout closed before the output was written", file=sys.stderr)
+        return EXIT_ERROR
     return outcome.exit_code
 
 

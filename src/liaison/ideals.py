@@ -6,7 +6,11 @@ leading ideals a t-homogenization; a colon by (g_1..g_s) is one chain of s
 intersections, K_i = (I cap g_i*K_(i-1)) / g_i, each quotient read off
 groebner.divide by (g_i); saturation is the stabilized iterated colon.
 Dimension and degree come from the Hilbert series of the leading-term
-ideal, local ones from that of the local leading ideal.
+ideal, local ones from that of the local leading ideal.  Two forms whose
+restrictions to the plane x3 = ... = xn = 0 share no zero on P^1 are a
+regular sequence (affine dimension theorem, Hartshorne I.7.2; Bruns-Herzog,
+Thm 2.1.2), and their Hilbert series is read off their degrees, with no
+basis.
 """
 
 from dataclasses import dataclass
@@ -14,7 +18,9 @@ from dataclasses import dataclass
 from .groebner import (
     GroebnerBasis, buchberger, divide, elimination_basis, normal_form, reduced_basis,
 )
-from .polynomials import Polynomial, mono_div, mono_divides, mono_gcd, mono_lcm
+from .polynomials import (
+    Polynomial, binary_forms_have_common_zero, mono_div, mono_divides, mono_gcd, mono_lcm,
+)
 from .rings import GREVLEX, MonomialOrder, make_ring
 
 
@@ -395,8 +401,10 @@ def hilbert_data(I):
 
     The Hilbert series of R/I is N(t)/(1-t)^n; writing N = (1-t)^c Q with
     Q(1) != 0 gives codimension c, affine (cone) dimension n - c, projective
-    dimension n - c - 1, degree Q(1), and the h-vector Q.  Computed once per
-    Ideal and held by it, like its Groebner basis.
+    dimension n - c - 1, degree Q(1), and the h-vector Q.  Two forms that
+    the section certificate of _hilbert_data proves a regular sequence get
+    these data in closed form; any other ideal reads them off its Groebner
+    basis.  Computed once per Ideal and held by it, like its Groebner basis.
     """
     if I._hilbert is None:
         if not I.is_homogeneous():
@@ -406,8 +414,38 @@ def hilbert_data(I):
 
 
 def _hilbert_data(I):
-    gb = I.groebner()
+    """Hilbert data of homogeneous I, with no Groebner basis for two forms
+    of positive degrees d1, d2 in n >= 2 variables that the section
+    certificate proves a regular sequence.
+
+    Certificate: restrict both forms to the plane x3 = ... = xn = 0 by
+    dropping every term in those variables.  If neither restriction is zero
+    and they share no zero on P^1 (binary_forms_have_common_zero), V(I)
+    meets the plane only at the origin, so dim R/I <= n - 2 (affine
+    dimension theorem, Hartshorne I.7.2); Krull's height theorem gives
+    dim R/I >= n - 2.  Two forms generating an ideal of codimension 2 are a
+    regular sequence (R is Cohen-Macaulay; Bruns-Herzog, Thm 2.1.2), and
+    each regular form of degree d multiplies the Hilbert series by 1 - t^d:
+    numerator (1-t^d1)(1-t^d2), h-vector [d1]_t * [d2]_t, degree d1*d2.
+    Every other ideal, a failed certificate included, takes the basis.
+    """
     n = I.ring.nvars
+    if len(I.gens) == 2 and n >= 2:
+        d1, d2 = (g.total_degree() for g in I.gens)
+        sections = [
+            Polynomial(I.ring, {e: c for e, c in g.terms.items() if not any(e[2:])})
+            for g in I.gens
+        ]
+        if (min(d1, d2) > 0 and all(sections)
+                and not binary_forms_have_common_zero(*sections, (0, 1))):
+            factor = sub_shifted([1], [1], d1)  # 1 - t^d1
+            numer = sub_shifted(factor, factor, d2)  # times 1 - t^d2
+            h = [0] * (d1 + d2 - 1)
+            for i in range(d1):
+                for j in range(d2):
+                    h[i + j] += 1
+            return HilbertData(n - 2, n - 3, d1 * d2, tuple(numer), tuple(h))
+    gb = I.groebner()
     numer = _numerator(gb.leading_monomials())
     if not numer:
         # unit ideal: empty scheme

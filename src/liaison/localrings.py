@@ -300,8 +300,11 @@ def is_graded_complete_intersection(I):
     """Whether homogeneous I is generated by codim(I) forms: a graded
     complete intersection, as c forms generating an ideal of codimension c
     are a regular sequence (R is Cohen-Macaulay; Bruns-Herzog, Thm 2.1.2).
-    False for other input, the unit ideal, and a complete intersection
-    given with redundant generators."""
+    The codimension comes from hilbert_data, which certifies two forms
+    whose section by x3 = ... = xn = 0 is coprime with no Groebner basis
+    (affine dimension theorem, Hartshorne I.7.2).  False for other input,
+    the unit ideal, and a complete intersection given with redundant
+    generators."""
     if not I.is_homogeneous():
         return False
     dim = hilbert_data(I).krull_dimension

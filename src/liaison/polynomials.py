@@ -315,3 +315,54 @@ def substitute(f, assignment, ring=None):
             term = term * cache[exp]
         result = result + term
     return result
+
+
+# -- binary forms ------------------------------------------------------------
+
+
+def binary_coefficients(form, pencil, degree):
+    """[c_0, ..., c_degree] with form = sum c_k * v^k * w^(degree-k), where
+    (v, w) = pencil are variable indices; the zero form gives zeros."""
+    coeffs = [form.ring.field.zero] * (degree + 1)
+    for e, c in form.terms.items():
+        coeffs[e[pencil[0]]] = c
+    return coeffs
+
+
+def _univariate_gcd_degree(a, b, field):
+    """Degree of gcd of two univariate coefficient lists (may be empty)."""
+
+    def trim(p):
+        while p and p[-1] == field.zero:
+            p.pop()
+        return p
+
+    a, b = trim(list(a)), trim(list(b))
+    while b:
+        # remainder of a mod b
+        while len(a) >= len(b) and a:
+            factor = field.div(a[-1], b[-1])
+            shift = len(a) - len(b)
+            for i, coeff in enumerate(b):
+                a[i + shift] = field.sub(a[i + shift], field.mul(coeff, factor))
+            a = trim(a)
+        a, b = b, a
+    return len(a) - 1
+
+
+def binary_forms_have_common_zero(f, g, pencil):
+    """Common zero on P^1 of two binary forms in the pencil variables.
+
+    The one coprimality test, shared by the DoubleLine constructor,
+    lci_along_support and the complete-intersection certificate of
+    ideals.hilbert_data: (1:0) is a common zero iff both top coefficients
+    vanish, any other is a root of the Euclid gcd of the forms at w = 1.
+    A zero form shares every zero of its partner.
+    """
+    field = f.ring.field
+    cf = binary_coefficients(f, pencil, f.total_degree())
+    cg = binary_coefficients(g, pencil, g.total_degree())
+    # the value at (1:0) is the top coefficient; the zero form has none
+    if all(not c or c[-1] == field.zero for c in (cf, cg)):
+        return True
+    return _univariate_gcd_degree(cf, cg, field) >= 1

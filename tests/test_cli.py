@@ -1,3 +1,4 @@
+import io
 import json
 import os
 import subprocess
@@ -136,6 +137,42 @@ def test_internal_failure_exits_two_not_false(monkeypatch, capsys):
     assert code == cli.EXIT_ERROR
     err = capsys.readouterr().err
     assert err == "error: internal failure in gb: ZeroDivisionError: inverse of zero second line\n"
+
+
+def test_closed_stdout_exits_two_not_false(monkeypatch, capsys):
+    # a reader that stops early (say, a pipe into head) cuts the output
+    # short: an error, never the false verdict of exit 1
+    from liaison import cli
+
+    class ClosedPipe(io.StringIO):
+        def write(self, text):
+            raise BrokenPipeError
+
+    monkeypatch.setattr(sys, "stdout", ClosedPipe())
+    code = cli.main([str(FIXTURES / "double_lines.session"), "hilbert", "I1", "--json"])
+    # stdout now points at devnull, so the flush at exit stays quiet
+    assert sys.stdout.name == os.devnull
+    sys.stdout.close()
+    assert code == cli.EXIT_ERROR
+    assert capsys.readouterr().err == "error: stdout closed before the output was written\n"
+
+
+def test_closed_stdout_pipe_exits_two_without_traceback():
+    # the read end is closed before the child starts, so its first write
+    # fails: one line on stderr, no traceback and nothing from the exit flush
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "liaison.cli", str(FIXTURES / "double_lines.session"),
+             "hilbert", "I1"],
+            stdout=write_end, stderr=subprocess.PIPE, text=True, env=CHILD_ENV,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 2
+    assert proc.stderr == "error: stdout closed before the output was written\n"
+
 
 def test_missing_file_exits_two(tmp_path):
     proc = run_cli(str(tmp_path / "absent.session"), "gb", "I")

@@ -26,12 +26,7 @@ from liaison import (
     parse_polynomial,
 )
 from liaison import doublelines
-from liaison.doublelines import (
-    binary_coefficients,
-    binary_form,
-    binary_forms_have_common_zero,
-    lci_along_support,
-)
+from liaison.doublelines import binary_form, lci_along_support
 from liaison.generators import (
     random_ci_linked_triple,
     random_coprime_pair,
@@ -40,7 +35,12 @@ from liaison.generators import (
 )
 from liaison.groebner import buchberger
 from liaison.linalg import kernel_basis, rank
-from liaison.polynomials import Polynomial, substitute
+from liaison.polynomials import (
+    Polynomial,
+    binary_coefficients,
+    binary_forms_have_common_zero,
+    substitute,
+)
 
 
 @pytest.fixture

@@ -1,3 +1,4 @@
+import collections
 import itertools
 import random
 
@@ -18,8 +19,9 @@ from liaison import (
     normal_form,
     saturate,
     standard_monomials,
+    substitute,
 )
-from liaison.generators import random_monomial_ideal
+from liaison.generators import random_form_dense, random_monomial_ideal
 from liaison.ideals import local_leading_ideal, map_to_ring
 
 
@@ -200,8 +202,6 @@ def test_comaximal_intersection_colon_recovers_factor():
     rng = random.Random(23)
     R = make_ring(["x", "y"], "Q", "grevlex")
     x, y = R.gens()
-    from liaison import substitute
-
     shift = {"x": x - 1, "y": y - 1}
     exercised = 0
     for _ in range(10):
@@ -231,8 +231,6 @@ def test_hilbert_data_examples(P3):
 def test_hilbert_complete_intersection_degrees():
     rng = random.Random(29)
     R = make_ring(["x", "y", "z", "u"], "F31", "grevlex")
-    from liaison.generators import random_form_dense
-
     for _ in range(10):
         d1, d2 = rng.randint(1, 3), rng.randint(1, 3)
         f = random_form_dense(R, d1, rng)
@@ -241,6 +239,55 @@ def test_hilbert_complete_intersection_degrees():
         data = hilbert_data(I)
         if data.krull_dimension == 2:  # honest codimension-2 complete intersection
             assert data.degree == d1 * d2
+
+
+def _plane_section_is_coprime(g1, g2):
+    """Whether g1, g2 restricted to x3 = ... = xn = 0 are nonzero and share
+    no zero on P^1, decided by a basis in the plane's own ring: the section
+    ideal, given a redundant third generator, is zero-dimensional there."""
+    ring = g1.ring
+    plane = make_ring(list(ring.variables[:2]), ring.field, "grevlex")
+    X, Y = plane.gens()
+    assignment = dict(zip(ring.variables, [X, Y] + [0] * (ring.nvars - 2)))
+    s1, s2 = (substitute(g, assignment, ring=plane) for g in (g1, g2))
+    if s1.is_zero() or s2.is_zero():
+        return False
+    return hilbert_data(Ideal(plane, [s1, s2, s1 * X])).krull_dimension == 0
+
+
+@pytest.mark.parametrize("field", ["F31", "F5", "Q"])
+def test_two_forms_take_the_closed_form_exactly_when_certified(field):
+    # two forms whose restrictions to the plane x3 = ... = xn = 0 share no
+    # zero get their Hilbert data from their degrees and build no basis; the
+    # same ideal given the redundant generator g1*x1 reads them off its
+    # basis.  Beside the drawn pairs come three the certificate declines: a
+    # common factor, a form that vanishes on the plane, and (x3, x4)
+    rng = random.Random(f"two-form closed form {field}")
+    paths = collections.Counter()
+    for n in (2, 3, 4):
+        R = make_ring(["x", "y", "z", "u"][:n], field, "grevlex")
+        v = R.gens()
+        pairs = [
+            (random_form_dense(R, rng.randint(1, 3), rng), random_form_dense(R, rng.randint(1, 3), rng))
+            for _ in range(10)
+        ]
+        line = random_form_dense(R, 1, rng)
+        pairs.append((line * random_form_dense(R, 1, rng), line * random_form_dense(R, 2, rng)))
+        if n >= 3:
+            pairs.append((v[2] * random_form_dense(R, 1, rng), random_form_dense(R, 2, rng)))
+        if n == 4:
+            pairs.append((v[2], v[3]))
+        for g1, g2 in pairs:
+            I = Ideal(R, [g1, g2])
+            data = hilbert_data(I)
+            assert data == hilbert_data(Ideal(R, [g1, g2, g1 * v[0]])), (g1, g2)
+            certified = _plane_section_is_coprime(g1, g2)
+            assert (I.held_groebner() is None) == certified, (g1, g2)
+            if certified:
+                d1, d2 = g1.total_degree(), g2.total_degree()
+                assert (data.krull_dimension, data.degree) == (n - 2, d1 * d2)
+            paths[certified] += 1
+    assert paths[True] >= 20 and paths[False] >= 6, paths
 
 
 def test_hilbert_rejects_inhomogeneous(P3):

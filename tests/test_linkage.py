@@ -132,24 +132,18 @@ def test_doubling_computes_each_hilbert_series_once(monkeypatch):
     # degree comparison reads them again: each ideal holds its own
     from liaison import ideals
 
-    top_level = []
-    depth = [0]
-    numerator = ideals._numerator
+    computed = []
+    compute = ideals._hilbert_data
 
-    def counting(mingens):
-        if depth[0] == 0:
-            top_level.append(mingens)
-        depth[0] += 1
-        try:
-            return numerator(mingens)
-        finally:
-            depth[0] -= 1
+    def counting(I):
+        computed.append(I)
+        return compute(I)
 
-    monkeypatch.setattr(ideals, "_numerator", counting)
+    monkeypatch.setattr(ideals, "_hilbert_data", counting)
     R = make_ring(["x", "y", "z", "u"], "Q", "grevlex")
     x, y, z, u = R.gens()
     assert doubling_check(Ideal(R, [x**2, y]), Ideal(R, [x, y]))
-    assert len(top_level) == 2
+    assert len(computed) == 2
 
 
 def test_fossum_is_not_a_doubling(fossum):
@@ -567,6 +561,60 @@ def test_triple_certificate_agrees_with_colons_on_held_out_triples(monkeypatch):
             wrong_seconds += 1
         assert rejected >= count // 2, field
         assert wrong_seconds >= count // 2, field
+
+
+def test_determinant_route_builds_no_basis_of_base(fossum):
+    # two forms whose plane section shares no zero get their Hilbert data in
+    # closed form, and the determinant route reads only base's generators:
+    # verifying the triple never builds base's Groebner basis
+    routed = 0
+    for k, triple in enumerate([fossum, *_held_out_triples(12)]):
+        probe = Ideal(triple.base.ring, triple.base.gens)
+        hilbert_data(probe)
+        if probe.held_groebner() is not None:
+            continue
+        fresh = _fresh(triple)
+        assert verify_linked_triple(fresh, seed=k).passed
+        assert fresh.base.held_groebner() is None, k
+        routed += 1
+    assert routed >= 10
+
+
+def test_facts_about_second_do_not_make_base_a_complete_intersection():
+    # base = (x*z, y*z) = z*(x, y) has codimension 1, yet second holds
+    # det C = z^2, contains base, has codimension 2 and the h-vector (1, 2)
+    # that linkage predicts from base's degrees, (1, 2, 1) - t^2 * (1).
+    # Neither form survives on the plane z = 0, so base's Hilbert data come
+    # from its basis and the dimension check refuses the triple
+    R = make_ring(["x", "y", "z"], "Q", "grevlex")
+    x, y, z = R.gens()
+    triple = LinkedTriple(
+        Ideal(R, [x * z, y * z]), Ideal(R, [x, y]), Ideal(R, [z**2, x * z, y * z, x**3 + y**3])
+    )
+    assert hilbert_data(triple.second).h_vector == (1, 2)
+    with pytest.raises(ValueError, match=r"dimension mismatch between the three ideals: \(2, 1, 1\)"):
+        verify_linked_triple(triple, seed=0)
+
+
+def test_triple_report_is_invariant_under_the_presentation_of_base():
+    # shuffling base's generators and scaling them by units, or adding the
+    # redundant generator g1*x1, present the same ideal, so every field of
+    # the report stays the same.  Three generators leave base outside the
+    # closed-form Hilbert data and the determinant route: that report comes
+    # from base's basis and the product route
+    for field, count in (("F31", 40), ("F5", 20), ("Q", 20)):
+        rng = random.Random(f"base presentation {field}")
+        for k, triple in enumerate(_held_out_triples(count, field)):
+            ring, base = triple.base.ring, triple.base
+            expected = verify_linked_triple(_fresh(triple), seed=k).as_dict()
+            units = ring.field.random_sample()
+            shuffled = [g.scale(rng.choice(units)) for g in rng.sample(base.gens, len(base.gens))]
+            redundant = Ideal(ring, [*base.gens, base.gens[0] * ring.gens()[0]])
+            for presented in (Ideal(ring, shuffled), redundant):
+                fresh = _fresh(triple)
+                report = verify_linked_triple(LinkedTriple(presented, fresh.first, fresh.second), seed=k)
+                assert report.as_dict() == expected, (field, k)
+            assert redundant.held_groebner() is not None
 
 
 def _changed_coordinates(I, A):
