@@ -195,9 +195,11 @@ def local_leading_ideal(J):
     dehomogenized basis is a standard basis of J for a local degree order.
     L holds its leading monomials, the cone its lowest forms; both have the
     Hilbert function of the associated graded ring, so hilbert_data(L) gives
-    the local dimension and multiplicity, and the standard monomials of a
-    zero-dimensional L count the local length.  A homogeneous J is its own
-    cone, and L comes from the basis J holds.
+    the local dimension and multiplicity.  The standard monomials of a
+    zero-dimensional L count the local length too, but no library code
+    reads it here: localrings counts lengths in grevlex bases of ideals
+    supported at the origin, with no t.  A homogeneous J is its own cone,
+    and L comes from the basis J holds.
     """
     ring = J.ring
     if J.is_homogeneous():

@@ -16,8 +16,10 @@ every x_i^d in Q, graded Q included.
 A graded complete intersection, chart ideals included, is Gorenstein of
 type 1 with length its degree, with no computation beyond its Hilbert data.
 Otherwise the local leading ideal (Lazard) gives the local dimension d and
-multiplicity e, and one cut by d linear forms, with no colon, certifies the
-local ring Cohen-Macaulay when its length is e, else refutes it; the local
+multiplicity e, and one cut by d linear forms, with no colon and no second
+Lazard basis, certifies the local ring Cohen-Macaulay when its length is e,
+else refutes it: a chart ideal's cut adds (x_1^(e+1), ..., x_n^(e+1)) and
+is counted in its own grevlex basis (see artinian_reduce).  The local
 codimension, the chart's variables minus d, is always exact.
 """
 
@@ -265,10 +267,17 @@ def artinian_reduce(I, seed=0):
     first (inconclusive).  The local leading ideal L of I and its tangent
     cone C (local_leading_ideal) give the local dimension d and multiplicity
     e.  d forms h are drawn at once, up to SLICE_BUDGET tuples, until C + (h)
-    is zero-dimensional: (h) is then a reduction of m on R/I, and R/I is
-    Cohen-Macaulay iff the local length of R/(I + (h)) is e (Serre;
-    Matsumura, Thm 17.11).  Homogeneous I has every component through the
-    origin, and Q = I + (h); other I add (x_1^l, ..., x_n^l), l that length.
+    is zero-dimensional: (h) is then a reduction of m on R/I, and the local
+    length l of R/(I + (h)) is e if R/I is Cohen-Macaulay, else above e
+    (Serre; Matsumura, Thm 17.11).  Q = I + (h) + J counts l in its own
+    grevlex basis: J = 0 for homogeneous I, whose components all pass the
+    origin, else J = (x_1^(e+1), ..., x_n^(e+1)), coprime to the components
+    away from it, so Q = Q_0 + J, Q_0 the origin's.  The ideals Q_0 + m^j
+    fall strictly until they reach Q_0 (Nakayama), so R/(Q_0 + m^(e+1)), a
+    quotient of R/Q, has length at least min(l, e + 1): for l > e the count
+    refutes, and for l = e, m^e lies in Q_0, so does J, and Q = Q_0.  The
+    exponent e would not do: (x^2, xy + xz^2), a plane with an embedded
+    curve, has e = 1, and its cut plus (x, y, z) is m, of length 1.
     """
     rng = random.Random(seed)
     ring = I.ring
@@ -287,13 +296,11 @@ def artinian_reduce(I, seed=0):
                 break
         else:
             return None, forms
-    Q = cut if cone is I else ideal_sum(I, Ideal(ring, forms))
-    length = len(standard_monomials(local_leading_ideal(Q)[0].groebner()))
-    if length != data.degree:
-        return False, forms
     if cone is not I:
-        Q = ideal_sum(Q, Ideal(ring, [v**length for v in ring.gens()]))
-    return Q, forms
+        cut = ideal_sum(I, Ideal(ring, [*forms, *(v ** (data.degree + 1) for v in ring.gens())]))
+    if len(standard_monomials(cut.groebner())) != data.degree:
+        return False, forms
+    return cut, forms
 
 
 def is_graded_complete_intersection(I):

@@ -2,7 +2,7 @@
 
 Every polynomial, ideal, and Groebner basis in this library carries a
 reference to a RingContext, which fixes the variable names, the exact
-coefficient field (rationals or GF(p) for an odd prime p), and the one
+coefficient field (rationals or GF(p) for an odd prime p < 2^31), and the one
 monomial order used for leading terms and Groebner bases.  Contexts are
 immutable and hashable; two contexts compare equal iff they have the same
 variables, field, and order.
@@ -71,6 +71,11 @@ class RationalField:
         return "Q"
 
 
+# PrimeField moduli stay below this bound: _is_prime trial-divides up to the
+# square root, about 46000 steps here and 1.5e9 at 2^61 - 1
+PRIME_BOUND = 2**31
+
+
 def _is_prime(n):
     if n < 2:
         return False
@@ -83,12 +88,15 @@ def _is_prime(n):
 
 
 class PrimeField:
-    """GF(p) for an odd prime p; elements are least non-negative residues."""
+    """GF(p) for an odd prime p below PRIME_BOUND; elements are least
+    non-negative residues."""
 
     zero = 0
     one = 1
 
     def __init__(self, p):
+        if isinstance(p, int) and p >= PRIME_BOUND:
+            raise ValueError(f"prime modulus {p} is not below the bound 2^31")
         if not isinstance(p, int) or not _is_prime(p):
             raise ValueError(f"{p!r} is not prime")
         if p == 2:

@@ -28,6 +28,10 @@ from .rings import make_ring
 # expansion, which would otherwise run for minutes or exhaust memory
 MAX_POWER_TERMS = 1000
 MAX_POWER_BITS = 2**18
+# the deepest nesting of parentheses an expression may have: each level
+# takes four parser frames, so this stays well inside Python's recursion
+# limit, and a deeper one is a ParseError, not a RecursionError
+MAX_PAREN_DEPTH = 100
 
 
 class ParseError(ValueError):
@@ -74,6 +78,7 @@ class _Cursor:
     def __init__(self, tokens):
         self.tokens = tokens
         self.i = 0
+        self.depth = 0  # open parentheses of the expression being parsed
 
     def peek(self):
         return self.tokens[self.i]
@@ -143,13 +148,11 @@ def _parse_term(cur, ring):
 
 
 def _parse_factor(cur, ring):
-    tok = cur.peek()
-    if tok.kind == "-":
-        cur.next()
-        return -_parse_factor(cur, ring)
-    if tok.kind == "+":
-        cur.next()
-        return _parse_factor(cur, ring)
+    # a run of unary signs is read by a loop: recursion would overflow on a
+    # long one
+    negate = False
+    while cur.peek().kind in ("-", "+"):
+        negate ^= cur.next().kind == "-"
     base = _parse_atom(cur, ring)
     if cur.peek().kind == "^":
         cur.next()
@@ -169,8 +172,8 @@ def _parse_factor(cur, ring):
                 exp_tok.line,
                 exp_tok.col,
             )
-        return base ** k
-    return base
+        base = base ** k
+    return -base if negate else base
 
 
 def _power_terms_bound(base, k):
@@ -213,9 +216,15 @@ def _parse_atom(cur, ring):
     if tok.kind == "int":
         return Polynomial.constant(ring, _parse_number(cur, ring.field))
     if tok.kind == "(":
+        if cur.depth == MAX_PAREN_DEPTH:
+            raise ParseError(
+                f"parentheses nested deeper than {MAX_PAREN_DEPTH} levels", tok.line, tok.col
+            )
         cur.next()
+        cur.depth += 1
         inner = _parse_expression(cur, ring)
         cur.expect(")", "a closing parenthesis")
+        cur.depth -= 1
         return inner
     raise ParseError(
         f"expected a variable, number, or '(', found {tok.text or 'end of line'!r}",

@@ -101,12 +101,25 @@ def test_zero_denominator_mod_p_exits_two(tmp_path):
 
 
 def test_deeply_nested_session_exits_two(tmp_path):
+    # nesting past MAX_PAREN_DEPTH is an input error at the ( that crosses
+    # it, not an internal failure
     bad = tmp_path / "bad.session"
     bad.write_text("ring Q[x] order lex\nideal I = " + "(" * 3000 + "x" + ")" * 3000 + "\n")
     proc = run_cli(str(bad), "gb", "I")
     assert proc.returncode == 2
-    assert proc.stderr.startswith("error: internal failure in session parse: RecursionError")
-    assert len(proc.stderr.strip().splitlines()) == 1
+    assert proc.stderr == "error: line 2 col 111: parentheses nested deeper than 100 levels\n"
+
+
+def test_modulus_above_the_prime_bound_exits_two(tmp_path):
+    # 2^61 - 1 is prime, but trial division would take minutes: it is
+    # refused at the field token before any primality test
+    bad = tmp_path / "bad.session"
+    bad.write_text("ring F2305843009213693951[x,y]\nideal I = x\n")
+    proc = run_cli(str(bad), "gb", "I")
+    assert proc.returncode == 2
+    assert proc.stderr == (
+        "error: line 1 col 6: prime modulus 2305843009213693951 is not below the bound 2^31\n"
+    )
 
 
 def test_oversized_exponent_exits_two(tmp_path):

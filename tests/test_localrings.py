@@ -29,11 +29,14 @@ from liaison.generators import (
 )
 from liaison.groebner import buchberger, elimination_basis, normal_form
 from liaison.ideals import (
+    eliminate,
     hilbert_data,
     ideal_intersect,
     ideal_product,
     ideal_sum,
     is_zero_dimensional,
+    local_leading_ideal,
+    map_to_ring,
     minimal_monomial_generators,
     standard_monomials,
 )
@@ -829,6 +832,46 @@ def test_graded_reduction_takes_one_basis_beyond_its_input(monkeypatch):
     assert len(calls) == 1
 
 
+def test_chart_reduction_takes_one_lazard_basis(monkeypatch):
+    # a chart ideal's Gorenstein verdict takes the Lazard basis of I, one
+    # basis per draw, and one basis of I + (h) + (x_i^(e+1)), which both
+    # counts the length and serves artinian_invariants
+    from liaison import localrings
+
+    R = make_ring(["x", "y", "z", "u"], "F31", "grevlex")
+    x, y, z, u = R.gens()
+    I = Ideal(R, [x**2 + u * z, y**2 - z])
+    lazard, draws = [], []
+
+    def counted_lazard(J):
+        lazard.append(J)
+        return local_leading_ideal(J)
+
+    def counted_draw(gb):
+        draws.append(gb)
+        return is_zero_dimensional(gb)
+
+    monkeypatch.setattr(localrings, "local_leading_ideal", counted_lazard)
+    monkeypatch.setattr(localrings, "is_zero_dimensional", counted_draw)
+    calls = _count_bases(monkeypatch)
+    assert local_gorenstein(I, seed=5) == (2, 1, True)
+    assert len(lazard) == 1 and draws
+    assert len(calls) == len(draws) + 2
+
+
+def test_embedded_curve_through_the_origin_is_refuted():
+    # (x^2, xy + xz^2) = (x) cap (x^2, y + z^2): a plane with an embedded
+    # curve through the origin, of multiplicity e = 1, not Cohen-Macaulay.
+    # Cutting with (x_i^e) = (x, y, z) would read length 1 and certify it;
+    # the (x_i^(e+1)) of artinian_reduce keep a length above e
+    R = make_ring(["x", "y", "z"], "F31", "grevlex")
+    x, y, z = R.gens()
+    I = Ideal(R, [x**2, x * y + x * z**2])
+    assert hilbert_data(local_leading_ideal(I)[0]).degree == 1
+    for seed in range(3):
+        assert local_gorenstein(I, seed=seed) == (None, None, False)
+
+
 def _count_colons(monkeypatch):
     from liaison import ideals, localrings
 
@@ -971,3 +1014,81 @@ def test_local_reduction_agrees_with_regular_cuts_on_chart_ideals():
     J = translate_to_origin(C, RationalPoint.projective(R, [0, 2, 1]))
     assert _reduce_one_cut_at_a_time(J, 0) == (1, (2, 1, True))
     assert local_gorenstein(J, seed=0) == (1, 1, True)
+
+
+def test_meeting_point_is_lci_exactly_where_it_is_gorenstein():
+    # The paper's geometric analogue: the linking scheme of an l.a.l. pair
+    # of double lines is locally Gorenstein.  U = I1 cap I2 is an unmixed
+    # curve, so R/U is Cohen-Macaulay at the meeting point, and a Gorenstein
+    # local ring of codimension 2 is a complete intersection (Serre;
+    # Eisenbud 1995, Cor. 21.20).  So mu == 2 (the Schreyer-constant rank
+    # of local_mu) holds exactly where the socle route of local_gorenstein
+    # finds type 1; two double lines meeting in a point have length 4
+    # there, and the linked buckets are exactly those of type 1.
+    buckets = {"a": True, "b_hold": True, "b_violate": False, "one_sided": False}
+    for field, count in (("F31", 40), ("F5", 20), ("Q", 12)):
+        R = make_ring(["x", "y", "z", "u"], field, "grevlex")
+        meeting = RationalPoint.projective(R, [0, 0, 0, 1])
+        rng = random.Random(f"lci and gorenstein {field}")
+        types = set()
+        for k in range(count):
+            case = list(buckets)[k % 4]
+            L1, L2 = random_meeting_instance(R, case, rng)
+            U = ideal_intersect(double_line_ideal(L1), double_line_ideal(L2))
+            J = translate_to_origin(U, meeting)
+            length, socle_dim, gorenstein = local_gorenstein(J, seed=k)
+            assert (local_mu(J) == 2) is gorenstein, (field, case, U)
+            assert length == 4 and socle_dim in (1, 2), (field, case, U)
+            assert (socle_dim == 1) is buckets[case], (field, case, U)
+            types.add(socle_dim)
+        assert types == {1, 2}, field
+
+
+def _drop_variable(f, target, index):
+    """f, free of the variable at index, moved into target, the ring
+    without it."""
+    return Polynomial(target, {e[:index] + e[index + 1 :]: c for e, c in f.terms.items()})
+
+
+def test_fossum_trivial_extension_by_the_canonical_module_is_gorenstein():
+    # Fossum: for A Cohen-Macaulay with canonical module w_A, the trivial
+    # extension A x w_A is Gorenstein, and Reiten (1972, Proc. AMS 32)
+    # proved the converse; the paper extends this theorem.  For a linked
+    # triple (B, first, second) w_A is first/B, A = R/second, up to a
+    # shift.  With first's reduced basis g_1..g_m, eliminating s from
+    # (e_i - s*g_i, s^2, B) in R[s, e] presents R/B x first/B, and adding
+    # second gives K, presenting A x w_A: length(w_A) = length(A) = l, so
+    # K has length 2l and type 1.  The mutant K' = second + (e_i*e_j)
+    # presents A x A^m, whose socle is (soc A cap ann A^m) + soc A^m =
+    # soc(A)^m: length (m+1)*l and type m*type(A).  A generator g_i of
+    # degree 2 makes K a chart ideal, reduced on the non-graded branch.
+    types, charts = set(), 0
+    for field in ("F31", "F5", "Q"):
+        R = make_ring(["x", "y", "z"], field, "grevlex")
+        rng = random.Random(f"fossum {field}")
+        made = 0
+        while made < 8:
+            triple = random_ci_linked_triple(R, rng, max_degree=2)
+            if triple is None:
+                continue
+            made += 1
+            g = triple.first.groebner().elements
+            m = len(g)
+            e_names = [f"e{i}" for i in range(1, m + 1)]
+            S = make_ring([*R.variables, "s", *e_names], R.field, "grevlex")
+            T = make_ring([*R.variables, *e_names], R.field, "grevlex")
+            s, *e = S.gens()[R.nvars :]
+            relations = [e[i] - s * map_to_ring(g[i], S) for i in range(m)]
+            relations += [s**2, *(map_to_ring(b, S) for b in triple.base.gens)]
+            extension = eliminate(Ideal(S, relations), ["s"])
+            second = [map_to_ring(f, T) for f in triple.second.gens]
+            K = Ideal(T, [*(_drop_variable(f, T, R.nvars) for f in extension.gens), *second])
+            length, type_a, _ = local_gorenstein(triple.second)
+            assert local_gorenstein(K) == (2 * length, 1, True), (field, triple)
+            charts += not K.is_homogeneous()
+            ei = T.gens()[R.nvars :]
+            products = [a * b for a, b in itertools.combinations_with_replacement(ei, 2)]
+            mutant = Ideal(T, [*second, *products])
+            assert local_gorenstein(mutant) == ((m + 1) * length, m * type_a, m * type_a == 1)
+            types.add(type_a)
+    assert types == {1, 2} and charts >= 12

@@ -1,10 +1,11 @@
 import functools
 import itertools
+import time
 
 import pytest
 
 from liaison import PrimeField, QQ, make_ring, monomial_compare
-from liaison.rings import GREVLEX, LEX, MonomialOrder, order_from_spec
+from liaison.rings import GREVLEX, LEX, PRIME_BOUND, MonomialOrder, order_from_spec
 
 
 def test_make_ring_basic():
@@ -36,6 +37,20 @@ def test_nonprime_modulus_rejected():
         PrimeField(9)
     with pytest.raises(ValueError):
         make_ring(["x"], "F15")
+
+
+def test_modulus_bound_is_checked_before_primality():
+    # 2^61 - 1 is prime, but trial division up to its square root would
+    # take minutes: the bound refuses it first
+    start = time.perf_counter()
+    for p in (2**31, 2**61 - 1, 2**127 - 1):
+        with pytest.raises(ValueError, match="not below the bound 2\\^31"):
+            PrimeField(p)
+    with pytest.raises(ValueError, match="bound 2\\^31"):
+        make_ring(["x"], "F2305843009213693951")
+    assert time.perf_counter() - start < 1.0
+    assert PRIME_BOUND == 2**31
+    assert PrimeField(2**31 - 1).p == 2**31 - 1
 
 
 def test_prime_field_arithmetic():

@@ -3,7 +3,7 @@ import time
 import pytest
 
 from liaison import Ideal, ParseError, ideal_equal, make_ring, parse_polynomial, parse_session
-from liaison.sessions import MAX_POWER_BITS, MAX_POWER_TERMS
+from liaison.sessions import MAX_PAREN_DEPTH, MAX_POWER_BITS, MAX_POWER_TERMS
 
 FOSSUM = """\
 # comment line
@@ -171,3 +171,51 @@ def test_prime_field_powers_have_no_coefficient_bound():
     F = make_ring(["x"], "F31", "grevlex")
     p = parse_polynomial("(3*x)^99999999999", F)
     assert p.leading_coefficient() == pow(3, 99999999999, 31)
+
+
+def _nested(depth):
+    return "(" * depth + "x" + ")" * depth
+
+
+def test_parentheses_nest_up_to_the_depth_bound():
+    assert MAX_PAREN_DEPTH == 100
+    session = parse_session("ring Q[x,y]\nideal I = " + _nested(100) + ", y\n")
+    R = session.ring
+    assert session.ideals["I"].gens == (R.variable("x"), R.variable("y"))
+    assert parse_polynomial(_nested(100), R) == R.variable("x")
+    assert parse_polynomial("(" * 100 + "x + 1)^2" + ")" * 99, R) == (R.variable("x") + 1) ** 2
+
+
+def test_parentheses_past_the_depth_bound_fail_at_the_crossing_paren():
+    prefix = "ideal I = y, "
+    for depth in (101, 400, 3000):
+        with pytest.raises(ParseError, match="nested deeper than 100 levels") as info:
+            parse_session("ring Q[x,y]\n" + prefix + _nested(depth) + "\n")
+        assert (info.value.line, info.value.col) == (2, len(prefix) + 101)
+    R = make_ring(["x", "y"], "Q", "grevlex")
+    with pytest.raises(ParseError, match="nested deeper") as info:
+        parse_polynomial("y*" + _nested(101), R)
+    assert (info.value.line, info.value.col) == (1, 103)
+    # the depth is that of the open parentheses, not their count on a line
+    assert parse_polynomial("+".join([_nested(100)] * 3), R) == R.variable("x").scale(3)
+
+
+def test_long_runs_of_unary_signs_parse_by_their_parity():
+    R = make_ring(["x", "y"], "Q", "grevlex")
+    x, y = R.gens()
+    assert parse_polynomial("-" * 1200 + "x", R) == x
+    assert parse_polynomial("-" * 1201 + "x", R) == -x
+    assert parse_polynomial("y - " + "+-" * 600 + "x^2", R) == y - x**2
+    session = parse_session("ring Q[x,y]\nideal I = " + "-" * 1200 + "x, " + "-" * 1199 + "y\n")
+    assert session.ideals["I"].gens == (x, -y)
+    # a sign binds looser than a power: -x^2 is -(x^2)
+    assert parse_polynomial("---x^2", R) == -(x**2)
+
+
+def test_modulus_past_the_prime_bound_is_refused_at_the_field_token():
+    start = time.perf_counter()
+    with pytest.raises(ParseError, match="not below the bound 2\\^31") as info:
+        parse_session("ring F2305843009213693951[x,y]\nideal I = x\n")
+    assert time.perf_counter() - start < 1.0
+    assert (info.value.line, info.value.col) == (1, 6)
+    assert parse_session("ring F2147483647[x,y]\n").ring.field.p == 2**31 - 1
