@@ -2,6 +2,8 @@
 
     liaison SESSION COMMAND [ARGS...] [--mode both] [--seed 0] [--json]
 
+A command's usage string, such as IDEAL POINT, is its argument schema: one
+session name per word, looked up as the word's kind and passed on in order.
 Exit codes: 0 success or true verdict, 1 false verdict, 2 error,
 3 inconclusive.  With --json the output is a stable document (byte-stable
 for a fixed session, command, and seed); timings are only included when
@@ -23,7 +25,7 @@ from .ideals import (
 )
 from .linkage import LinkedTriple, doubling_check, link, verify_linked_triple
 from .localrings import local_ci_test, local_gorenstein, local_mu, translate_to_origin
-from .sessions import parse_session
+from .sessions import Session, parse_session
 
 EXIT_OK = 0
 EXIT_FALSE = 1
@@ -44,26 +46,21 @@ def _ideal_strings(I):
     return [str(g) for g in I.groebner().elements]
 
 
-def _cmd_gb(session, args, opts):
-    I = session.lookup_ideal(args[0])
+def _cmd_gb(opts, I):
     gens = _ideal_strings(I)
     text = ["reduced Groebner basis (" + str(I.ring.order) + "):"] + ["  " + g for g in gens]
     return CommandResult({"generators": gens, "order": str(I.ring.order)}, text)
 
 def _binary_ideal_command(operation, label):
-    def run(session, args, opts):
-        I = session.lookup_ideal(args[0])
-        J = session.lookup_ideal(args[1])
-        R = operation(I, J)
-        gens = _ideal_strings(R)
-        text = [f"{label}({args[0]}, {args[1]}):"] + ["  " + g for g in gens]
+    def run(opts, I, J):
+        gens = _ideal_strings(operation(I, J))
+        text = [f"{label}({opts.args[0]}, {opts.args[1]}):"] + ["  " + g for g in gens]
         return CommandResult({"generators": gens}, text)
 
     return run
 
 
-def _cmd_hilbert(session, args, opts):
-    I = session.lookup_ideal(args[0])
+def _cmd_hilbert(opts, I):
     data = hilbert_data(I)
     text = [
         f"Krull dimension (cone): {data.krull_dimension}",
@@ -74,9 +71,7 @@ def _cmd_hilbert(session, args, opts):
     return CommandResult(data.as_dict(), text)
 
 
-def _cmd_localize(session, args, opts):
-    I = session.lookup_ideal(args[0])
-    p = session.lookup_point(args[1])
+def _cmd_localize(opts, I, p):
     J = translate_to_origin(I, p)
     gens = [str(g) for g in J.gens]
     text = [f"chart ideal at {p} in {J.ring!r}:"] + ["  " + g for g in gens]
@@ -85,16 +80,12 @@ def _cmd_localize(session, args, opts):
     )
 
 
-def _cmd_mu(session, args, opts):
-    I = session.lookup_ideal(args[0])
-    p = session.lookup_point(args[1])
+def _cmd_mu(opts, I, p):
     mu = local_mu(translate_to_origin(I, p))
     return CommandResult({"mu": mu}, [f"mu at {p}: {mu}"], points_tested=[p])
 
 
-def _cmd_lci(session, args, opts):
-    I = session.lookup_ideal(args[0])
-    p = session.lookup_point(args[1])
+def _cmd_lci(opts, I, p):
     report = local_ci_test(I, p, seed=opts.seed)
     code = EXIT_OK if report.lci else EXIT_FALSE
     text = [
@@ -104,9 +95,7 @@ def _cmd_lci(session, args, opts):
     return CommandResult(report.as_dict(), text, exit_code=code, points_tested=[p])
 
 
-def _cmd_gorenstein(session, args, opts):
-    I = session.lookup_ideal(args[0])
-    p = session.lookup_point(args[1])
+def _cmd_gorenstein(opts, I, p):
     invariants = local_gorenstein(translate_to_origin(I, p), seed=opts.seed)
     if invariants is None:
         return CommandResult(
@@ -127,13 +116,8 @@ def _cmd_gorenstein(session, args, opts):
     )
 
 
-def _cmd_verify_triple(session, args, opts):
-    triple = LinkedTriple(
-        session.lookup_ideal(args[0]),
-        session.lookup_ideal(args[1]),
-        session.lookup_ideal(args[2]),
-    )
-    report = verify_linked_triple(triple, seed=opts.seed)
+def _cmd_verify_triple(opts, base, first, second):
+    report = verify_linked_triple(LinkedTriple(base, first, second), seed=opts.seed)
     if report.passed:
         code = EXIT_OK
     elif report.exact_checks_passed and report.gorenstein_ok is None:
@@ -152,17 +136,13 @@ def _cmd_verify_triple(session, args, opts):
     )
 
 
-def _cmd_doubling(session, args, opts):
-    base = session.lookup_ideal(args[0])
-    first = session.lookup_ideal(args[1])
+def _cmd_doubling(opts, base, first):
     verdict = doubling_check(base, first)
     code = EXIT_OK if verdict else EXIT_FALSE
     return CommandResult({"doubling": verdict}, [f"doubling: {verdict}"], exit_code=code)
 
 
-def _cmd_classify(session, args, opts):
-    L1 = session.lookup_dline(args[0])
-    L2 = session.lookup_dline(args[1])
+def _cmd_classify(opts, L1, L2):
     verdict = classify(L1, L2, mode=opts.mode)
     code = EXIT_OK if verdict.lal else EXIT_FALSE
     text = [
@@ -184,20 +164,23 @@ def _cmd_classify(session, args, opts):
 
 
 _COMMANDS = {
-    "gb": (_cmd_gb, 1, "IDEAL"),
-    "intersect": (_binary_ideal_command(ideal_intersect, "intersect"), 2, "IDEAL IDEAL"),
-    "colon": (_binary_ideal_command(ideal_colon, "colon"), 2, "IDEAL IDEAL"),
-    "saturate": (_binary_ideal_command(saturate, "saturate"), 2, "IDEAL IDEAL"),
-    "hilbert": (_cmd_hilbert, 1, "IDEAL"),
-    "localize": (_cmd_localize, 2, "IDEAL POINT"),
-    "gorenstein": (_cmd_gorenstein, 2, "IDEAL POINT"),
-    "mu": (_cmd_mu, 2, "IDEAL POINT"),
-    "lci": (_cmd_lci, 2, "IDEAL POINT"),
-    "link": (_binary_ideal_command(link, "link"), 2, "IDEAL IDEAL"),
-    "verify-triple": (_cmd_verify_triple, 3, "IDEAL IDEAL IDEAL"),
-    "doubling": (_cmd_doubling, 2, "IDEAL IDEAL"),
-    "classify": (_cmd_classify, 2, "DLINE DLINE"),
+    "gb": (_cmd_gb, "IDEAL"),
+    "intersect": (_binary_ideal_command(ideal_intersect, "intersect"), "IDEAL IDEAL"),
+    "colon": (_binary_ideal_command(ideal_colon, "colon"), "IDEAL IDEAL"),
+    "saturate": (_binary_ideal_command(saturate, "saturate"), "IDEAL IDEAL"),
+    "hilbert": (_cmd_hilbert, "IDEAL"),
+    "localize": (_cmd_localize, "IDEAL POINT"),
+    "gorenstein": (_cmd_gorenstein, "IDEAL POINT"),
+    "mu": (_cmd_mu, "IDEAL POINT"),
+    "lci": (_cmd_lci, "IDEAL POINT"),
+    "link": (_binary_ideal_command(link, "link"), "IDEAL IDEAL"),
+    "verify-triple": (_cmd_verify_triple, "IDEAL IDEAL IDEAL"),
+    "doubling": (_cmd_doubling, "IDEAL IDEAL"),
+    "classify": (_cmd_classify, "DLINE DLINE"),
 }
+
+_KINDS = {"IDEAL": Session.lookup_ideal, "POINT": Session.lookup_point,
+          "DLINE": Session.lookup_dline}
 
 
 def build_parser():
@@ -221,8 +204,9 @@ def build_parser():
 def main(argv=None):
     parser = build_parser()
     opts = parser.parse_args(argv)
-    handler, arity, usage = _COMMANDS[opts.command]
-    if len(opts.args) != arity:
+    handler, usage = _COMMANDS[opts.command]
+    kinds = usage.split()
+    if len(opts.args) != len(kinds):
         print(f"error: {opts.command} expects {usage}", file=sys.stderr)
         return EXIT_ERROR
     try:
@@ -236,7 +220,8 @@ def main(argv=None):
         session = parse_session(text)
         phase = opts.command
         started = time.perf_counter()
-        outcome = handler(session, opts.args, opts)
+        values = [_KINDS[kind](session, name) for kind, name in zip(kinds, opts.args)]
+        outcome = handler(opts, *values)
     except (KeyError, ValueError, ClassificationDiscrepancy) as exc:
         # ParseError is a ValueError whose first argument carries line and col
         message = exc.args[0] if exc.args else str(exc)

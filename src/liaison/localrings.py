@@ -267,9 +267,11 @@ def artinian_reduce(I, seed=0):
     first (inconclusive).  The local leading ideal L of I and its tangent
     cone C (local_leading_ideal) give the local dimension d and multiplicity
     e.  d forms h are drawn at once, up to SLICE_BUDGET tuples, until C + (h)
-    is zero-dimensional: (h) is then a reduction of m on R/I, and the local
-    length l of R/(I + (h)) is e if R/I is Cohen-Macaulay, else above e
-    (Serre; Matsumura, Thm 17.11).  Q = I + (h) + J counts l in its own
+    is zero-dimensional.  Their coefficients come from the field's sample
+    and 0: over F3 the cone over (0:0:1), (1:1:0), (1:2:0) has parameters,
+    y + z among them, but none whose coefficients are all nonzero.  (h) is
+    then a reduction of m on R/I, and the local length l of R/(I + (h)) is e
+    if R/I is Cohen-Macaulay, else above e (Serre; Matsumura, Thm 17.11).  Q = I + (h) + J counts l in its own
     grevlex basis: J = 0 for homogeneous I, whose components all pass the
     origin, else J = (x_1^(e+1), ..., x_n^(e+1)), coprime to the components
     away from it, so Q = Q_0 + J, Q_0 the origin's.  The ideals Q_0 + m^j
@@ -281,7 +283,7 @@ def artinian_reduce(I, seed=0):
     """
     rng = random.Random(seed)
     ring = I.ring
-    sample = ring.field.random_sample()
+    sample = [ring.field.zero, *ring.field.random_sample()]
     L, cone = local_leading_ideal(I)
     data = hilbert_data(L)
     forms, cut = [], cone

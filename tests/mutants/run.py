@@ -1,0 +1,178 @@
+"""Standing mutation check: every bug the tests are known to catch is put
+back into a copy of the library, and its tests must then fail.
+
+    python tests/mutants/run.py
+
+Each entry of MUTANTS is (file under src/liaison, exact snippet,
+replacement, killing test ids).  The script copies src/, tests/, fixtures/
+and pyproject.toml to a temporary directory, so that the tests and the CLI
+children they start import the copy.  It checks that every snippet occurs
+exactly once in its file, runs the union of the killing tests on the
+unmutated copy (they must pass), then applies one mutant at a time and runs
+its tests with -x: the mutant is killed when they fail (pytest exit 1).  It
+exits 0 only when every mutant is killed.
+
+A mutant that survives is a finding: it stays in the table and gets a test
+that kills it.  A refactor that removes a snippet rewrites that mutant for
+the new code.  Standard library only; pytest runs as a child process.
+"""
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[2]
+COPIED = ("src", "tests", "fixtures", "pyproject.toml")
+
+MUTANTS = (
+    (
+        "linkage.py",
+        "total = total - term if j % 2 else total + term",
+        "total = total + term",
+        ["tests/test_linkage.py::test_triple_certificate_agrees_with_colons_on_held_out_triples"],
+    ),
+    (
+        "linkage.py",
+        "return second.contains(_determinant(base.ring, quotients))",
+        "return True",
+        ["tests/test_linkage.py::test_triple_certificate_agrees_with_colons_on_held_out_triples"],
+    ),
+    (
+        "groebner.py",
+        "quotients[k] = quotients[k].scale(ring.field.inv(g.leading_coefficient()))",
+        "quotients[k] = quotients[k]",
+        ["tests/test_groebner.py::test_divide_gives_the_normal_form_and_a_standard_representation"],
+    ),
+    (
+        "groebner.py",
+        "if not any(q):",
+        "if True:",
+        ["tests/test_localrings.py::test_local_mu_matches_normal_forms_modulo_m_times_i"],
+    ),
+    (
+        "ideals.py",
+        'raise RuntimeError("colon: a generator of I cap g*K lies outside (g)")',
+        "pass",
+        ["tests/test_ideals.py::test_colon_raises_when_a_division_leaves_a_remainder"],
+    ),
+    (
+        "linkage.py",
+        "    if len(h_first) - 1 > s:\n        return False\n",
+        "",
+        ["tests/test_linkage.py::test_certificate_declines_a_first_with_a_longer_h_vector"],
+    ),
+    (
+        "rings.py",
+        "return (-sum(exponents), *reversed(exponents))",
+        "return (-sum(exponents), *exponents)",
+        [
+            "tests/test_rings.py::test_heap_key_sorts_descending",
+            "tests/test_rings.py::test_grevlex_degree_two_textbook_order",
+        ],
+    ),
+    (
+        "rings.py",
+        "return tuple(-e for e in exponents)",
+        "return tuple(-e for e in reversed(exponents))",
+        [
+            "tests/test_rings.py::test_heap_key_sorts_descending",
+            "tests/test_rings.py::test_monomial_compare_lex",
+        ],
+    ),
+    (
+        "doublelines.py",
+        "    return (line.forms[1], line.forms[0])",
+        "    return line.forms",
+        ["tests/test_doublelines.py::test_classify_does_not_depend_on_the_support_order"],
+    ),
+    (
+        "localrings.py",
+        "v ** (data.degree + 1)",
+        "v ** data.degree",
+        ["tests/test_localrings.py::test_embedded_curve_through_the_origin_is_refuted"],
+    ),
+    (
+        "localrings.py",
+        "sample = [ring.field.zero, *ring.field.random_sample()]",
+        "sample = ring.field.random_sample()",
+        [
+            "tests/test_localrings.py::test_slices_over_f3_may_have_a_zero_coefficient",
+            "tests/test_cli.py::test_gorenstein_of_the_f3_three_point_cone_exits_one",
+        ],
+    ),
+    (
+        "cli.py",
+        '"POINT": Session.lookup_point',
+        '"POINT": Session.lookup_ideal',
+        ["tests/test_cli.py::test_unknown_names_and_wrong_arity_exit_two"],
+    ),
+)
+
+
+def _pytest(copy, test_ids, *flags):
+    env = dict(os.environ, PYTHONPATH=str(copy / "src"))
+    command = [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", *flags, *test_ids]
+    return subprocess.run(command, cwd=copy, env=env, capture_output=True, text=True).returncode
+
+
+def _check(copy):
+    """Problems found; prints one line per mutant."""
+    problems = []
+    library = copy / "src" / "liaison"
+    env = dict(os.environ, PYTHONPATH=str(copy / "src"))
+    where = subprocess.run(
+        [sys.executable, "-c", "import liaison; print(liaison.__file__)"],
+        cwd=copy, env=env, capture_output=True, text=True,
+    ).stdout.strip()
+    if not where.startswith(str(library)):
+        return [f"the copy's tests would import liaison from {where or 'nowhere'}"]
+    for name, snippet, _, _ in MUTANTS:
+        count = (library / name).read_text(encoding="utf-8").count(snippet)
+        if count != 1:
+            problems.append(f"{name}: snippet found {count} times, not once: {snippet!r}")
+    if problems:
+        return problems
+    test_ids = sorted({test_id for *_, tests in MUTANTS for test_id in tests})
+    code = _pytest(copy, test_ids)
+    if code != 0:
+        return [f"the killing tests fail on the unmutated copy (pytest exit {code})"]
+    for name, snippet, replacement, tests in MUTANTS:
+        path = library / name
+        original = path.read_text(encoding="utf-8")
+        path.write_text(original.replace(snippet, replacement), encoding="utf-8")
+        started = time.perf_counter()
+        try:
+            code = _pytest(copy, tests, "-x")
+        finally:
+            path.write_text(original, encoding="utf-8")
+        verdict = "killed" if code == 1 else f"NOT KILLED (pytest exit {code})"
+        first_line = snippet.strip().splitlines()[0]
+        print(f"{verdict:<26} {time.perf_counter() - started:5.1f} s  {name}: {first_line}")
+        if code != 1:
+            problems.append(f"{name}: mutant of {first_line!r} not killed")
+    return problems
+
+
+def main():
+    started = time.perf_counter()
+    with tempfile.TemporaryDirectory(prefix="liaison-mutants-") as tmp:
+        copy = Path(tmp)
+        for name in COPIED:
+            source = ROOT / name
+            if source.is_dir():
+                shutil.copytree(source, copy / name, ignore=shutil.ignore_patterns("__pycache__"))
+            else:
+                shutil.copy2(source, copy / name)
+        problems = _check(copy)
+    for problem in problems:
+        print(f"error: {problem}", file=sys.stderr)
+    print(f"{len(MUTANTS)} mutants, {len(problems)} problems, {time.perf_counter() - started:.1f} s")
+    return 1 if problems else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

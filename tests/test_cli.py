@@ -142,10 +142,10 @@ def test_power_too_large_to_expand_exits_two(tmp_path):
 def test_internal_failure_exits_two_not_false(monkeypatch, capsys):
     from liaison import cli
 
-    def broken(session, args, opts):
+    def broken(opts, I):
         raise ZeroDivisionError("inverse of zero\nsecond line")
 
-    monkeypatch.setitem(cli._COMMANDS, "gb", (broken, 1, "IDEAL"))
+    monkeypatch.setitem(cli._COMMANDS, "gb", (broken, "IDEAL"))
     code = cli.main([str(FIXTURES / "fossum.session"), "gb", "B"])
     assert code == cli.EXIT_ERROR
     err = capsys.readouterr().err
@@ -195,6 +195,23 @@ def test_missing_file_exits_two(tmp_path):
 def test_wrong_arity_exits_two():
     proc = run_cli(str(FIXTURES / "fossum.session"), "colon", "B")
     assert proc.returncode == 2
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["mu", "I1", "NOPE"], "unknown point 'NOPE'"),
+        (["classify", "L1", "NOPE"], "unknown double line 'NOPE'"),
+        (["mu", "I1"], "mu expects IDEAL POINT"),
+        (["classify", "L1", "L2", "L1"], "classify expects DLINE DLINE"),
+    ],
+    ids=["unknown-point", "unknown-dline", "too-few", "too-many"],
+)
+def test_unknown_names_and_wrong_arity_exit_two(capsys, argv, message):
+    from liaison import cli
+
+    assert cli.main([str(FIXTURES / "double_lines.session"), *argv]) == cli.EXIT_ERROR
+    assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
 def test_json_schema_fields():
@@ -372,6 +389,22 @@ def test_gorenstein_inconclusive_exits_three(tmp_path):
     assert "inconclusive" in proc.stdout
 
 
+def test_gorenstein_of_the_f3_three_point_cone_exits_one(capsys, tmp_path):
+    # only a slice with a zero coefficient is a parameter on this cone (see
+    # test_slices_over_f3_may_have_a_zero_coefficient): a definite False
+    from liaison import cli
+
+    session = tmp_path / "three_points.session"
+    session.write_text(
+        "ring F3[x,y,z,w] order grevlex\n"
+        "ideal I = y*z, x*z, x^2 + 2*y^2\n"
+        "point P = (0:0:0:1)\n"
+    )
+    assert cli.main([str(session), "gorenstein", "I", "P", "--json"]) == cli.EXIT_FALSE
+    result = json.loads(capsys.readouterr().out)["result"]
+    assert result == {"gorenstein": False, "length": 3, "socle_dim": 2}
+
+
 def test_lci_where_no_cut_is_zero_dimensional_exits_one(tmp_path):
     # the codimension needs no cut: the local dimension 1 is read off the
     # local leading ideal, so mu = 2 against codim 1 is a definite False
@@ -385,7 +418,7 @@ def test_lci_where_no_cut_is_zero_dimensional_exits_one(tmp_path):
 
 
 def test_gorenstein_at_a_smooth_conic_point_does_not_depend_on_the_seed(capsys, tmp_path):
-    # the length is the multiplicity 1 at every seed, also at seed 0, whose
+    # the length is the multiplicity 1 at every seed, also at seed 8, whose
     # first form drawn is the tangent line
     from liaison import cli
 
@@ -395,7 +428,7 @@ def test_gorenstein_at_a_smooth_conic_point_does_not_depend_on_the_seed(capsys, 
         "ideal C = 3*x^2 + 17*x*y + 2*y^2 + 23*x*u + 24*y*u + 6*u^2\n"
         "point P = (0:2:1)\n"
     )
-    for seed in range(4):
+    for seed in (0, 1, 2, 3, 8):
         assert cli.main([str(session), "gorenstein", "C", "P", "--seed", str(seed), "--json"]) == 0
         result = json.loads(capsys.readouterr().out)["result"]
         assert result == {"gorenstein": True, "length": 1, "socle_dim": 1}, seed

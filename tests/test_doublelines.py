@@ -1,6 +1,7 @@
 import collections
 import hashlib
 import itertools
+import math
 import random
 import sys
 
@@ -171,6 +172,40 @@ def test_double_line_rejects_support_variables_in_forms(P3):
     x, y, z, u = P3.gens()
     with pytest.raises(ValueError, match="pencil"):
         _line(P3, (0, 1), x, u)
+
+
+def test_double_line_refusals_name_their_reason(P3):
+    x, y, z, u = P3.gens()
+    P2 = make_ring(["x", "y", "z"], "Q", "grevlex")
+    other = make_ring(["x", "y", "z", "u"], "F31", "grevlex")
+    refused = [
+        ((P2, (0, 1), (P2.gens()[2], P2.one())), "double lines live in a 4-variable ring (P^3)"),
+        ((P3, (0, 0), (z, u)), "support must be two distinct variable indices"),
+        ((P3, (0, 1), (other.gens()[2], u)), "forms from a different ring context"),
+        ((P3, (0, 1), (z, y)), "forms must involve only the pencil variables"),
+        ((P3, (0, 1), (z + 1, u)), "forms must be homogeneous"),
+        ((P3, (0, 1), (P3.zero(), P3.zero())), "both forms vanish"),
+    ]
+    for (ring, support, forms), message in refused:
+        with pytest.raises(ValueError) as info:
+            DoubleLine(ring, support, forms)
+        assert str(info.value) == message
+
+
+def test_classification_refuses_mismatched_input(P3):
+    x, y, z, u = P3.gens()
+    L = _line(P3, (0, 1), z, u)
+    meeting, same = _line(P3, (0, 2), y, u), _line(P3, (0, 1), u, z)
+    with pytest.raises(ValueError, match="unknown classification mode 'fast'"):
+        classify(L, same, mode="fast")
+    other = make_ring(["x", "y", "z", "u"], "F31", "grevlex")
+    z31, u31 = other.gens()[2:]
+    with pytest.raises(ValueError, match="double lines live in different ring contexts"):
+        classify(L, _line(other, (0, 1), z31, u31))
+    with pytest.raises(ValueError, match="classify_meeting_pair needs supports meeting in one point"):
+        classify_meeting_pair(L, same)
+    with pytest.raises(ValueError, match="classify_same_support_pair needs equal supports"):
+        classify_same_support_pair(L, meeting)
 
 
 def test_meeting_case_a(P3):
@@ -751,8 +786,57 @@ def test_classify_buckets_on_every_small_field_pair():
     assert len(first) == len(second) == 28
     meeting = collections.Counter(classify(L1, L2, mode="both").case_tag for L1 in first for L2 in second)
     assert meeting == {"meeting_a": 441, "meeting_b": 19, "not_linked": 324}
-    same = collections.Counter(classify(L1, L2, mode="both").case_tag for L1 in first for L2 in first)
+    same_verdicts = [(L1, L2, classify(L1, L2, mode="both")) for L1 in first for L2 in first]
+    same = collections.Counter(verdict.case_tag for _, _, verdict in same_verdicts)
     assert same == {"same_support_equal": 28, "same_support_pm": 228, "not_linked": 528}
+    # a same-support witness is a complete intersection, so linked lines
+    # have dual Rao modules k[s,t]/(f, g) (see the Rao-module test below),
+    # and that algebra is self-dual: both lines span one pencil of forms
+    for L1, L2, verdict in same_verdicts:
+        if verdict.lal:
+            assert L1.degree == L2.degree
+            rows = [binary_coefficients(form, L1.pencil, L1.degree) for form in (*L1.forms, *L2.forms)]
+            assert rank(rows[:2], R.field) == rank(rows, R.field) == rank(rows[2:], R.field)
+
+
+def _rao_dimension(d, j):
+    """dim_k (k[s,t]/(f, g))_j for coprime binary forms f, g of degree d: the
+    coefficients of ((1 - t^d)/(1 - t))^2, 0 for d = 0."""
+    if 0 <= j <= d - 1:
+        return j + 1
+    if d - 1 <= j <= 2 * d - 2:
+        return 2 * d - 1 - j
+    return 0
+
+
+@pytest.mark.parametrize("field", ["F31", "F5", "Q"])
+def test_double_line_hilbert_function_is_the_rao_module_closed_form(field):
+    # C the double line (f*v1 + g*v2, v1^2, v1*v2, v2^2) on L = {v1 = v2 = 0},
+    # f, g coprime of degree d in the pencil (s, t).  The sequence
+    # 0 -> I_C -> I_L -> O_L(d-1) -> 0, with v1*a + v2*b sent to a*f + b*g
+    # on L, gives in degree n the cokernel M(C)_n = (k[s,t]/(f, g))_(n+d-1):
+    # the Hartshorne-Rao module H^1(I_C(n)) (Rao 1979, Invent. Math. 50;
+    # Migliore 1998, Introduction to Liaison Theory and Deficiency Modules).
+    # I_C is saturated, and dim (I_L)_n = dim R_n - (n + 1), so for n >= 0
+    #   H_{R/I_C}(n) = (n + 1) + (n + d) - r_d(n + d - 1) = 2n + d + 1 - r_d(n + d - 1),
+    # r_d = _rao_dimension.  hilbert_data is read off a Groebner basis, so
+    # this checks it, and the constructor's coprimality, with no Groebner
+    # reasoning of its own
+    rng = random.Random(f"rao/{field}")
+    checked = 0
+    for order in ("grevlex", "lex", "block(1)"):
+        R = make_ring(["x", "y", "z", "u"], field, order)
+        for support in ((0, 1), (0, 2), (1, 3), (2, 3)):
+            pencil = tuple(k for k in range(4) if k not in support)
+            for d in range(5):
+                line = DoubleLine(R, support, random_coprime_pair(R, pencil, d, rng))
+                numerator = hilbert_data(double_line_ideal(line)).numerator
+                for n in range(16):
+                    # the series is numerator / (1 - t)^4
+                    value = sum(c * math.comb(n - k + 3, 3) for k, c in enumerate(numerator) if k <= n)
+                    assert value == 2 * n + d + 1 - _rao_dimension(d, n + d - 1), (line, n)
+                    checked += 1
+    assert checked == 3 * 4 * 5 * 16
 
 
 def _swapped(line):

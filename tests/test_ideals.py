@@ -323,6 +323,17 @@ def test_intersect_in_ring_already_using_t():
     assert ideal_equal(saturate(Ideal(R, [t**2 * x]), Ideal(R, [x])), Ideal(R, [t**2]))
 
 
+def test_fresh_variable_skips_every_taken_name():
+    # t and t0 are taken, so the elimination and Lazard variables are t1
+    from liaison.localrings import local_gorenstein
+
+    R = make_ring(["t", "t0", "x"], "Q", "grevlex")
+    t, t0, x = R.gens()
+    assert ideal_intersect(Ideal(R, [t]), Ideal(R, [x])).groebner().elements == (t * x,)
+    # k[t, x]/(t^2 + x^3, x*t) has basis 1, t, x, x^2, x^3 and socle (x^3)
+    assert local_gorenstein(Ideal(R, [t**2 + x**3, t0, x * t])) == (5, 1, True)
+
+
 def test_gb_cache_reused(P3):
     x, y, *_ = P3.gens()
     I = Ideal(P3, [x**2, y])

@@ -593,6 +593,22 @@ def test_inconclusive_is_reported_not_guessed():
     assert "inconclusive" in report.note
 
 
+def test_slices_over_f3_may_have_a_zero_coefficient():
+    # the cone over the F3-points (0:0:1), (1:1:0), (1:2:0) is a reduced
+    # curve, Cohen-Macaulay of degree 3 and type 2 (three points of P^2
+    # off a line).  A form a*x + b*y + c*z is a parameter iff it misses the
+    # three points: c != 0 and a != b, a != -b.  Nonzero a, b in F3 are
+    # always equal or opposite, so only a form with a zero coefficient, such
+    # as y + z, is one: a pool without 0 spends the budget at every seed
+    R = make_ring(["x", "y", "z"], "F3", "grevlex")
+    x, y, z = R.gens()
+    I = Ideal(R, [y * z, x * z, x**2 + 2 * y**2])
+    assert hilbert_data(I).degree == 3
+    assert is_zero_dimensional(ideal_sum(I, Ideal(R, [y + z])).groebner())
+    for seed in range(6):
+        assert local_gorenstein(I, seed=seed) == (3, 2, False), seed
+
+
 def test_local_ci_test_reads_graded_complete_intersection_off_hilbert_data(monkeypatch):
     # the hypersurface x*y*(x+y)*(x+2y) over F3 admits no certified slice,
     # but its chart ideal at (0:0:1) is a graded complete intersection:

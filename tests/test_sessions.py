@@ -219,3 +219,28 @@ def test_modulus_past_the_prime_bound_is_refused_at_the_field_token():
     assert time.perf_counter() - start < 1.0
     assert (info.value.line, info.value.col) == (1, 6)
     assert parse_session("ring F2147483647[x,y]\n").ring.field.p == 2**31 - 1
+
+
+@pytest.mark.parametrize(
+    "text, message, line, col",
+    [
+        ("ring Q[x,y] order foo\n", "unknown order 'foo'", 1, 19),
+        ("ring Q[x,y,z,u]\ndline L support w,y pair (z, u)\n", "unknown variable 'w'", 2, 17),
+        ("ring Q[x,y,z,u]\npoint P = (0:0:0:0)\n", "projective point needs a nonzero coordinate", 2, 1),
+        ("ring Q[x,y]\nfoo X = 1\n", "unknown declaration 'foo' (expected ring, ideal, dline, or point)", 2, 1),
+        ("", "empty session: no ring declared", 1, 1),
+        ("# only a comment\n\n   # another\n", "empty session: no ring declared", 1, 1),
+        ("ring Q[x,y]\nideal I x\n", "expected '=', found 'x'", 2, 9),
+    ],
+)
+def test_session_errors_name_their_position(text, message, line, col):
+    with pytest.raises(ParseError) as info:
+        parse_session(text)
+    assert str(info.value) == f"line {line} col {col}: {message}"
+    assert (info.value.line, info.value.col) == (line, col)
+
+
+def test_signed_point_coordinates_are_read_in_the_field():
+    session = parse_session("ring F31[x,y,z,u]\npoint P = (-1:0:0:1)\npoint Q = (30:0:0:1)\n")
+    assert session.points["P"] == session.points["Q"]
+    assert session.points["P"].coordinates == (30, 0, 0, 1)
