@@ -405,8 +405,8 @@ def hilbert_data(I):
     Q(1) != 0 gives codimension c, affine (cone) dimension n - c, projective
     dimension n - c - 1, degree Q(1), and the h-vector Q.  Two forms that
     the section certificate of _hilbert_data proves a regular sequence get
-    these data in closed form; any other ideal reads them off its Groebner
-    basis.  Computed once per Ideal and held by it, like its Groebner basis.
+    N in closed form; any other ideal reads it off its Groebner basis.
+    Computed once per Ideal and held by it, like its Groebner basis.
     """
     if I._hilbert is None:
         if not I.is_homogeneous():
@@ -428,10 +428,12 @@ def _hilbert_data(I):
     dim R/I >= n - 2.  Two forms generating an ideal of codimension 2 are a
     regular sequence (R is Cohen-Macaulay; Bruns-Herzog, Thm 2.1.2), and
     each regular form of degree d multiplies the Hilbert series by 1 - t^d:
-    numerator (1-t^d1)(1-t^d2), h-vector [d1]_t * [d2]_t, degree d1*d2.
-    Every other ideal, a failed certificate included, takes the basis.
+    numerator (1-t^d1)(1-t^d2).  Every other ideal, a failed certificate
+    included, takes the numerator of its basis's leading monomials.  Either
+    numerator gives codimension, degree and h-vector by division by (1-t).
     """
     n = I.ring.nvars
+    numer = None
     if len(I.gens) == 2 and n >= 2:
         d1, d2 = (g.total_degree() for g in I.gens)
         sections = [
@@ -442,13 +444,8 @@ def _hilbert_data(I):
                 and not binary_forms_have_common_zero(*sections, (0, 1))):
             factor = sub_shifted([1], [1], d1)  # 1 - t^d1
             numer = sub_shifted(factor, factor, d2)  # times 1 - t^d2
-            h = [0] * (d1 + d2 - 1)
-            for i in range(d1):
-                for j in range(d2):
-                    h[i + j] += 1
-            return HilbertData(n - 2, n - 3, d1 * d2, tuple(numer), tuple(h))
-    gb = I.groebner()
-    numer = _numerator(gb.leading_monomials())
+    if numer is None:
+        numer = _numerator(I.groebner().leading_monomials())
     if not numer:
         # unit ideal: empty scheme
         return HilbertData(-1, -2, 0, (0,))

@@ -21,7 +21,7 @@ from .doublelines import DoubleLine
 from .ideals import Ideal
 from .localrings import RationalPoint
 from .polynomials import Polynomial
-from .rings import make_ring
+from .rings import field_from_spec, make_ring
 
 # the most terms, and the most coefficient bits in all terms together, a
 # power written in a session may expand to; larger powers are refused before
@@ -264,30 +264,42 @@ class Session:
         return self.points[name]
 
 
-def _parse_ring_line(cur, line_no):
+def _parse_ring_line(cur):
+    """The ring a `ring` line declares; make_ring's refusals point at their
+    token: the field, a repeated variable, or the block size."""
     field_tok = cur.expect("name", "a field (Q or F<p>)")
+    try:
+        field = field_from_spec(field_tok.text)
+    except ValueError as exc:
+        raise ParseError(str(exc), field_tok.line, field_tok.col) from None
     cur.expect("[", "'['")
     names = [cur.expect("name", "a variable name").text]
     while cur.peek().kind == ",":
         cur.next()
-        names.append(cur.expect("name", "a variable name").text)
+        name_tok = cur.expect("name", "a variable name")
+        if name_tok.text in names:
+            raise ParseError(f"duplicate variable name {name_tok.text!r}", name_tok.line, name_tok.col)
+        names.append(name_tok.text)
     cur.expect("]", "']'")
     order = "grevlex"
+    # the token make_ring's refusal points at: with the field and the names
+    # checked above, only a block size is left to refuse
+    blame = field_tok
     if not cur.at_end():
         cur.keyword("order")
         order_tok = cur.expect("name", "an order name")
         order = order_tok.text
         if order == "block":
             cur.expect("(", "'('")
-            size = cur.expect("int", "a block size")
+            blame = cur.expect("int", "a block size")
             cur.expect(")", "')'")
-            order = f"block({size.text})"
+            order = f"block({blame.text})"
         elif order not in ("lex", "grevlex"):
             raise ParseError(f"unknown order {order!r}", order_tok.line, order_tok.col)
     try:
-        return make_ring(names, field_tok.text, order)
+        return make_ring(names, field, order)
     except ValueError as exc:
-        raise ParseError(str(exc), line_no, field_tok.col) from None
+        raise ParseError(str(exc), blame.line, blame.col) from None
 
 
 def _require_unique(session, name_tok):
@@ -309,7 +321,7 @@ def parse_session(text):
         if head.text == "ring":
             if session.ring is not None:
                 raise ParseError("a session declares a single ring", head.line, head.col)
-            session.ring = _parse_ring_line(cur, line_no)
+            session.ring = _parse_ring_line(cur)
             cur.finish()
             continue
         if session.ring is None:
@@ -336,12 +348,14 @@ def parse_session(text):
             g = _parse_expression(cur, session.ring)
             cur.expect(")", "')'")
             cur.finish()
+            support = []
+            for var in (v1, v2):
+                try:
+                    support.append(session.ring.index(var.text))
+                except ValueError as exc:
+                    raise ParseError(str(exc), var.line, var.col) from None
             try:
-                support = (session.ring.index(v1.text), session.ring.index(v2.text))
-            except ValueError as exc:
-                raise ParseError(str(exc), v1.line, v1.col) from None
-            try:
-                session.dlines[name] = DoubleLine(session.ring, support, (f, g))
+                session.dlines[name] = DoubleLine(session.ring, tuple(support), (f, g))
             except ValueError as exc:
                 raise ParseError(str(exc), head.line, head.col) from None
         elif head.text == "point":

@@ -101,8 +101,14 @@ MUTANTS = (
         "sample = ring.field.random_sample()",
         [
             "tests/test_localrings.py::test_slices_over_f3_may_have_a_zero_coefficient",
-            "tests/test_cli.py::test_gorenstein_of_the_f3_three_point_cone_exits_one",
+            "tests/test_cli.py::test_cli_check[f3-three-point-cone]",
         ],
+    ),
+    (
+        "sessions.py",
+        "raise ParseError(str(exc), var.line, var.col) from None",
+        "raise ParseError(str(exc), var.line, v1.col) from None",
+        ["tests/test_sessions.py::test_session_errors_name_their_position"],
     ),
     (
         "cli.py",

@@ -8,8 +8,6 @@ running with the environment variable GOLDEN_REGEN=1.
 import json
 import os
 import random
-import subprocess
-import sys
 import time
 from pathlib import Path
 
@@ -43,7 +41,8 @@ from liaison.generators import (
 from liaison.ideals import minimal_monomial_generators
 from liaison.polynomials import Polynomial
 
-FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+from launcher import FIXTURES, run_cli, session_path
+
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
@@ -253,40 +252,56 @@ def test_criterion_09_degrees():
     _report(9, "degrees: 2 per double line, 3 for (x,y)^2, 4 for (x^2,y^2)")
 
 
+DOUBLE_LINES = FIXTURES / "double_lines.session"
+FOSSUM = FIXTURES / "fossum.session"
+# One session per order that no fixture uses.  Each term prints in the
+# order's direction and each basis lists its elements ascending under it,
+# so the bytes pin both.
+LEX = (
+    "ring Q[x,y,z] order lex\n"
+    "ideal I = x^2 + y*z - 2*z, x*y - z^2 + y, y^2 - x*z\n"
+    "ideal J = x*z - y + 1, y*z - z^2\n"
+)
+BLOCK = (
+    "ring F31[t,x,y,z] order block(1)\n"
+    "ideal I = t*x - y^2 + z, t*y - x*z, x^2 - y*z\n"
+    "ideal J = t*z - x, y^2 - 5*x*z\n"
+)
+
+# Every golden file with the command that writes it: (golden; session, its
+# fixture or text; arguments before --json; exit code)
 GOLDEN_COMMANDS = [
-    ("fossum_verify_triple", "fossum.session", ["verify-triple", "B", "A1", "A2"]),
-    ("fossum_colon", "fossum.session", ["colon", "B", "A1"]),
-    ("fossum_doubling", "fossum.session", ["doubling", "B", "A1"]),
-    ("paper_colon", "double_lines.session", ["colon", "Y", "I1"]),
-    ("classify_pm", "double_lines.session", ["classify", "L1", "L2", "--mode", "both"]),
-    ("classify_meeting_a", "double_lines.session", ["classify", "M1", "M2", "--mode", "both"]),
-    ("classify_meeting_b", "double_lines.session", ["classify", "B1", "B2", "--mode", "both"]),
-    ("classify_violating", "double_lines.session", ["classify", "V1", "V2", "--mode", "both"]),
-    ("classify_disjoint", "double_lines.session", ["classify", "D1", "D2", "--mode", "both"]),
-    ("gorenstein_at_point", "double_lines.session", ["gorenstein", "Y", "P"]),
-    ("hilbert_double_line", "double_lines.session", ["hilbert", "I1"]),
+    ("fossum_verify_triple", FOSSUM, ["verify-triple", "B", "A1", "A2"], 0),
+    ("fossum_colon", FOSSUM, ["colon", "B", "A1"], 0),
+    ("fossum_doubling", FOSSUM, ["doubling", "B", "A1"], 1),
+    ("paper_colon", DOUBLE_LINES, ["colon", "Y", "I1"], 0),
+    ("classify_pm", DOUBLE_LINES, ["classify", "L1", "L2", "--mode", "both"], 0),
+    ("classify_meeting_a", DOUBLE_LINES, ["classify", "M1", "M2", "--mode", "both"], 0),
+    ("classify_meeting_b", DOUBLE_LINES, ["classify", "B1", "B2", "--mode", "both"], 0),
+    ("classify_violating", DOUBLE_LINES, ["classify", "V1", "V2", "--mode", "both"], 1),
+    ("classify_disjoint", DOUBLE_LINES, ["classify", "D1", "D2", "--mode", "both"], 0),
+    ("gorenstein_at_point", DOUBLE_LINES, ["gorenstein", "Y", "P"], 0),
+    ("hilbert_double_line", DOUBLE_LINES, ["hilbert", "I1"], 0),
+    # the intersection's generators are its reduced basis, in the order the
+    # elimination gives them: the bytes pin both
+    ("intersect_double_lines", DOUBLE_LINES, ["intersect", "I1", "I2"], 0),
+    ("gb_lex", LEX, ["gb", "I"], 0),
+    ("intersect_lex", LEX, ["intersect", "I", "J"], 0),
+    ("gb_block", BLOCK, ["gb", "I"], 0),
+    ("intersect_block", BLOCK, ["intersect", "I", "J"], 0),
 ]
 
 
-def _run_cli_json(fixture, args):
-    proc = subprocess.run(
-        [sys.executable, "-m", "liaison.cli", str(FIXTURES / fixture), *args,
-         "--seed", "0", "--json"],
-        capture_output=True,
-        text=True,
-        env=dict(os.environ, PYTHONPATH=str(FIXTURES.parent / "src")),
-    )
-    assert proc.returncode in (0, 1), proc.stderr
-    return proc.stdout
-
-
-def test_criterion_10_cli_golden_files():
+def test_criterion_10_cli_golden_files(tmp_path):
     regen = os.environ.get("GOLDEN_REGEN") == "1"
     GOLDEN.mkdir(exist_ok=True)
-    for name, fixture, args in GOLDEN_COMMANDS:
-        first = _run_cli_json(fixture, args)
-        second = _run_cli_json(fixture, args)
-        assert first == second, f"{name}: output not byte-stable across runs"
+    for name, session, args, code in GOLDEN_COMMANDS:
+        session_file = session_path(tmp_path, session)
+        runs = [run_cli(session_file, *args, "--json") for _ in range(2)]
+        for run in runs:
+            assert run.returncode == code, f"{name}: exit {run.returncode}: {run.stderr}"
+        first = runs[0].stdout
+        assert first == runs[1].stdout, f"{name}: output not byte-stable across runs"
         json.loads(first)  # must be valid JSON
         path = GOLDEN / f"{name}.json"
         if regen:

@@ -1,13 +1,9 @@
 """Every demo script runs to completion against the library in src/."""
 
-import os
-import subprocess
-import sys
-from pathlib import Path
-
 import pytest
 
-ROOT = Path(__file__).resolve().parent.parent
+from launcher import ROOT, run_python
+
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 
@@ -17,7 +13,5 @@ def test_demos_found():
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda path: path.name)
 def test_demo_runs(demo):
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    proc = subprocess.run([sys.executable, str(demo)], capture_output=True, text=True,
-                          cwd=ROOT, env=env, timeout=120)
+    proc = run_python(demo, cwd=ROOT, timeout=120)
     assert proc.returncode == 0, proc.stderr

@@ -226,6 +226,9 @@ def test_modulus_past_the_prime_bound_is_refused_at_the_field_token():
     [
         ("ring Q[x,y] order foo\n", "unknown order 'foo'", 1, 19),
         ("ring Q[x,y,z,u]\ndline L support w,y pair (z, u)\n", "unknown variable 'w'", 2, 17),
+        ("ring Q[x,y,z,u]\ndline L support x,w pair (z, u)\n", "unknown variable 'w'", 2, 19),
+        ("ring Q[x,x]\n", "duplicate variable name 'x'", 1, 10),
+        ("ring Q[x,y] order block(2)\n", "block size must satisfy 1 <= k < number of variables", 1, 25),
         ("ring Q[x,y,z,u]\npoint P = (0:0:0:0)\n", "projective point needs a nonzero coordinate", 2, 1),
         ("ring Q[x,y]\nfoo X = 1\n", "unknown declaration 'foo' (expected ring, ideal, dline, or point)", 2, 1),
         ("", "empty session: no ring declared", 1, 1),

@@ -1,6 +1,7 @@
 """Rules on the library's source text."""
 
 import ast
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -32,6 +33,27 @@ def test_no_module_imports_a_private_name_from_a_sibling():
         and (node.level > 0 or (node.module or "").split(".")[0] == "liaison")
         for alias in node.names
         if alias.name.startswith("_")
+    ]
+    assert offenders == []
+
+
+def _absolute_imports(tree):
+    """(line, module) for every import of the tree that is not relative."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from ((node.lineno, alias.name) for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            yield node.lineno, node.module
+
+
+def test_library_imports_only_the_standard_library():
+    # dependencies = []: every import, at module level or inside a function
+    # that no CLI run reaches, is relative or names a standard-library module
+    offenders = [
+        f"{path.name}:{line} {module}"
+        for path in sorted(SRC.glob("*.py"))
+        for line, module in _absolute_imports(ast.parse(path.read_text(), filename=str(path)))
+        if module.partition(".")[0] not in sys.stdlib_module_names
     ]
     assert offenders == []
 
