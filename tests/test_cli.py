@@ -6,6 +6,7 @@ import sys
 import pytest
 
 from launcher import FIXTURES, run_cli, session_path
+from test_acceptance import BLOCK, GOLDEN, LEX
 
 
 def test_colon_prints_paper_generators():
@@ -267,6 +268,25 @@ def test_intersect_saturate_link_hilbert_localize():
     proc = run_cli(base, "hilbert", "I1", "--json")
     assert json.loads(proc.stdout)["result"]["degree"] == 2
     assert run_cli(base, "localize", "I1", "P").returncode == 0
+
+
+# Byte checks of single goldens, by the session text and command that
+# criterion 10's table writes them with; only that test regenerates them.
+def test_intersect_matches_golden_bytes():
+    # the intersection's generators are its reduced basis, in the order the
+    # elimination gives them: the bytes pin both
+    proc = run_cli(FIXTURES / "double_lines.session", "intersect", "I1", "I2", "--json")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == (GOLDEN / "intersect_double_lines.json").read_text()
+
+
+@pytest.mark.parametrize("order", ["block", "lex"])
+@pytest.mark.parametrize("command", [["gb", "I"], ["intersect", "I", "J"]])
+def test_lex_and_block_output_matches_golden_bytes(tmp_path, order, command):
+    session = session_path(tmp_path, {"lex": LEX, "block": BLOCK}[order])
+    proc = run_cli(session, *command, "--json")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == (GOLDEN / f"{command[0]}_{order}.json").read_text()
 
 
 @pytest.mark.parametrize(
