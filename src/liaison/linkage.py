@@ -247,14 +247,6 @@ class RegularTransferReport:
     regular_second: bool
     consistent: bool
 
-    def as_dict(self):
-        return {
-            "regular_base": self.regular_base,
-            "regular_first": self.regular_first,
-            "regular_second": self.regular_second,
-            "consistent": self.consistent,
-        }
-
 
 def is_regular(h, I):
     """Whether h is a nonzerodivisor on R/I: (I : h) = I."""

@@ -58,7 +58,7 @@ class RationalPoint:
     def affine(cls, ring, coords):
         coords = tuple(ring.field.normalize(c) for c in coords)
         if len(coords) != ring.nvars:
-            raise ValueError("wrong number of coordinates")
+            raise ValueError(f"wrong number of coordinates: {len(coords)} for {ring.nvars} variables")
         return cls("affine", coords)
 
     @classmethod
@@ -66,7 +66,7 @@ class RationalPoint:
         field = ring.field
         coords = tuple(field.normalize(c) for c in coords)
         if len(coords) != ring.nvars:
-            raise ValueError("wrong number of coordinates")
+            raise ValueError(f"wrong number of coordinates: {len(coords)} for {ring.nvars} variables")
         if all(c == field.zero for c in coords):
             raise ValueError("projective point needs a nonzero coordinate")
         chart = max(i for i, c in enumerate(coords) if c != field.zero)

@@ -6,7 +6,19 @@ coefficients, coefficients normalized by the field), so equality of
 values is equality of polynomials.
 """
 
+from decimal import Decimal
 from operator import add, le, sub
+
+
+def _coefficient_text(c):
+    """str(c); past the interpreter's limit on int-to-str digits, which
+    guards reading outside input, a rational is written exactly through
+    Decimal, which has no such limit."""
+    try:
+        return str(c)
+    except ValueError:
+        num = str(Decimal(c.numerator))
+        return num if c.denominator == 1 else f"{num}/{Decimal(c.denominator)}"
 
 
 def mono_mul(e1, e2):
@@ -254,13 +266,13 @@ class Polynomial:
                     factors.append(f"{name}^{exp}")
             mono = "*".join(factors)
             if not mono:
-                pieces.append(str(c))
+                pieces.append(_coefficient_text(c))
             elif c == field.one:
                 pieces.append(mono)
             elif field.characteristic == 0 and c == -field.one:
                 pieces.append(f"-{mono}")
             else:
-                pieces.append(f"{c}*{mono}")
+                pieces.append(f"{_coefficient_text(c)}*{mono}")
         text = pieces[0]
         for piece in pieces[1:]:
             if piece.startswith("-"):

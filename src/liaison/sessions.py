@@ -10,9 +10,13 @@ grammar for polynomials.
     point P = (0:0:0:1)
 
 Parse errors carry the line and column and an expected-token message.
+Each refusal is a ParseError at its token, by one rule (_at): an integer
+literal longer than the interpreter reads (sys.get_int_max_str_digits())
+and a point's wrong number of coordinates included.
 """
 
 import re
+from collections import namedtuple
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from math import comb, lcm
@@ -41,37 +45,35 @@ class ParseError(ValueError):
         self.col = col
 
 
+# one token per match, after its leading whitespace; `bad` is any other character
 _TOKEN_RE = re.compile(
-    r"\s*(?:(?P<name>[A-Za-z_][A-Za-z_0-9]*)|(?P<int>\d+)|(?P<sym>[-+*^(),=:\[\]/]))"
+    r"\s*(?:(?P<name>[A-Za-z_][A-Za-z_0-9]*)|(?P<int>\d+)|(?P<sym>[-+*^(),=:\[\]/])|(?P<bad>\S))"
 )
 
-
-@dataclass
-class _Token:
-    kind: str  # 'name' | 'int' | one-character symbol | 'end'
-    text: str
-    line: int
-    col: int
+# kind: 'name' | 'int' | one-character symbol | 'end'
+_Token = namedtuple("_Token", "kind text line col")
 
 
 def _tokenize_line(text, line_no):
-    tokens = []
-    pos = 0
     stripped = text.split("#", 1)[0]
-    while pos < len(stripped):
-        if stripped[pos].isspace():
-            pos += 1
-            continue
-        m = _TOKEN_RE.match(stripped, pos)
-        if not m:
-            raise ParseError(f"unexpected character {stripped[pos]!r}", line_no, pos + 1)
-        col = m.start(m.lastgroup) + 1
-        value = m.group(m.lastgroup)
-        kind = m.lastgroup if m.lastgroup != "sym" else value
-        tokens.append(_Token(kind, value, line_no, col))
-        pos = m.end()
+    tokens = []
+    for m in _TOKEN_RE.finditer(stripped):
+        kind = m.lastgroup
+        value = m.group(kind)
+        col = m.start(kind) + 1
+        if kind == "bad":
+            raise ParseError(f"unexpected character {value!r}", line_no, col)
+        tokens.append(_Token(value if kind == "sym" else kind, value, line_no, col))
     tokens.append(_Token("end", "", line_no, len(stripped) + 1))
     return tokens
+
+
+def _at(tok, make, *args):
+    """make(*args); a ValueError it raises is a ParseError at tok."""
+    try:
+        return make(*args)
+    except ValueError as exc:
+        raise ParseError(str(exc), tok.line, tok.col) from None
 
 
 class _Cursor:
@@ -98,6 +100,11 @@ class _Cursor:
             )
         return self.next()
 
+    def integer(self, what):
+        """The next token as an integer: (token, value)."""
+        tok = self.expect("int", what)
+        return tok, _at(tok, int, tok.text)
+
     def at_end(self):
         return self.peek().kind == "end"
 
@@ -118,12 +125,10 @@ def _parse_number(cur, field):
     if tok.kind in ("-", "+"):
         cur.next()
         sign = -1 if tok.kind == "-" else 1
-    num_tok = cur.expect("int", "a number")
-    value = int(num_tok.text)
+    _, value = cur.integer("a number")
     if cur.peek().kind == "/":
         cur.next()
-        den_tok = cur.expect("int", "a denominator")
-        den = int(den_tok.text)
+        den_tok, den = cur.integer("a denominator")
         if field.normalize(den) == field.zero:
             raise ParseError(f"denominator {den} is zero in {field}", den_tok.line, den_tok.col)
         return field.normalize(Fraction(sign * value, den))
@@ -156,8 +161,7 @@ def _parse_factor(cur, ring):
     base = _parse_atom(cur, ring)
     if cur.peek().kind == "^":
         cur.next()
-        exp_tok = cur.expect("int", "an integer exponent")
-        k = int(exp_tok.text)
+        exp_tok, k = cur.integer("an integer exponent")
         terms = _power_terms_bound(base, k)
         if terms > MAX_POWER_TERMS:
             raise ParseError(
@@ -209,10 +213,7 @@ def _parse_atom(cur, ring):
     tok = cur.peek()
     if tok.kind == "name":
         cur.next()
-        try:
-            return Polynomial.variable(ring, tok.text)
-        except ValueError:
-            raise ParseError(f"unknown variable {tok.text!r}", tok.line, tok.col) from None
+        return _at(tok, Polynomial.variable, ring, tok.text)
     if tok.kind == "int":
         return Polynomial.constant(ring, _parse_number(cur, ring.field))
     if tok.kind == "(":
@@ -268,10 +269,7 @@ def _parse_ring_line(cur):
     """The ring a `ring` line declares; make_ring's refusals point at their
     token: the field, a repeated variable, or the block size."""
     field_tok = cur.expect("name", "a field (Q or F<p>)")
-    try:
-        field = field_from_spec(field_tok.text)
-    except ValueError as exc:
-        raise ParseError(str(exc), field_tok.line, field_tok.col) from None
+    field = _at(field_tok, field_from_spec, field_tok.text)
     cur.expect("[", "'['")
     names = [cur.expect("name", "a variable name").text]
     while cur.peek().kind == ",":
@@ -291,15 +289,12 @@ def _parse_ring_line(cur):
         order = order_tok.text
         if order == "block":
             cur.expect("(", "'('")
-            blame = cur.expect("int", "a block size")
+            blame, size = cur.integer("a block size")
             cur.expect(")", "')'")
-            order = f"block({blame.text})"
+            order = f"block({size})"
         elif order not in ("lex", "grevlex"):
             raise ParseError(f"unknown order {order!r}", order_tok.line, order_tok.col)
-    try:
-        return make_ring(names, field, order)
-    except ValueError as exc:
-        raise ParseError(str(exc), blame.line, blame.col) from None
+    return _at(blame, make_ring, names, field, order)
 
 
 def _require_unique(session, name_tok):
@@ -348,16 +343,8 @@ def parse_session(text):
             g = _parse_expression(cur, session.ring)
             cur.expect(")", "')'")
             cur.finish()
-            support = []
-            for var in (v1, v2):
-                try:
-                    support.append(session.ring.index(var.text))
-                except ValueError as exc:
-                    raise ParseError(str(exc), var.line, var.col) from None
-            try:
-                session.dlines[name] = DoubleLine(session.ring, tuple(support), (f, g))
-            except ValueError as exc:
-                raise ParseError(str(exc), head.line, head.col) from None
+            support = tuple(_at(var, session.ring.index, var.text) for var in (v1, v2))
+            session.dlines[name] = _at(head, DoubleLine, session.ring, support, (f, g))
         elif head.text == "point":
             name = _require_unique(session, cur.expect("name", "a point name"))
             cur.expect("=", "'='")
@@ -368,16 +355,7 @@ def parse_session(text):
                 coords.append(_parse_number(cur, session.ring.field))
             cur.expect(")", "')'")
             cur.finish()
-            if len(coords) != session.ring.nvars:
-                raise ParseError(
-                    f"point needs {session.ring.nvars} coordinates, got {len(coords)}",
-                    head.line,
-                    head.col,
-                )
-            try:
-                session.points[name] = RationalPoint.projective(session.ring, coords)
-            except ValueError as exc:
-                raise ParseError(str(exc), head.line, head.col) from None
+            session.points[name] = _at(head, RationalPoint.projective, session.ring, coords)
         else:
             raise ParseError(
                 f"unknown declaration {head.text!r} (expected ring, ideal, dline, or point)",

@@ -106,9 +106,21 @@ MUTANTS = (
     ),
     (
         "sessions.py",
-        "raise ParseError(str(exc), var.line, var.col) from None",
-        "raise ParseError(str(exc), var.line, v1.col) from None",
+        "_at(var, session.ring.index, var.text)",
+        "_at(v1, session.ring.index, var.text)",
         ["tests/test_sessions.py::test_session_errors_name_their_position"],
+    ),
+    (
+        "sessions.py",
+        "return tok, _at(tok, int, tok.text)",
+        "return tok, int(tok.text)",
+        ["tests/test_sessions.py::test_integer_literals_past_the_digit_limit_fail_at_their_token"],
+    ),
+    (
+        "sessions.py",
+        "col = m.start(kind) + 1",
+        "col = m.start() + 1",
+        ["tests/test_sessions.py::test_dline_and_point_reject_trailing_input"],
     ),
     (
         "cli.py",

@@ -7,6 +7,7 @@ import pytest
 
 from launcher import FIXTURES, run_cli, session_path
 from test_acceptance import BLOCK, GOLDEN, LEX
+from test_sessions import INT_DIGITS
 
 
 def test_colon_prints_paper_generators():
@@ -412,6 +413,19 @@ def test_lci_of_complete_intersection_agrees_with_gorenstein(tmp_path):
     assert (result["length"], result["socle_dim"], result["gorenstein"]) == (4, 1, True)
 
 
+def _int_refusal(text):
+    """The interpreter's message refusing int(text), or None."""
+    try:
+        int(text)
+    except ValueError as exc:
+        return str(exc)
+
+
+# one digit more than the interpreter reads into an int; where it has no
+# such limit, the row that needs one is skipped
+LONG_LITERAL = "7" * (INT_DIGITS + 1)
+LONG_LITERAL_REFUSAL = _int_refusal(LONG_LITERAL)
+
 # One CLI run per row: (session, its fixture or text; arguments; exit code;
 # what the output holds: fields of the JSON result, the one error line on
 # stderr, or None for the exit code alone)
@@ -466,6 +480,13 @@ CLI_CHECKS = {
         "ideal A2 = z^2, x*z, y*z, x^3 + y^3\n",
         ["verify-triple", "B", "A1", "A2"], 2, "dimension mismatch between the three ideals: (2, 1, 1)",
     ),
+    # a coefficient the interpreter refuses to read is a parse error at its
+    # token, not an error with no position
+    "coefficient-past-the-digit-limit": pytest.param(
+        f"ring Q[x]\nideal I = {LONG_LITERAL}*x\n",
+        ["gb", "I"], 2, f"line 2 col 11: {LONG_LITERAL_REFUSAL}",
+        marks=pytest.mark.skipif(not INT_DIGITS, reason="this interpreter reads integers of any length"),
+    ),
 }
 
 
@@ -478,6 +499,29 @@ def test_cli_check(tmp_path, session, argv, code, expected):
         assert {key: result[key] for key in expected} == expected
     elif expected is not None:
         assert proc.stderr == f"error: {expected}\n"
+
+
+def _read_digits(digits):
+    """The integer a decimal string denotes, read 1000 digits at a time, so
+    that no conversion meets the interpreter's limit."""
+    value = 0
+    for i in range(0, len(digits), 1000):
+        chunk = digits[i : i + 1000]
+        value = value * 10 ** len(chunk) + int(chunk)
+    return value
+
+
+def test_coefficients_past_the_digit_limit_are_printed(tmp_path):
+    # 2^15000 has 4516 digits, past the interpreter's default limit on
+    # int-to-str conversion (4300), yet within the parser's power bound; the
+    # basis prints it exact
+    session = session_path(tmp_path, "ring Q[x,y]\nideal I = 2^15000*x + y\n")
+    proc = run_cli(session, "gb", "I", "--json")
+    assert proc.returncode == 0, proc.stderr
+    (generator,) = json.loads(proc.stdout)["result"]["generators"]
+    head, digits, tail = generator[:6], generator[6:-2], generator[-2:]
+    assert (head, tail) == ("x + 1/", "*y") and digits.isdigit()
+    assert _read_digits(digits) == 2**15000
 
 
 def test_verify_triple_failed_exact_check_exits_one(tmp_path):

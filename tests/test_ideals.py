@@ -21,8 +21,9 @@ from liaison import (
     standard_monomials,
     substitute,
 )
-from liaison.generators import random_form_dense, random_monomial_ideal
+from liaison.generators import random_ci_linked_triple, random_form_dense, random_monomial_ideal
 from liaison.ideals import local_leading_ideal, map_to_ring
+from test_linkage import _changed_coordinates
 
 
 @pytest.fixture
@@ -288,6 +289,34 @@ def test_two_forms_take_the_closed_form_exactly_when_certified(field):
                 assert (data.krull_dimension, data.degree) == (n - 2, d1 * d2)
             paths[certified] += 1
     assert paths[True] >= 20 and paths[False] >= 6, paths
+
+
+@pytest.mark.parametrize("field", ["F31", "F5", "Q"])
+def test_hilbert_data_is_invariant_under_a_linear_change_of_coordinates(field):
+    # an invertible linear change of coordinates is a graded automorphism,
+    # so it keeps the Hilbert series.  The section certificate looks at one
+    # coordinate plane, which the change moves: the image of a complete
+    # intersection may take the basis where the base took the closed form,
+    # or the other way round, and both directions must occur
+    paths = collections.Counter()
+    for n in (3, 4):
+        ring = make_ring(["x", "y", "z", "u"][:n], field, "grevlex")
+        F = ring.field
+        rng = random.Random(f"hilbert data under coordinates {field} {n}")
+        sample = [F.zero, *F.random_sample()]
+        for _ in range(40):
+            triple = None
+            while triple is None:
+                triple = random_ci_linked_triple(ring, rng)
+            # a permutation of the rows of a unitriangular matrix
+            U = [[F.one if j == i else rng.choice(sample) if j > i else F.zero for j in range(n)]
+                 for i in range(n)]
+            A = [U[i] for i in rng.sample(range(n), n)]
+            base = Ideal(ring, triple.base.gens)
+            image = _changed_coordinates(base, A)
+            assert hilbert_data(base) == hilbert_data(image), (n, base.gens, A)
+            paths[base.held_groebner() is None, image.held_groebner() is None] += 1
+    assert paths[True, False] and paths[False, True], paths
 
 
 def test_hilbert_rejects_inhomogeneous(P3):

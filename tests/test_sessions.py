@@ -1,3 +1,4 @@
+import sys
 import time
 
 import pytest
@@ -234,6 +235,7 @@ def test_modulus_past_the_prime_bound_is_refused_at_the_field_token():
         ("", "empty session: no ring declared", 1, 1),
         ("# only a comment\n\n   # another\n", "empty session: no ring declared", 1, 1),
         ("ring Q[x,y]\nideal I x\n", "expected '=', found 'x'", 2, 9),
+        ("ring Q[x,y]\npoint P = (1:2:3)\n", "wrong number of coordinates: 3 for 2 variables", 2, 1),
     ],
 )
 def test_session_errors_name_their_position(text, message, line, col):
@@ -247,3 +249,28 @@ def test_signed_point_coordinates_are_read_in_the_field():
     session = parse_session("ring F31[x,y,z,u]\npoint P = (-1:0:0:1)\npoint Q = (30:0:0:1)\n")
     assert session.points["P"] == session.points["Q"]
     assert session.points["P"].coordinates == (30, 0, 0, 1)
+
+
+# the most digits the interpreter reads into an int (CPython 3.10.7 and
+# later); 0 where it has no such limit
+INT_DIGITS = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+
+@pytest.mark.skipif(not INT_DIGITS, reason="this interpreter reads integers of any length")
+def test_integer_literals_past_the_digit_limit_fail_at_their_token():
+    # a literal one digit longer than the interpreter reads is refused by
+    # int(); the refusal is a parse error at that literal, wherever it is
+    digits = "7" * (INT_DIGITS + 1)
+    with pytest.raises(ValueError) as refusal:
+        int(digits)
+    for text, line, col in (
+        (f"ring Q[x]\nideal I = {digits}*x\n", 2, 11),  # a coefficient
+        (f"ring Q[x]\nideal I = 1/{digits}*x\n", 2, 13),  # a denominator
+        (f"ring Q[x]\nideal I = x^{digits}\n", 2, 13),  # an exponent
+        (f"ring Q[x,y]\npoint P = (1:{digits})\n", 2, 14),  # a point coordinate
+        (f"ring Q[x,y] order block({digits})\n", 1, 25),  # a block size
+    ):
+        with pytest.raises(ParseError) as info:
+            parse_session(text)
+        assert str(info.value) == f"line {line} col {col}: {refusal.value}"
+        assert (info.value.line, info.value.col) == (line, col)
