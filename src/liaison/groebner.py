@@ -5,12 +5,14 @@ form of Buchberger's product and chain criteria); the result is the reduced
 Groebner basis, the unique canonical representative of the ideal for the
 ring's order.  Pairs wait in a heap under the lcm of their leading
 monomials, computed once; a pair pruned meanwhile is skipped when popped.
-S-polynomials are built from the held monic terms and that lcm.  An
-elimination basis interreduces only the part it keeps.  Normal
-forms modulo such a basis decide ideal membership, and the steps of the
-same reduction give the quotients of a division (divide); reducing its own
-S-pairs, as pruned, to zero gives the constant parts of its syzygies, hence
-the local minimal generator count (see localrings.local_mu).
+S-polynomials are built from the held monic terms and that lcm.  The loop
+may start from a known Groebner basis, forming no pair among its elements
+(the update is incremental: Gebauer-Moeller 1988).  An elimination basis
+interreduces only the part it keeps.  Normal forms modulo such a basis
+decide ideal membership, and the steps of the same reduction give the
+quotients of a division (divide); reducing its own S-pairs, as pruned, to
+zero gives the constant parts of its syzygies, hence the local minimal
+generator count (see localrings.local_mu).
 """
 
 from heapq import heapify, heappop, heappush
@@ -264,28 +266,33 @@ def reduced_basis(ring, basis):
     return GroebnerBasis(ring, _interreduce(_minimalize(entries, ring.heap_key)))
 
 
-def _minimal_entries(gens, use_criteria=True):
+def _minimal_entries(gens, use_criteria=True, basis=()):
     """(ring, entries): the S-pair loop on gens, returning the minimal monic
-    (lm, poly) entries of a Groebner basis, ascending under the order."""
-    gens = list(gens)
-    if not gens:
+    (lm, poly) entries of a Groebner basis, ascending under the order.
+
+    The elements of basis, which must already form a Groebner basis, are
+    the loop's starting state: no pair among them is formed, and each
+    generator is appended to them by the Gebauer-Moeller update.
+    """
+    basis, gens = list(basis), list(gens)
+    if not basis and not gens:
         raise ValueError("a Groebner basis needs at least one generator (possibly zero)")
-    if not all(isinstance(g, Polynomial) for g in gens):
+    if not all(isinstance(g, Polynomial) for g in basis + gens):
         raise TypeError("generators must be polynomials")
-    rings = {g.ring for g in gens}
+    rings = {g.ring for g in basis + gens}
     if len(rings) > 1:
         raise ValueError("mixed ring contexts")
-    ring = gens[0].ring
+    ring = rings.pop()
     heap_key = ring.heap_key
-    gens = [g for g in gens if not g.is_zero()]
-    if not gens:
-        return ring, []
 
-    G = []  # (lm, poly) of each monic element, kept from when it is appended
-    lms = []
+    # (lm, poly) of each monic element, kept from when it is appended
+    G = [_entry(f) for f in basis if not f.is_zero()]
+    lms = [lm for lm, _ in G]
     P = {}  # live pair (i, j) -> lcm of lms[i] and lms[j]
     heap = []  # (degree, negated key of the lcm, i, j) of every pair made; pruned ones are skipped
     for f in gens:
+        if f.is_zero():
+            continue
         G.append(_entry(f))
         lms.append(G[-1][0])
         _update_pairs(lms, P, heap, heap_key, use_criteria)
@@ -317,19 +324,22 @@ def buchberger(gens, *, use_criteria=True):
     return GroebnerBasis(ring, _interreduce(entries))
 
 
-def elimination_basis(gens):
-    """Reduced Groebner basis of (gens) cap k[x_(k+1)..x_n], for gens in a
-    ring of order block(k): its elements, free of the first k variables,
-    stay in that ring.
+def elimination_basis(gens, basis=()):
+    """Reduced Groebner basis of (basis, gens) cap k[x_(k+1)..x_n], for
+    polynomials in a ring of order block(k): its elements, free of the
+    first k variables, stay in that ring.
 
-    By the elimination theorem the minimal entries whose leading monomial
-    is free of the first k variables form a Groebner basis of the
-    elimination ideal.  Under block(k) every other monomial is greater, so
-    these entries come first and only they can reduce one another: they
-    are interreduced in the block ring, and the rest is never reduced.
-    The result is the t-free part of buchberger(gens).
+    The elements of basis must already form a Groebner basis: the pairs
+    among them are not formed, and the S-pair loop appends only gens to
+    them (see _minimal_entries).  By the elimination theorem the minimal
+    entries whose leading monomial is free of the first k variables form a
+    Groebner basis of the elimination ideal.  Under block(k) every other
+    monomial is greater, so these entries come first and only they can
+    reduce one another: they are interreduced in the block ring, and the
+    rest is never reduced.  The result is the t-free part of
+    buchberger(basis + gens).
     """
-    ring, entries = _minimal_entries(gens)
+    ring, entries = _minimal_entries(gens, basis=basis)
     if ring.order.kind != "block":
         raise ValueError("elimination_basis needs a block order")
     k = ring.order.block

@@ -156,7 +156,14 @@ def ideal_intersect(I, J):
     t is a new first variable under block(1), so t*f has exponents (1,)+e
     and (1-t)*g has (0,)+e and (1,)+e.  For monomial generators m of I and
     m' of J, lcm(m, m') lies in I cap J: the divisibility-minimal ones are
-    entered too, without t, which leaves the ideal unchanged.  Under grevlex
+    entered too, without t, which leaves the ideal unchanged.  The monomial
+    part, every t*m, (1-t)*m' and minimal lcm(m, m'), is already a
+    Groebner basis (Buchberger's criterion): two monomials (a t*m or an
+    lcm) have S-polynomial 0, and so do two (1-t)*m', made monic as
+    t*m' - m'; t*m and (1-t)*m' give lcm(m, m'), and (1-t)*m' and an lcm
+    c give -lcm(m', c), each divisible by an lcm.  So it enters
+    elimination_basis as the loop's basis, with no pairs among it, and
+    only the t-lifts of the other generators make pairs.  Under grevlex
     the t-free part of the reduced block(1) basis, which elimination_basis
     returns, is the reduced grevlex basis of I cap J (elimination theorem),
     and the result holds it.
@@ -168,17 +175,25 @@ def ideal_intersect(I, J):
     tname = _fresh_name(set(ring.variables), "t")
     ext = make_ring([tname, *ring.variables], ring.field, MonomialOrder("block", 1))
     neg, one = ring.field.neg, ring.field.one
-    gens = [Polynomial(ext, {(1, *e): c for e, c in f.terms.items()}) for f in I.gens]
-    for g in J.gens:
+
+    def t_times(f):
+        return Polynomial(ext, {(1, *e): c for e, c in f.terms.items()})
+
+    def one_minus_t_times(g):
         terms = {(0, *e): c for e, c in g.terms.items()}
         terms.update({(1, *e): neg(c) for e, c in g.terms.items()})
-        gens.append(Polynomial(ext, terms))
+        return Polynomial(ext, terms)
+
+    basis, gens = [], []
+    for K, lift in ((I, t_times), (J, one_minus_t_times)):
+        for f in K.gens:
+            (basis if len(f.terms) == 1 else gens).append(lift(f))
     mI, mJ = ([e for f in K.gens if len(f.terms) == 1 for e in f.terms] for K in (I, J))
     lcms = minimal_monomial_generators(mono_lcm(m, n) for m in mI for n in mJ)
-    gens += [Polynomial(ext, {(0, *e): one}) for e in lcms]
+    basis += [Polynomial(ext, {(0, *e): one}) for e in lcms]
     kept = [
         Polynomial(ring, {e[1:]: c for e, c in g.terms.items()})
-        for g in elimination_basis(gens)
+        for g in elimination_basis(gens, basis)
     ]
     if ring.order == GREVLEX:
         return Ideal.from_groebner(GroebnerBasis(ring, kept))

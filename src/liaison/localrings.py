@@ -36,7 +36,7 @@ from .ideals import (
     standard_monomials,
 )
 from .linalg import rank, rref
-from .polynomials import Polynomial, substitute
+from .polynomials import Polynomial, coefficient_text, substitute
 from .rings import GREVLEX, make_ring
 
 # tuples of linear forms drawn before a Gorenstein verdict is inconclusive
@@ -80,7 +80,7 @@ class RationalPoint:
 
     def __str__(self):
         sep = "," if self.is_affine else ":"
-        return "(" + sep.join(str(c) for c in self.coordinates) + ")"
+        return "(" + sep.join(map(coefficient_text, self.coordinates)) + ")"
 
 
 @dataclass

@@ -10,7 +10,7 @@ from decimal import Decimal
 from operator import add, le, sub
 
 
-def _coefficient_text(c):
+def coefficient_text(c):
     """str(c); past the interpreter's limit on int-to-str digits, which
     guards reading outside input, a rational is written exactly through
     Decimal, which has no such limit."""
@@ -266,13 +266,13 @@ class Polynomial:
                     factors.append(f"{name}^{exp}")
             mono = "*".join(factors)
             if not mono:
-                pieces.append(_coefficient_text(c))
+                pieces.append(coefficient_text(c))
             elif c == field.one:
                 pieces.append(mono)
             elif field.characteristic == 0 and c == -field.one:
                 pieces.append(f"-{mono}")
             else:
-                pieces.append(f"{_coefficient_text(c)}*{mono}")
+                pieces.append(f"{coefficient_text(c)}*{mono}")
         text = pieces[0]
         for piece in pieces[1:]:
             if piece.startswith("-"):

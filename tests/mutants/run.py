@@ -123,6 +123,18 @@ MUTANTS = (
         ["tests/test_sessions.py::test_dline_and_point_reject_trailing_input"],
     ),
     (
+        "ideals.py",
+        "for g in elimination_basis(gens, basis)",
+        "for g in elimination_basis(basis + gens)",
+        ["tests/test_groebner.py::test_pair_work_is_pinned"],
+    ),
+    (
+        "ideals.py",
+        "(basis if len(f.terms) == 1 else gens).append(lift(f))",
+        "(basis if len(f.terms) <= 2 else gens).append(lift(f))",
+        ["tests/test_ideals.py::test_intersect_from_its_monomial_part_matches_no_basis"],
+    ),
+    (
         "cli.py",
         '"POINT": Session.lookup_point',
         '"POINT": Session.lookup_ideal',

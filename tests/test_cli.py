@@ -110,13 +110,35 @@ def test_modulus_above_the_prime_bound_exits_two(tmp_path):
     )
 
 
+@pytest.mark.skipif(not INT_DIGITS, reason="this interpreter reads integers of any length")
 def test_oversized_exponent_exits_two(tmp_path):
     bad = tmp_path / "bad.session"
-    bad.write_text("ring Q[x] order lex\nideal I = x^" + "9" * 5000 + "\n")
+    bad.write_text("ring Q[x] order lex\nideal I = x^" + "9" * (INT_DIGITS + 1) + "\n")
     proc = run_cli(str(bad), "gb", "I")
     assert proc.returncode == 2
     assert proc.stderr.startswith("error: ")
     assert len(proc.stderr.strip().splitlines()) == 1
+
+
+def test_point_past_the_digit_limit_prints_exactly(tmp_path):
+    # (1/N : 0 : N), N = 10^4000 - 1, scales to (1/N^2 : 0 : 1): the
+    # denominator N^2 = 10^8000 - 2*10^4000 + 1 has 8000 digits, more than
+    # str() writes of an int by default
+    nines = "9" * 4000
+    session = tmp_path / "big.session"
+    session.write_text(f"ring Q[x,y,z]\nideal L = y\npoint P = (1/{nines}:0:{nines})\n")
+    proc = run_cli(str(session), "lci", "L", "P", "--json")
+    assert proc.returncode == 0, proc.stderr
+    point = "(1/" + "9" * 3999 + "8" + "0" * 3999 + "1:0:1)"
+    assert proc.stdout == (
+        '{\n  "command": "lci",\n  "inputs": [\n    "L",\n    "P"\n  ],\n'
+        f'  "points_tested": [\n    "{point}"\n  ],\n'
+        '  "result": {\n    "codim": 1,\n    "gorenstein": true,\n    "lci": true,\n'
+        '    "length": 1,\n    "mu": 1,\n    "note": "",\n'
+        f'    "point": "{point}",\n'
+        '    "socle_dim": 1\n  },\n  "schema": 1,\n  "seed": 0,\n'
+        '  "timings": null,\n  "witnesses": null\n}\n'
+    )
 
 
 def test_power_too_large_to_expand_exits_two(tmp_path):

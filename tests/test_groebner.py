@@ -5,6 +5,7 @@ from pathlib import Path
 import pytest
 
 import liaison.groebner
+import liaison.ideals
 from liaison import (
     GroebnerBasis,
     Ideal,
@@ -291,9 +292,15 @@ def _seeded_gens(R, seed, count):
 # counted with a plain pair set scanned by min: the pair queue must match it
 PINNED_PAIR_COUNTS = {
     "Y": 0,  # (x^2, y^2): the product criterion prunes the only pair
-    # ideal_intersect also enters the minimal lcms of the monomial generators
-    "meeting I1 cap I2": 25,
-    "Y : I1": 58,
+    # ideal_intersect also enters the minimal lcms of the monomial generators;
+    # that monomial part is a Groebner basis (the lemma of ideal_intersect's
+    # docstring), so only pairs with the other generators are formed
+    "meeting I1 cap I2": 13,
+    # the same t-trick generators, every one fed as gens with no basis
+    "meeting I1 cap I2, no basis": 25,
+    # each intersection of the colon chain enters its monomial part as a
+    # basis (the same lemma)
+    "Y : I1": 30,
     "grevlex F31": 18,
     "block F31": 37,
     "block F31, no criteria": 253,
@@ -337,11 +344,26 @@ def test_pair_work_is_pinned(monkeypatch):
         J.groebner()
         return lambda: local_mu(J)
 
+    def t_trick_generators(I, J):
+        # every polynomial ideal_intersect hands to elimination_basis, its
+        # monomial part first
+        handed = []
+
+        def handing(gens, basis=()):
+            handed.extend([*basis, *gens])
+            return elimination_basis(gens, basis)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(liaison.ideals, "elimination_basis", handing)
+            ideal_intersect(I, J)
+        return handed
+
     meeting_mu = local_mu_at_meeting("M1", "M2")
     violating_mu = local_mu_at_meeting("V1", "V2")
-    monkeypatch.setattr(liaison.groebner, "_reduce", counting)
     I1 = double_line_ideal(session.dlines["M1"])
     I2 = double_line_ideal(session.dlines["M2"])
+    meeting_t_trick = t_trick_generators(I1, I2)
+    monkeypatch.setattr(liaison.groebner, "_reduce", counting)
     Y, J1 = session.ideals["Y"], session.ideals["I1"]
     grevlex = make_ring(["x", "y", "z", "u"], "F31", "grevlex")
     block = make_ring(["t", "x", "y", "z"], "F31", MonomialOrder("block", 1))
@@ -350,6 +372,7 @@ def test_pair_work_is_pinned(monkeypatch):
     counts = {
         "Y": pairs_reduced(lambda: buchberger(Y.gens)),
         "meeting I1 cap I2": pairs_reduced(lambda: ideal_intersect(I1, I2)),
+        "meeting I1 cap I2, no basis": pairs_reduced(lambda: elimination_basis(meeting_t_trick)),
         "Y : I1": pairs_reduced(lambda: ideal_colon(Y, J1)),
         "grevlex F31": pairs_reduced(lambda: buchberger(_seeded_gens(grevlex, 53, 4))),
         "block F31": pairs_reduced(lambda: buchberger(_seeded_gens(block, 61, 4))),

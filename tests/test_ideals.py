@@ -4,10 +4,12 @@ import random
 
 import pytest
 
+import liaison.ideals
 from liaison import (
     Ideal,
     Polynomial,
     buchberger,
+    double_line_ideal,
     eliminate,
     hilbert_data,
     ideal_colon,
@@ -21,8 +23,16 @@ from liaison import (
     standard_monomials,
     substitute,
 )
-from liaison.generators import random_ci_linked_triple, random_form_dense, random_monomial_ideal
-from liaison.ideals import local_leading_ideal, map_to_ring
+from liaison.generators import (
+    random_ci_linked_triple,
+    random_form_dense,
+    random_meeting_instance,
+    random_monomial_ideal,
+    random_same_support_instance,
+)
+from liaison.groebner import elimination_basis, reduced_basis
+from liaison.ideals import local_leading_ideal, map_to_ring, minimal_monomial_generators
+from liaison.polynomials import mono_lcm
 from test_linkage import _changed_coordinates
 
 
@@ -543,6 +553,107 @@ def test_intersect_is_invariant_under_presentation(field, order):
             (redundant(J), redundant(I)),
         ):
             assert ideal_intersect(A, B).gens == expected, (I, J, A, B)
+
+
+def _random_exponents(rng, nvars):
+    """A list of exponent tuples: sometimes the constant, and repeated and
+    non-minimal monomials (a multiple of one already drawn)."""
+    out = []
+    for _ in range(rng.randint(1, 4)):
+        kind = rng.random()
+        if kind < 0.05:
+            out.append((0,) * nvars)
+        elif out and kind < 0.25:
+            out.append(rng.choice(out))
+        elif out and kind < 0.45:
+            out.append(tuple(a + rng.randint(0, 1) for a in rng.choice(out)))
+        else:
+            out.append(tuple(rng.randint(0, 2) for _ in range(nvars)))
+    return out
+
+
+@pytest.mark.parametrize("field", ["F31", "F5", "Q"])
+def test_the_monomial_part_of_the_t_trick_is_a_groebner_basis(field):
+    # in block(1) with t first, M = {t*m} + {(1-t)*m'} + the minimal
+    # lcm(m, m') for monomials m of I and m' of J; reduced_basis forms no
+    # S-pair, so it equals buchberger's basis only when M is a Groebner basis
+    rng = random.Random(f"monomial part {field}")
+    checked, refuted, constants = 0, 0, 0
+    for nvars in (2, 3, 4):
+        ext = make_ring(["t", "x", "y", "z", "u"][: nvars + 1], field, "block(1)")
+        t, one = ext.variable("t"), ext.one()
+        coefficients = [1, 2, -3] if field == "Q" else [1, 2, 3, 4]
+        for _ in range(40):
+            mI, mJ = _random_exponents(rng, nvars), _random_exponents(rng, nvars)
+            constants += not all(map(any, mI + mJ))
+            A = [t * Polynomial.monomial(ext, (0, *m), rng.choice(coefficients)) for m in mI]
+            B = [(one - t) * Polynomial.monomial(ext, (0, *m), rng.choice(coefficients)) for m in mJ]
+            lcms = minimal_monomial_generators(mono_lcm(m, n) for m in mI for n in mJ)
+            C = [Polynomial.monomial(ext, (0, *e)) for e in lcms]
+            for M in (A + B + C, rng.sample(A + B + C, len(A + B + C)), A, B, A + C, B + C):
+                assert reduced_basis(ext, M) == buchberger(M), (mI, mJ, M)
+                checked += 1
+            # without the lcms, S(t*m, (1-t)*m') = lcm(m, m') reduces by nothing
+            if reduced_basis(ext, A + B) != buchberger(A + B):
+                refuted += 1
+    assert checked == 3 * 40 * 6 and refuted == 3 * 40 and constants > 5
+
+
+def _without_monomials(ring, rng):
+    """A random ideal of _random_ideal's kind, its monomial generators dropped."""
+    x, y, z = ring.gens()
+    return Ideal(ring, [g for g in _random_ideal(ring, rng).gens if len(g.terms) > 1] or [x * y + z**2])
+
+
+def _checked_against_no_basis(monkeypatch):
+    """Make every elimination_basis call of liaison.ideals also compute the
+    same basis with its known basis fed as plain generators, and assert
+    both agree; returns the list of (number of gens, size of basis) seen."""
+    seen = []
+
+    def checked(gens, basis=()):
+        gens, basis = list(gens), list(basis)
+        seeded = elimination_basis(gens, basis)
+        assert seeded == elimination_basis(basis + gens), (basis, gens)
+        seen.append((len(gens), len(basis)))
+        return seeded
+
+    monkeypatch.setattr(liaison.ideals, "elimination_basis", checked)
+    return seen
+
+
+@pytest.mark.parametrize("order", ["grevlex", "lex"])
+@pytest.mark.parametrize("field", ["F31", "Q"])
+def test_intersect_from_its_monomial_part_matches_no_basis(field, order, monkeypatch):
+    # ideal_intersect starts the S-pair loop from its monomial part; the
+    # t-free basis must be the one the loop gives with every generator fed
+    # as a plain generator: random ideals with no, some and only monomial
+    # generators, the four meeting buckets, same-support pairs and the
+    # intersections of a colon chain
+    rng = random.Random(f"intersect from the monomial part {field} {order}")
+    small = make_ring(["x", "y", "z"], field, order)
+    space = make_ring(["x", "y", "z", "u"], field, order)
+    pairs = _intersection_cases(small, rng) + _intersection_cases(small, rng)
+    for _ in range(8):
+        pairs.append((_without_monomials(small, rng), _without_monomials(small, rng)))
+        pairs.append((_without_monomials(small, rng), random_monomial_ideal(small, rng)))
+        pairs.append((random_monomial_ideal(small, rng), random_monomial_ideal(small, rng)))
+    for case in ("a", "b_hold", "b_violate", "one_sided"):
+        for _ in range(3):
+            pairs.append(tuple(map(double_line_ideal, random_meeting_instance(space, case, rng))))
+    for traceless in (True, False, True, False):
+        L1, L2, _ = random_same_support_instance(space, rng, traceless)
+        pairs.append((double_line_ideal(L1), double_line_ideal(L2)))
+    seen = _checked_against_no_basis(monkeypatch)
+    for I, J in pairs:
+        ideal_intersect(I, J)
+    colons = len(seen)
+    for I, J in pairs[-16:-4:3]:  # one meeting pair of each bucket
+        ideal_colon(ideal_intersect(I, J), I)
+    assert len(seen) > colons + 4
+    assert any(gens == 0 and basis for gens, basis in seen)  # both sides monomial
+    assert any(gens and not basis for gens, basis in seen)  # neither side has a monomial
+    assert any(gens and basis for gens, basis in seen)
 
 
 def test_local_leading_ideal_examples():

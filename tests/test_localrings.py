@@ -712,9 +712,9 @@ def _count_bases(monkeypatch):
         calls.append(gens)
         return buchberger(gens, *args, **kwargs)
 
-    def counted_elimination(gens):
-        calls.append(gens)
-        return elimination_basis(gens)
+    def counted_elimination(gens, basis=()):
+        calls.append([*basis, *gens])
+        return elimination_basis(gens, basis)
 
     # localrings takes every basis through ideals (Ideal.groebner and the
     # ideal operations, which eliminate by elimination_basis), so counting
