@@ -106,18 +106,14 @@ def ideal_product(I, J):
 
 
 def ideal_equal(I, J):
-    """Equality of ideals, by containment both ways.
+    """Equality of ideals, by containment both ways, whatever bases either
+    side holds.
 
     J's basis decides whether every generator of I lies in J; only then is
     I's basis computed to test J's generators, so a pair with I not inside
-    J costs one basis.  A side that already holds its basis is the one
-    tested against, and two held reduced bases are compared as they are.
+    J costs one basis.
     """
     _check_same_ring(I, J)
-    if I.held_groebner() is not None:
-        if J.held_groebner() is not None:
-            return I.groebner().elements == J.groebner().elements
-        I, J = J, I
     return J.contains_ideal(I) and I.contains_ideal(J)
 
 
@@ -213,8 +209,8 @@ def local_leading_ideal(J):
     the local dimension and multiplicity.  The standard monomials of a
     zero-dimensional L count the local length too, but no library code
     reads it here: localrings counts lengths in grevlex bases of ideals
-    supported at the origin, with no t.  A homogeneous J is its own cone,
-    and L comes from the basis J holds.
+    supported at the origin, with no t.  A homogeneous J takes no t: it
+    equals its tangent cone, and L is read off J's own reduced basis.
     """
     ring = J.ring
     if J.is_homogeneous():
@@ -259,11 +255,16 @@ def ideal_colon(I, J):
 
 
 def saturate(I, J):
-    """(I : J^infinity): iterate the colon until it stabilizes."""
+    """(I : J^infinity): iterate the colon until it stabilizes.
+
+    K lies in (K : J) for every K, so the chain only grows, and one
+    containment decides that it has stopped: current contains the next
+    colon.
+    """
     current = I
     while True:
         nxt = ideal_colon(current, J)
-        if ideal_equal(nxt, current):
+        if current.contains_ideal(nxt):
             return current
         current = nxt
 

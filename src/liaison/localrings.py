@@ -271,10 +271,13 @@ def artinian_reduce(I, seed=0):
     and 0: over F3 the cone over (0:0:1), (1:1:0), (1:2:0) has parameters,
     y + z among them, but none whose coefficients are all nonzero.  (h) is
     then a reduction of m on R/I, and the local length l of R/(I + (h)) is e
-    if R/I is Cohen-Macaulay, else above e (Serre; Matsumura, Thm 17.11).  Q = I + (h) + J counts l in its own
-    grevlex basis: J = 0 for homogeneous I, whose components all pass the
-    origin, else J = (x_1^(e+1), ..., x_n^(e+1)), coprime to the components
-    away from it, so Q = Q_0 + J, Q_0 the origin's.  The ideals Q_0 + m^j
+    if R/I is Cohen-Macaulay, else above e (Serre; Matsumura, Thm 17.11).
+    Q = I + (h) + J counts l in its own grevlex basis, J chosen by whether
+    I is homogeneous.  A homogeneous I equals its tangent cone and all its
+    components pass the origin, so J = 0 and Q is the drawn cut, whose
+    basis the draw holds.  Any other I takes J = (x_1^(e+1), ...,
+    x_n^(e+1)), coprime to the components away from the origin, so Q =
+    Q_0 + J, Q_0 the origin's.  The ideals Q_0 + m^j
     fall strictly until they reach Q_0 (Nakayama), so R/(Q_0 + m^(e+1)), a
     quotient of R/Q, has length at least min(l, e + 1): for l > e the count
     refutes, and for l = e, m^e lies in Q_0, so does J, and Q = Q_0.  The
@@ -298,7 +301,7 @@ def artinian_reduce(I, seed=0):
                 break
         else:
             return None, forms
-    if cone is not I:
+    if not I.is_homogeneous():
         cut = ideal_sum(I, Ideal(ring, [*forms, *(v ** (data.degree + 1) for v in ring.gens())]))
     if len(standard_monomials(cut.groebner())) != data.degree:
         return False, forms

@@ -135,6 +135,42 @@ MUTANTS = (
         ["tests/test_ideals.py::test_intersect_from_its_monomial_part_matches_no_basis"],
     ),
     (
+        "ideals.py",
+        "if current.contains_ideal(nxt):",
+        "if nxt.contains_ideal(current):",
+        [
+            "tests/test_ideals.py::test_saturate",
+            "tests/test_ideals.py::test_equality_saturation_and_regularity_ignore_held_bases[F31]",
+        ],
+    ),
+    (
+        "linkage.py",
+        "return I.contains_ideal(ideal_colon(I, Ideal(I.ring, [h])))",
+        "return ideal_colon(I, Ideal(I.ring, [h])).contains_ideal(I)",
+        [
+            "tests/test_localrings.py::test_regularity_certificate_edges",
+            "tests/test_localrings.py::test_regularity_tests_only_the_colon_against_the_ideal",
+        ],
+    ),
+    (
+        "ideals.py",
+        "return J.contains_ideal(I) and I.contains_ideal(J)",
+        "return J.contains_ideal(I)",
+        [
+            "tests/test_ideals.py::test_ideal_equal_by_containment_agrees_with_reduced_bases[F31-grevlex]",
+            "tests/test_ideals.py::test_equality_saturation_and_regularity_ignore_held_bases[F31]",
+        ],
+    ),
+    (
+        "localrings.py",
+        "    if not I.is_homogeneous():\n        cut = ideal_sum(I,",
+        "    if I.is_homogeneous():\n        cut = ideal_sum(I,",
+        [
+            "tests/test_localrings.py::test_graded_reduction_takes_one_basis_beyond_its_input",
+            "tests/test_localrings.py::test_chart_reduction_takes_one_lazard_basis",
+        ],
+    ),
+    (
         "cli.py",
         '"POINT": Session.lookup_point',
         '"POINT": Session.lookup_ideal',

@@ -861,6 +861,54 @@ def test_classify_does_not_depend_on_the_support_order(field):
             assert classify(M1, M2, mode="both").as_dict() == expected
 
 
+def _relabelled(line, sigma):
+    """The same double line after renaming variable i to variable sigma[i]."""
+    ring = line.ring
+
+    def moved(f):
+        terms = {}
+        for e, c in f.terms.items():
+            image = [0] * ring.nvars
+            for i, a in enumerate(e):
+                image[sigma[i]] = a
+            terms[tuple(image)] = c
+        return Polynomial(ring, terms)
+
+    return DoubleLine(ring, tuple(sigma[k] for k in line.support), tuple(moved(f) for f in line.forms))
+
+
+@pytest.mark.parametrize("field", ["F5", "F31", "Q"])
+def test_classify_does_not_depend_on_coordinates_or_scaling(field):
+    # relabelling the variables maps supports to other supports; each
+    # relabelling here moves the meeting point (0:0:0:1) off the last
+    # variable, so the oracle's chart takes translate_to_origin's generic
+    # path rather than the held basis of the last vertex.  Scaling a line's
+    # forms keeps its ideal.  Verdict, case, oracle verdict and the meeting
+    # point's mu stay the same; the witness is written in the orientation of
+    # the forms (which support variable comes first, the scale of b1, b2)
+    # and may change with it, so it is not compared
+    R = make_ring(["x", "y", "z", "u"], field, "grevlex")
+    rng = random.Random(f"relabel/{field}")
+    moving = [sigma for sigma in itertools.permutations(range(4)) if sigma[3] != 3]
+    cases = ("a", "b_hold", "b_violate", "one_sided")
+    pairs = [random_meeting_instance(R, case, rng) for case in cases for _ in range(3)]
+    pairs += [random_same_support_instance(R, rng, traceless)[:2] for traceless in (True, False) for _ in range(3)]
+    scales = [c for c in R.field.random_sample() if c != R.field.one]
+
+    def summary(verdict):
+        return verdict.lal, verdict.case_tag, verdict.oracle_verdict, [r.mu for r in verdict.point_reports]
+
+    for L1, L2 in pairs:
+        expected = summary(classify(L1, L2, mode="both"))
+        c = rng.choice(scales)
+        for M1, M2 in ((L1.scaled(c), L2), (L1, L2.scaled(c))):
+            assert summary(classify(M1, M2, mode="both")) == expected, (L1, L2, c)
+        for sigma in rng.sample(moving, 3):
+            verdict = classify(_relabelled(L1, sigma), _relabelled(L2, sigma), mode="both")
+            assert summary(verdict) == expected, (L1, L2, sigma)
+            assert all(r.point.chart == sigma[3] != 3 for r in verdict.point_reports)
+
+
 def _generator_digests():
     """sha256 prefixes of 25 seeded F31 draws from each generator and case."""
 

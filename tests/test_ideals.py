@@ -32,6 +32,7 @@ from liaison.generators import (
 )
 from liaison.groebner import elimination_basis, reduced_basis
 from liaison.ideals import local_leading_ideal, map_to_ring, minimal_monomial_generators
+from liaison.linkage import is_regular
 from liaison.polynomials import mono_lcm
 from test_linkage import _changed_coordinates
 
@@ -447,6 +448,56 @@ def test_ideal_equal_by_containment_agrees_with_reduced_bases(field, order):
             assert ideal_equal(A, B) == expected, (I, J, held)
             assert ideal_equal(B, A) == expected, (I, J, held)
     assert outcomes == {True, False}
+
+
+def _copies(ideals, held):
+    """Fresh copies of ideals; those at the indices in held hold their basis."""
+    copies = [Ideal(I.ring, I.gens) for I in ideals]
+    for side in held:
+        copies[side].groebner()
+    return copies
+
+
+def _saturate_by_reduced_bases(I, J):
+    """Reference for saturate: the reduced basis of the iterated colon,
+    stopped when the reduced bases of fresh copies agree."""
+    current = Ideal(I.ring, I.gens)
+    while True:
+        nxt = ideal_colon(current, Ideal(J.ring, J.gens))
+        if _equal_by_reduced_bases(nxt, current):
+            return Ideal(I.ring, current.gens).groebner().elements
+        current = nxt
+
+
+@pytest.mark.parametrize("field", ["F31", "Q"])
+def test_equality_saturation_and_regularity_ignore_held_bases(field):
+    # equal pairs, strict containments either way and incomparable pairs,
+    # with no basis held, one side's (either side) and both: ideal_equal,
+    # saturate and is_regular agree with references that compare the reduced
+    # bases of fresh copies, as the rule by held bases did
+    rng = random.Random(f"held bases {field}")
+    ring = make_ring(["x", "y", "z"], field, "grevlex")
+    kinds, regular = collections.Counter(), collections.Counter()
+    for _ in range(8):
+        I = _random_ideal(ring, rng)
+        h = _random_ideal(ring, rng).gens[0]
+        equal, larger = Ideal(ring, I.gens[::-1] + I.gens[:1]), ideal_sum(I, Ideal(ring, [h]))
+        for J in (equal, larger, _random_ideal(ring, rng)):
+            for A, B in ((I, J), (J, I)):
+                both = ideal_sum(A, B)
+                inside = (_equal_by_reduced_bases(both, B), _equal_by_reduced_bases(both, A))
+                kinds[inside] += 1
+                saturated = _saturate_by_reduced_bases(A, B)
+                f = B.gens[0]
+                is_nzd = _equal_by_reduced_bases(ideal_colon(A, Ideal(ring, [f])), A)
+                regular[is_nzd] += 1
+                for held in ((), (0,), (1,), (0, 1)):
+                    assert ideal_equal(*_copies((A, B), held)) == all(inside), (A, B, held)
+                    result = saturate(*_copies((A, B), held))
+                    assert Ideal(ring, result.gens).groebner().elements == saturated, (A, B, held)
+                    assert is_regular(f, _copies((A, B), held)[0]) == is_nzd, (A, f, held)
+    assert set(kinds) == {(True, True), (True, False), (False, True), (False, False)}, kinds
+    assert set(regular) == {True, False}, regular
 
 
 def _t_free_part_by_reference(gens, k):

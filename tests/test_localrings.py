@@ -31,6 +31,7 @@ from liaison.groebner import buchberger, elimination_basis, normal_form
 from liaison.ideals import (
     eliminate,
     hilbert_data,
+    ideal_colon,
     ideal_intersect,
     ideal_product,
     ideal_sum,
@@ -781,6 +782,40 @@ def test_regularity_certificate_edges():
         is_regular(Polynomial.zero(R), Ideal(R, [x]))
 
 
+def test_regularity_tests_only_the_colon_against_the_ideal(monkeypatch):
+    # I lies in (I : h), so is_regular tests each generator of the colon
+    # for membership in I, once, and never one of I's own generators
+    from liaison import ideals, linkage
+
+    colons, tested = [], []
+
+    def recording_colon(I, J):
+        colons.append(ideal_colon(I, J))
+        return colons[-1]
+
+    def recording_normal_form(f, basis):
+        tested.append(f)
+        return normal_form(f, basis)
+
+    monkeypatch.setattr(linkage, "ideal_colon", recording_colon)
+    monkeypatch.setattr(ideals, "normal_form", recording_normal_form)
+    for field in ("F31", "Q"):
+        R = make_ring(["x", "y", "z"], field, "grevlex")
+        x, y, z = R.gens()
+        for gens, h in (
+            ([x**2 + y**2, x**2 - y**2], z),
+            ([2 * x * y + 2 * z**2, x * z - y**2 + x * y + z**2], x + y + z),
+            ([2 * x**2 + 2 * y * z - 2 * x, 3 * y**2 - 3 * z], y + 1),
+        ):
+            I = Ideal(R, gens)
+            colons.clear()
+            tested.clear()
+            assert I.held_groebner() is None
+            assert is_regular(h, I)
+            assert tested == list(colons[0].gens), (field, gens)
+            assert not any(g in tested for g in I.gens), (field, gens)
+
+
 def _reduce_one_cut_at_a_time(I, seed):
     """Reference for artinian_reduce: (cuts, invariants) after cutting by
     linear forms certified regular one at a time by the colon, or None when
@@ -993,6 +1028,65 @@ def test_report_is_the_same_at_the_vertex_and_at_a_moved_point(field):
                 assert got == expected, (I, c, A)
             outcomes.add((expected["lci"], expected["gorenstein"]))
     assert {(True, True), (False, False)} <= outcomes, outcomes
+
+
+def _presentations(I, rng):
+    """I, I with its generators shuffled, and I with g1*x1 added: one more
+    generator, so a graded complete intersection takes the Artinian path."""
+    gens = list(I.gens)
+    return [I, Ideal(I.ring, rng.sample(gens, len(gens))), Ideal(I.ring, [*gens, gens[0] * I.ring.gens()[0]])]
+
+
+def _invariance_cases(field, rng):
+    """(homogeneous ideal, projective point on it): cones through the vertex
+    of the last variable, there and moved to (c:1), a complete intersection
+    among them; over F3 also the inconclusive cone of
+    test_inconclusive_is_reported_not_guessed and the three-point cone."""
+    R = make_ring(["x", "y", "z", "u"], field, "grevlex")
+    x, y, z, u = R.gens()
+    vertex = RationalPoint.projective(R, [0, 0, 0, 1])
+    cones = [Ideal(R, [x * z + y**2, x * y])] + [_vertex_ideal(R, rng) for _ in range(3)]
+    cases = []
+    for I in cones:
+        c = [rng.choice(R.field.random_sample()) for _ in range(3)]
+        cases += [(I, vertex), (_moved_to(I, c), RationalPoint.projective(R, [*c, 1]))]
+    if field == "F3":
+        S = make_ring(["x", "y", "z"], field, "grevlex")
+        x, y, z = S.gens()
+        point = RationalPoint.projective(S, [0, 0, 1])
+        cases += [
+            (Ideal(S, [x**4 * y - x**2 * y**3, x**3 * y**2 - x * y**4]), point),
+            (Ideal(S, [y * z, x * z, x**2 + 2 * y**2]), point),
+        ]
+    return cases
+
+
+@pytest.mark.parametrize("field", ["F31", "F5", "F3", "Q"])
+def test_local_reports_do_not_depend_on_presentation_or_seed(field):
+    # shuffled generators, a redundant generator g1*x1 and seeds 0-3 leave
+    # mu, codim and lci exact and equal; a Gorenstein verdict may be
+    # inconclusive (None) under one of them and definite under another, but
+    # two definite verdicts, with their length, socle and note, are equal.
+    # local_ci_test is read at the point, local_gorenstein at the vertex of
+    # the affine cone.
+    rng = random.Random(f"presentation {field}")
+    verdicts = set()
+    for I, point in _invariance_cases(field, rng):
+        reports, cone = [], []
+        for J in _presentations(I, rng):
+            for seed in range(4):
+                reports.append(local_ci_test(J, point, seed=seed).as_dict())
+                cone.append(local_gorenstein(J, seed=seed))
+        assert len({(r["mu"], r["codim"], r["lci"]) for r in reports}) == 1, (I, point)
+        definite = {
+            (r["length"], r["socle_dim"], r["gorenstein"], r["note"])
+            for r in reports if r["gorenstein"] is not None
+        }
+        assert len(definite) <= 1, (I, point, definite)
+        assert len({v for v in cone if v is not None}) <= 1, (I, cone)
+        verdicts |= {r["gorenstein"] for r in reports} | {None if v is None else v[2] for v in cone}
+    assert {True, False} <= verdicts, verdicts
+    assert field != "F3" or None in verdicts
 
 
 def test_local_reduction_agrees_with_regular_cuts_on_chart_ideals():
