@@ -9,7 +9,6 @@ Run with: python3 demos/03_linked_triples.py
 """
 
 import random
-from dataclasses import asdict
 
 from liaison import (
     Ideal,
@@ -50,7 +49,7 @@ print("is B a doubling of A2?", doubling_check(B, A2))
 # regular on B iff it is regular on both links, and the socles of the two
 # kernel carriers agree with the socle of B.
 print("\nregular-element transfer for h = x2:",
-      asdict(regular_element_transfer_test(triple, x2)))
+      regular_element_transfer_test(triple, x2).as_dict())
 print("socle agreement:", socle_lemma_test(triple).as_dict())
 
 # The same property on randomly generated linked triples over F31.

@@ -27,6 +27,7 @@ from .ideals import Ideal, hilbert_data, ideal_equal, ideal_intersect
 from .linalg import kernel_basis, solve
 from .localrings import LocalPointReport, RationalPoint, local_mu, translate_to_origin
 from .polynomials import Polynomial, binary_coefficients, binary_forms_have_common_zero
+from .reports import Report
 
 
 class ClassificationDiscrepancy(RuntimeError):
@@ -116,23 +117,13 @@ def support_relation(L1, L2):
 
 
 @dataclass
-class ClassificationVerdict:
+class ClassificationVerdict(Report):
     lal: bool
     case_tag: str
     witness: dict | None = None
     mode: str = "conditions"
     oracle_verdict: str | None = None
-    point_reports: list = dc_field(default_factory=list)
-
-    def as_dict(self):
-        return {
-            "lal": self.lal,
-            "case_tag": self.case_tag,
-            "witness": self.witness,
-            "mode": self.mode,
-            "oracle_verdict": self.oracle_verdict,
-            "points_tested": [r.as_dict() for r in self.point_reports],
-        }
+    point_reports: list = dc_field(default_factory=list, metadata={"json": "points_tested"})
 
 
 def _oriented_forms(line, shared):

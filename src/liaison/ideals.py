@@ -13,7 +13,7 @@ Thm 2.1.2), and their Hilbert series is read off their degrees, with no
 basis.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dc_field
 
 from .groebner import (
     GroebnerBasis, buchberger, divide, elimination_basis, normal_form, reduced_basis,
@@ -21,6 +21,7 @@ from .groebner import (
 from .polynomials import (
     Polynomial, binary_forms_have_common_zero, mono_div, mono_divides, mono_gcd, mono_lcm,
 )
+from .reports import Report
 from .rings import GREVLEX, MonomialOrder, make_ring
 
 
@@ -397,21 +398,13 @@ def _divide_by_one_minus_t(coeffs):
 
 
 @dataclass(frozen=True)
-class HilbertData:
+class HilbertData(Report):
     krull_dimension: int
     projective_dimension: int
     degree: int
     numerator: tuple
     # the numerator over (1-t)^codim, whose coefficients sum to the degree
-    h_vector: tuple = ()
-
-    def as_dict(self):
-        return {
-            "krull_dimension": self.krull_dimension,
-            "projective_dimension": self.projective_dimension,
-            "degree": self.degree,
-            "numerator": list(self.numerator),
-        }
+    h_vector: tuple = dc_field(default=(), metadata={"json": None})
 
 
 def hilbert_data(I):

@@ -20,6 +20,7 @@ necessary-condition verification.  All socles are read off the
 multiplication matrices of R/base (see localrings).
 """
 
+from collections import namedtuple
 from dataclasses import dataclass, field as dc_field
 
 from .groebner import divide
@@ -40,6 +41,7 @@ from .localrings import (
     socle_dimensions,
 )
 from .polynomials import Polynomial
+from .reports import Report
 
 NECESSARY_CONDITION_NOTE = (
     "necessary-condition verification: colon symmetry, lengths, and socles "
@@ -81,8 +83,12 @@ def doubling_check(base, first):
     return hilbert_data(base).degree == 2 * hilbert_data(first).degree
 
 
+# the Gorenstein invariants at one point; a tuple, so callers index or unpack it
+PointInvariants = namedtuple("PointInvariants", "point length socle_dim gorenstein")
+
+
 @dataclass
-class TripleReport:
+class TripleReport(Report):
     containments: tuple = (False, False)
     colon_first: bool = False  # (base : first) == second
     colon_second: bool = False  # (base : second) == first
@@ -90,7 +96,7 @@ class TripleReport:
     dimensions_equal: bool = False
     degrees: tuple = ()
     degree_additive: bool = False
-    point_reports: list = dc_field(default_factory=list)
+    point_reports: list = dc_field(default_factory=list, metadata={"json": "point_invariants"})
     gorenstein_ok: bool | None = None
     passed: bool = False
     note: str = NECESSARY_CONDITION_NOTE
@@ -104,26 +110,10 @@ class TripleReport:
 
     @property
     def points_tested(self):
-        return [report[0] for report in self.point_reports]
+        return [r.point for r in self.point_reports]
 
     def as_dict(self):
-        return {
-            "containments": list(self.containments),
-            "colon_first": self.colon_first,
-            "colon_second": self.colon_second,
-            "dimensions": list(self.dimensions),
-            "dimensions_equal": self.dimensions_equal,
-            "degrees": list(self.degrees),
-            "degree_additive": self.degree_additive,
-            "points_tested": [str(p) for p in self.points_tested],
-            "point_invariants": [
-                {"point": str(p), "length": l, "socle_dim": s, "gorenstein": g}
-                for (p, l, s, g) in self.point_reports
-            ],
-            "gorenstein_ok": self.gorenstein_ok,
-            "passed": self.passed,
-            "note": self.note,
-        }
+        return {**super().as_dict(), "points_tested": [str(p) for p in self.points_tested]}
 
 
 def _determinant(ring, rows):
@@ -227,7 +217,7 @@ def verify_linked_triple(triple, seed=0):
     if gor is True and h != h[::-1]:
         # a graded Gorenstein quotient has a symmetric h-vector (Stanley)
         raise RuntimeError(f"Gorenstein verdict contradicts the h-vector {list(h)} of the base")
-    report.point_reports.append((origin, length, socle_dim, gor))
+    report.point_reports.append(PointInvariants(origin, length, socle_dim, gor))
     report.gorenstein_ok = gor
 
     quotients = [q for q, _ in division]
@@ -241,7 +231,7 @@ def verify_linked_triple(triple, seed=0):
 
 
 @dataclass
-class RegularTransferReport:
+class RegularTransferReport(Report):
     regular_base: bool
     regular_first: bool
     regular_second: bool
@@ -269,13 +259,10 @@ def regular_element_transfer_test(triple, h):
 
 
 @dataclass
-class SocleLemmaReport:
+class SocleLemmaReport(Report):
     socle_dim: int
     dims: tuple
     all_equal: bool
-
-    def as_dict(self):
-        return {"socle_dim": self.socle_dim, "dims": list(self.dims), "all_equal": self.all_equal}
 
 
 def socle_lemma_test(triple):

@@ -37,6 +37,7 @@ from .ideals import (
 )
 from .linalg import rank, rref
 from .polynomials import Polynomial, coefficient_text, substitute
+from .reports import Report
 from .rings import GREVLEX, make_ring
 
 # tuples of linear forms drawn before a Gorenstein verdict is inconclusive
@@ -84,7 +85,7 @@ class RationalPoint:
 
 
 @dataclass
-class LocalPointReport:
+class LocalPointReport(Report):
     """Local invariants of an ideal at a rational point."""
 
     mu: int
@@ -95,18 +96,6 @@ class LocalPointReport:
     gorenstein: bool | None = None
     point: RationalPoint | None = None
     note: str = ""
-
-    def as_dict(self):
-        return {
-            "mu": self.mu,
-            "codim": self.codim,
-            "lci": self.lci,
-            "length": self.length,
-            "socle_dim": self.socle_dim,
-            "gorenstein": self.gorenstein,
-            "point": str(self.point) if self.point is not None else None,
-            "note": self.note,
-        }
 
 
 def vanishes_at(I, point):

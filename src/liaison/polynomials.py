@@ -243,8 +243,6 @@ class Polynomial:
 
     def __eq__(self, other):
         if not isinstance(other, Polynomial):
-            if isinstance(other, int) and other == 0:
-                return not self.terms
             return NotImplemented
         return self.ring == other.ring and self.terms == other.terms
 

@@ -171,6 +171,39 @@ MUTANTS = (
         ],
     ),
     (
+        "reports.py",
+        'name = f.metadata.get("json", f.name)',
+        "name = f.name",
+        [
+            "tests/test_reports.py::test_every_report_prints_its_fields_by_one_rule[HilbertData]",
+            "tests/test_linkage.py::test_skew_lines_take_the_colon_fallback",
+        ],
+    ),
+    (
+        "reports.py",
+        "if name is not None:\n                out[name]",
+        "if True:\n                out[name or f.name]",
+        ["tests/test_reports.py::test_every_report_prints_its_fields_by_one_rule[HilbertData]"],
+    ),
+    (
+        "reports.py",
+        'if isinstance(value, tuple) and hasattr(value, "_fields"):',
+        "if False:",
+        [
+            "tests/test_reports.py::test_every_report_prints_its_fields_by_one_rule[TripleReport]",
+            "tests/test_linkage.py::test_skew_lines_take_the_colon_fallback",
+        ],
+    ),
+    (
+        "reports.py",
+        "if isinstance(value, Report):\n        return value.as_dict()",
+        'if hasattr(value, "__dataclass_fields__"):\n        return Report.as_dict(value)',
+        [
+            "tests/test_reports.py::test_every_report_prints_its_fields_by_one_rule[LocalPointReport]",
+            "tests/test_acceptance.py::test_criterion_10_cli_golden_files",
+        ],
+    ),
+    (
         "cli.py",
         '"POINT": Session.lookup_point',
         '"POINT": Session.lookup_ideal',

@@ -729,4 +729,4 @@ def test_local_leading_ideal_examples():
             assert (data.krull_dimension, data.degree) == (dim, multiplicity), gens
     graded = Ideal(R, [x * y, y**2])
     L, cone = local_leading_ideal(graded)
-    assert cone is graded and set(L.groebner()) == {x * y, y**2}
+    assert ideal_equal(cone, graded) and set(L.groebner()) == {x * y, y**2}
