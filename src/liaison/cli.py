@@ -4,10 +4,14 @@
 
 A command's usage string, such as IDEAL POINT, is its argument schema: one
 session name per word, looked up as the word's kind and passed on in order.
-Exit codes: 0 success or true verdict, 1 false verdict, 2 error,
-3 inconclusive.  With --json the output is a stable document (byte-stable
-for a fixed session, command, and seed); timings are only included when
---timings is passed, so they never break stability.
+Each handler returns (result, text, verdict); a command with no verdict
+passes True.  main alone turns that into output: the exit code from the
+verdict (0 True, 1 False, 3 None, the inconclusive one; 2 is an error),
+and with --json a stable document (byte-stable for a fixed session,
+command, and seed) holding the result as JSON data, its witness, and the
+points tested: the command's POINT arguments, then the point of each of
+the result's point_reports.  Timings are only included when --timings is
+passed, so they never break stability.
 """
 
 import argparse
@@ -25,21 +29,14 @@ from .ideals import (
 )
 from .linkage import LinkedTriple, doubling_check, link, verify_linked_triple
 from .localrings import local_ci_test, local_gorenstein, local_mu, translate_to_origin
+from .reports import json_value
 from .sessions import Session, parse_session
 
 EXIT_OK = 0
 EXIT_FALSE = 1
 EXIT_ERROR = 2
 EXIT_INCONCLUSIVE = 3
-
-
-class CommandResult:
-    def __init__(self, result, text, exit_code=EXIT_OK, witnesses=None, points_tested=None):
-        self.result = result
-        self.text = text
-        self.exit_code = exit_code
-        self.witnesses = witnesses
-        self.points_tested = points_tested or []
+_EXIT_CODES = {True: EXIT_OK, False: EXIT_FALSE, None: EXIT_INCONCLUSIVE}
 
 
 def _ideal_strings(I):
@@ -49,13 +46,13 @@ def _ideal_strings(I):
 def _cmd_gb(opts, I):
     gens = _ideal_strings(I)
     text = ["reduced Groebner basis (" + str(I.ring.order) + "):"] + ["  " + g for g in gens]
-    return CommandResult({"generators": gens, "order": str(I.ring.order)}, text)
+    return {"generators": gens, "order": str(I.ring.order)}, text, True
 
 def _binary_ideal_command(operation, label):
     def run(opts, I, J):
         gens = _ideal_strings(operation(I, J))
         text = [f"{label}({opts.args[0]}, {opts.args[1]}):"] + ["  " + g for g in gens]
-        return CommandResult({"generators": gens}, text)
+        return {"generators": gens}, text, True
 
     return run
 
@@ -68,62 +65,46 @@ def _cmd_hilbert(opts, I):
         f"degree:                 {data.degree}",
         f"numerator coefficients: {list(data.numerator)}",
     ]
-    return CommandResult(data.as_dict(), text)
+    return data, text, True
 
 
 def _cmd_localize(opts, I, p):
     J = translate_to_origin(I, p)
     gens = [str(g) for g in J.gens]
     text = [f"chart ideal at {p} in {J.ring!r}:"] + ["  " + g for g in gens]
-    return CommandResult(
-        {"generators": gens, "chart_ring": repr(J.ring)}, text, points_tested=[p]
-    )
+    return {"generators": gens, "chart_ring": repr(J.ring)}, text, True
 
 
 def _cmd_mu(opts, I, p):
     mu = local_mu(translate_to_origin(I, p))
-    return CommandResult({"mu": mu}, [f"mu at {p}: {mu}"], points_tested=[p])
+    return {"mu": mu}, [f"mu at {p}: {mu}"], True
 
 
 def _cmd_lci(opts, I, p):
     report = local_ci_test(I, p, seed=opts.seed)
-    code = EXIT_OK if report.lci else EXIT_FALSE
     text = [
         f"point {p}: mu = {report.mu}, codim = {report.codim}, "
         f"lci = {report.lci}, gorenstein = {report.gorenstein}"
     ]
-    return CommandResult(report.as_dict(), text, exit_code=code, points_tested=[p])
+    return report, text, report.lci
 
 
 def _cmd_gorenstein(opts, I, p):
     invariants = local_gorenstein(translate_to_origin(I, p), seed=opts.seed)
     if invariants is None:
-        return CommandResult(
+        return (
             {"gorenstein": None, "note": "no certified Artinian reduction"},
             [f"point {p}: inconclusive (no certified Artinian reduction: "
              "slice budget spent)"],
-            exit_code=EXIT_INCONCLUSIVE,
-            points_tested=[p],
+            None,
         )
     length, socle_dim, gor = invariants
-    code = EXIT_OK if gor else EXIT_FALSE
     text = [f"point {p}: length = {length}, socle_dim = {socle_dim}, gorenstein = {gor}"]
-    return CommandResult(
-        {"gorenstein": gor, "length": length, "socle_dim": socle_dim},
-        text,
-        exit_code=code,
-        points_tested=[p],
-    )
+    return invariants, text, gor
 
 
 def _cmd_verify_triple(opts, base, first, second):
     report = verify_linked_triple(LinkedTriple(base, first, second), seed=opts.seed)
-    if report.passed:
-        code = EXIT_OK
-    elif report.exact_checks_passed and report.gorenstein_ok is None:
-        code = EXIT_INCONCLUSIVE
-    else:
-        code = EXIT_FALSE
     text = [
         f"colon symmetry: {report.colon_first and report.colon_second}",
         f"dimensions: {report.dimensions} equal={report.dimensions_equal}",
@@ -131,20 +112,18 @@ def _cmd_verify_triple(opts, base, first, second):
         f"gorenstein at the cone origin: {report.gorenstein_ok}",
         f"passed: {report.passed}",
     ]
-    return CommandResult(
-        report.as_dict(), text, exit_code=code, points_tested=report.points_tested
-    )
+    # None: every exact check passed, and only the Gorenstein verdict is open
+    inconclusive = report.exact_checks_passed and report.gorenstein_ok is None
+    return report, text, None if inconclusive else report.passed
 
 
 def _cmd_doubling(opts, base, first):
     verdict = doubling_check(base, first)
-    code = EXIT_OK if verdict else EXIT_FALSE
-    return CommandResult({"doubling": verdict}, [f"doubling: {verdict}"], exit_code=code)
+    return {"doubling": verdict}, [f"doubling: {verdict}"], verdict
 
 
 def _cmd_classify(opts, L1, L2):
     verdict = classify(L1, L2, mode=opts.mode)
-    code = EXIT_OK if verdict.lal else EXIT_FALSE
     text = [
         f"lal: {verdict.lal}",
         f"case: {verdict.case_tag}",
@@ -154,13 +133,7 @@ def _cmd_classify(opts, L1, L2):
     ]
     if verdict.witness:
         text.append(f"witness: {verdict.witness}")
-    return CommandResult(
-        verdict.as_dict(),
-        text,
-        exit_code=code,
-        witnesses=verdict.witness,
-        points_tested=[r.point for r in verdict.point_reports if r.point is not None],
-    )
+    return verdict, text, verdict.lal
 
 
 _COMMANDS = {
@@ -221,7 +194,7 @@ def main(argv=None):
         phase = opts.command
         started = time.perf_counter()
         values = [_KINDS[kind](session, name) for kind, name in zip(kinds, opts.args)]
-        outcome = handler(opts, *values)
+        result, lines, verdict = handler(opts, *values)
     except (KeyError, ValueError, ClassificationDiscrepancy) as exc:
         # ParseError is a ValueError whose first argument carries line and col
         message = exc.args[0] if exc.args else str(exc)
@@ -235,19 +208,19 @@ def main(argv=None):
         return EXIT_ERROR
     elapsed = time.perf_counter() - started
     if opts.json:
+        points = [v for kind, v in zip(kinds, values) if kind == "POINT"]
+        points += [r.point for r in getattr(result, "point_reports", ())]
         document = {
             "schema": 1,
             "command": opts.command,
             "inputs": list(opts.args),
-            "result": outcome.result,
-            "witnesses": outcome.witnesses,
-            "points_tested": [str(p) for p in outcome.points_tested],
+            "result": json_value(result),
+            "witnesses": getattr(result, "witness", None),
+            "points_tested": [str(p) for p in points],
             "seed": opts.seed,
             "timings": {"seconds": round(elapsed, 6)} if opts.timings else None,
         }
         lines = [json.dumps(document, indent=2, sort_keys=True)]
-    else:
-        lines = outcome.text
     try:
         for line in lines:
             print(line)
@@ -260,7 +233,7 @@ def main(argv=None):
         sys.stdout = open(os.devnull, "w", encoding="utf-8")
         print("error: stdout closed before the output was written", file=sys.stderr)
         return EXIT_ERROR
-    return outcome.exit_code
+    return _EXIT_CODES[verdict]
 
 
 if __name__ == "__main__":

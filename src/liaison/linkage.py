@@ -34,6 +34,7 @@ from .ideals import (
     sub_shifted,
 )
 from .localrings import (
+    GorensteinInvariants,
     RationalPoint,
     artinian_reduce,
     is_graded_complete_intersection,
@@ -84,7 +85,7 @@ def doubling_check(base, first):
 
 
 # the Gorenstein invariants at one point; a tuple, so callers index or unpack it
-PointInvariants = namedtuple("PointInvariants", "point length socle_dim gorenstein")
+PointInvariants = namedtuple("PointInvariants", ("point", *GorensteinInvariants._fields))
 
 
 @dataclass

@@ -24,6 +24,7 @@ codimension, the chart's variables minus d, is always exact.
 """
 
 import random
+from collections import namedtuple
 from dataclasses import dataclass
 
 from .groebner import normal_form, reduced_basis, schreyer_constants
@@ -42,6 +43,9 @@ from .rings import GREVLEX, make_ring
 
 # tuples of linear forms drawn before a Gorenstein verdict is inconclusive
 SLICE_BUDGET = 8
+
+# the Gorenstein invariants of a local ring; a tuple, so callers index or unpack it
+GorensteinInvariants = namedtuple("GorensteinInvariants", "length socle_dim gorenstein")
 
 
 @dataclass(frozen=True)
@@ -197,8 +201,8 @@ def _multiplication_matrices(gb, std):
 
 
 def artinian_invariants(Q):
-    """(length, socle_dim, gorenstein) of the local ring of a zero-dimensional
-    Q at the origin.
+    """GorensteinInvariants (length, socle_dim, gorenstein) of the local ring
+    of a zero-dimensional Q at the origin.
 
     The local ring is R/Q_0, Q_0 the origin's primary component of Q = Q_0
     cap Q'.  With d = dim_k R/Q and J = (x_1^d, ..., x_n^d), J lies in Q_0,
@@ -219,7 +223,7 @@ def artinian_invariants(Q):
     powers = [v**length for v in ring.gens()]
     if any(normal_form(p, gb) for p in powers):
         length, socle_dim = socle_dimensions(Ideal(ring, [*gb.elements, *powers]).groebner(), ())
-    return length, socle_dim, socle_dim == 1
+    return GorensteinInvariants(length, socle_dim, socle_dim == 1)
 
 
 def socle_dimensions(gb, carriers):
@@ -318,16 +322,17 @@ def _reduced_at_origin(I, seed):
     when the slice budget is spent (maybe before any draw), read off L(I)."""
     if is_graded_complete_intersection(I):
         data = hilbert_data(I)
-        return I.ring.nvars - data.krull_dimension, (data.degree, 1, True)
+        return I.ring.nvars - data.krull_dimension, GorensteinInvariants(data.degree, 1, True)
     Q, forms = artinian_reduce(I, seed=seed)
     if Q is None:
         return I.ring.nvars - hilbert_data(local_leading_ideal(I)[0]).krull_dimension, None
     codim = I.ring.nvars - len(forms)
-    return codim, (None, None, False) if Q is False else artinian_invariants(Q)
+    return codim, GorensteinInvariants(None, None, False) if Q is False else artinian_invariants(Q)
 
 
 def local_gorenstein(I, seed=0):
-    """(length, socle_dim, gorenstein) of the local ring of I at the origin.
+    """GorensteinInvariants (length, socle_dim, gorenstein) of the local ring
+    of I at the origin.
 
     A graded complete intersection (is_graded_complete_intersection) is
     Gorenstein of type 1 with length deg R/I (Bruns-Herzog, Prop. 3.1.20),

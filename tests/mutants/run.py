@@ -209,6 +209,33 @@ MUTANTS = (
         '"POINT": Session.lookup_ideal',
         ["tests/test_cli.py::test_unknown_names_and_wrong_arity_exit_two"],
     ),
+    (
+        "cli.py",
+        "None: EXIT_INCONCLUSIVE}",
+        "None: EXIT_FALSE}",
+        [
+            "tests/test_cli.py::test_gorenstein_inconclusive_exits_three",
+            "tests/test_cli.py::test_verify_triple_exhausted_budget_exits_three",
+        ],
+    ),
+    (
+        "cli.py",
+        "return report, text, None if inconclusive else report.passed",
+        "return report, text, report.passed",
+        ["tests/test_cli.py::test_verify_triple_exhausted_budget_exits_three"],
+    ),
+    (
+        "cli.py",
+        'points = [v for kind, v in zip(kinds, values) if kind == "POINT"]',
+        "points = []",
+        ["tests/test_cli.py::test_points_tested_and_witnesses_of_each_command_kind[mu I1 P]"],
+    ),
+    (
+        "cli.py",
+        'points += [r.point for r in getattr(result, "point_reports", ())]',
+        "points += []",
+        ["tests/test_cli.py::test_points_tested_and_witnesses_of_each_command_kind[classify M1 M2]"],
+    ),
 )
 
 

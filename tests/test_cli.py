@@ -231,6 +231,42 @@ def test_json_schema_fields():
     assert "result" in doc and "witnesses" in doc and "points_tested" in doc
 
 
+# (fixture, argv, points_tested, whether the result carries a witness): the
+# command's POINT arguments, then the points of the result's point_reports
+POINT_CASES = [
+    *[
+        ("double_lines.session", [command, "I1", name], [point], False)
+        for command in ("localize", "mu", "lci", "gorenstein")
+        for name, point in (("P", "(0:0:0:1)"), ("S", "(0:0:1:1)"))
+    ],
+    ("double_lines.session", ["gb", "I1"], [], False),
+    ("double_lines.session", ["colon", "Y", "I1"], [], False),
+    ("double_lines.session", ["hilbert", "I1"], [], False),
+    ("fossum.session", ["doubling", "B", "A1"], [], False),
+    ("fossum.session", ["verify-triple", "B", "A1", "A2"], ["(0,0)"], False),
+    ("double_lines.session", ["classify", "M1", "M2"], ["(0:0:0:1)"], True),
+    ("double_lines.session", ["classify", "L1", "L2"], [], True),
+    ("double_lines.session", ["classify", "D1", "D2"], [], False),
+]
+
+
+@pytest.mark.parametrize(
+    "fixture, argv, points, witnessed", POINT_CASES, ids=[" ".join(c[1]) for c in POINT_CASES]
+)
+def test_points_tested_and_witnesses_of_each_command_kind(capsys, fixture, argv, points, witnessed):
+    from liaison import cli
+
+    code = cli.main([str(FIXTURES / fixture), *argv, "--json"])
+    assert code != cli.EXIT_ERROR
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["points_tested"] == points
+    if witnessed:
+        assert doc["witnesses"] is not None
+        assert doc["witnesses"] == doc["result"]["witness"]
+    else:
+        assert doc["witnesses"] is None
+
+
 def test_json_byte_stable_across_runs():
     commands = [
         ("fossum.session", ["verify-triple", "B", "A1", "A2", "--seed", "7"]),

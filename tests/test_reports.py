@@ -14,7 +14,8 @@ from liaison import (
     socle_lemma_test,
     verify_linked_triple,
 )
-from liaison.localrings import RationalPoint
+from liaison.linkage import PointInvariants
+from liaison.localrings import GorensteinInvariants, RationalPoint, local_gorenstein
 from liaison.reports import Report
 
 
@@ -136,3 +137,9 @@ def test_triple_point_invariants_stay_tuples():
     point, length, socle_dim, gorenstein = entry
     assert (str(point), length, socle_dim, gorenstein) == ("(0,0)", 4, 1, True)
     assert report.points_tested == [point]
+    # one name for the Gorenstein invariants: a point's entry is the point
+    # and the named tuple local_gorenstein returns
+    assert PointInvariants._fields == ("point", "length", "socle_dim", "gorenstein")
+    invariants = local_gorenstein(_fossum()[0].base)
+    assert isinstance(invariants, GorensteinInvariants)
+    assert invariants == (length, socle_dim, gorenstein)
