@@ -26,26 +26,12 @@ from dataclasses import dataclass, field as dc_field
 from .ideals import Ideal, hilbert_data, ideal_equal, ideal_intersect
 from .linalg import kernel_basis, solve
 from .localrings import LocalPointReport, RationalPoint, local_mu, translate_to_origin
-from .polynomials import Polynomial, binary_coefficients, binary_forms_have_common_zero
+from .polynomials import Polynomial, binary_coefficients, binary_form, binary_forms_have_common_zero
 from .reports import Report
 
 
 class ClassificationDiscrepancy(RuntimeError):
     """Condition-based verdict and geometric oracle disagree (build-failing)."""
-
-
-def binary_form(ring, pencil, coeffs):
-    """The form sum c_k * v^k * w^(d-k), d = len(coeffs) - 1; the inverse of
-    binary_coefficients."""
-    v, w = pencil
-    d = len(coeffs) - 1
-    terms = {}
-    for k, c in enumerate(coeffs):
-        if c != ring.field.zero:
-            e = [0] * ring.nvars
-            e[v], e[w] = k, d - k
-            terms[tuple(e)] = c
-    return Polynomial(ring, terms)
 
 
 @dataclass(frozen=True)

@@ -5,10 +5,10 @@ and shardable; finite fields (p around 31) keep Groebner bases small, the
 rationals are reserved for the exact fixtures.
 """
 
-from .doublelines import DoubleLine, binary_form
+from .doublelines import DoubleLine
 from .ideals import Ideal, hilbert_data
 from .linkage import LinkedTriple
-from .polynomials import Polynomial, binary_coefficients, binary_forms_have_common_zero
+from .polynomials import Polynomial, binary_coefficients, binary_form, binary_forms_have_common_zero
 
 
 def _coefficient_pool(field):

@@ -76,8 +76,6 @@ class Ideal:
         return self._gb
 
     def contains(self, f):
-        if f.is_zero():
-            return True
         return normal_form(f, self.groebner()).is_zero()
 
     def contains_ideal(self, other):

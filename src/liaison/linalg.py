@@ -51,11 +51,8 @@ def kernel_basis(rows, ncols, field):
 
 
 def solve(rows, rhs, field):
-    """One solution of rows * x = rhs, or None if inconsistent."""
-    if not rows:
-        if any(b != field.zero for b in rhs):
-            return None
-        return []
+    """One solution of rows * x = rhs (at least one row), or None if
+    inconsistent."""
     ncols = len(rows[0])
     augmented = [list(r) + [b] for r, b in zip(rows, rhs)]
     reduced, pivots = rref(augmented, field)

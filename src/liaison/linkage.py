@@ -90,24 +90,17 @@ PointInvariants = namedtuple("PointInvariants", ("point", *GorensteinInvariants.
 
 @dataclass
 class TripleReport(Report):
-    containments: tuple = (False, False)
-    colon_first: bool = False  # (base : first) == second
-    colon_second: bool = False  # (base : second) == first
-    dimensions: tuple = ()
-    dimensions_equal: bool = False
-    degrees: tuple = ()
-    degree_additive: bool = False
-    point_reports: list = dc_field(default_factory=list, metadata={"json": "point_invariants"})
-    gorenstein_ok: bool | None = None
-    passed: bool = False
+    containments: tuple  # (first contains base, second contains base)
+    colon_first: bool  # (base : first) == second
+    colon_second: bool  # (base : second) == first
+    dimensions: tuple
+    dimensions_equal: bool
+    degrees: tuple
+    degree_additive: bool
+    point_reports: list = dc_field(metadata={"json": "point_invariants"})
+    gorenstein_ok: bool | None
+    passed: bool | None  # None: every exact check passed, the Gorenstein verdict is open
     note: str = NECESSARY_CONDITION_NOTE
-
-    @property
-    def exact_checks_passed(self):
-        """Containments, colon symmetry, dimensions and degree additivity:
-        the checks that need no random slice."""
-        flags = (self.colon_first, self.colon_second, self.dimensions_equal, self.degree_additive)
-        return all(self.containments) and all(flags)
 
     @property
     def points_tested(self):
@@ -175,13 +168,16 @@ def _linked_by_certificate(triple, quotients, seed):
 def verify_linked_triple(triple, seed=0):
     """Full verification report for a linked triple.
 
-    Checks containments, colon symmetry, equal dimensions, degree additivity
-    (the length shadow of the two exact sequences), and the Gorenstein
-    verdict of the extension at the origin of the affine cone: the ideals
-    are homogeneous, so that local ring decides it for the graded ring.
-    The report lists the point tested.  A Gorenstein verdict on a base
-    whose h-vector is not symmetric is an internal contradiction: it
-    raises RuntimeError and is never reported.
+    Checks containments, colon symmetry, degree additivity (the length
+    shadow of the two exact sequences), and the Gorenstein verdict of the
+    extension at the origin of the affine cone: the ideals are homogeneous,
+    so that local ring decides it for the graded ring.  The report lists the
+    point tested, and its passed is decided here alone: True when every
+    exact check passed and R/base is Gorenstein, False when one failed or
+    R/base is not Gorenstein, None when all passed and the Gorenstein
+    verdict is inconclusive (the slice budget ran out).  Unequal dimensions
+    raise ValueError.  A Gorenstein verdict on a base whose h-vector is not
+    symmetric is an internal contradiction: it raises RuntimeError.
 
     When the base is Gorenstein and both containments hold, colon symmetry
     is first tried by certificate (see _linked_by_certificate), which sets
@@ -195,22 +191,14 @@ def verify_linked_triple(triple, seed=0):
         raise ValueError("triple mixes ring contexts")
     if not all(I.is_homogeneous() for I in triple.ideals()):
         raise ValueError("verification needs homogeneous ideals (dimension bookkeeping)")
-    report = TripleReport()
     gb = first.groebner()
     division = [divide(g, gb) for g in base.gens]
-    report.containments = (
-        all(r.is_zero() for _, r in division),
-        second.contains_ideal(base),
-    )
+    containments = (all(r.is_zero() for _, r in division), second.contains_ideal(base))
     data = [hilbert_data(I) for I in triple.ideals()]
     dims = tuple(d.krull_dimension for d in data)
     degs = tuple(d.degree for d in data)
-    report.dimensions = dims
-    report.dimensions_equal = dims[0] == dims[1] == dims[2]
-    if not report.dimensions_equal:
+    if not dims[0] == dims[1] == dims[2]:
         raise ValueError(f"dimension mismatch between the three ideals: {dims}")
-    report.degrees = degs
-    report.degree_additive = degs[0] == degs[1] + degs[2]
 
     origin = RationalPoint.affine(base.ring, [0] * base.ring.nvars)
     length, socle_dim, gor = local_gorenstein(base, seed=seed) or (None, None, None)
@@ -218,17 +206,26 @@ def verify_linked_triple(triple, seed=0):
     if gor is True and h != h[::-1]:
         # a graded Gorenstein quotient has a symmetric h-vector (Stanley)
         raise RuntimeError(f"Gorenstein verdict contradicts the h-vector {list(h)} of the base")
-    report.point_reports.append(PointInvariants(origin, length, socle_dim, gor))
-    report.gorenstein_ok = gor
 
     quotients = [q for q, _ in division]
-    if gor is True and all(report.containments) and _linked_by_certificate(triple, quotients, seed):
-        report.colon_first = report.colon_second = True
+    if gor is True and all(containments) and _linked_by_certificate(triple, quotients, seed):
+        colon_first = colon_second = True
     else:
-        report.colon_first = ideal_equal(ideal_colon(base, first), second)
-        report.colon_second = ideal_equal(ideal_colon(base, second), first)
-    report.passed = report.exact_checks_passed and gor is True
-    return report
+        colon_first = ideal_equal(ideal_colon(base, first), second)
+        colon_second = ideal_equal(ideal_colon(base, second), first)
+    degree_additive = degs[0] == degs[1] + degs[2]
+    return TripleReport(
+        containments=containments,
+        colon_first=colon_first,
+        colon_second=colon_second,
+        dimensions=dims,
+        dimensions_equal=True,  # a mismatch raised ValueError above
+        degrees=degs,
+        degree_additive=degree_additive,
+        point_reports=[PointInvariants(origin, length, socle_dim, gor)],
+        gorenstein_ok=gor,
+        passed=gor if all((*containments, colon_first, colon_second, degree_additive)) else False,
+    )
 
 
 @dataclass

@@ -339,6 +339,20 @@ def binary_coefficients(form, pencil, degree):
     return coeffs
 
 
+def binary_form(ring, pencil, coeffs):
+    """The form sum c_k * v^k * w^(d-k), d = len(coeffs) - 1; the inverse of
+    binary_coefficients."""
+    v, w = pencil
+    d = len(coeffs) - 1
+    terms = {}
+    for k, c in enumerate(coeffs):
+        if c != ring.field.zero:
+            e = [0] * ring.nvars
+            e[v], e[w] = k, d - k
+            terms[tuple(e)] = c
+    return Polynomial(ring, terms)
+
+
 def _univariate_gcd_degree(a, b, field):
     """Degree of gcd of two univariate coefficient lists (may be empty)."""
 

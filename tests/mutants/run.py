@@ -219,10 +219,22 @@ MUTANTS = (
         ],
     ),
     (
-        "cli.py",
-        "return report, text, None if inconclusive else report.passed",
-        "return report, text, report.passed",
+        "linkage.py",
+        "passed=gor if all((*containments, colon_first, colon_second, degree_additive)) else False,",
+        "passed=all((*containments, colon_first, colon_second, degree_additive)) and gor is True,",
         ["tests/test_cli.py::test_verify_triple_exhausted_budget_exits_three"],
+    ),
+    (
+        "linkage.py",
+        "passed=gor if all((*containments, colon_first, colon_second, degree_additive)) else False,",
+        "passed=gor,",
+        ["tests/test_cli.py::test_verify_triple_failed_exact_check_exits_one"],
+    ),
+    (
+        "linkage.py",
+        'raise ValueError("link requires quotients of equal dimension")',
+        "pass",
+        ["tests/test_cli.py::test_cli_check[link-of-unequal-dimensions]"],
     ),
     (
         "cli.py",

@@ -538,6 +538,12 @@ CLI_CHECKS = {
         "ideal A2 = z^2, x*z, y*z, x^3 + y^3\n",
         ["verify-triple", "B", "A1", "A2"], 2, "dimension mismatch between the three ideals: (2, 1, 1)",
     ),
+    # (x, y, z) contains (x^2, y^2), but its quotient has the smaller
+    # dimension: link refuses the pair
+    "link-of-unequal-dimensions": (
+        "ring Q[x,y,z,u] order grevlex\nideal B = x^2, y^2\nideal A = x, y, z\n",
+        ["link", "B", "A"], 2, "link requires quotients of equal dimension",
+    ),
     # a coefficient the interpreter refuses to read is a parse error at its
     # token, not an error with no position
     "coefficient-past-the-digit-limit": pytest.param(
@@ -590,6 +596,7 @@ def test_verify_triple_failed_exact_check_exits_one(tmp_path):
     proc = run_cli(str(session), "verify-triple", "B", "A", "A")
     assert "colon symmetry: False" in proc.stdout
     assert "gorenstein at the cone origin: None" in proc.stdout
+    assert "passed: False" in proc.stdout
     assert proc.returncode == 1
 
 
@@ -637,6 +644,11 @@ def test_verify_triple_exhausted_budget_exits_three(monkeypatch, capsys, tmp_pat
     out = capsys.readouterr().out
     assert "colon symmetry: True" in out and "additive=True" in out
     assert "gorenstein at the cone origin: None" in out
+    assert "passed: None" in out
+    assert code == cli.EXIT_INCONCLUSIVE
+    code = cli.main([str(session), "verify-triple", "B", "A1", "A2", "--json"])
+    result = json.loads(capsys.readouterr().out)["result"]
+    assert (result["gorenstein_ok"], result["passed"]) == (None, None)
     assert code == cli.EXIT_INCONCLUSIVE
 
 

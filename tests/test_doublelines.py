@@ -27,7 +27,7 @@ from liaison import (
     parse_polynomial,
 )
 from liaison import doublelines
-from liaison.doublelines import binary_form, lci_along_support
+from liaison.doublelines import lci_along_support
 from liaison.generators import (
     random_ci_linked_triple,
     random_coprime_pair,
@@ -39,6 +39,7 @@ from liaison.linalg import kernel_basis, rank
 from liaison.polynomials import (
     Polynomial,
     binary_coefficients,
+    binary_form,
     binary_forms_have_common_zero,
     substitute,
 )

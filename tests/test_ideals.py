@@ -174,6 +174,21 @@ def test_eliminate_everything_from_proper_homogeneous():
     assert eliminate(Ideal(R, [x**2, x * y]), ["x", "y"]).is_zero()
 
 
+def test_eliminate_from_the_unit_and_the_zero_ideal():
+    R = make_ring(["t", "x"], "Q", "grevlex")
+    t, x = R.gens()
+    assert eliminate(Ideal(R, [t * x - 1, x]), ["t", "x"]).is_unit()
+    for names in (["t"], ["t", "x"]):
+        eliminated = eliminate(Ideal.zero(R), names)
+        assert eliminated.ring == R and eliminated.gens == ()
+
+
+def test_binary_operations_refuse_ideals_of_two_rings(P3):
+    other = make_ring(["x", "y", "z", "u"], "F31", "grevlex")
+    with pytest.raises(ValueError, match="ideals live in different ring contexts"):
+        ideal_intersect(Ideal(P3, [P3.variable("x")]), Ideal(other, [other.variable("y")]))
+
+
 def test_ideal_equal(P3):
     x, y, *_ = P3.gens()
     assert ideal_equal(Ideal(P3, [x, y]), Ideal(P3, [x + y, y]))

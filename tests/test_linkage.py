@@ -120,6 +120,38 @@ def test_verify_dimension_mismatch_raises(P3):
         verify_linked_triple(triple, seed=1)
 
 
+def test_verification_refuses_a_triple_across_rings(P3, fossum):
+    x, y, *_ = P3.gens()
+    triple = LinkedTriple(fossum.base, Ideal(P3, [x]), Ideal(P3, [y]))
+    with pytest.raises(ValueError, match="triple mixes ring contexts"):
+        verify_linked_triple(triple)
+
+
+@pytest.mark.parametrize(
+    "gorenstein, second_is_first, passed",
+    [
+        ((4, 1, True), False, True),
+        ((4, 2, False), False, False),
+        (None, False, None),  # the slice budget ran out: inconclusive
+        (None, True, False),  # a failed exact check decides, whatever the slices say
+    ],
+)
+def test_passed_is_the_gorenstein_verdict_once_every_exact_check_holds(
+    monkeypatch, fossum, gorenstein, second_is_first, passed
+):
+    monkeypatch.setattr(linkage, "local_gorenstein", lambda I, seed=0: gorenstein)
+    base, first, second = fossum.ideals()
+    report = verify_linked_triple(LinkedTriple(base, first, first if second_is_first else second))
+    assert report.passed is passed
+    assert report.gorenstein_ok is (gorenstein and gorenstein[2])
+    assert report.as_dict()["passed"] is passed
+
+
+def test_triple_report_has_no_placeholder_verdict():
+    with pytest.raises(TypeError):
+        linkage.TripleReport()
+
+
 def test_doubling_examples():
     R = make_ring(["x", "y", "z"], "Q", "grevlex")
     x, y, z = R.gens()
@@ -162,6 +194,13 @@ def test_regular_element_transfer(P3):
     assert ok.regular_base and ok.regular_first and ok.regular_second and ok.consistent
     bad = regular_element_transfer_test(triple, x)
     assert not bad.regular_base and bad.consistent
+
+
+@pytest.mark.parametrize("constant", [0, 1])
+def test_regular_transfer_refuses_zero_and_units(fossum, constant):
+    h = Polynomial.constant(fossum.base.ring, constant)
+    with pytest.raises(ValueError, match="nonzero non-unit"):
+        regular_element_transfer_test(fossum, h)
 
 
 def test_regular_transfer_artinian(fossum):
