@@ -28,7 +28,7 @@ from .ideals import (
     saturate,
 )
 from .linkage import LinkedTriple, doubling_check, link, verify_linked_triple
-from .localrings import local_ci_test, local_gorenstein, local_mu, translate_to_origin
+from .localrings import GORENSTEIN_NOTES, local_ci_test, local_gorenstein, local_mu, translate_to_origin
 from .reports import json_value
 from .sessions import Session, parse_session
 
@@ -91,23 +91,18 @@ def _cmd_lci(opts, I, p):
 
 def _cmd_gorenstein(opts, I, p):
     invariants = local_gorenstein(translate_to_origin(I, p), seed=opts.seed)
-    if invariants is None:
-        return (
-            {"gorenstein": None, "note": "no certified Artinian reduction"},
-            [f"point {p}: inconclusive (no certified Artinian reduction: "
-             "slice budget spent)"],
-            None,
-        )
     length, socle_dim, gor = invariants
-    text = [f"point {p}: length = {length}, socle_dim = {socle_dim}, gorenstein = {gor}"]
-    return invariants, text, gor
+    text = f"point {p}: length = {length}, socle_dim = {socle_dim}, gorenstein = {gor}"
+    if gor is None:
+        text += f"; {GORENSTEIN_NOTES[None]}"
+    return invariants, [text], gor
 
 
 def _cmd_verify_triple(opts, base, first, second):
     report = verify_linked_triple(LinkedTriple(base, first, second), seed=opts.seed)
     text = [
         f"colon symmetry: {report.colon_first and report.colon_second}",
-        f"dimensions: {report.dimensions} equal={report.dimensions_equal}",
+        f"dimensions: {report.dimensions}",
         f"degrees: {report.degrees} additive={report.degree_additive}",
         f"gorenstein at the cone origin: {report.gorenstein_ok}",
         f"passed: {report.passed}",

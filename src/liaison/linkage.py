@@ -93,21 +93,13 @@ class TripleReport(Report):
     containments: tuple  # (first contains base, second contains base)
     colon_first: bool  # (base : first) == second
     colon_second: bool  # (base : second) == first
-    dimensions: tuple
-    dimensions_equal: bool
+    dimensions: tuple  # equal, else verify_linked_triple raised ValueError
     degrees: tuple
     degree_additive: bool
     point_reports: list = dc_field(metadata={"json": "point_invariants"})
     gorenstein_ok: bool | None
     passed: bool | None  # None: every exact check passed, the Gorenstein verdict is open
     note: str = NECESSARY_CONDITION_NOTE
-
-    @property
-    def points_tested(self):
-        return [r.point for r in self.point_reports]
-
-    def as_dict(self):
-        return {**super().as_dict(), "points_tested": [str(p) for p in self.points_tested]}
 
 
 def _determinant(ring, rows):
@@ -201,7 +193,7 @@ def verify_linked_triple(triple, seed=0):
         raise ValueError(f"dimension mismatch between the three ideals: {dims}")
 
     origin = RationalPoint.affine(base.ring, [0] * base.ring.nvars)
-    length, socle_dim, gor = local_gorenstein(base, seed=seed) or (None, None, None)
+    length, socle_dim, gor = local_gorenstein(base, seed=seed)
     h = data[0].h_vector
     if gor is True and h != h[::-1]:
         # a graded Gorenstein quotient has a symmetric h-vector (Stanley)
@@ -219,7 +211,6 @@ def verify_linked_triple(triple, seed=0):
         colon_first=colon_first,
         colon_second=colon_second,
         dimensions=dims,
-        dimensions_equal=True,  # a mismatch raised ValueError above
         degrees=degs,
         degree_additive=degree_additive,
         point_reports=[PointInvariants(origin, length, socle_dim, gor)],

@@ -47,6 +47,12 @@ SLICE_BUDGET = 8
 # the Gorenstein invariants of a local ring; a tuple, so callers index or unpack it
 GorensteinInvariants = namedtuple("GorensteinInvariants", "length socle_dim gorenstein")
 
+# the note on a verdict with no length, by that verdict: inconclusive or refuted
+GORENSTEIN_NOTES = {
+    None: "inconclusive Gorenstein verdict: no Artinian reduction (slice budget spent)",
+    False: "not Cohen-Macaulay: the length check of the Artinian reduction failed",
+}
+
 
 @dataclass(frozen=True)
 class RationalPoint:
@@ -319,27 +325,30 @@ def is_graded_complete_intersection(I):
 def _reduced_at_origin(I, seed):
     """(codim, invariants) of the local ring of I at the origin: codim is
     nvars minus the local dimension, the number of forms of a reduction or,
-    when the slice budget is spent (maybe before any draw), read off L(I)."""
+    when the slice budget is spent (maybe before any draw), read off L(I).
+    invariants is the GorensteinInvariants of local_gorenstein, in every
+    outcome."""
     if is_graded_complete_intersection(I):
         data = hilbert_data(I)
         return I.ring.nvars - data.krull_dimension, GorensteinInvariants(data.degree, 1, True)
     Q, forms = artinian_reduce(I, seed=seed)
-    if Q is None:
-        return I.ring.nvars - hilbert_data(local_leading_ideal(I)[0]).krull_dimension, None
-    codim = I.ring.nvars - len(forms)
-    return codim, GorensteinInvariants(None, None, False) if Q is False else artinian_invariants(Q)
+    d = len(forms) if Q is not None else hilbert_data(local_leading_ideal(I)[0]).krull_dimension
+    if not isinstance(Q, Ideal):  # Q is the verdict: False refuted, None inconclusive
+        return I.ring.nvars - d, GorensteinInvariants(None, None, Q)
+    return I.ring.nvars - d, artinian_invariants(Q)
 
 
 def local_gorenstein(I, seed=0):
     """GorensteinInvariants (length, socle_dim, gorenstein) of the local ring
-    of I at the origin.
+    of I at the origin, in each of three outcomes.
 
     A graded complete intersection (is_graded_complete_intersection) is
     Gorenstein of type 1 with length deg R/I (Bruns-Herzog, Prop. 3.1.20),
     with no reduction.  Other I are read off the Artinian reduction, whose
-    length is the local multiplicity: (None, None, False) when its length
-    check refutes Cohen-Macaulayness (no length or socle, which would depend
-    on the cut), None when the slice budget is spent (inconclusive)."""
+    length is the local multiplicity: decided, (length, socle_dim, True or
+    False); refuted, (None, None, False), when its length check refutes
+    Cohen-Macaulayness (no length or socle, which would depend on the cut);
+    inconclusive, (None, None, None), when the slice budget is spent."""
     return _reduced_at_origin(I, seed)[1]
 
 
@@ -350,19 +359,17 @@ def local_ci_test(I, point, seed=0):
     I must be homogeneous, else ValueError.  mu = dim_k(I/mI) after
     translating the point to the origin (see local_mu); lci means mu equals
     the local codimension, which is exact: the chart's variables minus the
-    local dimension (see _reduced_at_origin).  The Gorenstein verdict comes
-    from the same reduction, with a note when it is False by a failed length
-    check or None by a spent slice budget.
+    local dimension (see _reduced_at_origin).  The Gorenstein invariants
+    come from the same reduction, and so does the note: GORENSTEIN_NOTES
+    of the verdict (refuted or inconclusive) when they have no length, else
+    empty.
     """
     if not I.is_homogeneous():
         raise ValueError("local_ci_test needs a homogeneous ideal")
     J = translate_to_origin(I, point)
     mu = local_mu(J)
     codim, invariants = _reduced_at_origin(J, seed)
-    report = LocalPointReport(mu=mu, codim=codim, lci=(mu == codim), point=point)
-    report.length, report.socle_dim, report.gorenstein = invariants or (None, None, None)
-    if invariants is None:
-        report.note = "inconclusive Gorenstein verdict: no Artinian reduction (slice budget spent)"
-    elif report.length is None:
-        report.note = "not Cohen-Macaulay: the length check of the Artinian reduction failed"
-    return report
+    note = GORENSTEIN_NOTES[invariants.gorenstein] if invariants.length is None else ""
+    return LocalPointReport(
+        mu=mu, codim=codim, lci=mu == codim, **invariants._asdict(), point=point, note=note
+    )

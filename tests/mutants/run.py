@@ -248,6 +248,27 @@ MUTANTS = (
         "points += []",
         ["tests/test_cli.py::test_points_tested_and_witnesses_of_each_command_kind[classify M1 M2]"],
     ),
+    (
+        "localrings.py",
+        "return I.ring.nvars - d, GorensteinInvariants(None, None, Q)",
+        "return I.ring.nvars - d, GorensteinInvariants(None, None, False)",
+        [
+            "tests/test_cli.py::test_gorenstein_inconclusive_exits_three",
+            "tests/test_cli.py::test_local_gorenstein_has_one_shape_in_every_outcome[inconclusive]",
+        ],
+    ),
+    (
+        "localrings.py",
+        'note = GORENSTEIN_NOTES[invariants.gorenstein] if invariants.length is None else ""',
+        'note = GORENSTEIN_NOTES[False] if invariants.length is None else ""',
+        ["tests/test_localrings.py::test_lci_with_no_slice_drawn_reads_codim_off_the_local_dimension"],
+    ),
+    (
+        "cli.py",
+        "    if gor is None:\n        text +=",
+        "    if False:\n        text +=",
+        ["tests/test_cli.py::test_gorenstein_inconclusive_exits_three"],
+    ),
 )
 
 

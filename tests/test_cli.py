@@ -600,19 +600,22 @@ def test_verify_triple_failed_exact_check_exits_one(tmp_path):
     assert proc.returncode == 1
 
 
+# two planes (a, b) cap (c, d) of P^4 meeting in the point P
+PLANES_SESSION = (
+    "ring Q[a,b,c,d,e] order grevlex\n"
+    "ideal B = a*c, a*d, b*c, b*d\n"
+    "ideal A1 = a, b\n"
+    "ideal A2 = c, d\n"
+    "point P = (0:0:0:0:1)\n"
+)
+
+
 def test_refuted_cohen_macaulayness_exits_one(tmp_path):
-    # two planes (a, b) cap (c, d) of P^4 meeting in the point P are not
-    # Cohen-Macaulay there (a failed length check): gorenstein and lci give
-    # a false verdict, and so does verify-triple, whose exact checks all
-    # pass on them
+    # the two planes of PLANES_SESSION are not Cohen-Macaulay at P (a
+    # failed length check): gorenstein and lci give a false verdict, and so
+    # does verify-triple, whose exact checks all pass on them
     session = tmp_path / "planes.session"
-    session.write_text(
-        "ring Q[a,b,c,d,e] order grevlex\n"
-        "ideal B = a*c, a*d, b*c, b*d\n"
-        "ideal A1 = a, b\n"
-        "ideal A2 = c, d\n"
-        "point P = (0:0:0:0:1)\n"
-    )
+    session.write_text(PLANES_SESSION)
     proc = run_cli(str(session), "gorenstein", "B", "P", "--json")
     assert proc.returncode == 1, proc.stderr
     result = json.loads(proc.stdout)["result"]
@@ -625,6 +628,38 @@ def test_refuted_cohen_macaulayness_exits_one(tmp_path):
     assert "colon symmetry: True" in proc.stdout and "additive=True" in proc.stdout
     assert "gorenstein at the cone origin: False" in proc.stdout
     assert proc.returncode == 1, proc.stderr
+
+
+FOSSUM_CONE_SESSION = "ring Q[x1,x2,t] order grevlex\nideal B = x1^2 + x1*x2, x2^2\npoint P = (0:0:1)\n"
+
+
+@pytest.mark.parametrize(
+    "session, name, expected, code",
+    [
+        # decided: the Fossum base, whose chart at P is the Fossum ideal itself
+        (FOSSUM_CONE_SESSION, "B", (4, 1, True), 0),
+        # refuted: a failed length check
+        (PLANES_SESSION, "B", (None, None, False), 1),
+        # inconclusive: the slice budget is spent
+        (NON_CI_SESSION + "point P = (0:0:1)\n", "I", (None, None, None), 3),
+    ],
+    ids=["decided", "refuted", "inconclusive"],
+)
+def test_local_gorenstein_has_one_shape_in_every_outcome(tmp_path, session, name, expected, code):
+    # every outcome is one GorensteinInvariants, never a bare None, and the
+    # gorenstein command prints it under the same three keys
+    from liaison.localrings import GorensteinInvariants, local_gorenstein, translate_to_origin
+    from liaison.sessions import parse_session
+
+    parsed = parse_session(session)
+    invariants = local_gorenstein(translate_to_origin(parsed.ideals[name], parsed.points["P"]))
+    assert isinstance(invariants, GorensteinInvariants)
+    assert invariants == expected
+    proc = run_cli(str(session_path(tmp_path, session)), "gorenstein", name, "P", "--json")
+    assert proc.returncode == code, proc.stderr
+    result = json.loads(proc.stdout)["result"]
+    assert set(result) == {"gorenstein", "length", "socle_dim"}
+    assert result == invariants._asdict()
 
 
 def test_verify_triple_exhausted_budget_exits_three(monkeypatch, capsys, tmp_path):

@@ -132,8 +132,10 @@ def test_verification_refuses_a_triple_across_rings(P3, fossum):
     [
         ((4, 1, True), False, True),
         ((4, 2, False), False, False),
-        (None, False, None),  # the slice budget ran out: inconclusive
-        (None, True, False),  # a failed exact check decides, whatever the slices say
+        # the slice budget ran out: inconclusive (ids name the verdict)
+        pytest.param(localrings.GorensteinInvariants(None, None, None), False, None, id="None-False-None"),
+        # a failed exact check decides, whatever the slices say
+        pytest.param(localrings.GorensteinInvariants(None, None, None), True, False, id="None-True-False"),
     ],
 )
 def test_passed_is_the_gorenstein_verdict_once_every_exact_check_holds(
@@ -401,10 +403,8 @@ def test_skew_lines_take_the_colon_fallback(P3, monkeypatch):
         "colon_first": True,
         "colon_second": True,
         "dimensions": [2, 2, 2],
-        "dimensions_equal": True,
         "degrees": [4, 2, 2],
         "degree_additive": True,
-        "points_tested": ["(0,0,0,0)"],
         "point_invariants": [{"point": "(0,0,0,0)", "length": 4, "socle_dim": 1, "gorenstein": True}],
         "gorenstein_ok": True,
         "passed": True,

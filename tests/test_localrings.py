@@ -1083,8 +1083,8 @@ def test_local_reports_do_not_depend_on_presentation_or_seed(field):
             for r in reports if r["gorenstein"] is not None
         }
         assert len(definite) <= 1, (I, point, definite)
-        assert len({v for v in cone if v is not None}) <= 1, (I, cone)
-        verdicts |= {r["gorenstein"] for r in reports} | {None if v is None else v[2] for v in cone}
+        assert len({v for v in cone if v.gorenstein is not None}) <= 1, (I, cone)
+        verdicts |= {r["gorenstein"] for r in reports} | {v.gorenstein for v in cone}
     assert {True, False} <= verdicts, verdicts
     assert field != "F3" or None in verdicts
 

@@ -88,10 +88,8 @@ def _reports():
                 "colon_first": True,
                 "colon_second": True,
                 "dimensions": [0, 0, 0],
-                "dimensions_equal": True,
                 "degrees": [4, 2, 2],
                 "degree_additive": True,
-                "points_tested": ["(0,0)"],
                 "point_invariants": [{"point": "(0,0)", "length": 4, "socle_dim": 1, "gorenstein": True}],
                 "gorenstein_ok": True,
                 "passed": True,
@@ -136,7 +134,6 @@ def test_triple_point_invariants_stay_tuples():
     assert entry[2] == entry.socle_dim == 1
     point, length, socle_dim, gorenstein = entry
     assert (str(point), length, socle_dim, gorenstein) == ("(0,0)", 4, 1, True)
-    assert report.points_tested == [point]
     # one name for the Gorenstein invariants: a point's entry is the point
     # and the named tuple local_gorenstein returns
     assert PointInvariants._fields == ("point", "length", "socle_dim", "gorenstein")
