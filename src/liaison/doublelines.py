@@ -21,7 +21,7 @@ generated meeting campaigns.
 """
 
 import itertools
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, replace
 
 from .ideals import Ideal, hilbert_data, ideal_equal, ideal_intersect
 from .linalg import kernel_basis, solve
@@ -442,18 +442,13 @@ def classify(L1, L2, mode="both", seed=0):
         verdict = classify_meeting_pair(L1, L2)
     else:
         verdict = ClassificationVerdict(True, "disjoint")
-    verdict.mode = mode
     if mode == "conditions":
         return verdict
-    oracle_verdict, reports = oracle_lal(L1, L2)
-    verdict.oracle_verdict = oracle_verdict
-    verdict.point_reports = reports
-    if mode == "oracle":
-        verdict.lal = oracle_verdict == "lal"
-        return verdict
-    if (oracle_verdict == "lal") != verdict.lal:
+    oracle_verdict, points = oracle_lal(L1, L2)
+    lal = oracle_verdict == "lal"
+    if mode == "both" and lal != verdict.lal:
         raise ClassificationDiscrepancy(
             f"conditions say lal={verdict.lal} ({verdict.case_tag}) but the "
             f"oracle says {oracle_verdict} for pair ({L1}, {L2})"
         )
-    return verdict
+    return replace(verdict, lal=lal, mode=mode, oracle_verdict=oracle_verdict, point_reports=points)

@@ -26,15 +26,16 @@ from .rings import GREVLEX, MonomialOrder, make_ring
 
 
 class Ideal:
-    """An ideal given by generators, caching one Groebner basis (the
-    reduced basis for its ring's order) and, once asked for, its Hilbert
-    data (see hilbert_data).
+    """An ideal given by generators, caching three computed facts once
+    asked for: one Groebner basis (the reduced basis for its ring's order),
+    its Hilbert data (see hilbert_data), and its local leading ideal and
+    tangent cone at the origin (see local_leading_ideal).
 
-    Both caches are write-once: concurrent readers may duplicate the
+    All three caches are write-once: concurrent readers may duplicate the
     computation but always observe the same canonical value.
     """
 
-    __slots__ = ("ring", "gens", "_gb", "_hilbert")
+    __slots__ = ("ring", "gens", "_gb", "_hilbert", "_local")
 
     def __init__(self, ring, gens):
         gens = tuple(g for g in gens if not g.is_zero())
@@ -45,6 +46,7 @@ class Ideal:
         self.gens = gens
         self._gb = None
         self._hilbert = None
+        self._local = None
 
     @classmethod
     def zero(cls, ring):
@@ -210,25 +212,30 @@ def local_leading_ideal(J):
     reads it here: localrings counts lengths in grevlex bases of ideals
     supported at the origin, with no t.  A homogeneous J takes no t: it
     equals its tangent cone, and L is read off J's own reduced basis.
+    Computed once and held by J; a homogeneous J, its own cone, holds L alone.
     """
-    ring = J.ring
-    if J.is_homogeneous():
-        leading, cone = J.groebner().leading_monomials(), J
-    else:
-        tname = _fresh_name(set(ring.variables), "t")
-        ext = make_ring([tname, *ring.variables], ring.field, MonomialOrder("block", 1))
-        homogenized = []
-        for f in J.gens:
-            top = f.total_degree()
-            homogenized.append(Polynomial(ext, {(top - sum(e), *e): c for e, c in f.terms.items()}))
-        lifted = [(g, g.leading_monomial()) for g in buchberger(homogenized)]
-        leading = [lm[1:] for _, lm in lifted]
-        cone = Ideal(ring, [
-            Polynomial(ring, {e[1:]: c for e, c in g.terms.items() if e[0] == lm[0]})
-            for g, lm in lifted
-        ])
-    monomials = [Polynomial.monomial(ring, e) for e in leading]
-    return Ideal.from_groebner(reduced_basis(ring, monomials)), cone
+    held = J._local
+    if held is None:
+        ring = J.ring
+        if J.is_homogeneous():
+            leading, cone = J.groebner().leading_monomials(), None
+        else:
+            tname = _fresh_name(set(ring.variables), "t")
+            ext = make_ring([tname, *ring.variables], ring.field, MonomialOrder("block", 1))
+            forms = []
+            for f in J.gens:
+                top = f.total_degree()
+                forms.append(Polynomial(ext, {(top - sum(e), *e): c for e, c in f.terms.items()}))
+            lifted = [(g, g.leading_monomial()) for g in buchberger(forms)]
+            leading = [lm[1:] for _, lm in lifted]
+            cone = Ideal(ring, [
+                Polynomial(ring, {e[1:]: c for e, c in g.terms.items() if e[0] == lm[0]})
+                for g, lm in lifted
+            ])
+        monomials = [Polynomial.monomial(ring, e) for e in leading]
+        held = J._local = (Ideal.from_groebner(reduced_basis(ring, monomials)), cone)
+    L, cone = held
+    return L, J if cone is None else cone
 
 
 def ideal_colon(I, J):
@@ -283,10 +290,7 @@ def eliminate(I, names):
         return I
     remaining = [v for v in ring.variables if v not in names]
     if not remaining:
-        gb = I.groebner()
-        if gb.is_unit_ideal():
-            return Ideal(ring, [Polynomial.constant(ring, 1)])
-        return Ideal(ring, [])
+        return Ideal(ring, [Polynomial.constant(ring, 1)] if I.is_unit() else [])
     perm = make_ring(names + remaining, ring.field, MonomialOrder("block", len(names)))
     moved = [map_to_ring(g, perm) for g in I.gens]
     if not moved:

@@ -264,13 +264,14 @@ def artinian_reduce(I, seed=0):
     I + (forms), certifying R/I Cohen-Macaulay at the origin; False for Q
     when the length check refutes that; None when the slice budget is spent
     first (inconclusive).  The local leading ideal L of I and its tangent
-    cone C (local_leading_ideal) give the local dimension d and multiplicity
-    e.  d forms h are drawn at once, up to SLICE_BUDGET tuples, until C + (h)
-    is zero-dimensional.  Their coefficients come from the field's sample
-    and 0: over F3 the cone over (0:0:1), (1:1:0), (1:2:0) has parameters,
-    y + z among them, but none whose coefficients are all nonzero.  (h) is
-    then a reduction of m on R/I, and the local length l of R/(I + (h)) is e
-    if R/I is Cohen-Macaulay, else above e (Serre; Matsumura, Thm 17.11).
+    cone C, held by I once computed (local_leading_ideal), give the local
+    dimension d and multiplicity e.  d forms h are drawn at once, up to
+    SLICE_BUDGET tuples, until C + (h) is zero-dimensional.  Their
+    coefficients come from the field's sample and 0: over F3 the cone over
+    (0:0:1), (1:1:0), (1:2:0) has parameters, y + z among them, but none
+    whose coefficients are all nonzero.  (h) is then a reduction of m on
+    R/I, and the local length l of R/(I + (h)) is e if R/I is
+    Cohen-Macaulay, else above e (Serre; Matsumura, Thm 17.11).
     Q = I + (h) + J counts l in its own grevlex basis, J chosen by whether
     I is homogeneous.  A homogeneous I equals its tangent cone and all its
     components pass the origin, so J = 0 and Q is the drawn cut, whose
@@ -324,18 +325,18 @@ def is_graded_complete_intersection(I):
 
 def _reduced_at_origin(I, seed):
     """(codim, invariants) of the local ring of I at the origin: codim is
-    nvars minus the local dimension, the number of forms of a reduction or,
-    when the slice budget is spent (maybe before any draw), read off L(I).
-    invariants is the GorensteinInvariants of local_gorenstein, in every
-    outcome."""
+    nvars minus the local dimension, read off the local leading ideal L
+    that I holds, the one artinian_reduce reads, in every outcome (even
+    when the slice budget is spent before any draw).  invariants is the
+    GorensteinInvariants of local_gorenstein."""
     if is_graded_complete_intersection(I):
         data = hilbert_data(I)
         return I.ring.nvars - data.krull_dimension, GorensteinInvariants(data.degree, 1, True)
-    Q, forms = artinian_reduce(I, seed=seed)
-    d = len(forms) if Q is not None else hilbert_data(local_leading_ideal(I)[0]).krull_dimension
+    Q, _forms = artinian_reduce(I, seed=seed)
+    codim = I.ring.nvars - hilbert_data(local_leading_ideal(I)[0]).krull_dimension
     if not isinstance(Q, Ideal):  # Q is the verdict: False refuted, None inconclusive
-        return I.ring.nvars - d, GorensteinInvariants(None, None, Q)
-    return I.ring.nvars - d, artinian_invariants(Q)
+        return codim, GorensteinInvariants(None, None, Q)
+    return codim, artinian_invariants(Q)
 
 
 def local_gorenstein(I, seed=0):

@@ -14,7 +14,8 @@ exits 0 only when every mutant is killed.
 
 A mutant that survives is a finding: it stays in the table and gets a test
 that kills it.  A refactor that removes a snippet rewrites that mutant for
-the new code.  Standard library only; pytest runs as a child process.
+the new code.  Standard library only; pytest runs as a child process,
+with plugin autoload off.
 """
 
 import os
@@ -250,8 +251,8 @@ MUTANTS = (
     ),
     (
         "localrings.py",
-        "return I.ring.nvars - d, GorensteinInvariants(None, None, Q)",
-        "return I.ring.nvars - d, GorensteinInvariants(None, None, False)",
+        "return codim, GorensteinInvariants(None, None, Q)",
+        "return codim, GorensteinInvariants(None, None, False)",
         [
             "tests/test_cli.py::test_gorenstein_inconclusive_exits_three",
             "tests/test_cli.py::test_local_gorenstein_has_one_shape_in_every_outcome[inconclusive]",
@@ -269,11 +270,19 @@ MUTANTS = (
         "    if False:\n        text +=",
         ["tests/test_cli.py::test_gorenstein_inconclusive_exits_three"],
     ),
+    (
+        "ideals.py",
+        "held = J._local = (",
+        "held = (",
+        ["tests/test_localrings.py::test_lci_with_no_slice_drawn_reads_codim_off_the_local_dimension"],
+    ),
 )
 
 
 def _pytest(copy, test_ids, *flags):
-    env = dict(os.environ, PYTHONPATH=str(copy / "src"))
+    # no plugin autoload: importing every installed plugin was most of each
+    # child's start-up; a killing test that needs a plugin names it with -p
+    env = dict(os.environ, PYTHONPATH=str(copy / "src"), PYTEST_DISABLE_PLUGIN_AUTOLOAD="1")
     command = [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", *flags, *test_ids]
     return subprocess.run(command, cwd=copy, env=env, capture_output=True, text=True).returncode
 

@@ -737,7 +737,9 @@ def test_local_leading_ideal_examples():
         ([y**2 - x**3], [y**2], 2, 2),
     ]
     for gens, leading, dim, multiplicity in cases:
-        L, cone = local_leading_ideal(Ideal(R, gens))
+        J = Ideal(R, gens)
+        L, cone = local_leading_ideal(J)
+        assert local_leading_ideal(J) == (L, cone)  # held: the same objects again
         assert L.held_groebner() is not None and set(L.groebner()) == set(leading), gens
         assert cone.is_homogeneous()
         for data in (hilbert_data(L), hilbert_data(cone)):
@@ -745,3 +747,4 @@ def test_local_leading_ideal_examples():
     graded = Ideal(R, [x * y, y**2])
     L, cone = local_leading_ideal(graded)
     assert ideal_equal(cone, graded) and set(L.groebner()) == {x * y, y**2}
+    assert local_leading_ideal(graded)[0] is L

@@ -727,6 +727,12 @@ def _count_bases(monkeypatch):
     return calls
 
 
+def _block1_bases(calls):
+    """The counted bases taken on a block(1) ring: Lazard bases, when no
+    intersection or elimination runs."""
+    return [gens for gens in calls if gens[0].ring.order == MonomialOrder("block", 1)]
+
+
 def test_artinian_invariants_take_at_most_one_basis(monkeypatch):
     R = make_ring(["x", "y", "z"], "F31", "grevlex")
     x, y, z = R.gens()
@@ -758,9 +764,12 @@ def test_lci_with_no_slice_drawn_reads_codim_off_the_local_dimension(monkeypatch
     R = make_ring(["x", "y", "z", "u"], "Q", "grevlex")
     x, y, z, u = R.gens()
     monkeypatch.setattr(localrings, "SLICE_BUDGET", 0)
+    calls = _count_bases(monkeypatch)
     report = local_ci_test(Ideal(R, [x * y, x * z]), RationalPoint.projective(R, (1, 0, 0, 1)))
     assert (report.mu, report.codim, report.lci, report.gorenstein) == (2, 2, True, None)
     assert report.note == "inconclusive Gorenstein verdict: no Artinian reduction (slice budget spent)"
+    # the reduction and the codimension read the one Lazard basis the chart ideal holds
+    assert len(_block1_bases(calls)) == 1
 
 
 def test_regularity_certificate_edges():
@@ -884,9 +893,10 @@ def test_graded_reduction_takes_one_basis_beyond_its_input(monkeypatch):
 
 
 def test_chart_reduction_takes_one_lazard_basis(monkeypatch):
-    # a chart ideal's Gorenstein verdict takes the Lazard basis of I, one
-    # basis per draw, and one basis of I + (h) + (x_i^(e+1)), which both
-    # counts the length and serves artinian_invariants
+    # a chart ideal's Gorenstein verdict takes the Lazard basis of I once,
+    # which I holds for the reduction and the codimension, one basis per
+    # draw, and one basis of I + (h) + (x_i^(e+1)), which both counts the
+    # length and serves artinian_invariants
     from liaison import localrings
 
     R = make_ring(["x", "y", "z", "u"], "F31", "grevlex")
@@ -906,11 +916,12 @@ def test_chart_reduction_takes_one_lazard_basis(monkeypatch):
     monkeypatch.setattr(localrings, "is_zero_dimensional", counted_draw)
     calls = _count_bases(monkeypatch)
     assert local_gorenstein(I, seed=5) == (2, 1, True)
-    assert len(lazard) == 1 and draws
+    assert lazard == [I, I] and draws
     assert len(calls) == len(draws) + 2
+    assert len(_block1_bases(calls)) == 1
 
 
-def test_embedded_curve_through_the_origin_is_refuted():
+def test_embedded_curve_through_the_origin_is_refuted(monkeypatch):
     # (x^2, xy + xz^2) = (x) cap (x^2, y + z^2): a plane with an embedded
     # curve through the origin, of multiplicity e = 1, not Cohen-Macaulay.
     # Cutting with (x_i^e) = (x, y, z) would read length 1 and certify it;
@@ -918,9 +929,12 @@ def test_embedded_curve_through_the_origin_is_refuted():
     R = make_ring(["x", "y", "z"], "F31", "grevlex")
     x, y, z = R.gens()
     I = Ideal(R, [x**2, x * y + x * z**2])
+    calls = _count_bases(monkeypatch)
     assert hilbert_data(local_leading_ideal(I)[0]).degree == 1
     for seed in range(3):
         assert local_gorenstein(I, seed=seed) == (None, None, False)
+    # every verdict reads the Lazard basis I took for the degree above
+    assert len(_block1_bases(calls)) == 1
 
 
 def _count_colons(monkeypatch):
