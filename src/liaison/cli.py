@@ -93,8 +93,8 @@ def _cmd_gorenstein(opts, I, p):
     invariants = local_gorenstein(translate_to_origin(I, p), seed=opts.seed)
     length, socle_dim, gor = invariants
     text = f"point {p}: length = {length}, socle_dim = {socle_dim}, gorenstein = {gor}"
-    if gor is None:
-        text += f"; {GORENSTEIN_NOTES[None]}"
+    if length is None:
+        text += f"; {GORENSTEIN_NOTES[gor]}"
     return invariants, [text], gor
 
 

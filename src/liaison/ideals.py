@@ -315,8 +315,6 @@ def is_zero_dimensional(gb):
     """Whether the quotient by the ideal is a finite-dimensional vector space."""
     if gb.is_unit_ideal():
         return True
-    if not gb.elements:
-        return gb.ring.nvars == 0
     lts = gb.leading_monomials()
     n = gb.ring.nvars
     for i in range(n):

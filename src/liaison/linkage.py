@@ -10,9 +10,11 @@ R/base Gorenstein, the h-vector of second equal to the one linkage predicts
 (Peskine-Szpiro), and second inside (base : first).  When base and first
 are both generated by codim forms, base = C*first and second only has to
 contain det C, read off the division that proves base inside first;
-otherwise R/first must be Cohen-Macaulay (a complete intersection, else
-certified by Artinian reduction) and first*second inside base.  Where no
-certificate applies it computes the two colons.
+otherwise R/first must be Cohen-Macaulay and first*second inside base.
+Both local questions, R/base Gorenstein and R/first Cohen-Macaulay, are
+read off local_gorenstein at the origin of the cone, the one door to the
+Artinian reduction.  Where no certificate applies it computes the two
+colons.
 The dualizing modules of the theory are never materialized; every check is
 phrased in the colon, length, Hilbert-series and socle arithmetic the
 proofs themselves reduce to, so the reports flag themselves as
@@ -36,7 +38,6 @@ from .ideals import (
 from .localrings import (
     GorensteinInvariants,
     RationalPoint,
-    artinian_reduce,
     is_graded_complete_intersection,
     local_gorenstein,
     socle_dimensions,
@@ -135,11 +136,11 @@ def _linked_by_certificate(triple, quotients, seed):
       give g = C*f.  Then L = base + (det C) (Peskine-Szpiro), so second
       contains L when it contains det C.
     - Product: first*second inside base gives second inside L.  R/first is
-      certified Cohen-Macaulay when first is a graded complete intersection
-      (localrings.is_graded_complete_intersection), else by a completed
-      artinian_reduce(first); a refuted or inconclusive reduction leaves it
-      uncertified.  Only this route covers a Cohen-Macaulay first that is
-      not a complete intersection.
+      certified Cohen-Macaulay exactly when local_gorenstein(first) has a
+      length: a graded complete intersection, or a completed Artinian
+      reduction; a refuted or inconclusive verdict leaves it uncertified.
+      Only this route covers a Cohen-Macaulay first that is not a complete
+      intersection.
     """
     base, first, second = triple.ideals()
     h_base, h_first, h_second = (hilbert_data(I).h_vector for I in triple.ideals())
@@ -151,9 +152,9 @@ def _linked_by_certificate(triple, quotients, seed):
         return False
     if is_graded_complete_intersection(base) and len(first.groebner()) == len(base.gens):
         return second.contains(_determinant(base.ring, quotients))
-    return base.contains_ideal(ideal_product(first, second)) and (
-        is_graded_complete_intersection(first)
-        or isinstance(artinian_reduce(first, seed=seed)[0], Ideal)
+    return (
+        base.contains_ideal(ideal_product(first, second))
+        and local_gorenstein(first, seed=seed).length is not None
     )
 
 

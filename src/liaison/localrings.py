@@ -13,14 +13,18 @@ monomials, and the socle is the common kernel of the matrices of
 multiplication by the variables, one routine (socle_dimensions) for every
 caller.  Q is its own origin component exactly when n normal forms put
 every x_i^d in Q, graded Q included.
-A graded complete intersection, chart ideals included, is Gorenstein of
-type 1 with length its degree, with no computation beyond its Hilbert data.
-Otherwise the local leading ideal (Lazard) gives the local dimension d and
-multiplicity e, and one cut by d linear forms, with no colon and no second
-Lazard basis, certifies the local ring Cohen-Macaulay when its length is e,
-else refutes it: a chart ideal's cut adds (x_1^(e+1), ..., x_n^(e+1)) and
-is counted in its own grevlex basis (see artinian_reduce).  The local
-codimension, the chart's variables minus d, is always exact.
+Every local Gorenstein or Cohen-Macaulay verdict comes from
+local_gorenstein.  A graded complete intersection, chart ideals included,
+is Gorenstein of type 1 with length its degree, with no computation beyond
+its Hilbert data.  Otherwise the
+local leading ideal (Lazard) gives the local dimension d and multiplicity
+e, and one cut by d linear forms, with no colon and no second Lazard
+basis, certifies the local ring Cohen-Macaulay when its length is e, else
+refutes it: a chart ideal's cut adds (x_1^(e+1), ..., x_n^(e+1)) and is
+counted in its own grevlex basis (see artinian_reduce).  The local
+codimension, the chart's variables minus d, is always exact, and is read
+off the local leading ideal for every chart ideal, complete intersections
+included.
 """
 
 import random
@@ -323,25 +327,10 @@ def is_graded_complete_intersection(I):
     return dim >= 0 and len(I.gens) == I.ring.nvars - dim
 
 
-def _reduced_at_origin(I, seed):
-    """(codim, invariants) of the local ring of I at the origin: codim is
-    nvars minus the local dimension, read off the local leading ideal L
-    that I holds, the one artinian_reduce reads, in every outcome (even
-    when the slice budget is spent before any draw).  invariants is the
-    GorensteinInvariants of local_gorenstein."""
-    if is_graded_complete_intersection(I):
-        data = hilbert_data(I)
-        return I.ring.nvars - data.krull_dimension, GorensteinInvariants(data.degree, 1, True)
-    Q, _forms = artinian_reduce(I, seed=seed)
-    codim = I.ring.nvars - hilbert_data(local_leading_ideal(I)[0]).krull_dimension
-    if not isinstance(Q, Ideal):  # Q is the verdict: False refuted, None inconclusive
-        return codim, GorensteinInvariants(None, None, Q)
-    return codim, artinian_invariants(Q)
-
-
 def local_gorenstein(I, seed=0):
     """GorensteinInvariants (length, socle_dim, gorenstein) of the local ring
-    of I at the origin, in each of three outcomes.
+    of I at the origin, in each of three outcomes; the one library caller
+    of artinian_reduce.
 
     A graded complete intersection (is_graded_complete_intersection) is
     Gorenstein of type 1 with length deg R/I (Bruns-Herzog, Prop. 3.1.20),
@@ -349,8 +338,15 @@ def local_gorenstein(I, seed=0):
     length is the local multiplicity: decided, (length, socle_dim, True or
     False); refuted, (None, None, False), when its length check refutes
     Cohen-Macaulayness (no length or socle, which would depend on the cut);
-    inconclusive, (None, None, None), when the slice budget is spent."""
-    return _reduced_at_origin(I, seed)[1]
+    inconclusive, (None, None, None), when the slice budget is spent.  So
+    the length is not None exactly when R/I is certified Cohen-Macaulay at
+    the origin."""
+    if is_graded_complete_intersection(I):
+        return GorensteinInvariants(hilbert_data(I).degree, 1, True)
+    Q, _forms = artinian_reduce(I, seed=seed)
+    if not isinstance(Q, Ideal):  # Q is the verdict: False refuted, None inconclusive
+        return GorensteinInvariants(None, None, Q)
+    return artinian_invariants(Q)
 
 
 def local_ci_test(I, point, seed=0):
@@ -360,16 +356,20 @@ def local_ci_test(I, point, seed=0):
     I must be homogeneous, else ValueError.  mu = dim_k(I/mI) after
     translating the point to the origin (see local_mu); lci means mu equals
     the local codimension, which is exact: the chart's variables minus the
-    local dimension (see _reduced_at_origin).  The Gorenstein invariants
-    come from the same reduction, and so does the note: GORENSTEIN_NOTES
-    of the verdict (refuted or inconclusive) when they have no length, else
+    local dimension, read off the local leading ideal L the chart ideal
+    holds, by one rule for every chart ideal (a homogeneous one reads L off
+    the basis local_mu took; any other takes its one Lazard basis here and
+    holds it for its reduction), in every outcome.  The Gorenstein invariants are
+    local_gorenstein's at the origin, and the note is GORENSTEIN_NOTES of
+    the verdict (refuted or inconclusive) when they have no length, else
     empty.
     """
     if not I.is_homogeneous():
         raise ValueError("local_ci_test needs a homogeneous ideal")
     J = translate_to_origin(I, point)
     mu = local_mu(J)
-    codim, invariants = _reduced_at_origin(J, seed)
+    codim = J.ring.nvars - hilbert_data(local_leading_ideal(J)[0]).krull_dimension
+    invariants = local_gorenstein(J, seed=seed)
     note = GORENSTEIN_NOTES[invariants.gorenstein] if invariants.length is None else ""
     return LocalPointReport(
         mu=mu, codim=codim, lci=mu == codim, **invariants._asdict(), point=point, note=note

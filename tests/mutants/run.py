@@ -251,8 +251,8 @@ MUTANTS = (
     ),
     (
         "localrings.py",
-        "return codim, GorensteinInvariants(None, None, Q)",
-        "return codim, GorensteinInvariants(None, None, False)",
+        "return GorensteinInvariants(None, None, Q)",
+        "return GorensteinInvariants(None, None, False)",
         [
             "tests/test_cli.py::test_gorenstein_inconclusive_exits_three",
             "tests/test_cli.py::test_local_gorenstein_has_one_shape_in_every_outcome[inconclusive]",
@@ -266,15 +266,24 @@ MUTANTS = (
     ),
     (
         "cli.py",
-        "    if gor is None:\n        text +=",
+        "    if length is None:\n        text +=",
         "    if False:\n        text +=",
-        ["tests/test_cli.py::test_gorenstein_inconclusive_exits_three"],
+        [
+            "tests/test_cli.py::test_gorenstein_inconclusive_exits_three",
+            "tests/test_cli.py::test_refuted_cohen_macaulayness_exits_one",
+        ],
     ),
     (
         "ideals.py",
         "held = J._local = (",
         "held = (",
         ["tests/test_localrings.py::test_lci_with_no_slice_drawn_reads_codim_off_the_local_dimension"],
+    ),
+    (
+        "linkage.py",
+        "local_gorenstein(first, seed=seed).length is not None",
+        "local_gorenstein(first, seed=seed).gorenstein is not None",
+        ["tests/test_linkage.py::test_certificate_needs_first_cohen_macaulay"],
     ),
 )
 

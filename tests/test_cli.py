@@ -620,6 +620,13 @@ def test_refuted_cohen_macaulayness_exits_one(tmp_path):
     assert proc.returncode == 1, proc.stderr
     result = json.loads(proc.stdout)["result"]
     assert (result["length"], result["socle_dim"], result["gorenstein"]) == (None, None, False)
+    # the text says why the refuted verdict has no length, as lci's note does
+    proc = run_cli(str(session), "gorenstein", "B", "P")
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stdout == (
+        "point (0:0:0:0:1): length = None, socle_dim = None, gorenstein = False; "
+        "not Cohen-Macaulay: the length check of the Artinian reduction failed\n"
+    )
     proc = run_cli(str(session), "lci", "B", "P", "--json")
     assert proc.returncode == 1, proc.stderr
     result = json.loads(proc.stdout)["result"]
@@ -634,28 +641,42 @@ FOSSUM_CONE_SESSION = "ring Q[x1,x2,t] order grevlex\nideal B = x1^2 + x1*x2, x2
 
 
 @pytest.mark.parametrize(
-    "session, name, expected, code",
+    "session, name, point, expected, code",
     [
         # decided: the Fossum base, whose chart at P is the Fossum ideal itself
-        (FOSSUM_CONE_SESSION, "B", (4, 1, True), 0),
+        (FOSSUM_CONE_SESSION, "B", "P", (4, 1, True), 0),
+        # decided with a reduction: the double line I1 is not a complete
+        # intersection, and at the smooth point S of its support it is
+        # Cohen-Macaulay of multiplicity 2
+        (FIXTURES / "double_lines.session", "I1", "S", (2, 1, True), 0),
         # refuted: a failed length check
-        (PLANES_SESSION, "B", (None, None, False), 1),
+        (PLANES_SESSION, "B", "P", (None, None, False), 1),
         # inconclusive: the slice budget is spent
-        (NON_CI_SESSION + "point P = (0:0:1)\n", "I", (None, None, None), 3),
+        (NON_CI_SESSION + "point P = (0:0:1)\n", "I", "P", (None, None, None), 3),
     ],
-    ids=["decided", "refuted", "inconclusive"],
+    ids=["decided", "decided-by-reduction", "refuted", "inconclusive"],
 )
-def test_local_gorenstein_has_one_shape_in_every_outcome(tmp_path, session, name, expected, code):
+def test_local_gorenstein_has_one_shape_in_every_outcome(tmp_path, session, name, point, expected, code):
     # every outcome is one GorensteinInvariants, never a bare None, and the
-    # gorenstein command prints it under the same three keys
-    from liaison.localrings import GorensteinInvariants, local_gorenstein, translate_to_origin
+    # gorenstein command prints it under the same three keys; lci at the
+    # same point reports the same invariants
+    from liaison.localrings import (
+        GorensteinInvariants,
+        local_ci_test,
+        local_gorenstein,
+        translate_to_origin,
+    )
     from liaison.sessions import parse_session
 
-    parsed = parse_session(session)
-    invariants = local_gorenstein(translate_to_origin(parsed.ideals[name], parsed.points["P"]))
+    path = session_path(tmp_path, session)
+    parsed = parse_session(path.read_text())
+    I, P = parsed.ideals[name], parsed.points[point]
+    invariants = local_gorenstein(translate_to_origin(I, P))
     assert isinstance(invariants, GorensteinInvariants)
     assert invariants == expected
-    proc = run_cli(str(session_path(tmp_path, session)), "gorenstein", name, "P", "--json")
+    report = local_ci_test(I, P)
+    assert (report.length, report.socle_dim, report.gorenstein) == expected
+    proc = run_cli(str(path), "gorenstein", name, point, "--json")
     assert proc.returncode == code, proc.stderr
     result = json.loads(proc.stdout)["result"]
     assert set(result) == {"gorenstein", "length", "socle_dim"}

@@ -894,9 +894,9 @@ def test_graded_reduction_takes_one_basis_beyond_its_input(monkeypatch):
 
 def test_chart_reduction_takes_one_lazard_basis(monkeypatch):
     # a chart ideal's Gorenstein verdict takes the Lazard basis of I once,
-    # which I holds for the reduction and the codimension, one basis per
-    # draw, and one basis of I + (h) + (x_i^(e+1)), which both counts the
-    # length and serves artinian_invariants
+    # for the reduction, one basis per draw, and one basis of I + (h) +
+    # (x_i^(e+1)), which both counts the length and serves
+    # artinian_invariants
     from liaison import localrings
 
     R = make_ring(["x", "y", "z", "u"], "F31", "grevlex")
@@ -916,7 +916,7 @@ def test_chart_reduction_takes_one_lazard_basis(monkeypatch):
     monkeypatch.setattr(localrings, "is_zero_dimensional", counted_draw)
     calls = _count_bases(monkeypatch)
     assert local_gorenstein(I, seed=5) == (2, 1, True)
-    assert lazard == [I, I] and draws
+    assert lazard == [I] and draws
     assert len(calls) == len(draws) + 2
     assert len(_block1_bases(calls)) == 1
 

@@ -90,3 +90,27 @@ def test_every_library_definition_is_referenced():
         uses[node.name] -= sum(1 for name in _identifiers(node) if name == node.name)
     offenders = [f"{name}:{node.lineno} {node.name}" for name, node in definitions if uses[node.name] <= 0]
     assert offenders == []
+
+
+def _called_name(func):
+    """The name a call expression calls: a bare name or an attribute."""
+    if isinstance(func, ast.Name):
+        return func.id
+    return func.attr if isinstance(func, ast.Attribute) else None
+
+
+def test_only_local_gorenstein_runs_the_artinian_reduction():
+    # one door to a local verdict: the Cohen-Macaulay and Gorenstein
+    # questions of every caller read local_gorenstein, which alone calls
+    # artinian_reduce
+    callers = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        scope = {tree: "<module>"}
+        for node in ast.walk(tree):  # breadth first: a parent before its children
+            here = node.name if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) else scope[node]
+            for child in ast.iter_child_nodes(node):
+                scope[child] = here
+            if isinstance(node, ast.Call) and _called_name(node.func) == "artinian_reduce":
+                callers.append(f"{path.name} {scope[node]}")
+    assert callers == ["localrings.py local_gorenstein"]
