@@ -76,7 +76,7 @@ def _cmd_localize(opts, I, p):
 
 
 def _cmd_mu(opts, I, p):
-    mu = local_mu(translate_to_origin(I, p))
+    mu = local_mu(I, p)
     return {"mu": mu}, [f"mu at {p}: {mu}"], True
 
 

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field as dc_field, replace
 
 from .ideals import Ideal, hilbert_data, ideal_equal, ideal_intersect
 from .linalg import kernel_basis, solve
-from .localrings import LocalPointReport, RationalPoint, local_mu, translate_to_origin
+from .localrings import LocalPointReport, RationalPoint, local_mu
 from .polynomials import Polynomial, binary_coefficients, binary_form, binary_forms_have_common_zero
 from .reports import Report
 
@@ -367,8 +367,9 @@ def oracle_lal(L1, L2):
     supports (lci_along_support, exact).  Away from the meeting point the
     union U = I1 cap I2 is locally a single double line, so that decides
     every point but the meeting point.  There U is lci iff its local
-    minimal generator count mu is 2, its codimension; the report carries mu
-    and no Gorenstein verdict.  Disjoint supports need no local test.
+    minimal generator count mu, read off U's held basis (local_mu, no
+    chart), is 2, its codimension; the report carries mu and no Gorenstein
+    verdict.  Disjoint supports need no local test.
 
     Equal supports: exact, over the complete intersections Y of two
     quadrics in the support variables (v1, v2), the classifier's witness
@@ -408,13 +409,9 @@ def oracle_lal(L1, L2):
     if relation == "disjoint":
         return "lal", []
     free = _meeting_geometry(L1, L2)[3]
-    I1, I2 = double_line_ideal(L1), double_line_ideal(L2)
-    U = ideal_intersect(I1, I2)
-    field = L1.ring.field
-    meet_coords = [field.zero] * 4
-    meet_coords[free] = field.one
-    meeting = RationalPoint.projective(L1.ring, meet_coords)
-    mu = local_mu(translate_to_origin(U, meeting))
+    U = ideal_intersect(double_line_ideal(L1), double_line_ideal(L2))
+    meeting = RationalPoint.projective(L1.ring, [int(k == free) for k in range(4)])
+    mu = local_mu(U, meeting)
     # U has codimension 2: each I_i lies between (v1, v2)^2 and (v1, v2) of
     # its support line, so both lines, and so their union, have codimension 2
     report = LocalPointReport(

@@ -5,16 +5,20 @@ and shardable; finite fields (p around 31) keep Groebner bases small, the
 rationals are reserved for the exact fixtures.
 """
 
+from functools import cache
+
 from .doublelines import DoubleLine
 from .ideals import Ideal, hilbert_data
 from .linkage import LinkedTriple
 from .polynomials import Polynomial, binary_coefficients, binary_form, binary_forms_have_common_zero
 
 
+@cache
 def _coefficient_pool(field):
+    """The coefficients a random form draws from, built once per field."""
     if field.characteristic == 0:
-        return [field.normalize(k) for k in range(-3, 4)]
-    return [field.normalize(k) for k in range(field.characteristic)]
+        return tuple(field.normalize(k) for k in range(-3, 4))
+    return tuple(field.normalize(k) for k in range(field.characteristic))
 
 
 def random_form(ring, pencil, degree, rng, allow_zero=False):

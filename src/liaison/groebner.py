@@ -11,8 +11,8 @@ may start from a known Groebner basis, forming no pair among its elements
 interreduces only the part it keeps.  Normal forms modulo such a basis
 decide ideal membership, and the steps of the same reduction give the
 quotients of a division (divide); reducing its own S-pairs, as pruned, to
-zero gives the constant parts of its syzygies, hence the local minimal
-generator count (see localrings.local_mu).
+zero gives the values of its syzygies at a point, hence the local minimal
+generator count there (see localrings.local_mu).
 """
 
 from heapq import heapify, heappop, heappush
@@ -185,13 +185,6 @@ def _s_poly(a, b, l):
     return Polynomial(f.ring, out)
 
 
-def s_polynomial(f, g):
-    """S-polynomial lcm/lt(f)*f - lcm/lt(g)*g of two nonzero polynomials."""
-    f._check_ring(g)
-    a, b = _entry(f), _entry(g)
-    return _s_poly(a, b, mono_lcm(a[0], b[0]))
-
-
 def _update_pairs(lms, P, heap, heap_key, use_criteria):
     """Gebauer-Moeller update of the pair dict P (pair -> lcm) after appending
     generator lms[-1]; each new pair is also pushed on the heap by its rank:
@@ -347,10 +340,10 @@ def elimination_basis(gens, basis=()):
     return GroebnerBasis(ring, _interreduce(kept))
 
 
-def schreyer_constants(basis):
-    """Constant parts of a generating set of the syzygies of a reduced
-    Groebner basis (g_1..g_s) of an ideal vanishing at the origin: a list
-    of rows of length s.
+def syzygy_values(basis, point):
+    """Values at a point of a generating set of the syzygies of a reduced
+    Groebner basis (g_1..g_s) of an ideal vanishing there: a list of rows of
+    length s, point a tuple of coordinates.
 
     Reducing S(g_i, g_j) to zero by the basis gives a standard
     representation sum a_k g_k, hence the syzygy m_i e_i - m_j e_j - sum
@@ -361,29 +354,40 @@ def schreyer_constants(basis):
     pruning keeps (_update_pairs, the basis taken in order) give such a set
     together with the pairs whose leading monomials are coprime, as the
     chain criterion is an identity among those syzygies; a coprime pair
-    lifts to the Koszul syzygy g_j e_i - g_i e_j, with no constant part,
-    and is not reduced.  No leading monomial of a reduced basis divides
-    another, so m_i and m_j are never constant, and the constant term of
-    a_k is the factor of the one step with a constant quotient, the step
-    that removes lm_k itself (see _reduce): entry k of the row, up to sign.
+    lifts to the Koszul syzygy g_j e_i - g_i e_j, which vanishes at a point
+    of the zero set, and is not reduced.  Row (i, j) holds m_i(p) at i,
+    -m_j(p) at j, and -c*x^q(p) at k for each step (lm_k, q, c) of the
+    reduction (see _reduce).  At the origin only the step that removes
+    lm_k itself counts, as no leading monomial of a reduced basis divides
+    another, so m_i and m_j are never constant.
     """
     G = [_entry(g) for g in basis.elements]
-    ring = basis.ring
-    zero = ring.field.zero
+    field = basis.ring.field
+    zero, sub, mul, power = field.zero, field.sub, field.mul, field.pow
+
+    def value(e):
+        """x^e at the point."""
+        v = field.one
+        for c, k in zip(point, e):
+            if k:
+                v = mul(v, power(c, k))
+        return v
+
     lms, pairs = [], {}
     for entry in G:
         lms.append(entry[0])
         # every kept pair is reduced, so the heap's order is not needed
-        _update_pairs(lms, pairs, [], ring.heap_key, True)
+        _update_pairs(lms, pairs, [], basis.ring.heap_key, True)
     index = {lm: k for k, lm in enumerate(lms)}
     rows = []
     for (i, j), l in pairs.items():
         steps = []
         if not _reduce(_s_poly(G[i], G[j], l), G, steps).is_zero():
-            raise ValueError("schreyer_constants needs a Groebner basis")
+            raise ValueError("syzygy_values needs a Groebner basis")
         row = [zero] * len(G)
-        for lm, q, factor in steps:
-            if not any(q):
-                row[index[lm]] = factor
+        row[i], row[j] = value(mono_div(l, lms[i])), field.neg(value(mono_div(l, lms[j])))
+        for lm, q, c in steps:
+            k = index[lm]
+            row[k] = sub(row[k], mul(c, value(q)))
         rows.append(row)
     return rows

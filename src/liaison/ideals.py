@@ -56,12 +56,7 @@ class Ideal:
     def from_groebner(cls, gb):
         """The ideal generated by a reduced Groebner basis, holding it as its
         cached basis."""
-        return cls.holding(gb.elements, gb)
-
-    @classmethod
-    def holding(cls, gens, gb):
-        """The ideal generated by gens, holding gb, its reduced basis (not checked)."""
-        ideal = cls(gb.ring, gens)
+        ideal = cls(gb.ring, gb.elements)
         ideal._gb = gb
         return ideal
 

@@ -2,10 +2,11 @@
 verdicts, local minimal generator counts, and local complete-intersection
 tests.
 
-All localization is made computable by translating the point to the origin
-of an affine chart.  The local minimal generator count is dim_k(I/mI), m the
-ideal of the origin (Nakayama), read off the constant parts of the Schreyer
-syzygies of I's own reduced basis.  The Artinian invariants of a
+The local minimal generator count at any rational point p of V(I) is
+dim_k(I/m_p I) (Nakayama), read off the values at p of the Schreyer
+syzygies of I's own reduced basis, with no chart.  Every other
+local invariant is computed at the origin of an affine chart, to which
+translate_to_origin moves the point.  The Artinian invariants of a
 zero-dimensional Q are linear algebra on the origin's primary component
 Q + (x_1^d, ..., x_n^d), d = dim_k R/Q, in its basis of standard monomials,
 with no primary decomposition: the length is the count of standard
@@ -31,7 +32,7 @@ import random
 from collections import namedtuple
 from dataclasses import dataclass
 
-from .groebner import normal_form, reduced_basis, schreyer_constants
+from .groebner import normal_form, syzygy_values
 from .ideals import (
     Ideal,
     hilbert_data,
@@ -43,7 +44,7 @@ from .ideals import (
 from .linalg import rank, rref
 from .polynomials import Polynomial, coefficient_text, substitute
 from .reports import Report
-from .rings import GREVLEX, make_ring
+from .rings import make_ring
 
 # tuples of linear forms drawn before a Gorenstein verdict is inconclusive
 SLICE_BUDGET = 8
@@ -112,8 +113,12 @@ class LocalPointReport(Report):
     note: str = ""
 
 
-def vanishes_at(I, point):
-    return all(g.evaluate(point.coordinates) == I.ring.field.zero for g in I.gens)
+def _check_point(I, point):
+    """Raise the ValueError of a point off V(I), then of a projective point, I not homogeneous."""
+    if any(g.evaluate(point.coordinates) != I.ring.field.zero for g in I.gens):
+        raise ValueError(f"point {point} is not on the zero set of the ideal")
+    if not (point.is_affine or I.is_homogeneous()):
+        raise ValueError(f"projective point {point} needs a homogeneous ideal")
 
 
 def translate_to_origin(I, point):
@@ -124,34 +129,20 @@ def translate_to_origin(I, point):
     the ring), which keeps its terms apart, as a form's degree fixes that
     exponent.  Affine points keep the ring.  The remaining variables are
     then shifted by the point's coordinates, unless all of them are zero.
-
-    At the vertex of the last variable of a grevlex ring only, a basis I
-    holds is dehomogenized, a Groebner basis of the chart ideal as grevlex
-    breaks degree ties by that variable (Cox-Little-O'Shea, Ch. 8 sec. 4),
-    and re-reduced with no S-pairs ((a,b,c) cap (d,e) turns ae into a); the
-    chart ideal holds it and keeps the dehomogenized generators.
     """
+    _check_point(I, point)
     ring = I.ring
-    if not vanishes_at(I, point):
-        raise ValueError(f"point {point} is not on the zero set of the ideal")
     target, gens, coords = ring, I.gens, point.coordinates
     if not point.is_affine:
-        if not I.is_homogeneous():
-            raise ValueError(f"projective point {point} needs a homogeneous ideal")
         chart = point.chart
         names = [v for i, v in enumerate(ring.variables) if i != chart]
         order = ring.order if ring.order.kind in ("lex", "grevlex") else None
         target = make_ring(names, ring.field, order or "grevlex")
-
-        def dehomogenize(g):
-            return Polynomial(target, {e[:chart] + e[chart + 1 :]: c for e, c in g.terms.items()})
-
-        gens = [dehomogenize(g) for g in gens]
+        gens = [
+            Polynomial(target, {e[:chart] + e[chart + 1 :]: c for e, c in g.terms.items()})
+            for g in gens
+        ]
         coords = coords[:chart] + coords[chart + 1 :]
-        held = I.held_groebner()
-        vertex = all(c == ring.field.zero for c in coords)
-        if held is not None and vertex and chart == ring.nvars - 1 and ring.order == GREVLEX:
-            return Ideal.holding(gens, reduced_basis(target, [dehomogenize(g) for g in held]))
     if any(c != ring.field.zero for c in coords):
         assignment = {
             name: Polynomial.variable(target, name) + Polynomial.constant(target, c)
@@ -161,22 +152,30 @@ def translate_to_origin(I, point):
     return Ideal(target, gens)
 
 
-def local_mu(I):
-    """Minimal number of generators of I localized at the origin.
+def local_mu(I, point=None):
+    """Minimal number of generators of I localized at a rational point p of
+    V(I), the origin when point is None, with no chart.
 
-    mu = dim_k(I/mI), m the ideal of the origin (Nakayama).  I/mI is killed
-    by m, so it is already local.  With G = (g_1..g_s) the reduced basis of
-    I, R^s -> I has the syzygies of G as kernel, so k^s -> I/mI has as
-    kernel their values at the origin, spanned by the constant parts of the
-    Schreyer syzygies (see groebner.schreyer_constants): mu = s - rank C.
+    mu = dim_k(I/m_p I) (Nakayama).  With G = (g_1..g_s) the reduced basis
+    of I and S a matrix whose columns generate its syzygies, R^t -> R^s ->
+    I -> 0 is exact; tensoring with k(p) = R/m_p is right exact, so mu =
+    s - rank S(p), S the Schreyer syzygies (groebner.syzygy_values).  A
+    projective point is read at its coordinates, the chart's scaled to 1:
+    for homogeneous I, inverting the chart variable x_c makes I its chart
+    ideal I' extended along the free map R' -> R'[x_c, 1/x_c], so
+    I (x) k(p) = I' (x) k(p') and mu is the chart's.  The ValueErrors are
+    translate_to_origin's, in its order.
     """
     ring = I.ring
-    if any(g.constant_term() != ring.field.zero for g in I.gens):
+    if point is not None:
+        _check_point(I, point)
+    elif any(g.constant_term() != ring.field.zero for g in I.gens):
         raise ValueError("origin is not on the zero set of the ideal")
     if not I.gens:
         return 0
     gb = I.groebner()
-    return len(gb) - rank(schreyer_constants(gb), ring.field)
+    coords = (ring.field.zero,) * ring.nvars if point is None else point.coordinates
+    return len(gb) - rank(syzygy_values(gb, coords), ring.field)
 
 
 def _coordinates(f, gb, index):

@@ -50,9 +50,15 @@ MUTANTS = (
     ),
     (
         "groebner.py",
-        "if not any(q):",
-        "if True:",
+        "for c, k in zip(point, e):\n            if k:",
+        "for c, k in zip(point, e):\n            if False:",
         ["tests/test_localrings.py::test_local_mu_matches_normal_forms_modulo_m_times_i"],
+    ),
+    (
+        "groebner.py",
+        "row[i], row[j] = value(mono_div(l, lms[i])), field.neg(value(mono_div(l, lms[j])))",
+        "row[i], row[j] = zero, zero",
+        ["tests/test_localrings.py::test_local_mu_at_a_point_matches_its_chart[F31]"],
     ),
     (
         "ideals.py",

@@ -881,9 +881,9 @@ def _relabelled(line, sigma):
 @pytest.mark.parametrize("field", ["F5", "F31", "Q"])
 def test_classify_does_not_depend_on_coordinates_or_scaling(field):
     # relabelling the variables maps supports to other supports; each
-    # relabelling here moves the meeting point (0:0:0:1) off the last
-    # variable, so the oracle's chart takes translate_to_origin's generic
-    # path rather than the held basis of the last vertex.  Scaling a line's
+    # relabelling here moves the meeting point (0:0:0:1) to the vertex of
+    # another variable, where the oracle reads mu off the union's basis
+    # with other leading terms.  Scaling a line's
     # forms keeps its ideal.  Verdict, case, oracle verdict and the meeting
     # point's mu stay the same; the witness is written in the orientation of
     # the forms (which support variable comes first, the scale of b1, b2)

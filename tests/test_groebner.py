@@ -19,9 +19,9 @@ from liaison import (
     make_ring,
     normal_form,
     parse_session,
-    translate_to_origin,
 )
-from liaison.groebner import divide, elimination_basis, s_polynomial, schreyer_constants
+from liaison.groebner import _entry, _s_poly, divide, elimination_basis, syzygy_values
+from liaison.polynomials import mono_lcm
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -243,13 +243,19 @@ def test_basis_elements_lie_in_ideal():
             assert normal_form(b, recheck).is_zero()
 
 
+def _s_polynomial(f, g):
+    """The S-polynomial the S-pair loop builds: _s_poly on the monic entries."""
+    a, b = _entry(f), _entry(g)
+    return _s_poly(a, b, mono_lcm(a[0], b[0]))
+
+
 def test_spoly_reduces_to_zero_for_basis():
     R = make_ring(["x1", "x2"], "Q", "lex")
     x1, x2 = R.gens()
     G = buchberger([x1**2 + x1 * x2, x2**2])
     for i in range(len(G.elements)):
         for j in range(i + 1, len(G.elements)):
-            s = s_polynomial(G.elements[i], G.elements[j])
+            s = _s_polynomial(G.elements[i], G.elements[j])
             assert normal_form(s, G).is_zero()
 
 
@@ -275,8 +281,8 @@ def test_s_polynomial_matches_the_textbook_formula(field):
         # leading coefficients 2, 3, -5 or 7, never one
         f, g = (h.monic().scale(rng.choice([2, 3, -5, 7])) for h in (f, g))
         expected = _textbook_s_polynomial(f, g)
-        assert s_polynomial(f, g) == expected
-        assert s_polynomial(f.monic(), g.monic()) == expected
+        assert _s_polynomial(f, g) == expected
+        assert _s_polynomial(f.monic(), g.monic()) == expected
         lcm = tuple(max(a, b) for a, b in zip(f.leading_monomial(), g.leading_monomial()))
         assert lcm not in expected.terms
         checked += 1
@@ -305,7 +311,7 @@ PINNED_PAIR_COUNTS = {
     "block F31": 37,
     "block F31, no criteria": 253,
     # S-pairs of the basis of U that local_mu reduces for its syzygies, U the
-    # union I1 cap I2 moved from P to the origin
+    # union I1 cap I2, read at P
     "local mu M1/M2 at P": 6,
     "local mu V1/V2 at P": 4,
     "lex F31": 38,
@@ -322,10 +328,10 @@ def test_pair_work_is_pinned(monkeypatch):
 
     def counting(f, reducers, exact=None):
         # one call per S-pair comes from the S-pair loop's or
-        # schreyer_constants' own frame; the final interreduction and
+        # syzygy_values' own frame; the final interreduction and
         # normal_form are not counted
         loop = liaison.groebner._minimal_entries.__code__
-        if sys._getframe(1).f_code in (loop, schreyer_constants.__code__):
+        if sys._getframe(1).f_code in (loop, syzygy_values.__code__):
             calls.append(f)
         return real(f, reducers, exact)
 
@@ -337,12 +343,12 @@ def test_pair_work_is_pinned(monkeypatch):
     session = parse_session((FIXTURES / "double_lines.session").read_text())
 
     def local_mu_at_meeting(a, b):
-        # the chart ideal at the meeting point, its basis already held, so
-        # that only the S-pairs local_mu reduces for the syzygies are counted
+        # the union at the meeting point, its basis held from the
+        # intersection, so that only the S-pairs local_mu reduces for the
+        # syzygies are counted
         U = ideal_intersect(*(double_line_ideal(session.dlines[name]) for name in (a, b)))
-        J = translate_to_origin(U, session.points["P"])
-        J.groebner()
-        return lambda: local_mu(J)
+        U.groebner()
+        return lambda: local_mu(U, session.points["P"])
 
     def t_trick_generators(I, J):
         # every polynomial ideal_intersect hands to elimination_basis, its
@@ -414,12 +420,12 @@ def test_normal_form_needs_a_groebner_basis_of_its_ring():
         normal_form(x**2, [x])
 
 
-def test_schreyer_constants_rejects_a_non_groebner_basis():
+def test_syzygy_values_rejects_a_non_groebner_basis():
     # S(x^2 - y, xy) = -y^2, which neither leading monomial divides
     R = make_ring(["x", "y"], "Q", "grevlex")
     x, y = R.gens()
     with pytest.raises(ValueError, match="needs a Groebner basis"):
-        schreyer_constants(GroebnerBasis(R, [x**2 - y, x * y]))
+        syzygy_values(GroebnerBasis(R, [x**2 - y, x * y]), (0, 0))
 
 
 def test_elimination_basis_needs_a_block_order():

@@ -199,8 +199,8 @@ def _vertex_forms(R, rng, count):
 
 @pytest.mark.parametrize("field", ["F3", "F5", "F31", "Q"])
 def test_chart_of_a_held_basis_matches_the_chart_computed_afresh(field):
-    # at the last vertex the chart ideal holds the dehomogenized basis,
-    # re-reduced; it must be the basis buchberger gives the chart generators
+    # mu read off a held basis at the last vertex, with no chart, must be
+    # the mu of the chart ideal of a bare copy, which computes its own basis
     R = make_ring(["x", "y", "z", "u"], field, "grevlex")
     P = RationalPoint.projective(R, [0, 0, 0, 1])
     rng = random.Random(f"held chart {field}")
@@ -211,24 +211,24 @@ def test_chart_of_a_held_basis_matches_the_chart_computed_afresh(field):
         held.append(Ideal.from_groebner(Ideal(R, _vertex_forms(R, rng, 3)).groebner()))
     for U in held:
         bare = Ideal(R, U.gens)
-        J, fresh = translate_to_origin(U, P), translate_to_origin(bare, P)
-        assert J.held_groebner() is not None and fresh.held_groebner() is None
-        assert J.gens == fresh.gens
-        assert J.groebner() == fresh.groebner()
-        assert local_mu(J) == local_mu(fresh)
+        assert U.held_groebner() is not None
+        assert local_mu(U, P) == local_mu(translate_to_origin(bare, P))
         assert local_ci_test(U, P).as_dict() == local_ci_test(bare, P).as_dict()
 
 
 def test_chart_of_a_held_basis_is_re_reduced():
     # (a,b,c) cap (d,e) = (ad, ae, bd, be, cd, ce): at (0:0:0:0:1), ae
-    # becomes a, which divides ad, so three of the six elements remain
+    # becomes a, which divides ad, so three of the six elements remain in
+    # the chart's basis; read off the six-element basis, a generating set
+    # that is not minimal there, mu is the same 3
     R = make_ring(["a", "b", "c", "d", "e"], "F31", "grevlex")
     a, b, c, d, e = R.gens()
     U = ideal_intersect(Ideal(R, [a, b, c]), Ideal(R, [d, e]))
-    J = translate_to_origin(U, RationalPoint.projective(R, [0, 0, 0, 0, 1]))
+    P = RationalPoint.projective(R, [0, 0, 0, 0, 1])
+    J = translate_to_origin(U, P)
     assert len(U.groebner()) == 6
-    assert J.held_groebner() == Ideal(J.ring, J.gens).groebner()
     assert [str(g) for g in J.groebner()] == ["c", "b", "a"]
+    assert local_mu(U, P) == 3
     assert local_mu(J) == 3
 
 
@@ -244,7 +244,7 @@ def test_chart_of_a_held_basis_keeps_the_generators(monkeypatch):
     assert len(I.groebner()) == 3
     P = RationalPoint.projective(R, [0, 0, 0, 1])
     J = translate_to_origin(I, P)
-    assert len(J.gens) == 2 and len(J.held_groebner()) == 3
+    assert len(J.gens) == 2
     assert is_graded_complete_intersection(J)
 
     def no_reduction(*args, **kwargs):
@@ -254,25 +254,6 @@ def test_chart_of_a_held_basis_keeps_the_generators(monkeypatch):
     report = local_ci_test(I, P)
     assert (report.mu, report.codim, report.lci) == (2, 2, True)
     assert (report.length, report.socle_dim, report.gorenstein) == (4, 1, True)
-
-
-def test_chart_of_a_held_basis_only_at_the_last_vertex(monkeypatch):
-    # another vertex, another point of the last chart, or a lex ring: the
-    # chart ideal holds no basis and local_mu computes one
-    calls = _count_bases(monkeypatch)
-    for order, coords in (
-        ("grevlex", [0, 0, 1, 0]),
-        ("grevlex", [0, 0, 1, 1]),
-        ("lex", [0, 0, 0, 1]),
-    ):
-        R = make_ring(["x", "y", "z", "u"], "F31", order)
-        x, y, z, u = R.gens()
-        I = Ideal.from_groebner(Ideal(R, [x * z + y * y, x * y]).groebner())
-        J = translate_to_origin(I, RationalPoint.projective(R, coords))
-        assert J.held_groebner() is None
-        calls.clear()
-        assert local_mu(J) == 2
-        assert len(calls) == 1
 
 
 def test_local_mu_examples(A3):
@@ -346,6 +327,75 @@ def test_local_mu_needs_origin(A3):
         local_mu(Ideal(A3, [x - 1]))
 
 
+def _random_ideal_through(R, point, rng):
+    """One to four random polynomials vanishing at a rational point: an
+    affine point's shifted linear forms times another or 1, or a projective
+    point's 2x2 minors times a form of degree 0 or 1."""
+    x, c = R.gens(), point.coordinates
+    if point.is_affine:
+        lines = [x[i] - Polynomial.constant(R, c[i]) for i in range(R.nvars)]
+    else:
+        lines = [x[i].scale(c[j]) - x[j].scale(c[i]) for i, j in itertools.combinations(range(R.nvars), 2)]
+        lines = [m for m in lines if not m.is_zero()]
+    sample = R.field.random_sample()
+    gens = []
+    for _ in range(rng.randint(1, 4)):
+        if point.is_affine:
+            factors = [*lines, R.one()]
+        else:
+            factors = [random_form_dense(R, rng.randint(0, 1), rng)]
+        terms = [rng.choice(lines) * rng.choice(factors) for _ in range(rng.randint(1, 2))]
+        gens.append(sum((t.scale(rng.choice(sample)) for t in terms), Polynomial.zero(R)))
+    return Ideal(R, gens)
+
+
+@pytest.mark.parametrize("field", ["F31", "F5", "Q"])
+def test_local_mu_at_a_point_matches_its_chart(field):
+    # mu read off I's own basis at a rational point, with no chart, is the
+    # chart ideal's mu at the origin: at projective points off the vertices,
+    # in several charts, where the leading monomials' values m_i(p) enter
+    # the syzygy rows, and at affine points of non-homogeneous ideals
+    rng = random.Random(f"mu at a point {field}")
+    mus, charts, inhomogeneous = set(), set(), 0
+    for names in (["x", "y", "z"], ["x", "y", "z", "u"]):
+        R = make_ring(names, field, "grevlex")
+        zero, one, sample = R.field.zero, R.field.one, R.field.random_sample()[:4]
+        for k in range(20):
+            coords = [rng.choice([zero, *sample]) for _ in range(R.nvars)]
+            if k % 2:
+                point = RationalPoint.affine(R, coords)
+            else:
+                # last nonzero coordinate 1 in chart c, another one nonzero
+                c = 1 + k // 2 % (R.nvars - 1)
+                coords[c + 1 :] = [zero] * (R.nvars - c - 1)
+                coords[c], coords[rng.randrange(c)] = one, rng.choice(sample)
+                point = RationalPoint.projective(R, coords)
+                charts.add((R.nvars, point.chart))
+            I = _random_ideal_through(R, point, rng)
+            inhomogeneous += not I.is_homogeneous()
+            mu = local_mu(I, point)
+            assert mu == local_mu(translate_to_origin(I, point)), (field, point, I)
+            mus.add(mu)
+    assert mus >= {1, 2, 3} and len(charts) == 5 and inhomogeneous > 5
+    # the point's errors, with translate_to_origin's text and in its order:
+    # off the zero set first, then a projective point with a
+    # non-homogeneous ideal
+    R = make_ring(["x", "y", "z", "u"], field, "grevlex")
+    x, y, z, u = R.gens()
+    P = RationalPoint.projective(R, [1, 2, 0, 1])
+    cases = (
+        (Ideal(R, [x + u]), f"point {P} is not on the zero set of the ideal"),
+        (Ideal(R, [x + u**2]), f"point {P} is not on the zero set of the ideal"),
+        (Ideal(R, [x - u**2, z]), f"projective point {P} needs a homogeneous ideal"),
+    )
+    for I, message in cases:
+        with pytest.raises(ValueError) as mu_error:
+            local_mu(I, P)
+        with pytest.raises(ValueError) as chart_error:
+            translate_to_origin(I, P)
+        assert str(mu_error.value) == str(chart_error.value) == message
+
+
 def _mu_by_normal_forms(I):
     """Reference for local_mu: the rank over k of the generators' normal
     forms modulo a Groebner basis of m*I, built from the products v*g."""
@@ -412,8 +462,8 @@ def test_local_mu_matches_normal_forms_modulo_m_times_i():
 
 
 def test_local_mu_takes_one_basis_and_no_normal_form(monkeypatch):
-    # the chart ideal of a meeting union holds the union's basis, moved to
-    # the chart: local_mu computes none.  The same chart ideal without a
+    # a meeting union holds its basis from the intersection: mu at the
+    # meeting point reads it and computes none.  The same union without a
     # held basis takes one, of its own generators.
     from liaison import groebner, ideals, localrings
 
@@ -421,8 +471,9 @@ def test_local_mu_takes_one_basis_and_no_normal_form(monkeypatch):
     x, y, z, u = R.gens()
     I1 = Ideal(R, [z * x + u * y, x**2, x * y, y**2])
     I2 = Ideal(R, [y * x + u * z, x**2, x * z, z**2])
-    J = translate_to_origin(ideal_intersect(I1, I2), RationalPoint.projective(R, [0, 0, 0, 1]))
-    bare = Ideal(J.ring, J.gens)
+    U = ideal_intersect(I1, I2)
+    P = RationalPoint.projective(R, [0, 0, 0, 1])
+    bare = Ideal(R, U.gens)
 
     def no_normal_form(*args):
         raise AssertionError("normal_form called")
@@ -430,17 +481,17 @@ def test_local_mu_takes_one_basis_and_no_normal_form(monkeypatch):
     for module in (groebner, ideals, localrings):
         monkeypatch.setattr(module, "normal_form", no_normal_form)
     calls = _count_bases(monkeypatch)
-    assert local_mu(J) == 2
+    assert local_mu(U, P) == 2
     assert calls == []
-    assert local_mu(bare) == 2
+    assert local_mu(bare, P) == 2
     assert calls == [list(bare.gens)]
-    assert bare.groebner() == J.groebner()
+    assert bare.groebner() == U.groebner()
 
 
 def test_meeting_oracle_takes_one_basis(monkeypatch):
     # the intersection's: the lci certificates along the supports are
-    # Euclid gcds of the pencil forms, and the chart at the meeting point
-    # holds the intersection's basis
+    # Euclid gcds of the pencil forms, and mu at the meeting point is read
+    # off the intersection's basis
     from liaison import doublelines
 
     assert not hasattr(doublelines, "buchberger")

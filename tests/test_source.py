@@ -114,3 +114,24 @@ def test_only_local_gorenstein_runs_the_artinian_reduction():
             if isinstance(node, ast.Call) and _called_name(node.func) == "artinian_reduce":
                 callers.append(f"{path.name} {scope[node]}")
     assert callers == ["localrings.py local_gorenstein"]
+
+
+def test_local_mu_reads_the_ideal_at_its_point():
+    # mu at a point is read off the ideal's own basis there: no library code
+    # hands local_mu a translate_to_origin(...) call, and localrings keeps
+    # no chart of a held basis
+    offenders = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            called = _called_name(node.func)
+            if called == "local_mu" and any(
+                isinstance(arg, ast.Call) and _called_name(arg.func) == "translate_to_origin"
+                for arg in (*node.args, *(k.value for k in node.keywords))
+            ):
+                offenders.append(f"{path.name}:{node.lineno} local_mu(translate_to_origin(...))")
+            if path.name == "localrings.py" and called == "held_groebner":
+                offenders.append(f"{path.name}:{node.lineno} held_groebner()")
+    assert offenders == []
