@@ -13,7 +13,6 @@ import random
 from liaison import (
     Ideal,
     LinkedTriple,
-    artinian_invariants,
     doubling_check,
     link,
     make_ring,
@@ -37,7 +36,7 @@ print("A2 = (x1 + x2, x2^2) -> link(B, A2) =", list(map(str, link(B, A2).groebne
 triple = LinkedTriple(B, A1, A2)
 report = verify_linked_triple(triple, seed=0)
 print("\nlengths:", report.degrees, "additive:", report.degree_additive)
-print("socle of B:", artinian_invariants(B)[1], "(dimension 1 means Gorenstein)")
+print("socle of B:", report.point_reports[0].socle_dim, "(dimension 1 means Gorenstein)")
 print("triple passes:", report.passed)
 
 # B has multiplicity 4 on the doubled line, but it is NOT a doubling of

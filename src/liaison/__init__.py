@@ -41,7 +41,6 @@ from .ideals import (
 from .localrings import (
     LocalPointReport,
     RationalPoint,
-    artinian_invariants,
     artinian_reduce,
     local_ci_test,
     local_gorenstein,
@@ -97,7 +96,6 @@ __all__ = [
     "standard_monomials",
     "LocalPointReport",
     "RationalPoint",
-    "artinian_invariants",
     "artinian_reduce",
     "local_ci_test",
     "local_gorenstein",

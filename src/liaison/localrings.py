@@ -6,14 +6,13 @@ The local minimal generator count at any rational point p of V(I) is
 dim_k(I/m_p I) (Nakayama), read off the values at p of the Schreyer
 syzygies of I's own reduced basis, with no chart.  Every other
 local invariant is computed at the origin of an affine chart, to which
-translate_to_origin moves the point.  The Artinian invariants of a
-zero-dimensional Q are linear algebra on the origin's primary component
-Q + (x_1^d, ..., x_n^d), d = dim_k R/Q, in its basis of standard monomials,
-with no primary decomposition: the length is the count of standard
-monomials, and the socle is the common kernel of the matrices of
-multiplication by the variables, one routine (socle_dimensions) for every
-caller.  Q is its own origin component exactly when n normal forms put
-every x_i^d in Q, graded Q included.
+translate_to_origin moves the point.  The Artinian invariants are
+linear algebra on the origin's primary component Q_0 of a cut, in its
+basis of standard monomials, with no primary decomposition: the Artinian
+reduction's cut is Q_0 itself, certified by its length check (see
+artinian_reduce), the length is the count of standard monomials, and the
+socle is the common kernel of the matrices of multiplication by the
+variables, one routine (socle_dimensions) for every caller.
 Every local Gorenstein or Cohen-Macaulay verdict comes from
 local_gorenstein.  A graded complete intersection, chart ideals included,
 is Gorenstein of type 1 with length its degree, with no computation beyond
@@ -171,8 +170,6 @@ def local_mu(I, point=None):
         _check_point(I, point)
     elif any(g.constant_term() != ring.field.zero for g in I.gens):
         raise ValueError("origin is not on the zero set of the ideal")
-    if not I.gens:
-        return 0
     gb = I.groebner()
     coords = (ring.field.zero,) * ring.nvars if point is None else point.coordinates
     return len(gb) - rank(syzygy_values(gb, coords), ring.field)
@@ -207,32 +204,6 @@ def _multiplication_matrices(gb, std):
             columns.append(column)
         rows.extend(list(row) for row in zip(*columns))
     return rows
-
-
-def artinian_invariants(Q):
-    """GorensteinInvariants (length, socle_dim, gorenstein) of the local ring
-    of a zero-dimensional Q at the origin.
-
-    The local ring is R/Q_0, Q_0 the origin's primary component of Q = Q_0
-    cap Q'.  With d = dim_k R/Q and J = (x_1^d, ..., x_n^d), J lies in Q_0,
-    as each x_i is nilpotent of index at most d on R/Q_0, and J + Q' = R, as
-    V(J) is the origin alone; so Q_0 = Q_0(J + Q') lies in J + Q, which lies
-    in Q_0.  One rule for every Q: socle_dimensions on Q's basis gives d
-    first, and n normal forms decide whether J lies in Q.  It does when Q is
-    Q_0 (a graded Q, which vanishes from degree d on, and artinian_reduce's
-    chart output), and d and the socle are Q_0's; else Q_0 takes one
-    Groebner basis of Q + J and a second socle_dimensions call.  gorenstein
-    means socle_dim 1.
-    """
-    ring = Q.ring
-    if any(g.constant_term() != ring.field.zero for g in Q.gens):
-        raise ValueError("origin is not on the zero set of the ideal")
-    gb = Q.groebner()
-    length, socle_dim = socle_dimensions(gb, ())
-    powers = [v**length for v in ring.gens()]
-    if any(normal_form(p, gb) for p in powers):
-        length, socle_dim = socle_dimensions(Ideal(ring, [*gb.elements, *powers]).groebner(), ())
-    return GorensteinInvariants(length, socle_dim, socle_dim == 1)
 
 
 def socle_dimensions(gb, carriers):
@@ -333,40 +304,51 @@ def local_gorenstein(I, seed=0):
 
     A graded complete intersection (is_graded_complete_intersection) is
     Gorenstein of type 1 with length deg R/I (Bruns-Herzog, Prop. 3.1.20),
-    with no reduction.  Other I are read off the Artinian reduction, whose
-    length is the local multiplicity: decided, (length, socle_dim, True or
-    False); refuted, (None, None, False), when its length check refutes
+    with no reduction.  Any other I must vanish at the origin, else
+    ValueError, checked after the shortcut, which never fires off the
+    origin (a homogeneous I other than R vanishes there), and is read off
+    the Artinian reduction, whose length is the local multiplicity: decided,
+    (length, socle_dim, socle_dim == 1), both read by socle_dimensions off
+    the basis of the cut the reduction certified, the origin's primary
+    component of I + (h), with no second basis and no normal form of a
+    power; on a zero-dimensional I no form is drawn, and the cut is I's
+    own origin component, its components away from the origin dropped;
+    refuted, (None, None, False), when its length check refutes
     Cohen-Macaulayness (no length or socle, which would depend on the cut);
     inconclusive, (None, None, None), when the slice budget is spent.  So
     the length is not None exactly when R/I is certified Cohen-Macaulay at
     the origin."""
     if is_graded_complete_intersection(I):
         return GorensteinInvariants(hilbert_data(I).degree, 1, True)
+    if any(g.constant_term() != I.ring.field.zero for g in I.gens):
+        raise ValueError("origin is not on the zero set of the ideal")
     Q, _forms = artinian_reduce(I, seed=seed)
     if not isinstance(Q, Ideal):  # Q is the verdict: False refuted, None inconclusive
         return GorensteinInvariants(None, None, Q)
-    return artinian_invariants(Q)
+    length, socle_dim = socle_dimensions(Q.groebner(), ())
+    return GorensteinInvariants(length, socle_dim, socle_dim == 1)
 
 
 def local_ci_test(I, point, seed=0):
     """Local complete-intersection test at a rational point, with the
     Gorenstein verdict there.
 
-    I must be homogeneous, else ValueError.  mu = dim_k(I/mI) after
-    translating the point to the origin (see local_mu); lci means mu equals
-    the local codimension, which is exact: the chart's variables minus the
-    local dimension, read off the local leading ideal L the chart ideal
-    holds, by one rule for every chart ideal (a homogeneous one reads L off
-    the basis local_mu took; any other takes its one Lazard basis here and
-    holds it for its reduction), in every outcome.  The Gorenstein invariants are
-    local_gorenstein's at the origin, and the note is GORENSTEIN_NOTES of
+    I must be homogeneous, else ValueError.  mu = dim_k(I/m_p I) is read
+    off I's own basis at the point (local_mu), with no chart; lci means mu
+    equals the local codimension, which is exact: the variables of the
+    chart ideal J minus the local dimension, read off the local leading
+    ideal L that J holds, by one rule for every chart ideal (a homogeneous
+    J reads L off its own reduced basis; any other takes its one Lazard
+    basis here and holds it for its reduction), in every outcome.  J is
+    kept for that codimension and for the Gorenstein invariants, which are
+    local_gorenstein's at J's origin, and the note is GORENSTEIN_NOTES of
     the verdict (refuted or inconclusive) when they have no length, else
     empty.
     """
     if not I.is_homogeneous():
         raise ValueError("local_ci_test needs a homogeneous ideal")
     J = translate_to_origin(I, point)
-    mu = local_mu(J)
+    mu = local_mu(I, point)
     codim = J.ring.nvars - hilbert_data(local_leading_ideal(J)[0]).krull_dimension
     invariants = local_gorenstein(J, seed=seed)
     note = GORENSTEIN_NOTES[invariants.gorenstein] if invariants.length is None else ""

@@ -266,6 +266,18 @@ MUTANTS = (
     ),
     (
         "localrings.py",
+        "    if any(g.constant_term() != I.ring.field.zero for g in I.gens):",
+        "    if False:",
+        ["tests/test_localrings.py::test_artinian_invariants_reject_bad_input"],
+    ),
+    (
+        "localrings.py",
+        "return GorensteinInvariants(length, socle_dim, socle_dim == 1)",
+        "return GorensteinInvariants(length, socle_dim, socle_dim >= 1)",
+        ["tests/test_localrings.py::test_artinian_invariants_examples"],
+    ),
+    (
+        "localrings.py",
         'note = GORENSTEIN_NOTES[invariants.gorenstein] if invariants.length is None else ""',
         'note = GORENSTEIN_NOTES[False] if invariants.length is None else ""',
         ["tests/test_localrings.py::test_lci_with_no_slice_drawn_reads_codim_off_the_local_dimension"],

@@ -8,7 +8,6 @@ from liaison import (
     Ideal,
     Polynomial,
     RationalPoint,
-    artinian_invariants,
     artinian_reduce,
     double_line_ideal,
     ideal_equal,
@@ -39,11 +38,12 @@ from liaison.ideals import (
     local_leading_ideal,
     map_to_ring,
     minimal_monomial_generators,
+    saturate,
     standard_monomials,
 )
 from liaison.linalg import rank
 from liaison.linkage import is_regular
-from liaison.localrings import is_graded_complete_intersection, local_gorenstein
+from liaison.localrings import is_graded_complete_intersection, local_gorenstein, socle_dimensions
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -377,10 +377,13 @@ def test_local_mu_at_a_point_matches_its_chart(field):
             assert mu == local_mu(translate_to_origin(I, point)), (field, point, I)
             mus.add(mu)
     assert mus >= {1, 2, 3} and len(charts) == 5 and inhomogeneous > 5
+    # the zero ideal: its empty basis leaves no generator at any point
+    R = make_ring(["x", "y", "z", "u"], field, "grevlex")
+    for point in (RationalPoint.projective(R, [1, 2, 0, 1]), RationalPoint.affine(R, [1, 2, 0, 1])):
+        assert local_mu(Ideal.zero(R), point) == local_mu(translate_to_origin(Ideal.zero(R), point)) == 0
     # the point's errors, with translate_to_origin's text and in its order:
     # off the zero set first, then a projective point with a
     # non-homogeneous ideal
-    R = make_ring(["x", "y", "z", "u"], field, "grevlex")
     x, y, z, u = R.gens()
     P = RationalPoint.projective(R, [1, 2, 0, 1])
     cases = (
@@ -488,6 +491,26 @@ def test_local_mu_takes_one_basis_and_no_normal_form(monkeypatch):
     assert bare.groebner() == U.groebner()
 
 
+def test_local_ci_test_reads_mu_off_the_held_basis(monkeypatch):
+    # mu at the meeting point is read off the union's own basis, as the
+    # oracle reads it: a held U takes the chart's Lazard basis, one draw and
+    # the cut, and a bare copy takes its own basis besides
+    R = make_ring(["x", "y", "z", "u"], "F31", "grevlex")
+    x, y, z, u = R.gens()
+    U = ideal_intersect(
+        Ideal(R, [z * x + u * y, x**2, x * y, y**2]), Ideal(R, [y * x + u * z, x**2, x * z, z**2])
+    )
+    P = RationalPoint.projective(R, [0, 0, 0, 1])
+    bare = Ideal(R, U.gens)
+    calls = _count_bases(monkeypatch)
+    report = local_ci_test(U, P)
+    assert (report.mu, report.codim, report.lci, report.length, report.socle_dim) == (2, 2, True, 4, 1)
+    assert len(calls) == 3 and len(_block1_bases(calls)) == 1
+    calls.clear()
+    assert local_ci_test(bare, P).as_dict() == report.as_dict()
+    assert len(calls) == 4 and calls[0] == list(bare.gens)
+
+
 def test_meeting_oracle_takes_one_basis(monkeypatch):
     # the intersection's: the lci certificates along the supports are
     # Euclid gcds of the pencil forms, and mu at the meeting point is read
@@ -510,29 +533,35 @@ def test_artinian_invariants_skip_components_away_from_origin():
     # x(x-1) and x^2(x-1): only the origin component (x), resp. (x^2), counts
     R = make_ring(["x"], "Q", "lex")
     x = R.variable("x")
-    assert artinian_invariants(Ideal(R, [x * (x - 1)])) == (1, 1, True)
-    assert artinian_invariants(Ideal(R, [x**2 * (x - 1)])) == (2, 1, True)
-    assert artinian_invariants(Ideal(R, [x**3])) == (3, 1, True)
+    assert local_gorenstein(Ideal(R, [x * (x - 1)])) == (1, 1, True)
+    assert local_gorenstein(Ideal(R, [x**2 * (x - 1)])) == (2, 1, True)
+    assert local_gorenstein(Ideal(R, [x**3])) == (3, 1, True)
     # x^4 (x - 1)^2: the origin's factor k[x]/(x^4) is 4 of the 6 dimensions
-    assert artinian_invariants(Ideal(R, [x**4 * (x - 1) ** 2])) == (4, 1, True)
+    assert local_gorenstein(Ideal(R, [x**4 * (x - 1) ** 2])) == (4, 1, True)
 
 
-def test_artinian_invariants_reject_bad_input(A3):
+def test_artinian_invariants_reject_bad_input(A3, monkeypatch):
+    # an ideal that misses the origin is refused before any basis is taken;
+    # the input need not be zero-dimensional: (x) is a complete intersection
     x, y, z = A3.gens()
-    with pytest.raises(ValueError, match="origin"):
-        artinian_invariants(Ideal(A3, [x - 1, y, z]))
-    with pytest.raises(ValueError, match="zero-dimensional"):
-        artinian_invariants(Ideal(A3, [x]))
+    calls = _count_bases(monkeypatch)
+    with pytest.raises(ValueError, match="origin is not on the zero set"):
+        local_gorenstein(Ideal(A3, [x - 1, y, z]))
+    assert calls == []
+    assert local_gorenstein(Ideal(A3, [x])) == (1, 1, True)
 
 
 def test_artinian_invariants_examples():
     R = make_ring(["x", "y"], "Q", "grevlex")
     x, y = R.gens()
-    assert artinian_invariants(Ideal(R, [x**2, y**2])) == (4, 1, True)
-    assert artinian_invariants(Ideal(R, [x**2, x * y, y**2])) == (3, 2, False)
+    assert socle_dimensions(Ideal(R, [x**2, y**2]).groebner(), ()) == (4, 1)
+    square = Ideal(R, [x**2, x * y, y**2])
+    assert socle_dimensions(square.groebner(), ()) == (3, 2)
+    # no complete intersection: local_gorenstein reads the socle off its cut
+    assert local_gorenstein(square) == (3, 2, False)
     Rf = make_ring(["x1", "x2"], "Q", "lex")
     x1, x2 = Rf.gens()
-    assert artinian_invariants(Ideal(Rf, [x1**2 + x1 * x2, x2**2])) == (4, 1, True)
+    assert socle_dimensions(Ideal(Rf, [x1**2 + x1 * x2, x2**2]).groebner(), ()) == (4, 1)
 
 
 def test_artinian_length_order_independent():
@@ -544,7 +573,7 @@ def test_artinian_length_order_independent():
         lengths = []
         for R in (R_lex, R_grev):
             gens = [Polynomial.monomial(R, e) for e in exps if sum(e) > 0]
-            lengths.append(artinian_invariants(Ideal(R, gens))[0])
+            lengths.append(socle_dimensions(Ideal(R, gens).groebner(), ())[0])
         assert lengths[0] == lengths[1]
 
 
@@ -553,7 +582,7 @@ def test_artinian_reduce_two_cuts():
     x, y, z, u = R.gens()
     Q, forms = artinian_reduce(Ideal(R, [x**2, y**2]), seed=5)
     assert Q is not None and len(forms) == 2
-    assert artinian_invariants(Q)[2] is True
+    assert _socle_invariants(Q)[2] is True
 
 
 def test_gorenstein_verdict_independent_of_slice():
@@ -567,7 +596,7 @@ def test_gorenstein_verdict_independent_of_slice():
         for seed in (1, 2, 3):
             Q, _ = artinian_reduce(I, seed=seed)
             assert Q is not None
-            verdicts.append(artinian_invariants(Q)[2])
+            verdicts.append(_socle_invariants(Q)[2])
         assert all(v == expected for v in verdicts)
 
 
@@ -591,7 +620,7 @@ def test_complete_intersection_verdict_agrees_with_artinian_reduction():
                 fired += 1
                 Q, _forms = artinian_reduce(I, seed=seed)
                 assert Q is not None, (field, I)
-                assert local_gorenstein(I, seed=seed) == artinian_invariants(Q), (field, I)
+                assert local_gorenstein(I, seed=seed) == _socle_invariants(Q), (field, I)
     assert fired >= 200, fired
 
 
@@ -784,7 +813,7 @@ def _block1_bases(calls):
     return [gens for gens in calls if gens[0].ring.order == MonomialOrder("block", 1)]
 
 
-def test_artinian_invariants_take_at_most_one_basis(monkeypatch):
+def test_artinian_invariants_take_no_basis_beyond_the_reduction(monkeypatch):
     R = make_ring(["x", "y", "z"], "F31", "grevlex")
     x, y, z = R.gens()
     graded = Ideal(R, [x**2, y**2, z**2 - x * y])
@@ -792,17 +821,20 @@ def test_artinian_invariants_take_at_most_one_basis(monkeypatch):
     for Q in (graded, chart):
         Q.groebner()
     calls = _count_bases(monkeypatch)
-    assert artinian_invariants(graded) == (8, 1, True)
+    assert local_gorenstein(graded) == (8, 1, True)
     assert calls == []
-    assert artinian_invariants(chart) == (6, 1, True)
-    assert len(calls) == 1
-    # artinian_reduce's chart output already holds every x_i^d: no basis at all
+    # the reduction's Lazard basis and the basis of its cut, which drops
+    # the component at (1, 2, 0) and serves the socle
+    assert local_gorenstein(chart) == (6, 1, True)
+    assert len(calls) == 2 and len(_block1_bases(calls)) == 1
+    # artinian_reduce's chart output is its own origin component: its socle
+    # is read off the basis it holds
     session = parse_session((FIXTURES / "double_lines.session").read_text())
     certified, _forms = artinian_reduce(translate_to_origin(session.ideals["I1"], session.points["S"]))
     certified.groebner()
     calls.clear()
     assert not certified.is_homogeneous()
-    assert artinian_invariants(certified) == (2, 1, True)
+    assert socle_dimensions(certified.groebner(), ()) == (2, 1)
     assert calls == []
 
 
@@ -876,10 +908,28 @@ def test_regularity_tests_only_the_colon_against_the_ideal(monkeypatch):
             assert not any(g in tested for g in I.gens), (field, gens)
 
 
+def _socle_invariants(Q):
+    """(length, socle_dim, gorenstein) read off the basis of Q, an
+    Artinian reduction's output, which is its own origin component."""
+    length, socle_dim = socle_dimensions(Q.groebner(), ())
+    return length, socle_dim, socle_dim == 1
+
+
+def _origin_component_invariants(I):
+    """(length, socle_dim, gorenstein) from the origin component
+    I : (I : m^inf), the primary decomposition step the library skips."""
+    m = Ideal(I.ring, I.ring.gens())
+    Q = ideal_colon(I, saturate(I, m))
+    length = len(standard_monomials(Q.groebner()))
+    socle_dim = length - len(standard_monomials(ideal_colon(Q, m).groebner()))
+    return length, socle_dim, socle_dim == 1
+
+
 def _reduce_one_cut_at_a_time(I, seed):
     """Reference for artinian_reduce: (cuts, invariants) after cutting by
     linear forms certified regular one at a time by the colon, or None when
-    8 draws give no regular form."""
+    8 draws give no regular form.  The invariants are those of the origin
+    component, found by colons, with no code of the reduction."""
     rng = random.Random(seed)
     R = I.ring
     sample = R.field.random_sample()
@@ -892,7 +942,7 @@ def _reduce_one_cut_at_a_time(I, seed):
         else:
             return None
         current, cuts = ideal_sum(current, Ideal(R, [h])), cuts + 1
-    return cuts, artinian_invariants(current)
+    return cuts, _origin_component_invariants(current)
 
 
 def _random_homogeneous_ideal(R, rng):
@@ -927,7 +977,7 @@ def test_graded_length_certificate_agrees_with_regular_cuts():
             if expected is not None:
                 assert len(forms) == expected[0], (R, I)
                 expected = expected[1]
-            assert (artinian_invariants(Q) if isinstance(Q, Ideal) else None) == expected, (R, I)
+            assert (_socle_invariants(Q) if isinstance(Q, Ideal) else None) == expected, (R, I)
             outcomes.add("refuted" if Q is False else expected is not None)
         assert outcomes == {True, "refuted"}, R
 
@@ -947,7 +997,7 @@ def test_chart_reduction_takes_one_lazard_basis(monkeypatch):
     # a chart ideal's Gorenstein verdict takes the Lazard basis of I once,
     # for the reduction, one basis per draw, and one basis of I + (h) +
     # (x_i^(e+1)), which both counts the length and serves
-    # artinian_invariants
+    # the socle
     from liaison import localrings
 
     R = make_ring(["x", "y", "z", "u"], "F31", "grevlex")
@@ -1013,7 +1063,7 @@ def test_invariants_and_graded_slices_take_no_colon(monkeypatch):
     graded = Ideal(R, [x**2, y**2])
     distant = ideal_intersect(Ideal(R, [x**2, y, z**2, u]), Ideal(R, [x - 1, y, z, u - 2]))
     calls = _count_colons(monkeypatch)
-    assert artinian_invariants(distant) == (4, 1, True)
+    assert local_gorenstein(distant) == (4, 1, True)
     Q, forms = artinian_reduce(graded, seed=5)
     assert Q is not None and len(forms) == 2
     assert calls == []
@@ -1177,7 +1227,7 @@ def test_local_reduction_agrees_with_regular_cuts_on_chart_ideals():
                 continue
             cuts, (length, socle_dim, gorenstein) = expected
             assert isinstance(Q, Ideal) and len(forms) == cuts, (field, J)
-            got = artinian_invariants(Q)
+            got = _socle_invariants(Q)
             assert got[1:] == (socle_dim, gorenstein) and got[0] <= length, (field, J)
             compared += 1
     assert compared >= 12 and decided >= 6, (compared, decided)

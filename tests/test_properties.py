@@ -16,7 +16,6 @@ from liaison import (
     Ideal,
     LinkedTriple,
     Polynomial,
-    artinian_invariants,
     buchberger,
     divide,
     hilbert_data,
@@ -26,12 +25,13 @@ from liaison import (
     ideal_product,
     ideal_sum,
     make_ring,
-    saturate,
     socle_lemma_test,
     standard_monomials,
     substitute,
 )
 from liaison.generators import random_ci_linked_triple
+from liaison.localrings import local_gorenstein
+from test_localrings import _origin_component_invariants
 
 pytest.importorskip("hypothesis")
 from hypothesis import assume, given, settings, strategies as st  # noqa: E402
@@ -159,23 +159,13 @@ def origin_and_distant_component(draw):
     return Q0, P
 
 
-def _origin_component_invariants(I):
-    """(length, socle_dim, gorenstein) from the origin component
-    I : (I : m^inf), the primary decomposition step the library skips."""
-    m = Ideal(I.ring, I.ring.gens())
-    Q = ideal_colon(I, saturate(I, m))
-    length = len(standard_monomials(Q.groebner()))
-    socle_dim = length - len(standard_monomials(ideal_colon(Q, m).groebner()))
-    return length, socle_dim, socle_dim == 1
-
-
 @PROPERTY
 @given(origin_and_distant_component())
 def test_artinian_invariants_ignore_distant_components(pair):
     Q0, P = pair
     I = ideal_intersect(Q0, P)
-    invariants = artinian_invariants(I)
-    assert invariants == artinian_invariants(Q0)
+    invariants = local_gorenstein(I)
+    assert invariants == local_gorenstein(Q0)
     assert invariants == _origin_component_invariants(I)
 
 
@@ -213,9 +203,9 @@ def _curved_ideals_with_distant_components(count, rng):
 
 
 def test_artinian_invariants_match_origin_component_on_curved_ideals():
-    # multiplication-matrix invariants against the colon formula; (x^4, y)
-    # has x nilpotent of index d = 4, so the exponent bound d of
-    # Q + (x_i^d) is reached
+    # the socle of the reduction's cut against the colon formula; (x^4, y)
+    # has x nilpotent of index 4, its multiplicity e, and beside a distant
+    # point its cut adds (x^(e+1), y^(e+1)), one power above that index
     ring = RINGS[0]
     x, y = ring.gens()
     full_index = Ideal(ring, [x**4, y])
@@ -223,10 +213,10 @@ def test_artinian_invariants_match_origin_component_on_curved_ideals():
     cases += _curved_ideals_with_distant_components(30, random.Random(67))
     socles = set()
     for I in cases:
-        invariants = artinian_invariants(I)
+        invariants = local_gorenstein(I)
         assert invariants == _origin_component_invariants(I)
         socles.add(invariants[1])
-    assert artinian_invariants(full_index) == (4, 1, True)
+    assert local_gorenstein(full_index) == (4, 1, True)
     assert all(not I.is_homogeneous() for I in cases[1:])
     assert len(socles) > 1
 
