@@ -60,10 +60,6 @@ class Ideal:
         ideal._gb = gb
         return ideal
 
-    def held_groebner(self):
-        """The Groebner basis held so far, or None; computes nothing."""
-        return self._gb
-
     def groebner(self):
         if self._gb is None:
             if not self.gens:

@@ -113,7 +113,8 @@ class LocalPointReport(Report):
 
 
 def _check_point(I, point):
-    """Raise the ValueError of a point off V(I), then of a projective point, I not homogeneous."""
+    """The library's one zero-set check: raise the ValueError of a point off
+    V(I), then of a projective point, I not homogeneous."""
     if any(g.evaluate(point.coordinates) != I.ring.field.zero for g in I.gens):
         raise ValueError(f"point {point} is not on the zero set of the ideal")
     if not (point.is_affine or I.is_homogeneous()):
@@ -151,9 +152,9 @@ def translate_to_origin(I, point):
     return Ideal(target, gens)
 
 
-def local_mu(I, point=None):
+def local_mu(I, point):
     """Minimal number of generators of I localized at a rational point p of
-    V(I), the origin when point is None, with no chart.
+    V(I), with no chart.
 
     mu = dim_k(I/m_p I) (Nakayama).  With G = (g_1..g_s) the reduced basis
     of I and S a matrix whose columns generate its syzygies, R^t -> R^s ->
@@ -162,17 +163,13 @@ def local_mu(I, point=None):
     projective point is read at its coordinates, the chart's scaled to 1:
     for homogeneous I, inverting the chart variable x_c makes I its chart
     ideal I' extended along the free map R' -> R'[x_c, 1/x_c], so
-    I (x) k(p) = I' (x) k(p') and mu is the chart's.  The ValueErrors are
-    translate_to_origin's, in its order.
+    I (x) k(p) = I' (x) k(p') and mu is the chart's.  A point off V(I), or
+    a projective point of an I not homogeneous, raises _check_point's
+    ValueError before any basis is taken.
     """
-    ring = I.ring
-    if point is not None:
-        _check_point(I, point)
-    elif any(g.constant_term() != ring.field.zero for g in I.gens):
-        raise ValueError("origin is not on the zero set of the ideal")
+    _check_point(I, point)
     gb = I.groebner()
-    coords = (ring.field.zero,) * ring.nvars if point is None else point.coordinates
-    return len(gb) - rank(syzygy_values(gb, coords), ring.field)
+    return len(gb) - rank(syzygy_values(gb, point.coordinates), I.ring.field)
 
 
 def _coordinates(f, gb, index):
@@ -305,23 +302,22 @@ def local_gorenstein(I, seed=0):
     A graded complete intersection (is_graded_complete_intersection) is
     Gorenstein of type 1 with length deg R/I (Bruns-Herzog, Prop. 3.1.20),
     with no reduction.  Any other I must vanish at the origin, else
-    ValueError, checked after the shortcut, which never fires off the
-    origin (a homogeneous I other than R vanishes there), and is read off
-    the Artinian reduction, whose length is the local multiplicity: decided,
-    (length, socle_dim, socle_dim == 1), both read by socle_dimensions off
-    the basis of the cut the reduction certified, the origin's primary
-    component of I + (h), with no second basis and no normal form of a
-    power; on a zero-dimensional I no form is drawn, and the cut is I's
-    own origin component, its components away from the origin dropped;
-    refuted, (None, None, False), when its length check refutes
-    Cohen-Macaulayness (no length or socle, which would depend on the cut);
-    inconclusive, (None, None, None), when the slice budget is spent.  So
-    the length is not None exactly when R/I is certified Cohen-Macaulay at
-    the origin."""
+    _check_point's ValueError there, raised after the shortcut, which never
+    fires off the origin (a homogeneous I other than R vanishes there), and
+    is read off the Artinian reduction, whose length is the local
+    multiplicity: decided, (length, socle_dim, socle_dim == 1), both read by
+    socle_dimensions off the basis of the cut the reduction certified, the
+    origin's primary component of I + (h), with no second basis and no
+    normal form of a power; on a zero-dimensional I no form is drawn, and
+    the cut is I's own origin component, its components away from the
+    origin dropped; refuted, (None, None, False), when its length check
+    refutes Cohen-Macaulayness (no length or socle, which would depend on
+    the cut); inconclusive, (None, None, None), when the slice budget is
+    spent.  So the length is not None exactly when R/I is certified
+    Cohen-Macaulay at the origin."""
     if is_graded_complete_intersection(I):
         return GorensteinInvariants(hilbert_data(I).degree, 1, True)
-    if any(g.constant_term() != I.ring.field.zero for g in I.gens):
-        raise ValueError("origin is not on the zero set of the ideal")
+    _check_point(I, RationalPoint.affine(I.ring, [0] * I.ring.nvars))
     Q, _forms = artinian_reduce(I, seed=seed)
     if not isinstance(Q, Ideal):  # Q is the verdict: False refuted, None inconclusive
         return GorensteinInvariants(None, None, Q)

@@ -56,22 +56,28 @@ def _run(argv, src):
     return proc.stdout, proc.stderr, proc.returncode
 
 
+def extract(ref, dest, *paths):
+    """Extract git revision ref, or only its paths if any are named, into
+    dest; False, with git's message on stderr, when ref cannot be read."""
+    archive = subprocess.run(["git", "archive", "--format=tar", ref, *paths], cwd=ROOT, capture_output=True)
+    if archive.returncode != 0:
+        print(archive.stderr.decode(errors="replace"), end="", file=sys.stderr)
+        return False
+    with tarfile.open(fileobj=io.BytesIO(archive.stdout)) as tar:
+        # the data filter, where this Python has it, refuses unsafe members
+        tar.extractall(dest, **({"filter": "data"} if hasattr(tarfile, "data_filter") else {}))
+    return True
+
+
 def main():
     args = sys.argv[1:]
     if len(args) != 1:
         print("usage: python tests/cli_equivalence.py REF", file=sys.stderr)
         return 2
-    archive = subprocess.run(
-        ["git", "archive", "--format=tar", args[0], "src"], cwd=ROOT, capture_output=True
-    )
-    if archive.returncode != 0:
-        print(archive.stderr.decode(errors="replace"), end="", file=sys.stderr)
-        return 2
     runs = _runs()
     with tempfile.TemporaryDirectory(prefix="liaison-cli-equivalence-") as tmp:
-        with tarfile.open(fileobj=io.BytesIO(archive.stdout)) as tar:
-            # the data filter, where this Python has it, refuses unsafe members
-            tar.extractall(tmp, **({"filter": "data"} if hasattr(tarfile, "data_filter") else {}))
+        if not extract(args[0], tmp, "src"):
+            return 2
         trees = (ROOT / "src", Path(tmp) / "src")
         with ThreadPoolExecutor(JOBS) as pool:
             outcomes = list(pool.map(lambda job: _run(*job), itertools.product(runs, trees)))

@@ -266,9 +266,15 @@ MUTANTS = (
     ),
     (
         "localrings.py",
-        "    if any(g.constant_term() != I.ring.field.zero for g in I.gens):",
-        "    if False:",
+        "    _check_point(I, RationalPoint.affine(I.ring, [0] * I.ring.nvars))\n",
+        "",
         ["tests/test_localrings.py::test_artinian_invariants_reject_bad_input"],
+    ),
+    (
+        "localrings.py",
+        "    _check_point(I, point)\n    gb = I.groebner()",
+        "    gb = I.groebner()",
+        ["tests/test_localrings.py::test_local_mu_needs_origin"],
     ),
     (
         "localrings.py",

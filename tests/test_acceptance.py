@@ -17,6 +17,7 @@ from liaison import (
     DoubleLine,
     Ideal,
     LinkedTriple,
+    RationalPoint,
     buchberger,
     classify,
     double_line_ideal,
@@ -198,7 +199,8 @@ def test_criterion_07_mu_monomial_oracle():
         ring = make_ring([f"x{i}" for i in range(nvars)], "F31", "grevlex")
         I = random_monomial_ideal(ring, rng, max_gens=6)
         minimal = minimal_monomial_generators([g.leading_monomial() for g in I.gens])
-        assert local_mu(I) == len(minimal), (I.gens, minimal)
+        origin = RationalPoint.affine(ring, [0] * nvars)
+        assert local_mu(I, origin) == len(minimal), (I.gens, minimal)
         count += 1
     _report(7, f"{count} monomial ideals: local_mu equals minimal-generator count")
 

@@ -211,8 +211,9 @@ def test_chart_of_a_held_basis_matches_the_chart_computed_afresh(field):
         held.append(Ideal.from_groebner(Ideal(R, _vertex_forms(R, rng, 3)).groebner()))
     for U in held:
         bare = Ideal(R, U.gens)
-        assert U.held_groebner() is not None
-        assert local_mu(U, P) == local_mu(translate_to_origin(bare, P))
+        assert U._gb is not None
+        chart = translate_to_origin(bare, P)
+        assert local_mu(U, P) == local_mu(chart, _origin(chart.ring))
         assert local_ci_test(U, P).as_dict() == local_ci_test(bare, P).as_dict()
 
 
@@ -229,7 +230,7 @@ def test_chart_of_a_held_basis_is_re_reduced():
     assert len(U.groebner()) == 6
     assert [str(g) for g in J.groebner()] == ["c", "b", "a"]
     assert local_mu(U, P) == 3
-    assert local_mu(J) == 3
+    assert local_mu(J, _origin(J.ring)) == 3
 
 
 def test_chart_of_a_held_basis_keeps_the_generators(monkeypatch):
@@ -258,10 +259,11 @@ def test_chart_of_a_held_basis_keeps_the_generators(monkeypatch):
 
 def test_local_mu_examples(A3):
     x, y, z = A3.gens()
-    assert local_mu(Ideal(A3, [x, y])) == 2
-    assert local_mu(Ideal(A3, [x, y, x + y])) == 2
+    origin = _origin(A3)
+    assert local_mu(Ideal(A3, [x, y]), origin) == 2
+    assert local_mu(Ideal(A3, [x, y, x + y]), origin) == 2
     # (x) meet (x - 1, y): two generators globally, one at the origin
-    assert local_mu(Ideal(A3, [x**2 - x, x * y])) == 1
+    assert local_mu(Ideal(A3, [x**2 - x, x * y]), origin) == 1
 
 
 def test_local_mu_monomial_oracle():
@@ -270,14 +272,14 @@ def test_local_mu_monomial_oracle():
     for _ in range(25):
         I = random_monomial_ideal(R, rng)
         minimal = minimal_monomial_generators([g.leading_monomial() for g in I.gens])
-        assert local_mu(I) == len(minimal)
+        assert local_mu(I, _origin(R)) == len(minimal)
 
 
 def test_local_mu_redundant_generators_invariant(A3):
     x, y, z = A3.gens()
     base = Ideal(A3, [x**2 - y, y * z])
     padded = Ideal(A3, [x**2 - y, y * z, (x**2 - y) * z, y * z * (1 + x)])
-    assert local_mu(base) == local_mu(padded)
+    assert local_mu(base, _origin(A3)) == local_mu(padded, _origin(A3))
 
 
 def test_local_mu_coordinate_change_invariant(A3):
@@ -297,7 +299,7 @@ def test_local_mu_coordinate_change_invariant(A3):
             continue
         I = Ideal(A3, gens)
         J = Ideal(A3, [substitute(g, change) for g in gens])
-        assert local_mu(I) == local_mu(J)
+        assert local_mu(I, _origin(A3)) == local_mu(J, _origin(A3))
 
 
 
@@ -311,20 +313,25 @@ def test_local_mu_ignores_units_and_distant_components():
     away = Ideal(R, [x - 1, y - 2, z + 3])
     for _ in range(8):
         I = random_monomial_ideal(R, rng, max_gens=4, max_exp=2)
-        mu = local_mu(I)
-        assert local_mu(Ideal(R, [g * unit for g in I.gens])) == mu
-        assert local_mu(ideal_intersect(I, away)) == mu
+        origin = _origin(R)
+        mu = local_mu(I, origin)
+        assert local_mu(Ideal(R, [g * unit for g in I.gens]), origin) == mu
+        assert local_mu(ideal_intersect(I, away), origin) == mu
 
 def test_local_mu_complete_intersection(A3):
     x, y, z = A3.gens()
     # independent linear parts at the origin
-    assert local_mu(Ideal(A3, [x + x * y, y + z**2, z + x * z])) == 3
+    assert local_mu(Ideal(A3, [x + x * y, y + z**2, z + x * z]), _origin(A3)) == 3
+
+
+def _origin(R):
+    return RationalPoint.affine(R, [0] * R.nvars)
 
 
 def test_local_mu_needs_origin(A3):
     x, *_ = A3.gens()
-    with pytest.raises(ValueError):
-        local_mu(Ideal(A3, [x - 1]))
+    with pytest.raises(ValueError, match=r"point \(0,0,0\) is not on the zero set of the ideal"):
+        local_mu(Ideal(A3, [x - 1]), _origin(A3))
 
 
 def _random_ideal_through(R, point, rng):
@@ -374,15 +381,17 @@ def test_local_mu_at_a_point_matches_its_chart(field):
             I = _random_ideal_through(R, point, rng)
             inhomogeneous += not I.is_homogeneous()
             mu = local_mu(I, point)
-            assert mu == local_mu(translate_to_origin(I, point)), (field, point, I)
+            chart = translate_to_origin(I, point)
+            assert mu == local_mu(chart, _origin(chart.ring)), (field, point, I)
             mus.add(mu)
     assert mus >= {1, 2, 3} and len(charts) == 5 and inhomogeneous > 5
     # the zero ideal: its empty basis leaves no generator at any point
     R = make_ring(["x", "y", "z", "u"], field, "grevlex")
     for point in (RationalPoint.projective(R, [1, 2, 0, 1]), RationalPoint.affine(R, [1, 2, 0, 1])):
-        assert local_mu(Ideal.zero(R), point) == local_mu(translate_to_origin(Ideal.zero(R), point)) == 0
-    # the point's errors, with translate_to_origin's text and in its order:
-    # off the zero set first, then a projective point with a
+        chart = translate_to_origin(Ideal.zero(R), point)
+        assert local_mu(Ideal.zero(R), point) == local_mu(chart, _origin(chart.ring)) == 0
+    # the point's errors, _check_point's, which translate_to_origin raises
+    # too: off the zero set first, then a projective point with a
     # non-homogeneous ideal
     x, y, z, u = R.gens()
     P = RationalPoint.projective(R, [1, 2, 0, 1])
@@ -438,7 +447,7 @@ def test_local_mu_matches_normal_forms_modulo_m_times_i():
         L1, L2 = random_meeting_instance(R, ["a", "b_hold", "b_violate", "one_sided"][k % 4], rng)
         U = ideal_intersect(double_line_ideal(L1), double_line_ideal(L2))
         J = translate_to_origin(U, meeting)
-        mu = local_mu(J)
+        mu = local_mu(J, _origin(J.ring))
         assert mu == _mu_by_normal_forms(J), U
         mus.add(mu)
     assert mus == {2, 3}
@@ -458,7 +467,7 @@ def test_local_mu_matches_normal_forms_modulo_m_times_i():
                 ]
             variants.append(ideal_intersect(I, away))
             for J in variants:
-                mu = local_mu(J)
+                mu = local_mu(J, _origin(R))
                 assert mu == _mu_by_normal_forms(J), (field, J)
                 mus.add(mu)
     assert mus >= {0, 1, 2, 3}
@@ -545,7 +554,7 @@ def test_artinian_invariants_reject_bad_input(A3, monkeypatch):
     # the input need not be zero-dimensional: (x) is a complete intersection
     x, y, z = A3.gens()
     calls = _count_bases(monkeypatch)
-    with pytest.raises(ValueError, match="origin is not on the zero set"):
+    with pytest.raises(ValueError, match=r"point \(0,0,0\) is not on the zero set of the ideal"):
         local_gorenstein(Ideal(A3, [x - 1, y, z]))
     assert calls == []
     assert local_gorenstein(Ideal(A3, [x])) == (1, 1, True)
@@ -902,7 +911,7 @@ def test_regularity_tests_only_the_colon_against_the_ideal(monkeypatch):
             I = Ideal(R, gens)
             colons.clear()
             tested.clear()
-            assert I.held_groebner() is None
+            assert I._gb is None
             assert is_regular(h, I)
             assert tested == list(colons[0].gens), (field, gens)
             assert not any(g in tested for g in I.gens), (field, gens)
@@ -1262,7 +1271,7 @@ def test_meeting_point_is_lci_exactly_where_it_is_gorenstein():
             U = ideal_intersect(double_line_ideal(L1), double_line_ideal(L2))
             J = translate_to_origin(U, meeting)
             length, socle_dim, gorenstein = local_gorenstein(J, seed=k)
-            assert (local_mu(J) == 2) is gorenstein, (field, case, U)
+            assert (local_mu(J, _origin(J.ring)) == 2) is gorenstein, (field, case, U)
             assert length == 4 and socle_dim in (1, 2), (field, case, U)
             assert (socle_dim == 1) is buckets[case], (field, case, U)
             types.add(socle_dim)
