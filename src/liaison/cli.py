@@ -157,7 +157,7 @@ def build_parser():
     parser.add_argument("session", help="path to the session file")
     parser.add_argument("command", choices=sorted(_COMMANDS), help="command to run")
     parser.add_argument("args", nargs="*", help="names declared in the session")
-    parser.add_argument("--mode", default="both", choices=["conditions", "oracle", "both"],
+    parser.add_argument("--mode", default="both", choices=["conditions", "both"],
                         help="classification mode (classify only)")
     parser.add_argument("--seed", type=int, default=0,
                         help="seed of the Artinian slices (lci, gorenstein, verify-triple only)")

@@ -423,12 +423,12 @@ def oracle_lal(L1, L2):
 def classify(L1, L2, mode="both", seed=0):
     """Classify a pair of double lines.
 
-    mode 'conditions' runs the explicit classification, 'oracle' the
-    geometric one, and 'both' runs both and raises
-    ClassificationDiscrepancy on any disagreement.  Both are deterministic:
-    seed is accepted for existing callers and has no effect.
+    mode 'conditions' runs the explicit classification, and 'both' also
+    runs the geometric oracle and raises ClassificationDiscrepancy on any
+    disagreement.  Both are deterministic: seed is accepted for existing
+    callers and has no effect.
     """
-    if mode not in ("conditions", "oracle", "both"):
+    if mode not in ("conditions", "both"):
         raise ValueError(f"unknown classification mode {mode!r}")
     if L1.ring != L2.ring:
         raise ValueError("double lines live in different ring contexts")
@@ -442,10 +442,9 @@ def classify(L1, L2, mode="both", seed=0):
     if mode == "conditions":
         return verdict
     oracle_verdict, points = oracle_lal(L1, L2)
-    lal = oracle_verdict == "lal"
-    if mode == "both" and lal != verdict.lal:
+    if (oracle_verdict == "lal") != verdict.lal:
         raise ClassificationDiscrepancy(
             f"conditions say lal={verdict.lal} ({verdict.case_tag}) but the "
             f"oracle says {oracle_verdict} for pair ({L1}, {L2})"
         )
-    return replace(verdict, lal=lal, mode=mode, oracle_verdict=oracle_verdict, point_reports=points)
+    return replace(verdict, mode=mode, oracle_verdict=oracle_verdict, point_reports=points)

@@ -6,7 +6,8 @@ The local minimal generator count at any rational point p of V(I) is
 dim_k(I/m_p I) (Nakayama), read off the values at p of the Schreyer
 syzygies of I's own reduced basis, with no chart.  Every other
 local invariant is computed at the origin of an affine chart, to which
-translate_to_origin moves the point.  The Artinian invariants are
+translate_to_origin moves the point, or refuses it by _check_point, the
+module's one refusal.  The Artinian invariants are
 linear algebra on the origin's primary component Q_0 of a cut, in its
 basis of standard monomials, with no primary decomposition: the Artinian
 reduction's cut is Q_0 itself, certified by its length check (see
@@ -329,20 +330,18 @@ def local_ci_test(I, point, seed=0):
     """Local complete-intersection test at a rational point, with the
     Gorenstein verdict there.
 
-    I must be homogeneous, else ValueError.  mu = dim_k(I/m_p I) is read
-    off I's own basis at the point (local_mu), with no chart; lci means mu
-    equals the local codimension, which is exact: the variables of the
-    chart ideal J minus the local dimension, read off the local leading
-    ideal L that J holds, by one rule for every chart ideal (a homogeneous
-    J reads L off its own reduced basis; any other takes its one Lazard
-    basis here and holds it for its reduction), in every outcome.  J is
-    kept for that codimension and for the Gorenstein invariants, which are
-    local_gorenstein's at J's origin, and the note is GORENSTEIN_NOTES of
-    the verdict (refuted or inconclusive) when they have no length, else
-    empty.
+    It answers at every rational point p of V(I) and refuses only through
+    _check_point (p off V(I), or p projective and I not homogeneous).
+    mu = dim_k(I/m_p I) is read off I's own basis at p (local_mu), with no
+    chart; lci means mu equals the local codimension, which is exact: the
+    variables of the chart ideal J minus the local dimension, read off the
+    local leading ideal L that J holds, by one rule for every chart ideal
+    (a homogeneous J reads L off its own reduced basis; any other takes
+    its one Lazard basis here and holds it for its reduction), in every
+    outcome.  J is kept for that codimension and for the Gorenstein
+    invariants, local_gorenstein's at J's origin, and the note is
+    GORENSTEIN_NOTES of the verdict when they have no length, else empty.
     """
-    if not I.is_homogeneous():
-        raise ValueError("local_ci_test needs a homogeneous ideal")
     J = translate_to_origin(I, point)
     mu = local_mu(I, point)
     codim = J.ring.nvars - hilbert_data(local_leading_ideal(J)[0]).krull_dimension

@@ -278,6 +278,17 @@ MUTANTS = (
     ),
     (
         "localrings.py",
+        "    J = translate_to_origin(I, point)\n",
+        "    if not I.is_homogeneous():\n"
+        '        raise ValueError("local_ci_test needs a homogeneous ideal")\n'
+        "    J = translate_to_origin(I, point)\n",
+        [
+            "tests/test_localrings.py::test_local_ci_test_answers_at_affine_points[F31]",
+            "tests/test_localrings.py::test_local_ci_test_at_a_projective_point_matches_its_moved_chart[F31-0]",
+        ],
+    ),
+    (
+        "localrings.py",
         "return GorensteinInvariants(length, socle_dim, socle_dim == 1)",
         "return GorensteinInvariants(length, socle_dim, socle_dim >= 1)",
         ["tests/test_localrings.py::test_artinian_invariants_examples"],

@@ -197,8 +197,9 @@ def test_classification_refuses_mismatched_input(P3):
     x, y, z, u = P3.gens()
     L = _line(P3, (0, 1), z, u)
     meeting, same = _line(P3, (0, 2), y, u), _line(P3, (0, 1), u, z)
-    with pytest.raises(ValueError, match="unknown classification mode 'fast'"):
-        classify(L, same, mode="fast")
+    for mode in ("fast", "oracle"):
+        with pytest.raises(ValueError, match=f"unknown classification mode '{mode}'"):
+            classify(L, same, mode=mode)
     other = make_ring(["x", "y", "z", "u"], "F31", "grevlex")
     z31, u31 = other.gens()[2:]
     with pytest.raises(ValueError, match="double lines live in different ring contexts"):
@@ -367,10 +368,13 @@ def test_oracle_mode_standalone(P3):
     x, y, z, u = P3.gens()
     L1 = _line(P3, (0, 1), z, u)
     L2 = _line(P3, (0, 2), y, u)
-    v = classify(L1, L2, mode="oracle", seed=9)
+    assert oracle_lal(L1, L2)[0] == "lal"
+    v = classify(L1, L2, mode="both", seed=9)
     assert v.lal and v.oracle_verdict == "lal"
-    bad = classify(_line(P3, (0, 1), 2 * u, z), _line(P3, (0, 2), u, y), mode="oracle", seed=9)
-    assert not bad.lal and bad.oracle_verdict == "not_lal"
+    bad = (_line(P3, (0, 1), 2 * u, z), _line(P3, (0, 2), u, y))
+    assert oracle_lal(*bad)[0] == "not_lal"
+    v = classify(*bad, mode="both", seed=9)
+    assert not v.lal and v.oracle_verdict == "not_lal"
 
 
 def _eigenspace_pencil(ring, support, N):
@@ -465,7 +469,7 @@ def test_same_support_oracle_matches_construction(field):
 
 @pytest.mark.parametrize("field", ["F31", "Q"])
 def test_same_support_modes_use_the_oracle(field, monkeypatch):
-    # a classifier that answers wrongly on equal supports: 'oracle' must
+    # a classifier that answers wrongly on equal supports: the oracle must
     # still give the right verdict and 'both' must refuse to answer
     real = classify_same_support_pair
 
@@ -481,8 +485,7 @@ def test_same_support_modes_use_the_oracle(field, monkeypatch):
         traceless = i % 2 == 0
         L1, L2, _N = random_same_support_instance(R, rng, traceless)
         seed = rng.randrange(10**6)
-        v = classify(L1, L2, mode="oracle", seed=seed)
-        assert v.lal == traceless and v.oracle_verdict == ("lal" if traceless else "not_lal")
+        assert oracle_lal(L1, L2)[0] == ("lal" if traceless else "not_lal")
         with pytest.raises(ClassificationDiscrepancy):
             classify(L1, L2, mode="both", seed=seed)
 

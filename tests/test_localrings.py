@@ -737,15 +737,74 @@ def test_lci_implies_gorenstein_on_tested_instances():
     assert verdicts == [True, False]
 
 
-def test_local_ci_test_refuses_non_homogeneous_input(A3):
-    # local_ci_test is defined on homogeneous ideals, whose points sit in
-    # projective charts; the local reduction would take affine input too,
-    # but the command keeps that out of scope, so x + y^2 is refused
-    x, y, z = A3.gens()
-    p = RationalPoint.affine(A3, [0, 0, 0])
-    for gens in ([x + y * z, y + x**2], [x + y**2]):
-        with pytest.raises(ValueError, match="homogeneous"):
-            local_ci_test(Ideal(A3, gens), p)
+@pytest.mark.parametrize("field", ["F31", "F5", "Q"])
+def test_local_ci_test_answers_at_affine_points(field):
+    # (mu, codim, lci, length, socle_dim, gorenstein) of ideals that are not
+    # all homogeneous, at affine points, each checked by hand
+    R = make_ring(["x", "y", "z"], field, "grevlex")
+    x, y, z = R.gens()
+    origin = RationalPoint.affine(R, [0, 0, 0])
+    smooth_curve = (2, 2, True, 1, 1, True)
+    not_gorenstein = (3, 2, False, 3, 2, False)
+    for gens, point, expected in (
+        # linear parts x and y are independent: a smooth curve, a regular
+        # local ring of dimension 1 cut out by two minimal generators
+        ([x + y * z, y + x**2], origin, smooth_curve),
+        # a principal ideal with linear part x: a smooth surface
+        ([x + y**2], origin, (1, 1, True, 1, 1, True)),
+        # (x, y)^2: three independent quadrics around the z-axis; R/I is
+        # free of rank 3 over k[z], so Cohen-Macaulay of multiplicity 3, and
+        # the cut by z, k[x, y]/(x, y)^2, has socle (x, y): type 2
+        ([x**2, x * y, y**2], origin, not_gorenstein),
+        # the three coordinate axes: three independent quadrics, a reduced
+        # curve, so Cohen-Macaulay, of multiplicity 3, whose generic cut has
+        # Hilbert function 1, 2, so its socle is the maximal ideal: type 2
+        ([x * y, x * z, y * z], origin, not_gorenstein),
+        # (x) cap (x - 1, y): at the origin x - 1 is a unit, so the ideal
+        # is (x) there; at (1, 0, 5) x is a unit, so it is the line
+        # (x - 1, y); the component away from the point does not count
+        ([x * (x - 1), x * y], origin, (1, 1, True, 1, 1, True)),
+        ([x * (x - 1), x * y], RationalPoint.affine(R, [1, 0, 5]), smooth_curve),
+    ):
+        report = local_ci_test(Ideal(R, gens), point)
+        got = (report.mu, report.codim, report.lci)
+        got += (report.length, report.socle_dim, report.gorenstein)
+        assert got == expected, (gens, point)
+        assert report.note == ""
+
+
+@pytest.mark.parametrize("seed", [0, 1013])
+@pytest.mark.parametrize("field", ["F31", "F5", "Q"])
+def test_local_ci_test_at_a_projective_point_matches_its_moved_chart(field, seed):
+    # a projective point of a homogeneous ideal and the affine point q of
+    # its chart, dehomogenized and moved so that the point goes to a seeded
+    # q, have the same local ring: the whole report agrees.  Inputs are the
+    # union U and the first line I1 of a meeting pair of each bucket, at the
+    # meeting point (0:0:0:1) and at further points on the supports, in
+    # charts 1, 2, 3.
+    R = make_ring(["x", "y", "z", "u"], field, "grevlex")
+    rng = random.Random(f"moved chart {field} {seed}")
+    sample = R.field.random_sample()
+    keys = ("mu", "codim", "lci", "length", "socle_dim", "gorenstein")
+    outcomes = set()
+    for case in ("a", "b_hold", "b_violate", "one_sided"):
+        L1, L2 = random_meeting_instance(R, case, rng)
+        I1 = double_line_ideal(L1)
+        U = ideal_intersect(I1, double_line_ideal(L2))
+        c = rng.choice(sample)
+        first = [[0, 0, 0, 1], [0, 0, c, 1], [0, 0, 1, 0]]
+        for I, points in ((U, [*first, [0, c, 0, 1], [0, 1, 0, 0]]), (I1, first)):
+            for coords in points:
+                point = RationalPoint.projective(R, coords)
+                chart = _substitution_translate(I, point)
+                q = [rng.choice(sample) for _ in range(3)]
+                away = RationalPoint.affine(chart.ring, [R.field.neg(t) for t in q])
+                J = _substitution_translate(chart, away)
+                expected = local_ci_test(I, point).as_dict()
+                got = local_ci_test(J, RationalPoint.affine(J.ring, q)).as_dict()
+                assert [got[k] for k in keys] == [expected[k] for k in keys], (case, I, point, q)
+                outcomes.add((expected["lci"], expected["gorenstein"]))
+    assert {(True, True), (False, False)} <= outcomes, outcomes
 
 
 def test_lci_codim_is_local_on_mixed_dimensions():
