@@ -8,7 +8,7 @@ this from the form data alone; the geometric oracle re-decides it by
 certifying each line lci along its support and measuring the union's
 local invariants at the meeting point (on a shared support, by an exact
 linear search over complete intersections of two quadrics), and
-`classify` in mode "both" insists the two answers agree.
+`classify` insists the two answers agree.
 
 Run with: python3 demos/04_double_lines.py
 """
@@ -21,7 +21,7 @@ X, Y, Z, U = range(4)
 
 
 def show(label, L1, L2):
-    v = classify(L1, L2, mode="both")
+    v = classify(L1, L2)
     lines = [f"{label}:"]
     lines.append(f"  lal = {v.lal}   case = {v.case_tag}")
     if v.witness:

@@ -116,14 +116,8 @@ def _cmd_doubling(opts, base, first):
 
 
 def _cmd_classify(opts, L1, L2):
-    verdict = classify(L1, L2, mode=opts.mode)
-    text = [
-        f"lal: {verdict.lal}",
-        f"case: {verdict.case_tag}",
-        f"mode: {verdict.mode}" + (
-            f" (oracle: {verdict.oracle_verdict})" if verdict.oracle_verdict else ""
-        ),
-    ]
+    verdict = classify(L1, L2)
+    text = [f"lal: {verdict.lal}", f"case: {verdict.case_tag}"]
     if verdict.witness:
         text.append(f"witness: {verdict.witness}")
     return verdict, text, verdict.lal
@@ -157,8 +151,8 @@ def build_parser():
     parser.add_argument("session", help="path to the session file")
     parser.add_argument("command", choices=sorted(_COMMANDS), help="command to run")
     parser.add_argument("args", nargs="*", help="names declared in the session")
-    parser.add_argument("--mode", default="both", choices=["conditions", "both"],
-                        help="classification mode (classify only)")
+    parser.add_argument("--mode", default="both", choices=["both"],
+                        help="accepted for existing scripts; has no effect")
     parser.add_argument("--seed", type=int, default=0,
                         help="seed of the Artinian slices (lci, gorenstein, verify-triple only)")
     parser.add_argument("--json", action="store_true", help="emit the stable JSON document")
@@ -178,7 +172,7 @@ def main(argv=None):
     try:
         with open(opts.session, encoding="utf-8") as handle:
             text = handle.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
     phase = "session parse"

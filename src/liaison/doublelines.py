@@ -107,8 +107,6 @@ class ClassificationVerdict(Report):
     lal: bool
     case_tag: str
     witness: dict | None = None
-    mode: str = "conditions"
-    oracle_verdict: str | None = None
     point_reports: list = dc_field(default_factory=list, metadata={"json": "points_tested"})
 
 
@@ -380,13 +378,14 @@ def oracle_lal(L1, L2):
     Y links the pair iff phi(a1*a2, a1*b2 + b1*a2, b1*b2) = 0 as a binary
     form: then (Y : I1) = I2, both being unmixed of degree 2.
 
-    Returns (verdict, reports): 'lal' or 'not_lal', and the local tests
-    (the meeting point's only; none for other relations).  Deterministic.
+    Returns (lal, reports): whether the pair is l.a.l., as a bool, and the
+    local tests (the meeting point's only; none for other relations).
+    Deterministic.
     """
     relation = support_relation(L1, L2)
     if relation == "equal":
         if ideal_equal(double_line_ideal(L1), double_line_ideal(L2)):
-            return "lal", []
+            return True, []
         field = L1.ring.field
         shared = min(L1.support)
         a1, b1 = _oriented_forms(L1, shared)
@@ -401,13 +400,11 @@ def oracle_lal(L1, L2):
             p0, p1, p2 = phi
             return field.sub(field.mul(p1, p1), field.mul(p0, p2))
 
-        if _nonvanishing_member([field.zero] * 3, kernel, discriminant, field) is not None:
-            return "lal", []
-        return "not_lal", []
+        return _nonvanishing_member([field.zero] * 3, kernel, discriminant, field) is not None, []
     if not (lci_along_support(L1) and lci_along_support(L2)):
-        return "not_lal", []
+        return False, []
     if relation == "disjoint":
-        return "lal", []
+        return True, []
     free = _meeting_geometry(L1, L2)[3]
     U = ideal_intersect(double_line_ideal(L1), double_line_ideal(L2))
     meeting = RationalPoint.projective(L1.ring, [int(k == free) for k in range(4)])
@@ -417,18 +414,20 @@ def oracle_lal(L1, L2):
     report = LocalPointReport(
         mu=mu, codim=2, lci=(mu == 2), point=meeting, note="gorenstein not requested"
     )
-    return ("lal" if report.lci else "not_lal"), [report]
+    return report.lci, [report]
 
 
 def classify(L1, L2, mode="both", seed=0):
-    """Classify a pair of double lines.
+    """Classify a pair of double lines by the explicit conditions, checked
+    against the geometric oracle (oracle_lal) on every call: any
+    disagreement raises ClassificationDiscrepancy.  Deterministic.
 
-    mode 'conditions' runs the explicit classification, and 'both' also
-    runs the geometric oracle and raises ClassificationDiscrepancy on any
-    disagreement.  Both are deterministic: seed is accepted for existing
-    callers and has no effect.
+    The conditions alone are classify_meeting_pair and
+    classify_same_support_pair.  mode accepts only 'both' and seed has no
+    effect; both stay for perfbench/workloads.py, which passes them, and
+    ROADMAP item 1 drops them there and here.
     """
-    if mode not in ("conditions", "both"):
+    if mode != "both":
         raise ValueError(f"unknown classification mode {mode!r}")
     if L1.ring != L2.ring:
         raise ValueError("double lines live in different ring contexts")
@@ -439,12 +438,10 @@ def classify(L1, L2, mode="both", seed=0):
         verdict = classify_meeting_pair(L1, L2)
     else:
         verdict = ClassificationVerdict(True, "disjoint")
-    if mode == "conditions":
-        return verdict
-    oracle_verdict, points = oracle_lal(L1, L2)
-    if (oracle_verdict == "lal") != verdict.lal:
+    lal, points = oracle_lal(L1, L2)
+    if lal != verdict.lal:
         raise ClassificationDiscrepancy(
             f"conditions say lal={verdict.lal} ({verdict.case_tag}) but the "
-            f"oracle says {oracle_verdict} for pair ({L1}, {L2})"
+            f"oracle says lal={lal} for pair ({L1}, {L2})"
         )
-    return replace(verdict, mode=mode, oracle_verdict=oracle_verdict, point_reports=points)
+    return replace(verdict, point_reports=points)

@@ -258,7 +258,10 @@ def artinian_reduce(I, seed=0):
     """
     rng = random.Random(seed)
     ring = I.ring
-    sample = [ring.field.zero, *ring.field.random_sample()]
+    field = ring.field
+    # 0 and the field's sample; over F_p that is all of F_p, a range and not
+    # a list of p integers, and rng.choice draws alike from both
+    sample = range(field.p) if field.characteristic else [field.zero, *field.random_sample()]
     L, cone = local_leading_ideal(I)
     data = hilbert_data(L)
     forms, cut = [], cone

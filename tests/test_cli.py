@@ -198,6 +198,16 @@ def test_missing_file_exits_two(tmp_path):
     assert proc.returncode == 2
 
 
+def test_session_file_not_in_utf8_exits_two(tmp_path):
+    # a read error, not the false verdict of exit 1 with a traceback
+    path = tmp_path / "latin1.session"
+    path.write_bytes(b"ring Q[x]\nideal I = x\xff\n")
+    proc = run_cli(str(path), "gb", "I")
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+    assert "Traceback" not in proc.stderr
+
+
 def test_wrong_arity_exits_two():
     proc = run_cli(str(FIXTURES / "fossum.session"), "colon", "B")
     assert proc.returncode == 2

@@ -197,7 +197,7 @@ def test_classification_refuses_mismatched_input(P3):
     x, y, z, u = P3.gens()
     L = _line(P3, (0, 1), z, u)
     meeting, same = _line(P3, (0, 2), y, u), _line(P3, (0, 1), u, z)
-    for mode in ("fast", "oracle"):
+    for mode in ("fast", "oracle", "conditions"):
         with pytest.raises(ValueError, match=f"unknown classification mode '{mode}'"):
             classify(L, same, mode=mode)
     other = make_ring(["x", "y", "z", "u"], "F31", "grevlex")
@@ -300,9 +300,9 @@ def test_same_support_swap_matrix(P3):
 def test_disjoint_supports(P3):
     x, y, z, u = P3.gens()
     L1, L2 = _line(P3, (0, 1), z, u), _line(P3, (2, 3), x, y)
-    v = classify(L1, L2, mode="both")
+    v = classify(L1, L2)
     assert v.lal and v.case_tag == "disjoint"
-    assert v.oracle_verdict == "lal"
+    assert oracle_lal(L1, L2) == (True, [])
     assert lci_along_support(L1) and lci_along_support(L2)
     assert v.point_reports == []
 
@@ -320,8 +320,8 @@ def test_oracle_rejects_common_zero_where_a_pencil_coordinate_vanishes(P3):
         _line(P3, (0, 2), y, u),
     )
     for partner in partners:
-        assert oracle_lal(bad, partner)[0] == "not_lal", partner
-        assert oracle_lal(partner, bad)[0] == "not_lal", partner
+        assert oracle_lal(bad, partner)[0] is False, partner
+        assert oracle_lal(partner, bad)[0] is False, partner
 
 
 def test_classify_symmetric_under_swap(P3):
@@ -334,8 +334,8 @@ def test_classify_symmetric_under_swap(P3):
         (_line(P3, (0, 1), z, u), _line(P3, (2, 3), x, y)),
     ]
     for L1, L2 in pairs:
-        v1 = classify(L1, L2, mode="conditions", seed=1)
-        v2 = classify(L2, L1, mode="conditions", seed=1)
+        v1 = classify(L1, L2)
+        v2 = classify(L2, L1)
         assert v1.lal == v2.lal
 
 
@@ -344,8 +344,8 @@ def test_classify_invariant_under_scaling(P3):
     L1 = _line(P3, (0, 1), u, z)
     L2 = _line(P3, (0, 2), u, y)
     for c in (2, -1, 5):
-        v = classify(L1.scaled(c), L2, mode="conditions", seed=1)
-        w = classify(L1, L2.scaled(c), mode="conditions", seed=1)
+        v = classify(L1.scaled(c), L2)
+        w = classify(L1, L2.scaled(c))
         assert v.lal and w.lal
 
 
@@ -368,13 +368,11 @@ def test_oracle_mode_standalone(P3):
     x, y, z, u = P3.gens()
     L1 = _line(P3, (0, 1), z, u)
     L2 = _line(P3, (0, 2), y, u)
-    assert oracle_lal(L1, L2)[0] == "lal"
-    v = classify(L1, L2, mode="both", seed=9)
-    assert v.lal and v.oracle_verdict == "lal"
+    assert oracle_lal(L1, L2)[0] is True
+    assert classify(L1, L2, mode="both", seed=9).lal
     bad = (_line(P3, (0, 1), 2 * u, z), _line(P3, (0, 2), u, y))
-    assert oracle_lal(*bad)[0] == "not_lal"
-    v = classify(*bad, mode="both", seed=9)
-    assert not v.lal and v.oracle_verdict == "not_lal"
+    assert oracle_lal(*bad)[0] is False
+    assert not classify(*bad, mode="both", seed=9).lal
 
 
 def _eigenspace_pencil(ring, support, N):
@@ -423,10 +421,10 @@ def test_closed_form_pencil_matches_the_eigenspace(field):
 def test_oracle_decides_same_support(P3):
     x, y, z, u = P3.gens()
     L1 = _line(P3, (0, 1), z, u)
-    assert oracle_lal(L1, _line(P3, (0, 1), z, -u)) == ("lal", [])
-    assert oracle_lal(L1, _line(P3, (0, 1), z, z + u)) == ("not_lal", [])
+    assert oracle_lal(L1, _line(P3, (0, 1), z, -u)) == (True, [])
+    assert oracle_lal(L1, _line(P3, (0, 1), z, z + u)) == (False, [])
     # equal ideals: locally self-linked, though no quadric CI links them
-    assert oracle_lal(L1, _line(P3, (1, 0), 3 * u, 3 * z)) == ("lal", [])
+    assert oracle_lal(L1, _line(P3, (1, 0), 3 * u, 3 * z)) == (True, [])
 
 
 def _same_support_campaign(field, rng):
@@ -461,7 +459,7 @@ def test_same_support_oracle_matches_construction(field):
     # gives wrong verdicts here outside characteristic 3
     rng = random.Random(61)
     for L1, L2, linked in _same_support_campaign(field, rng):
-        expected = ("lal" if linked else "not_lal", [])
+        expected = (linked, [])
         assert oracle_lal(L1, L2) == expected, (L1, L2)
         assert oracle_lal(L2, L1) == expected, (L2, L1)
         assert classify_same_support_pair(L1, L2).lal == linked, (L1, L2)
@@ -470,7 +468,7 @@ def test_same_support_oracle_matches_construction(field):
 @pytest.mark.parametrize("field", ["F31", "Q"])
 def test_same_support_modes_use_the_oracle(field, monkeypatch):
     # a classifier that answers wrongly on equal supports: the oracle must
-    # still give the right verdict and 'both' must refuse to answer
+    # still give the right verdict and classify must refuse to answer
     real = classify_same_support_pair
 
     def flipped(*args, **kwargs):
@@ -485,7 +483,7 @@ def test_same_support_modes_use_the_oracle(field, monkeypatch):
         traceless = i % 2 == 0
         L1, L2, _N = random_same_support_instance(R, rng, traceless)
         seed = rng.randrange(10**6)
-        assert oracle_lal(L1, L2)[0] == ("lal" if traceless else "not_lal")
+        assert oracle_lal(L1, L2)[0] is traceless
         with pytest.raises(ClassificationDiscrepancy):
             classify(L1, L2, mode="both", seed=seed)
 
@@ -539,8 +537,7 @@ def test_meeting_classification_computes_no_hilbert_data(P3, monkeypatch):
         (_line(P3, (0, 1), 2 * u, z), _line(P3, (0, 2), u, y)),  # it fails
     ]
     for L1, L2 in pairs:
-        v = classify(L1, L2, mode="both")
-        assert v.oracle_verdict is not None and len(v.point_reports) == 1
+        assert len(classify(L1, L2).point_reports) == 1
     assert calls == []
 
 
@@ -705,10 +702,10 @@ def test_unequal_same_support_oracle_takes_one_basis(monkeypatch):
         L1, L2, _N = random_same_support_instance(R, rng, traceless=i % 2 == 0)
         calls.clear()
         inside.clear()
-        assert oracle_lal(L1, L2)[0] == ("lal" if i % 2 == 0 else "not_lal")
+        assert oracle_lal(L1, L2)[0] is (i % 2 == 0)
         assert inside == [(False, 1)] and len(calls) == 1
     inside.clear()
-    assert oracle_lal(L1, L1.scaled(3)) == ("lal", [])
+    assert oracle_lal(L1, L1.scaled(3)) == (True, [])
     assert inside == [(True, 2)]
 
 
@@ -887,8 +884,8 @@ def test_classify_does_not_depend_on_coordinates_or_scaling(field):
     # relabelling here moves the meeting point (0:0:0:1) to the vertex of
     # another variable, where the oracle reads mu off the union's basis
     # with other leading terms.  Scaling a line's
-    # forms keeps its ideal.  Verdict, case, oracle verdict and the meeting
-    # point's mu stay the same; the witness is written in the orientation of
+    # forms keeps its ideal.  Verdict, case and the meeting point's mu stay
+    # the same; the witness is written in the orientation of
     # the forms (which support variable comes first, the scale of b1, b2)
     # and may change with it, so it is not compared
     R = make_ring(["x", "y", "z", "u"], field, "grevlex")
@@ -900,7 +897,7 @@ def test_classify_does_not_depend_on_coordinates_or_scaling(field):
     scales = [c for c in R.field.random_sample() if c != R.field.one]
 
     def summary(verdict):
-        return verdict.lal, verdict.case_tag, verdict.oracle_verdict, [r.mu for r in verdict.point_reports]
+        return verdict.lal, verdict.case_tag, [r.mu for r in verdict.point_reports]
 
     for L1, L2 in pairs:
         expected = summary(classify(L1, L2, mode="both"))

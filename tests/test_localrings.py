@@ -1,5 +1,6 @@
 import itertools
 import random
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -697,6 +698,22 @@ def test_slices_over_f3_may_have_a_zero_coefficient():
     assert is_zero_dimensional(ideal_sum(I, Ideal(R, [y + z])).groebner())
     for seed in range(6):
         assert local_gorenstein(I, seed=seed) == (3, 2, False), seed
+
+
+def test_slice_draw_over_a_large_prime_holds_no_list_of_the_field():
+    # the slice coefficients range over all of F_p: drawn from a list of p
+    # integers, the call below peaked at ~46 MiB, and a prime near 2^31
+    # would ask for ~2^31 of them
+    R = make_ring(["x", "y", "z"], "F1000003", "grevlex")
+    x, y, z = R.gens()
+    tracemalloc.start()
+    try:
+        invariants = local_gorenstein(Ideal(R, [x**2, x * y, y**2]))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert invariants == (3, 2, False)
+    assert peak < 4 * 2**20, peak
 
 
 def test_local_ci_test_reads_graded_complete_intersection_off_hilbert_data(monkeypatch):

@@ -57,8 +57,6 @@ def _reports():
                 "lal": True,
                 "case_tag": "meeting_a",
                 "witness": {"b1": "1", "b2": "1"},
-                "mode": "both",
-                "oracle_verdict": "lal",
                 "points_tested": [
                     {
                         "mu": 2,
