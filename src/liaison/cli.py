@@ -1,6 +1,6 @@
 """Command-line interface: run one command against a session file.
 
-    liaison SESSION COMMAND [ARGS...] [--mode both] [--seed 0] [--json]
+    liaison SESSION COMMAND [ARGS...] [--mode both] [--seed 0] [--json] [--timings]
 
 A command's usage string, such as IDEAL POINT, is its argument schema: one
 session name per word, looked up as the word's kind and passed on in order.

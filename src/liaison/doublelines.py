@@ -7,11 +7,12 @@ ideal (f*v1 + g*v2, v1^2, v1*v2, v2^2) for a pair of coprime binary forms
 algebraically linked (l.a.l.) when some locally complete intersection
 multiplicity-4 curve links them; the classifier decides this from the form
 data.  The oracle re-decides it without the classifier's conditions and
-without sampling: for meeting or disjoint supports by an exact certificate
-that each line is a local complete intersection along its support, plus
-one local complete-intersection test of the union at the meeting point;
-for equal supports by an exact linear search over the complete
-intersections of two quadrics in the support variables.
+without sampling: for meeting supports by one local complete-intersection
+test of the union at the meeting point, disjoint supports needing none, as
+each line is a local complete intersection along its support by
+construction (DoubleLine refuses forms with a common zero); for equal
+supports by an exact linear search over the complete intersections of two
+quadrics in the support variables.
 
 Condition used in the meeting case with both tangency values zero: the
 union is locally a complete intersection at the meeting point iff
@@ -41,6 +42,12 @@ class DoubleLine:
     support holds the indices of (v1, v2); forms = (f, g) are the binary
     forms in the complementary variables, attached to v1 and v2 in that
     order, so the non-quadric generator is f*v1 + g*v2.
+
+    The constructor refuses forms that share a zero on the support line, so
+    every DoubleLine is a local complete intersection along its support,
+    the premise of oracle_lal and of the witness certificate: where f or g
+    is a unit, f*v1 + g*v2 is a local coordinate and the ideal is locally
+    (v1', v2^2); where both vanish, the ideal needs four generators.
     """
 
     ring: object
@@ -231,8 +238,8 @@ def _witness_links_by_certificate(Y, L1, L2):
     (Y : I2) = I1, proved without a colon.
 
     Y with two generators and Krull dimension 2 is a complete intersection,
-    so every colon into it is unmixed.  lci_along_support certifies that the
-    pencil forms of each line have no common zero, so I_i =
+    so every colon into it is unmixed.  The pencil forms of each line have
+    no common zero, the DoubleLine constructor's invariant, so I_i =
     double_line_ideal(L_i) is unmixed of degree 2: (v1, v2)/I_i is the ideal
     (f, g) of the pencil ring, shifted, which is torsion-free of rank 1.
     With Y of degree 4 inside I1 and I2, and I1*I2 inside Y (checked on
@@ -240,20 +247,16 @@ def _witness_links_by_certificate(Y, L1, L2):
     degree 4 - 2 and contains I2, unmixed of the same degree, so the two
     are equal; likewise (Y : I2) = I1.
 
-    For lines the DoubleLine constructor accepts and Y spanned by two
-    quadrics in v1, v2 (as _pm_extension_ideal builds it), False also
-    disproves the colons.  The constructor rejects forms with a common
-    zero, so the lci checks hold.  If both colons hold, Y lies in (Y : I1)
-    = I2 and in I1, and I1*I2 = I1*(Y : I1) lies in Y.  Y also has Krull
-    dimension 2: at least that of I1, which contains it, and two quadrics
-    with a common factor h have (Y : I1) inside (h), which cannot contain
-    I2.  So its quadrics are coprime, Y contains (v1, v2)^3, and the
-    product check is exact.
+    For Y spanned by two quadrics in v1, v2 (as _pm_extension_ideal builds
+    it), False also disproves the colons.  If both colons hold, Y lies in
+    (Y : I1) = I2 and in I1, and I1*I2 = I1*(Y : I1) lies in Y.  Y also
+    has Krull dimension 2: at least that of I1, which contains it, and two
+    quadrics with a common factor h have (Y : I1) inside (h), which cannot
+    contain I2.  So its quadrics are coprime, Y contains (v1, v2)^3, and
+    the product check is exact.
     """
     data = hilbert_data(Y)
     if not (len(Y.gens) == 2 and data.krull_dimension == 2 and data.degree == 4):
-        return False
-    if not (lci_along_support(L1) and lci_along_support(L2)):
         return False
     I1, I2 = double_line_ideal(L1), double_line_ideal(L2)
     return (
@@ -272,9 +275,9 @@ def classify_same_support_pair(L1, L2):
     extension Y is the span of the squared eigenforms of N, in closed form
     (see _pm_extension_ideal).  Y is verified on the spot by a certificate
     for the colon identities (Y : I1) = I2 and (Y : I2) = I1, computing no
-    colon (see _witness_links_by_certificate; for constructor-made lines it
-    holds exactly when the identities do).  A failed verification is a hard
-    error, never a silent answer.
+    colon (see _witness_links_by_certificate; it holds exactly when the
+    identities do).  A failed verification is a hard error, never a silent
+    answer.
     """
     if support_relation(L1, L2) != "equal":
         raise ValueError("classify_same_support_pair needs equal supports")
@@ -342,32 +345,16 @@ def classify_same_support_pair(L1, L2):
     )
 
 
-def lci_along_support(line):
-    """Whether a double line is a local complete intersection at every point
-    of its support line.
-
-    At a point where f or g does not vanish, f*v1 + g*v2 is v1 or v2 up to
-    a unit and a change of coordinates, so the ideal is locally (v1', v2^2);
-    where both vanish every generator lies in m*(v1, v2) + (v1, v2)^2 and
-    the ideal needs four.
-    So the certificate is that f and g share no zero on the support line,
-    decided by binary_forms_have_common_zero, the constructor's test (no
-    Groebner basis).  A zero form shares every zero of its partner, so it
-    passes only beside a nonzero constant.
-    """
-    return not binary_forms_have_common_zero(*line.forms, line.pencil)
-
-
 def oracle_lal(L1, L2):
     """Geometric oracle, decided without the classifier's conditions.
 
-    Meeting or disjoint supports: both lines must be lci along their
-    supports (lci_along_support, exact).  Away from the meeting point the
-    union U = I1 cap I2 is locally a single double line, so that decides
-    every point but the meeting point.  There U is lci iff its local
-    minimal generator count mu, read off U's held basis (local_mu, no
+    Meeting or disjoint supports: each line is lci along its support, the
+    DoubleLine constructor's invariant, so disjoint lines are linked with no
+    local test.  For meeting supports the union U = I1 cap I2 is locally a
+    single double line away from the meeting point.  There U is lci iff its
+    local minimal generator count mu, read off U's held basis (local_mu, no
     chart), is 2, its codimension; the report carries mu and no Gorenstein
-    verdict.  Disjoint supports need no local test.
+    verdict.
 
     Equal supports: exact, over the complete intersections Y of two
     quadrics in the support variables (v1, v2), the classifier's witness
@@ -401,8 +388,6 @@ def oracle_lal(L1, L2):
             return field.sub(field.mul(p1, p1), field.mul(p0, p2))
 
         return _nonvanishing_member([field.zero] * 3, kernel, discriminant, field) is not None, []
-    if not (lci_along_support(L1) and lci_along_support(L2)):
-        return False, []
     if relation == "disjoint":
         return True, []
     free = _meeting_geometry(L1, L2)[3]

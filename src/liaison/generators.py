@@ -15,10 +15,11 @@ from .polynomials import Polynomial, binary_coefficients, binary_form, binary_fo
 
 @cache
 def _coefficient_pool(field):
-    """The coefficients a random form draws from, built once per field."""
+    """The coefficients a random form draws from, built once per field: over
+    F_p every residue, as a range (rng.choice indexes it like a list of p)."""
     if field.characteristic == 0:
         return tuple(field.normalize(k) for k in range(-3, 4))
-    return tuple(field.normalize(k) for k in range(field.characteristic))
+    return range(field.characteristic)
 
 
 def random_form(ring, pencil, degree, rng, allow_zero=False):
@@ -95,8 +96,10 @@ def random_meeting_instance(ring, case, rng):
             db1 = binary_coefficients(b1, pencil1, r1)[1]
             target = field.div(field.mul(a2_at, db1), a1_at)
             if case == "b_violate":
-                delta = rng.choice([c for c in _coefficient_pool(field) if c != field.zero])
-                target = field.add(target, delta)
+                pool = _coefficient_pool(field)
+                # the pool without its zero, which over F_p comes first
+                nonzero = pool[1:] if field.characteristic else [c for c in pool if c != field.zero]
+                target = field.add(target, rng.choice(nonzero))
             b2 = random_form(ring, pencil2, r2, rng, allow_zero=True)
             b2 = _set_coefficient(b2, pencil2, r2, 0, field.zero)
             b2 = _set_coefficient(b2, pencil2, r2, 1, target)

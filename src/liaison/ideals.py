@@ -360,20 +360,19 @@ def sub_shifted(a, b, k):
 def _numerator(mingens):
     """Hilbert series numerator of R/(monomial ideal) over (1-t)^n.
 
-    Recursion: N(I + (m)) = N(I) - t^deg(m) * N(I : m), with monomial colons
-    computed directly.
+    N(I + (m)) = N(I) - t^deg(m) * N(I : m), with monomial colons computed
+    directly, taken over the sorted generators m_k in one loop: N <- N -
+    t^deg(m_k) * N((m_1, ..., m_(k-1)) : m_k).  Only the colons recurse, so
+    the depth does not grow with the number of generators.
     """
-    if not mingens:
-        return [1]
     if any(sum(m) == 0 for m in mingens):
         return []
     gens = sorted(mingens, key=lambda e: (sum(e), e))
-    m = gens[-1]
-    rest = gens[:-1]
-    head = _numerator(rest)
-    colon = minimal_monomial_generators([mono_div(g, mono_gcd(g, m)) for g in rest])
-    tail = _numerator(colon)
-    return sub_shifted(head, tail, sum(m))
+    numer = [1]
+    for k, m in enumerate(gens):
+        colon = minimal_monomial_generators([mono_div(g, mono_gcd(g, m)) for g in gens[:k]])
+        numer = sub_shifted(numer, _numerator(colon), sum(m))
+    return numer
 
 
 def _divide_by_one_minus_t(coeffs):

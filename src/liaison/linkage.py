@@ -18,8 +18,11 @@ colons.
 The dualizing modules of the theory are never materialized; every check is
 phrased in the colon, length, Hilbert-series and socle arithmetic the
 proofs themselves reduce to, so the reports flag themselves as
-necessary-condition verification.  All socles are read off the
-multiplication matrices of R/base (see localrings).
+necessary-condition verification.  A base that is not a graded complete
+intersection has its socle read off the certified cut R/Q of the Artinian
+reduction, a graded complete-intersection base needs none, and
+socle_lemma_test reads the multiplication matrices of R/base (see
+localrings).
 """
 
 from collections import namedtuple

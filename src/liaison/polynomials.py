@@ -377,11 +377,13 @@ def _univariate_gcd_degree(a, b, field):
 def binary_forms_have_common_zero(f, g, pencil):
     """Common zero on P^1 of two binary forms in the pencil variables.
 
-    The one coprimality test, shared by the DoubleLine constructor,
-    lci_along_support and the complete-intersection certificate of
-    ideals.hilbert_data: (1:0) is a common zero iff both top coefficients
-    vanish, any other is a root of the Euclid gcd of the forms at w = 1.
-    A zero form shares every zero of its partner.
+    The one coprimality test, shared by the DoubleLine constructor, whose
+    refusal of a common zero makes every double line a local complete
+    intersection along its support (the premise of doublelines.oracle_lal),
+    and the complete-intersection certificate of ideals.hilbert_data: (1:0)
+    is a common zero iff both top coefficients vanish, any other is a root
+    of the Euclid gcd of the forms at w = 1.  A zero form shares every zero
+    of its partner.
     """
     field = f.ring.field
     cf = binary_coefficients(f, pencil, f.total_degree())

@@ -103,6 +103,15 @@ MUTANTS = (
         ["tests/test_doublelines.py::test_same_support_modes_use_the_oracle[F31]"],
     ),
     (
+        "doublelines.py",
+        "        if binary_forms_have_common_zero(f, g, pencil):",
+        "        if False:",
+        [
+            "tests/test_doublelines.py::test_double_line_rejects_common_zero",
+            "tests/test_doublelines.py::test_constructor_premise_read_by_syzygies[F3]",
+        ],
+    ),
+    (
         "localrings.py",
         "v ** (data.degree + 1)",
         "v ** data.degree",

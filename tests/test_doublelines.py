@@ -4,6 +4,7 @@ import itertools
 import math
 import random
 import sys
+import tracemalloc
 
 import pytest
 
@@ -11,6 +12,7 @@ from liaison import (
     ClassificationDiscrepancy,
     DoubleLine,
     Ideal,
+    RationalPoint,
     classify,
     classify_meeting_pair,
     classify_same_support_pair,
@@ -22,15 +24,16 @@ from liaison import (
     ideal_product,
     link,
     local_ci_test,
+    local_mu,
     make_ring,
     oracle_lal,
     parse_polynomial,
 )
 from liaison import doublelines
-from liaison.doublelines import lci_along_support
 from liaison.generators import (
     random_ci_linked_triple,
     random_coprime_pair,
+    random_form,
     random_meeting_instance,
     random_same_support_instance,
 )
@@ -50,8 +53,21 @@ def P3():
     return make_ring(["x", "y", "z", "u"], "Q", "grevlex")
 
 
+COMMON_ZERO = "forms share a zero on the support line (resultant 0)"
+
+
 def _line(ring, support, f, g):
     return DoubleLine(ring, support, (f, g))
+
+
+def _refusal(ring, f, g):
+    """The constructor's message for a double line on x = y = 0 with forms
+    (f, g), or None when it accepts them."""
+    try:
+        _line(ring, (0, 1), f, g)
+    except ValueError as exc:
+        return str(exc)
+    return None
 
 
 def test_double_line_ideal_degree(P3):
@@ -93,19 +109,12 @@ def test_binary_coefficients_layout_and_round_trip(P3):
                 assert binary_form(R, pencil, binary_coefficients(form, pencil, d)) == form
 
 
-def _unchecked_line(ring, support, f, g):
-    """A DoubleLine built without its constructor's checks."""
-    line = object.__new__(DoubleLine)
-    for name, value in (("ring", ring), ("support", support), ("forms", (f, g))):
-        object.__setattr__(line, name, value)
-    return line
-
-
 @pytest.mark.parametrize("field", ["F3", "F5", "F31", "Q"])
 def test_common_zero_agrees_with_hilbert_dimension(field):
     # independent oracle: f, g share a zero on the support line iff the cone
-    # of (f, g, v1, v2) has Krull dimension at least 1; the oracle's
-    # lci_along_support must say the opposite, degree-0 forms included
+    # of (f, g, v1, v2) has Krull dimension at least 1, degree-0 forms
+    # included; the constructor refuses exactly those, wherever its degree
+    # checks let it get that far
     R = make_ring(["x", "y", "z", "u"], field, "grevlex")
     x, y, z, u = R.gens()
     zero = R.field.zero
@@ -122,13 +131,16 @@ def test_common_zero_agrees_with_hilbert_dimension(field):
         f, g = binary_form(R, pencil, cf), binary_form(R, pencil, cg)
         expected = hilbert_data(Ideal(R, [f, g, x, y])).krull_dimension >= 1
         assert binary_forms_have_common_zero(f, g, pencil) == expected, (f, g)
-        assert lci_along_support(_unchecked_line(R, (0, 1), f, g)) != expected, (f, g)
+        refusal = _refusal(R, f, g)
+        if refusal not in ("both forms vanish", "forms must have equal degree"):
+            assert refusal == (COMMON_ZERO if expected else None), (f, g)
 
 
-def test_lci_along_support_sylvester_edges(P3):
-    # the certificate is binary_forms_have_common_zero on (f, g) in the
-    # pencil (z, u), the constructor's Euclid test; (z:u) = (1:0) is where
-    # the u-free coefficient vanishes
+def test_common_zero_sylvester_edges(P3):
+    # binary_forms_have_common_zero on (f, g) in the pencil (z, u), the
+    # constructor's Euclid test, in both orders; (z:u) = (1:0) is where the
+    # u-free coefficient vanishes.  Where the degree checks pass, the
+    # constructor refuses exactly the pairs with a common zero
     x, y, z, u = P3.gens()
     one, zero = P3.one(), P3.zero()
     cases = [
@@ -146,9 +158,63 @@ def test_lci_along_support_sylvester_edges(P3):
         (z**2, z * u - u**2, True),
     ]
     for f, g, expected in cases:
-        assert lci_along_support(_unchecked_line(P3, (0, 1), f, g)) is expected, (f, g)
-        assert lci_along_support(_unchecked_line(P3, (0, 1), g, f)) is expected, (g, f)
-        assert binary_forms_have_common_zero(f, g, (2, 3)) is not expected, (f, g)
+        for pair in ((f, g), (g, f)):
+            assert binary_forms_have_common_zero(*pair, (2, 3)) is not expected, pair
+            refusal = _refusal(P3, *pair)
+            if refusal not in ("both forms vanish", "forms must have equal degree"):
+                assert refusal == (None if expected else COMMON_ZERO), pair
+
+
+def _premise_by_syzygies(ring, f, g, points):
+    """Whether local_mu of (f*x + g*y, x^2, x*y, y^2) is 2 at each given
+    point (0:0:s:t) of x = y = 0, asserting that it is 4 where f and g both
+    vanish and 2 elsewhere, and that the constructor refuses (f, g) exactly
+    when it is not."""
+    x, y = ring.gens()[:2]
+    I = Ideal(ring, [f * x + g * y, x * x, x * y, y * y])
+    lci = True
+    for s, t in points:
+        point = RationalPoint.projective(ring, [0, 0, s, t])
+        common = f.evaluate(point.coordinates) == g.evaluate(point.coordinates) == ring.field.zero
+        assert local_mu(I, point) == (4 if common else 2), (f, g, point)
+        lci = lci and not common
+    assert _refusal(ring, f, g) == (None if lci else COMMON_ZERO), (f, g)
+    return lci
+
+
+@pytest.mark.parametrize("field", ["F3", "F5"])
+def test_constructor_premise_read_by_syzygies(field):
+    # the oracle's premise, decided by the constructor's gcd test, read
+    # instead by syzygies: a double line is lci at a point of its support
+    # iff mu = 2 there.  Every pair of linear forms, not both zero, and
+    # every pair of constants, at every rational point of the support line
+    R = make_ring(["x", "y", "z", "u"], field, "grevlex")
+    elements = range(R.field.characteristic)
+    points = [(1, t) for t in elements] + [(0, 1)]
+    z, u = R.gens()[2:]
+    linear = [a * z + b * u for a, b in itertools.product(elements, repeat=2)]
+    constants = [c * R.one() for c in elements]
+    for forms in (linear, constants):
+        for f, g in itertools.product(forms, repeat=2):
+            if not (f.is_zero() and g.is_zero()):
+                _premise_by_syzygies(R, f, g, points)
+
+
+def test_constructor_premise_read_by_syzygies_over_q():
+    # seeded pairs of degree 1 to 3; every other pair gets a common factor
+    # z - c*u, whose zero (0:0:c:1) is among the points tested
+    R = make_ring(["x", "y", "z", "u"], "Q", "grevlex")
+    z, u = R.gens()[2:]
+    points = [(c, 1) for c in range(-3, 4)] + [(1, 0)]
+    rng = random.Random(4409)
+    for case in range(10):
+        r = rng.randint(1, 2)
+        f, g = (random_form(R, (2, 3), r, rng) for _ in range(2))
+        if case % 2:
+            h = z - rng.randint(-3, 3) * u
+            f, g = f * h, g * h
+        lci = _premise_by_syzygies(R, f, g, points)
+        assert not (case % 2 and lci), (f, g)
 
 
 def test_double_line_degenerate_forms(P3):
@@ -303,25 +369,18 @@ def test_disjoint_supports(P3):
     v = classify(L1, L2)
     assert v.lal and v.case_tag == "disjoint"
     assert oracle_lal(L1, L2) == (True, [])
-    assert lci_along_support(L1) and lci_along_support(L2)
     assert v.point_reports == []
 
 
-def test_oracle_rejects_common_zero_where_a_pencil_coordinate_vanishes(P3):
+def test_constructor_refuses_common_zero_where_a_pencil_coordinate_vanishes(P3):
     # z*u and z*(z+u) share the zero (0:0:0:1) on x = y = 0, where the
-    # pencil coordinate z vanishes; the meeting partners meet the line at
-    # (0:0:1:0) and (0:0:0:1)
+    # pencil coordinate z vanishes; z*u and u*(z+u) share (0:0:1:0), where
+    # u does.  The oracle's premise, each line lci along its support, rests
+    # on this refusal alone
     x, y, z, u = P3.gens()
-    bad = _unchecked_line(P3, (0, 1), z * u, z * (z + u))
-    assert not lci_along_support(bad)
-    partners = (
-        _line(P3, (2, 3), x, y),
-        _line(P3, (0, 3), y, z),
-        _line(P3, (0, 2), y, u),
-    )
-    for partner in partners:
-        assert oracle_lal(bad, partner)[0] is False, partner
-        assert oracle_lal(partner, bad)[0] is False, partner
+    for f, g in ((z * u, z * (z + u)), (z * u, u * (z + u))):
+        for pair in ((f, g), (g, f)):
+            assert _refusal(P3, *pair) == COMMON_ZERO, pair
 
 
 def test_classify_symmetric_under_swap(P3):
@@ -709,19 +768,23 @@ def test_unequal_same_support_oracle_takes_one_basis(monkeypatch):
     assert inside == [(True, 2)]
 
 
-def test_witness_for_lines_with_a_common_zero_is_refused(P3, monkeypatch):
-    # forms sharing the factor z: each ideal has an embedded point at
-    # (0:0:0:1), so Y = (x^2, y^2) holds I1*I2 yet links neither way.  Only
-    # the lci certificate tells this apart, and it refuses the witness
-    # without a colon.
+def test_witness_for_lines_with_a_common_zero_is_refused(P3):
+    # forms sharing the factor z: each ideal (f*x + g*y, x^2, x*y, y^2) has
+    # an embedded point at (0:0:0:1), so Y = (x^2, y^2), the traceless
+    # witness of N = diag(1, -1), lies in both and holds I1*I2 (the witness
+    # certificate's checks) yet links neither way.  The certificate cannot
+    # tell this apart: the constructor refuses such forms, so no witness is
+    # ever built for them.
     x, y, z, u = P3.gens()
-    L1 = _unchecked_line(P3, (0, 1), z * u, z * (z + u))
-    L2 = _unchecked_line(P3, (0, 1), z * u, -z * (z + u))
-    assert not _links_by_colons(Ideal(P3, [x * x, y * y]), L1, L2)
-    calls = _count_colons(monkeypatch)
-    with pytest.raises(ClassificationDiscrepancy):
-        classify_same_support_pair(L1, L2)
-    assert calls == []
+    forms = [(z * u, z * (z + u)), (z * u, -z * (z + u))]
+    I1, I2 = (Ideal(P3, [f * x + g * y, x * x, x * y, y * y]) for f, g in forms)
+    Y = Ideal(P3, [x * x, y * y])
+    assert I1.contains_ideal(Y) and I2.contains_ideal(Y)
+    assert Y.contains_ideal(ideal_product(I1, I2))
+    assert not ideal_equal(ideal_colon(Y, I1), I2)
+    assert not ideal_equal(ideal_colon(Y, I2), I1)
+    for f, g in forms:
+        assert _refusal(P3, f, g) == COMMON_ZERO
 
 
 def _small_field_candidates(ring, support):
@@ -934,6 +997,21 @@ def _generator_digests():
             "None" if t is None else " ; ".join(", ".join(map(str, I.gens)) for I in t.ideals()) for t in triples
         ]
     return {key: hashlib.sha256("\n".join(rows).encode()).hexdigest()[:16] for key, rows in texts.items()}
+
+
+def test_generators_over_a_large_prime_hold_no_list_of_the_field():
+    # coefficients range over all of F_p: drawn from a tuple of the p
+    # residues and a list of the nonzero ones, this draw peaked at ~46 MiB
+    R = make_ring(["x", "y", "z", "u"], "F1000003", "grevlex")
+    rng = random.Random(7)
+    tracemalloc.start()
+    try:
+        L1, L2 = random_meeting_instance(R, "b_violate", rng)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert classify_meeting_pair(L1, L2).witness["failed"] == "tangent-coefficient identity"
+    assert peak < 4 * 2**20, peak
 
 
 def test_generators_reproduce_their_seeded_draws():

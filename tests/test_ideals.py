@@ -255,6 +255,18 @@ def test_hilbert_data_examples(P3):
     assert ci.degree == 4
 
 
+def test_hilbert_data_of_a_thousand_generators():
+    # (x, y)^d has d + 1 minimal generators and h-vector 1, 2, ..., d; the
+    # numerator takes them in one loop, so its recursion depth does not grow
+    # with their number (Python's default limit is 1000)
+    d = 1000
+    R = make_ring(["x", "y"], "F31", "grevlex")
+    gb = reduced_basis(R, [Polynomial.monomial(R, (d - i, i)) for i in range(d + 1)])
+    data = hilbert_data(Ideal.from_groebner(gb))
+    assert (data.krull_dimension, data.degree) == (0, d * (d + 1) // 2)
+    assert data.h_vector == tuple(range(1, d + 1))
+
+
 def test_hilbert_complete_intersection_degrees():
     rng = random.Random(29)
     R = make_ring(["x", "y", "z", "u"], "F31", "grevlex")
